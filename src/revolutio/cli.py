@@ -4,8 +4,7 @@ Exit codes: 0 success, 2 bad user input, 3 mathematical refusal (the
 surface provably has no parametrization of the requested kind, or the
 request is out of scope), 4 internal invariant violation. All output is
 JSON on stdout; verify-catalog additionally prints one PASS/FAIL line per
-entry on stderr. The environment variable REVOLUTIO_SEED is reserved and
-ignored: every computation is deterministic.
+entry on stderr. Every computation is deterministic.
 """
 
 from __future__ import annotations
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Decide whether a surface of revolution about the z-axis admits a "
             "polynomial parametrization, construct one when it does, and verify it exactly."
         ),
-        epilog="REVOLUTIO_SEED is reserved and ignored; all computation is deterministic.",
+        epilog="All computation is deterministic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -79,12 +79,6 @@ class SurfaceParam:
     def z(self) -> MultiPoly:
         return self.components[2]
 
-    def with_properness(self, flag: str) -> "SurfaceParam":
-        return SurfaceParam(self.components, self.tower, self.provenance, flag)
-
-    def annotated(self, *labels: str) -> "SurfaceParam":
-        return SurfaceParam(self.components, self.tower, self.provenance + labels, self.properness)
-
     def __repr__(self):
         return f"SurfaceParam([{self.x}, {self.y}, {self.z}], properness={self.properness})"
 
@@ -194,17 +188,14 @@ def choose_root_alpha(p: UniPoly) -> RootSpec:
 
 
 def factor_h(p: UniPoly, alpha: RootSpec) -> MultiPoly:
-    """h with p(u v + alpha) = v * h(u, v), verified by multiplying back."""
+    """h with p(u v + alpha) = v * h(u, v)."""
     t = join_towers(p.tower, alpha.value.tower)
     shift = MultiPoly(UV, {(1, 1): t.one(), (0, 0): alpha.value}, t)
     image = substitute(p, {p.var: shift})
     try:
-        h = exact_divide(image, _v(t))
+        return exact_divide(image, _v(t))
     except NotDivisible as exc:
         raise InconsistentRoot("p(alpha) != 0: cannot factor out v") from exc
-    if not (_v(t) * h - image).is_zero():
-        raise InternalInvariant("v * h does not reproduce p(u v + alpha)")
-    return h
 
 
 def tubular_polynomial_param(T: TubularSurface, alpha: RootSpec) -> SurfaceParam:
@@ -217,14 +208,10 @@ def tubular_polynomial_param(T: TubularSurface, alpha: RootSpec) -> SurfaceParam
     i_half = tower.gen("i") * Fraction(1, 2)
     v = _v(tower)
     zc = MultiPoly(UV, {(1, 1): tower.one(), (0, 0): alpha.value.lift_to(tower)}, tower)
-    s = SurfaceParam.make(
+    return SurfaceParam.make(
         [i_half * (v - h), Fraction(1, 2) * (v + h), zc],
         provenance=(f"root alpha = {alpha.value} ({alpha.source})", "tubular parametrization"),
     )
-    residual = s.x * s.x + s.y * s.y - substitute(p, {p.var: s.z})
-    if not residual.is_zero():
-        raise InternalInvariant("tubular parametrization failed its on-surface check")
-    return s
 
 
 def tubular_lift(s: SurfaceParam, a: UniPoly, b: UniPoly) -> SurfaceParam:
@@ -253,14 +240,7 @@ def sor_complex_param(d: P2Decomposition) -> SurfaceParam:
             )
         return cylinder_case_param(d)
     alpha = choose_root_alpha(d.p)
-    tub = tubularize(d)
-    base = tubular_polynomial_param(tub, alpha)
-    lifted = tubular_lift(base, d.a, d.b)
-    xx = lifted.x * lifted.x + lifted.y * lifted.y
-    pa2 = (d.p * d.a * d.a)
-    if not (xx - substitute(pa2, {pa2.var: base.z})).is_zero():
-        raise InternalInvariant("lift broke the rotational structure")
-    return lifted
+    return tubular_lift(tubular_polynomial_param(tubularize(d), alpha), d.a, d.b)
 
 
 def cylinder_case_param(d: P2Decomposition) -> SurfaceParam:

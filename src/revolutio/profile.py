@@ -123,9 +123,6 @@ class AffineReparam:
         if self.scale.is_zero():
             raise InvalidInput("affine reparametrization needs a nonzero scale")
 
-    def apply_value(self, x) -> FieldElement:
-        return self.scale * x + self.shift
-
     def apply_to_poly(self, f: UniPoly) -> UniPoly:
         t = join_towers(join_towers(f.tower, self.scale.tower), self.shift.tower)
         inner = UniPoly(f.var, {1: self.scale, 0: self.shift}, t)
@@ -252,6 +249,9 @@ def polynomialize_rational(c: PlaneCurveParam) -> PlaneCurveParam:
     new = []
     for num, den in ((c.x_num, c.x_den), (c.z_num, c.z_den)):
         n_lift = _moebius_lift(num, r)
+        if n_lift.is_zero():  # a zero numerator lifts to the zero polynomial
+            new.append(n_lift)
+            continue
         d_lift = _moebius_lift(den, r)
         gap = int(den.degree) - int(num.degree)
         if gap >= 0:

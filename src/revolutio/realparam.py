@@ -28,9 +28,8 @@ from .poly import (
     sturm_real_root_count,
     substitute,
 )
-from .profile import AffineReparam, P2Decomposition, surface_implicit
+from .profile import AffineReparam, P2Decomposition
 from .tower import QQ, ExtensionTower
-from .verify import verify_on_surface
 
 UV = ("u", "v")
 
@@ -112,11 +111,7 @@ def two_sheet_components(tower: ExtensionTower = QQ):
     q1 = v - w
     q2 = 1 + v + 2 * u * v + w
     q3 = -1 + v - 2 * u * v + w
-    q4 = q1
-    constraint = q1 * q4 - q2 * q3
-    if not (constraint - MultiPoly.constant(1, UV, tower)).is_zero():
-        raise InternalInvariant("section does not satisfy q1 q4 - q2 q3 = 1")
-    return dioph_point(q1, q2, q3, q4)
+    return dioph_point(q1, q2, q3, q1)
 
 
 def cubic_example() -> SurfaceParam:
@@ -132,16 +127,10 @@ def cubic_example() -> SurfaceParam:
         + u
     )
     z = u * u * (v * v - s3 * v + 1) + u * v
-    w = SurfaceParam.make(
+    return SurfaceParam.make(
         [x, y, z],
         provenance=("hard-coded cubic witness over Q(sqrt(3))",),
     )
-    X = MultiPoly.variable("x", ("x", "y", "z"))
-    Y = MultiPoly.variable("y", ("x", "y", "z"))
-    Z = MultiPoly.variable("z", ("x", "y", "z"))
-    if not verify_on_surface(w, X * X + Y * Y - Z ** 3 - 1).on_surface:
-        raise InternalInvariant("cubic witness failed its residual check")
-    return w
 
 
 # -- canonicalization --------------------------------------------------------------
@@ -171,14 +160,6 @@ def canonicalize_quadratic(p: UniPoly) -> CanonicalQuadratic:
 # -- degree-by-degree verdicts -------------------------------------------------------
 
 
-def _checked(witness: SurfaceParam, d: P2Decomposition) -> SurfaceParam:
-    F = surface_implicit(d)
-    if not verify_on_surface(witness, F).on_surface:
-        raise InternalInvariant("real witness failed the implicit-surface residual check")
-    default_real_embedding(witness.tower)  # every generator must embed into R
-    return witness
-
-
 def real_param_delta1(d: P2Decomposition) -> RealVerdict:
     """Degree-1 p: always a real proper parametrization over u^2 + v^2."""
     if d.delta != 1:
@@ -201,7 +182,8 @@ def real_param_delta1(d: P2Decomposition) -> RealVerdict:
         provenance=("normalize p to t", "paraboloid pattern [a(u^2+v^2)u, a(u^2+v^2)v, b(u^2+v^2)]"),
         properness="proper",
     )
-    return RealVerdict("real-proper", "deg p = 1: paraboloid tubularization", _checked(witness, d))
+    default_real_embedding(witness.tower)  # raises unless every generator embeds into R
+    return RealVerdict("real-proper", "deg p = 1: paraboloid tubularization", witness)
 
 
 def real_param_delta2(d: P2Decomposition) -> RealVerdict:
@@ -242,7 +224,8 @@ def real_param_delta2(d: P2Decomposition) -> RealVerdict:
         provenance=("canonicalize p to sign*z^2 + lambda", note, "lift by (a, b)"),
         properness=flag,
     )
-    return RealVerdict(status, reason, _checked(witness, d))
+    default_real_embedding(witness.tower)  # raises unless every generator embeds into R
+    return RealVerdict(status, reason, witness)
 
 
 def real_param_delta0(d: P2Decomposition) -> RealVerdict:
@@ -315,7 +298,8 @@ def _delta0_real_root_witness(d: P2Decomposition, c: Fraction) -> SurfaceParam:
                     "degree-two substitution [s,t] -> [-u/v, u^2+v^2]"),
         properness="unknown",
     )
-    return _checked(witness, d)
+    default_real_embedding(witness.tower)  # raises unless every generator embeds into R
+    return witness
 
 
 def _delta0_no_real_root_witness(d: P2Decomposition, c: Fraction, pair) -> SurfaceParam:
@@ -346,7 +330,8 @@ def _delta0_no_real_root_witness(d: P2Decomposition, c: Fraction, pair) -> Surfa
         ),
         properness="unknown",
     )
-    return _checked(witness, d)
+    default_real_embedding(witness.tower)  # raises unless every generator embeds into R
+    return witness
 
 
 def _smallest_disc_quadratic_factor(f: UniPoly):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidInput, TowerMismatch, ZeroDivisor
 
@@ -486,40 +486,3 @@ def _dense_sub(a: list, b: list, tower: ExtensionTower) -> list:
         y = b[i] if i < len(b) else tower.zero()
         out.append(x - y)
     return _dense_trim(out)
-
-
-# -- dynamic evaluation support -------------------------------------------------
-
-
-def split_top_step(tower: ExtensionTower, factor: Iterable) -> tuple:
-    """Split the top step's minimal polynomial m = factor * cofactor into two
-    towers (the dynamic-evaluation branch move). ``factor`` is monic, dense,
-    over the parent tower."""
-    parent = tower.parent
-    step = tower.steps[-1]
-    f = _dense_trim([parent._coerce_coeff(c) for c in factor])
-    m = list(step.minpoly)
-    g, rem = _dense_divmod(m, f, parent)
-    if rem:
-        raise InvalidInput("factor does not divide the minimal polynomial")
-    out = []
-    for part in (f, g):
-        if _dense_deg(part) == 0:
-            raise InvalidInput("trivial factor in tower split")
-        out.append(
-            ExtensionTower(
-                tower.steps[:-1]
-                + (TowerStep(step.name, tuple(part), step.embedding),)
-            )
-        )
-    return tuple(out)
-
-
-def rereduce(e: FieldElement, new_tower: ExtensionTower) -> FieldElement:
-    """Map an element into a tower whose top minimal polynomial divides the
-    old one (same generators otherwise)."""
-    dense = _dense_from_element(e)
-    parent = new_tower.parent
-    dense = [c for c in dense]
-    _, rem = _dense_divmod(dense, list(new_tower.steps[-1].minpoly), parent) if dense else ([], [])
-    return _dense_to_element(rem, new_tower)

@@ -1,11 +1,15 @@
 """Independent symbolic verification of parametrization claims.
 
-Nothing here trusts the construction modules: on-surface means the exact
-residual of substituting the components into the implicit equation is the
-zero polynomial, dominance means a 2x2 Jacobian minor is nonzero as a
-polynomial, and fiber cardinality is counted by resultant elimination
-plus gcd degrees over quotient towers (splitting on zero divisors, so the
-count is exact even when the eliminant does not factor over Q).
+Construction functions (`sor_complex_param`, `real_verdict`,
+`quadric_param`, ...) return witnesses without checking them. They are
+verified once, here, by the CLI and the catalog before anything is
+emitted. Nothing here trusts the construction modules: on-surface means
+the exact residual of substituting the components into the implicit
+equation is the zero polynomial, dominance means a 2x2 Jacobian minor is
+nonzero as a polynomial, and fiber cardinality is counted by resultant
+elimination plus gcd degrees over quotient towers (splitting on zero
+divisors, so the count is exact even when the eliminant does not factor
+over Q).
 """
 
 from __future__ import annotations

@@ -4,7 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from revolutio.cli import main
+from revolutio.profile import surface_implicit
+from revolutio.verify import verify_on_surface
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +92,12 @@ class TestAnalyze:
         assert code == 3
         assert doc["error"]["code"] == "DEGENERATE_PROFILE"
 
+    def test_zero_rational_coordinate_is_degenerate(self, capsys):
+        # (s^3 - s^3)/(5 s^2) is identically zero: refused, not a traceback
+        code, doc = run_cli(capsys, "analyze", "--p2-rational", " -3*s-3", " -s", "s^3-s^3", "5*s^2")
+        assert code == 3
+        assert doc["error"]["code"] == "DEGENERATE_PROFILE"
+
     def test_rational_circle_refused(self, capsys):
         code, doc = run_cli(
             capsys, "analyze", "--p2-rational", "2*s", "1+s^2", "1-s^2", "1+s^2"
@@ -99,6 +109,36 @@ class TestAnalyze:
         code, doc = run_cli(capsys, "analyze", "--implicit", "x^-1")
         assert code == 2
         assert doc["error"]["code"] == "INVALID_INPUT"
+
+
+def _count_calls(monkeypatch, fn):
+    """Wrap fn under every revolutio module name that holds it; the list of its calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "revolutio" and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, implicit_calls, verify_calls",
+    [
+        (("analyze", "--p2", "t^2+1", "t"), 1, 2),  # complex and real witness
+        (("analyze", "--implicit", "x^2+y^2-z"), 0, 2),  # F is the input itself
+        (("quadric", "--implicit", "4*x^2+y^2+z^2-1"), 0, 1),
+    ],
+)
+def test_each_witness_verified_once(capsys, monkeypatch, argv, implicit_calls, verify_calls):
+    implicit = _count_calls(monkeypatch, surface_implicit)
+    verified = _count_calls(monkeypatch, verify_on_surface)
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert (len(implicit), len(verified)) == (implicit_calls, verify_calls)
 
 
 class TestQuadricCmd:

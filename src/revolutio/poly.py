@@ -5,8 +5,9 @@ geometry, four for the Diophantine-identity check). Both keep no zero
 coefficients and canonicalize on construction, so structural equality is
 semantic equality. The univariate toolkit (gcd, Yun decomposition,
 rational roots, Sturm counts) together with substitution, exact division
-and Sylvester resultants is everything the parametrization pipeline
-needs; there is deliberately no general factorization.
+and resultants by evaluation and interpolation is everything the
+parametrization pipeline needs; there is deliberately no general
+factorization.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InvalidInput, NotDivisible
-from .tower import QQ, ExtensionTower, FieldElement, join_towers
+from .tower import QQ, ExtensionTower, FieldElement, _dense_divmod, join_towers
 
 NEG_INF = float("-inf")
 
@@ -48,10 +49,10 @@ class UniPoly:
             if not fe.is_zero():
                 if e < 0:
                     raise InvalidInput("negative exponent")
-                coerced[e] = fe.lift_to(t) if fe.tower != t else fe
+                coerced[e] = fe
         self.var = var
         self.tower = t
-        self.coeffs = {e: c.lift_to(t) for e, c in coerced.items()}
+        self.coeffs = coerced
 
     @classmethod
     def from_dense(cls, var: str, dense: Sequence[Scalar], tower: ExtensionTower = QQ) -> "UniPoly":
@@ -291,7 +292,7 @@ class MultiPoly:
                 del out[skey]
         self.vars = svars
         self.tower = t
-        self.terms = {k: v.lift_to(t) for k, v in out.items()}
+        self.terms = out
 
     @classmethod
     def zero(cls, vars_: Sequence[str] = (), tower: ExtensionTower = QQ) -> "MultiPoly":
@@ -768,7 +769,17 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 def resultant_eliminate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Sylvester resultant with respect to ``var``, eliminating it exactly."""
+    """Resultant with respect to ``var``, eliminating it exactly.
+
+    Evaluation and interpolation (Collins, "The calculation of multivariate
+    polynomial resultants", 1971): the last remaining variable is set to
+    0, 1, 2, ..., skipping points where a leading coefficient in ``var``
+    vanishes, the resultant of the images is taken recursively, and Newton
+    interpolation through one point more than the degree bound recovers
+    it. With no variable left, the Euclidean remainder sequence gives the
+    scalar resultant. Over a reducible tower a leading coefficient may be
+    a zero divisor, and ZeroDivisor propagates.
+    """
     if isinstance(f, UniPoly):
         f = f.to_multi()
     if isinstance(g, UniPoly):
@@ -781,45 +792,101 @@ def resultant_eliminate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     gv = MultiPoly(vars_, g.with_vars(vars_).terms, t)
     if not fv.uses(var) or not gv.uses(var):
         raise InvalidInput(f"both polynomials must contain {var!r}")
-    fc = fv.as_unipoly_in(var)
-    gc = gv.as_unipoly_in(var)
+    i = vars_.index(var)
+    rest = vars_[:i] + vars_[i + 1:]
+
+    def split(p: MultiPoly) -> list:
+        # dense in ``var``; each coefficient is {exponents in rest: FieldElement}
+        coeffs: list = [{} for _ in range(p.degree_in(var) + 1)]
+        for k, c in p.terms.items():
+            coeffs[k[i]][k[:i] + k[i + 1:]] = c
+        return coeffs
+
+    return MultiPoly(rest, _resultant(split(fv), split(gv), len(rest), t), t)
+
+
+def _resultant(fc: list, gc: list, nvars: int, tower: ExtensionTower) -> dict:
+    """Res of two dense coefficient lists whose entries are dicts keyed by
+    ``nvars`` exponents; both leading entries are nonzero."""
+    if nvars == 0:
+        zero = tower.zero()
+        r = _scalar_resultant([c.get((), zero) for c in fc], [c.get((), zero) for c in gc])
+        return {} if r.is_zero() else {(): r}
     m, n = len(fc) - 1, len(gc) - 1
-    rest = tuple(v for v in vars_ if v != var)
-    size = m + n
-    zero = MultiPoly.zero(rest, t)
-    rows = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(fc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(gc)):
-            row[i + j] = c
-        rows.append(row)
-    return _bareiss_det(rows, rest, t)
+    bound = n * _last_degree(fc) + m * _last_degree(gc)
+    points: list = []
+    values: list = []
+    x = 0
+    while len(points) <= bound:
+        fx = [_eval_last(c, x) for c in fc]
+        gx = [_eval_last(c, x) for c in gc]
+        if fx[-1] and gx[-1]:
+            points.append(x)
+            values.append(_resultant(fx, gx, nvars - 1, tower))
+        x += 1
+    return _interpolate(points, values, tower)
 
 
-def _bareiss_det(m: list, vars_: tuple, tower: ExtensionTower) -> MultiPoly:
-    """Fraction-free determinant; every division is exact in a domain."""
-    n = len(m)
-    if n == 0:
-        return MultiPoly.constant(1, vars_, tower)
-    sign = 1
-    prev = MultiPoly.constant(1, vars_, tower)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pivot is None:
-                return MultiPoly.zero(vars_, tower)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_divide(num, prev) if not num.is_zero() else num
-            m[i][k] = MultiPoly.zero(vars_, tower)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+def _last_degree(coeffs: list) -> int:
+    return max((k[-1] for c in coeffs for k in c), default=0)
+
+
+def _eval_last(c: dict, x: int) -> dict:
+    """Set the last variable of a {exponents: FieldElement} dict to x."""
+    out: dict = {}
+    for k, v in c.items():
+        e = k[-1]
+        if e and x != 1:
+            if not x:
+                continue
+            v = v * x ** e
+        key = k[:-1]
+        s = out[key] + v if key in out else v
+        if s.is_zero():
+            del out[key]
+        else:
+            out[key] = s
+    return out
+
+
+def _interpolate(points: list, values: list, tower: ExtensionTower) -> dict:
+    """The polynomial through (points[j], values[j]) in a new last variable,
+    by Newton's divided differences, one coefficient key at a time."""
+    keys = set().union(*values)
+    zero = tower.zero()
+    out: dict = {}
+    for key in keys:
+        ys = [v.get(key, zero) for v in values]
+        # divided differences, in place: ys[j] becomes f[x_0, ..., x_j]
+        for j in range(1, len(points)):
+            for l in range(len(points) - 1, j - 1, -1):
+                ys[l] = (ys[l] - ys[l - 1]) * Fraction(1, points[l] - points[l - j])
+        # Newton form to monomials, innermost factor first
+        poly = [ys[-1]]
+        for j in range(len(points) - 2, -1, -1):
+            xj = points[j]
+            poly = [ys[j] - poly[0] * xj] + [
+                poly[e - 1] - (poly[e] * xj if e < len(poly) else zero)
+                for e in range(1, len(poly) + 1)
+            ]
+        for e, c in enumerate(poly):
+            if not c.is_zero():
+                out[key + (e,)] = c
+    return out
+
+
+def _scalar_resultant(a: list, b: list) -> FieldElement:
+    """Res(a, b) of dense coefficient lists with nonzero leading entries, by
+    Res(a, b) = (-1)^(m n) lc(b)^(m - k) Res(b, a mod b), Res(a, b0) = b0^m."""
+    tower = b[-1].tower
+    acc = tower.one()
+    while len(b) > 1:
+        m, n = len(a) - 1, len(b) - 1
+        _, r = _dense_divmod(a, b, tower)
+        if not r:
+            return tower.zero()
+        if m * n % 2:
+            acc = -acc
+        acc = acc * b[-1] ** (m - (len(r) - 1))
+        a, b = b, r
+    return acc * b[0] ** (len(a) - 1)

@@ -52,6 +52,14 @@ class TestAnalyze:
         assert rv["fiber_count"] == 2
         assert rv["fiber_sample"] == ["1", "1"]
 
+    def test_p2_double_cover_fiber(self, capsys):
+        # p = t^2 - 1, a = t: the real witness doubly covers one sheet
+        code, doc = run_cli(capsys, "analyze", "--p2", "(t^2-1)*t^2", "t")
+        assert code == 0
+        rv = doc["real_verdict"]
+        assert rv["code"] == "REAL_NONPROPER_DOUBLE_COVER"
+        assert rv["fiber_count"] == 2
+
     def test_empty_real_locus_reported_not_fatal(self, capsys):
         # the leading space keeps argparse from reading the expression as a flag
         code, doc = run_cli(capsys, "analyze", "--p2", " -t^2-1", "t")

@@ -236,6 +236,22 @@ class TestExactDivide:
         assert not exc.value.remainder.is_zero()
 
 
+def _sympy_poly(p, symbols, gens=()):
+    """A MultiPoly as a sympy expression; ``gens`` maps tower generators."""
+    import sympy
+
+    def coeff(c):
+        return sum(
+            sympy.Rational(q) * sympy.Mul(*(g ** e for g, e in zip(gens, k)))
+            for k, q in c.terms.items()
+        )
+
+    return sum(
+        coeff(c) * sympy.Mul(*(symbols[v] ** e for v, e in zip(p.vars, k)))
+        for k, c in p.terms.items()
+    )
+
+
 class TestResultant:
     def test_no_common_root(self):
         r = resultant_eliminate(v - 1, v - 2, "v")
@@ -312,3 +328,71 @@ class TestResultant:
             res_zero = resultant_eliminate(f, g, "v").is_zero()
             shared = sympy.degree(sympy.gcd(to_sympy(f), to_sympy(g)), vs) >= 1
             assert res_zero == shared
+
+    # the shapes the pipeline uses, against sympy's Sylvester determinant: no
+    # remaining variable, one (fiber_count and realparam's quadratic factors)
+    # and two (p2_implicit). Not sympy's ``resultant``: in sympy 1.14 it has
+    # the opposite sign when deg f < deg g and deg f * deg g is odd.
+    def check_against_sylvester(self, f, g, var, gens=()):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        names = sorted(set(f.vars) | set(g.vars))
+        symbols = dict(zip(names, sympy.symbols(names)))
+        expected = sylvester(
+            _sympy_poly(f, symbols, gens), _sympy_poly(g, symbols, gens), symbols[var]
+        ).det()
+        r = resultant_eliminate(f, g, var)
+        assert r.vars == tuple(n for n in names if n != var)
+        assert sympy.expand(_sympy_poly(r, symbols, gens) - expected) == 0
+        return r
+
+    @pytest.mark.parametrize("names", [("v",), ("u", "v"), ("u", "v", "w")])
+    def test_random(self, names):
+        import random
+
+        rng = random.Random(4242 + len(names))
+        rest = [n for n in names if n != "v"]
+        for _ in range(8):
+            def rnd():
+                terms = {}
+                for _ in range(rng.randrange(2, 5)):
+                    key = {n: rng.randrange(3) for n in rest}
+                    key["v"] = rng.randrange(4)
+                    c = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                    terms[tuple(key[n] for n in names)] = c
+                terms[tuple(rng.randrange(1, 4) if n == "v" else 0 for n in names)] = Fraction(1)
+                return MultiPoly(names, terms)
+            f, g = rnd(), rnd()
+            if f.uses("v") and g.uses("v"):
+                self.check_against_sylvester(f, g, "v")
+
+    def test_leading_coefficient_vanishes_at_first_points(self):
+        # lc_v(f) = u (u-1) (u-2): the points u = 0, 1, 2 must be skipped
+        f = u * (u - 1) * (u - 2) * v ** 2 + v + u
+        g = v ** 3 - u * v + 2
+        r = self.check_against_sylvester(f, g, "v")
+        assert r.degree_in("u") == 9
+
+    def test_sqrt2_coefficients(self):
+        sympy = pytest.importorskip("sympy")
+        tower = QQ.extend("s", [-2, 0, 1])
+        s = tower.gen("s")
+        uu = MultiPoly.variable("u", ("u", "v"), tower)
+        vv = MultiPoly.variable("v", ("u", "v"), tower)
+        f = vv ** 2 - s * uu * vv + 1
+        g = s * vv ** 3 + uu ** 2 * vv - s - 3
+        r = self.check_against_sylvester(f, g, "v", gens=(sympy.sqrt(2),))
+        assert r.tower == tower
+        assert not all(c.is_rational() for c in r.terms.values())
+
+    def test_degree_meets_the_interpolation_bound(self):
+        # deg_u Res <= deg_v(g) deg_u(f) + deg_v(f) deg_u(g) = 3*2 + 1*0
+        r = self.check_against_sylvester(v - u ** 2, v ** 3 + 1, "v")
+        assert r.degree_in("u") == 6
+        # the p2_implicit shape: Res_t(w - t^2, z - t^3) = w^3 - z^2 up to sign,
+        # with deg_w = 3 and deg_z = 2, both at their bounds
+        names = ("t", "w", "z")
+        tt, ww, zz = (MultiPoly.variable(n, names) for n in names)
+        r = self.check_against_sylvester(ww - tt ** 2, zz - tt ** 3, "t")
+        assert (r.degree_in("w"), r.degree_in("z")) == (3, 2)

@@ -43,6 +43,8 @@ from .poly import (
     UniPoly,
     exact_divide,
     gcd_unipoly,
+    invert_mod,
+    is_squarefree,
     rational_roots,
     resultant_eliminate,
     squarefree_decompose,

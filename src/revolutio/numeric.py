@@ -9,6 +9,7 @@ rejected, which is exactly what mesh export needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -152,6 +153,26 @@ class CertifiedValue:
         return self.value
 
 
+def _certified(mid: Fraction, radius: Fraction) -> CertifiedValue:
+    """The float nearest ``mid``, with the smallest float halfwidth that is at
+    least ``radius`` plus the rounding error of that float.
+
+    Plain integers, not Fraction: mesh export makes one call per vertex
+    coordinate, and Fraction arithmetic here costs about four times more.
+    """
+    value = float(mid)
+    p, q = value.as_integer_ratio()
+    # radius + |p/q - mid| == num / den
+    num = (radius.numerator * mid.denominator * q
+           + abs(p * mid.denominator - mid.numerator * q) * radius.denominator)
+    den = radius.denominator * mid.denominator * q
+    halfwidth = num / den  # correctly rounded, so at most one float short
+    hp, hq = halfwidth.as_integer_ratio()
+    if hp * den < num * hq:
+        halfwidth = math.nextafter(halfwidth, math.inf)
+    return CertifiedValue(value, halfwidth)
+
+
 _MAX_REFINEMENTS = 400
 
 
@@ -168,11 +189,11 @@ def numeric_eval(value, embedding: RealEmbedding | None = None, tol=Fraction(1, 
     if isinstance(value, int):
         value = Fraction(value)
     if isinstance(value, Fraction):
-        return CertifiedValue(float(value), 0.0)
+        return _certified(value, Fraction(0))
     if not isinstance(value, FieldElement):
         raise InvalidInput("numeric_eval expects a rational or a FieldElement")
     if value.is_rational():
-        return CertifiedValue(float(value.as_rational()), 0.0)
+        return _certified(value.as_rational(), Fraction(0))
     emb = embedding or default_real_embedding(value.tower)
     if emb.tower != value.tower:
         raise InvalidInput("embedding belongs to a different tower")
@@ -187,7 +208,6 @@ def numeric_eval(value, embedding: RealEmbedding | None = None, tol=Fraction(1, 
             acc = _iv_add(acc, term)
         width = acc[1] - acc[0]
         if width < tol:
-            mid = (acc[0] + acc[1]) / 2
-            return CertifiedValue(float(mid), float(width / 2))
+            return _certified((acc[0] + acc[1]) / 2, width / 2)
         emb.refine_all()
     raise InvalidInput("interval refinement did not converge (tolerance too small?)")

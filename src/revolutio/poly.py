@@ -3,11 +3,13 @@
 UniPoly is univariate; MultiPoly holds up to four variables (three for
 geometry, four for the Diophantine-identity check). Both keep no zero
 coefficients and canonicalize on construction, so structural equality is
-semantic equality. The univariate toolkit (gcd, Yun decomposition,
-rational roots, Sturm counts) together with substitution, exact division
-and resultants by evaluation and interpolation is everything the
-parametrization pipeline needs; there is deliberately no general
-factorization.
+semantic equality. The univariate toolkit (gcd, inversion modulo a
+polynomial, square-free test, Yun decomposition, rational roots, Sturm
+counts) together with substitution, exact division and resultants by
+evaluation and interpolation is everything the parametrization pipeline
+needs; there is deliberately no general factorization. It is the one
+univariate implementation: tower inversion and the square-free check on
+minimal polynomials run through it too.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import InvalidInput, NotDivisible
-from .tower import QQ, ExtensionTower, FieldElement, _dense_divmod, join_towers
+from .errors import InvalidInput, NotDivisible, ZeroDivisor
+from .tower import QQ, ExtensionTower, FieldElement, join_towers
 
 NEG_INF = float("-inf")
 
@@ -53,6 +55,14 @@ class UniPoly:
         self.var = var
         self.tower = t
         self.coeffs = coerced
+
+    @classmethod
+    def _canonical(cls, var: str, coeffs: dict, tower: ExtensionTower) -> "UniPoly":
+        """Wrap coefficients that are already nonzero FieldElements over
+        ``tower``, skipping the coercion of ``__init__``."""
+        p = object.__new__(cls)
+        p.var, p.tower, p.coeffs = var, tower, coeffs
+        return p
 
     @classmethod
     def from_dense(cls, var: str, dense: Sequence[Scalar], tower: ExtensionTower = QQ) -> "UniPoly":
@@ -128,6 +138,8 @@ class UniPoly:
             other = UniPoly.constant(self.var, other, self.tower)
         if not isinstance(other, UniPoly):
             return None, None
+        if other.var == self.var and other.tower == self.tower:
+            return self, other
         if other.var != self.var and not (other.is_constant() or self.is_constant()):
             raise InvalidInput(f"variable mismatch: {self.var} vs {other.var}")
         var = self.var if not self.is_constant() else other.var
@@ -143,17 +155,17 @@ class UniPoly:
             return NotImplemented
         out = dict(a.coeffs)
         for e, c in b.coeffs.items():
-            s = out.get(e, a.tower.zero()) + c
+            s = out[e] + c if e in out else c
             if s.is_zero():
-                out.pop(e, None)
+                del out[e]
             else:
                 out[e] = s
-        return UniPoly(a.var, out, a.tower)
+        return UniPoly._canonical(a.var, out, a.tower)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.var, {e: -c for e, c in self.coeffs.items()}, self.tower)
+        return UniPoly._canonical(self.var, {e: -c for e, c in self.coeffs.items()}, self.tower)
 
     def __sub__(self, other):
         a, b = self._binary(other)
@@ -172,12 +184,13 @@ class UniPoly:
         for e1, c1 in a.coeffs.items():
             for e2, c2 in b.coeffs.items():
                 e = e1 + e2
-                s = out.get(e, a.tower.zero()) + c1 * c2
+                p = c1 * c2
+                s = out[e] + p if e in out else p
                 if s.is_zero():
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return UniPoly(a.var, out, a.tower)
+        return UniPoly._canonical(a.var, out, a.tower)
 
     __rmul__ = __mul__
 
@@ -209,21 +222,24 @@ class UniPoly:
             q[dr - db] = f
             for e, c in b.coeffs.items():
                 key = dr - db + e
-                s = r.get(key, a.tower.zero()) - f * c
+                p = f * c
+                s = r[key] - p if key in r else -p
                 if s.is_zero():
                     r.pop(key, None)
                 else:
                     r[key] = s
-        return UniPoly(a.var, q, a.tower), UniPoly(a.var, r, a.tower)
+        return UniPoly._canonical(a.var, q, a.tower), UniPoly._canonical(a.var, r, a.tower)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
         inv = self.lc().inverse()
-        return UniPoly(self.var, {e: c * inv for e, c in self.coeffs.items()}, self.tower)
+        return UniPoly._canonical(self.var, {e: c * inv for e, c in self.coeffs.items()}, self.tower)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(self.var, {e - 1: c * e for e, c in self.coeffs.items() if e > 0}, self.tower)
+        return UniPoly._canonical(
+            self.var, {e - 1: c * e for e, c in self.coeffs.items() if e > 0}, self.tower
+        )
 
     def eval_at(self, x: Scalar) -> FieldElement:
         xe = _coerce_scalar(x, self.tower)
@@ -552,6 +568,29 @@ def gcd_unipoly(f: UniPoly, g: UniPoly) -> UniPoly:
     return a.monic()
 
 
+def is_squarefree(f: UniPoly) -> bool:
+    """True when gcd(f, f') is constant: f has no repeated root over its tower."""
+    return gcd_unipoly(f, f.derivative()).is_constant()
+
+
+def invert_mod(a: UniPoly, m: UniPoly, step_name: str) -> UniPoly:
+    """Inverse of ``a`` modulo the monic polynomial ``m``, of degree < deg m.
+
+    Half-extended Euclid. A nonconstant gcd means ``a`` is a zero divisor
+    in K[x]/(m): ZeroDivisor(step_name, factor) then carries the monic gcd,
+    a proper factor of ``m``, as a dense coefficient tuple.
+    """
+    r0, r1 = m, a
+    s0, s1 = UniPoly.zero(a.var, a.tower), UniPoly.constant(a.var, 1, a.tower)
+    while not r1.is_zero() and r1.degree > 0:
+        q, r2 = r0.divmod(r1)
+        r0, r1, s0, s1 = r1, r2, s1, s0 - q * s1
+    if r1.is_zero():
+        g = r0.monic()
+        raise ZeroDivisor(step_name, tuple(g.coeff(e) for e in range(g.degree + 1)))
+    return (s1 * r1.coeff(0).inverse()).divmod(m)[1]
+
+
 class SquareFreeDecomposition:
     """Yun decomposition f = content * prod(factor_i ^ multiplicity_i)."""
 
@@ -674,7 +713,7 @@ def sturm_real_root_count(f: UniPoly, interval: tuple = (None, None)) -> int:
         raise InvalidInput("Sturm counting needs rational coefficients")
     if f.is_constant():
         return 0
-    if not gcd_unipoly(f, f.derivative()).is_constant():
+    if not is_squarefree(f):
         raise InvalidInput("input must be square-free (deflate first)")
     lo, hi = interval
     if lo is not None and hi is not None:
@@ -879,14 +918,15 @@ def _scalar_resultant(a: list, b: list) -> FieldElement:
     """Res(a, b) of dense coefficient lists with nonzero leading entries, by
     Res(a, b) = (-1)^(m n) lc(b)^(m - k) Res(b, a mod b), Res(a, b0) = b0^m."""
     tower = b[-1].tower
+    a, b = UniPoly.from_dense("x", a, tower), UniPoly.from_dense("x", b, tower)
     acc = tower.one()
-    while len(b) > 1:
-        m, n = len(a) - 1, len(b) - 1
-        _, r = _dense_divmod(a, b, tower)
-        if not r:
+    while b.degree > 0:
+        m, n = a.degree, b.degree
+        r = a.divmod(b)[1]
+        if r.is_zero():
             return tower.zero()
         if m * n % 2:
             acc = -acc
-        acc = acc * b[-1] ** (m - (len(r) - 1))
+        acc = acc * b.lc() ** (m - r.degree)
         a, b = b, r
-    return acc * b[0] ** (len(a) - 1)
+    return acc * b.coeff(0) ** a.degree

@@ -3,9 +3,10 @@
 A tower is Q[g1]/(m1)[g2]/(m2)... where each minimal polynomial is monic
 and square-free over the tower below it, but not necessarily irreducible.
 Square-freeness makes the quotient a product of fields, so inversion by
-the extended Euclidean algorithm either succeeds or exposes a proper
-factor of some minimal polynomial (raised as ZeroDivisor, the dynamic
-evaluation hook).
+the extended Euclidean algorithm (``poly.invert_mod``) either succeeds or
+exposes a proper factor of some minimal polynomial (raised as ZeroDivisor,
+the dynamic evaluation hook). Univariate polynomials over a tower, their
+division, gcd and square-free test live in ``poly`` alone.
 
 Elements are stored as multivariate polynomials in the generators with
 Fraction coefficients, reduced so the exponent of each generator stays
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidInput, TowerMismatch, ZeroDivisor
+from .errors import InvalidInput, TowerMismatch
 
 Rat = Fraction
 
@@ -124,7 +125,9 @@ class ExtensionTower:
             raise InvalidInput("minimal polynomial must have degree >= 2")
         if coeffs[-1] != self.one():
             raise InvalidInput("minimal polynomial must be monic")
-        if not _dense_is_squarefree(coeffs, self):
+        from .poly import UniPoly, is_squarefree
+
+        if not is_squarefree(UniPoly.from_dense(name, coeffs, self)):
             raise InvalidInput("minimal polynomial must be square-free over the tower below")
         step = TowerStep(name=name, minpoly=tuple(coeffs), embedding=embedding)
         return ExtensionTower(self.steps + (step,))
@@ -288,12 +291,23 @@ class FieldElement:
         tower = self.tower
         if tower.height == 0:
             return tower.rational(1 / self.as_rational())
+        from .poly import UniPoly, invert_mod
+
+        # a polynomial in the top generator, with coefficients over the parent
         step = tower.steps[-1]
         parent = tower.parent
-        a = _dense_from_element(self)
-        m = [c for c in step.minpoly]
-        inv = _dense_invert_mod(a, m, parent, step.name)
-        return _dense_to_element(inv, tower)
+        buckets: dict = {}
+        for key, q in self.terms.items():
+            buckets.setdefault(key[-1], {})[key[:-1]] = q
+        a = UniPoly(
+            step.name,
+            {e: FieldElement(parent, terms, reduce=False) for e, terms in buckets.items()},
+            parent,
+        )
+        m = UniPoly.from_dense(step.name, step.minpoly, parent)
+        inv = invert_mod(a, m, step.name)
+        terms = {key + (e,): q for e, c in inv.coeffs.items() for key, q in c.terms.items()}
+        return FieldElement(tower, terms, reduce=False)
 
     def sign(self) -> int:
         """Exact sign; defined for rational values only."""
@@ -367,122 +381,3 @@ def _reduce_terms(tower: ExtensionTower, terms: dict) -> dict:
                         work[key] = s
                     else:
                         work.pop(key, None)
-
-
-# -- dense univariate helpers over a tower -------------------------------------
-# Coefficient lists are constant-first; all coefficients share one tower.
-
-
-def _dense_trim(c: list) -> list:
-    while c and c[-1].is_zero():
-        c.pop()
-    return c
-
-
-def _dense_deg(c: list) -> int:
-    return len(c) - 1
-
-
-def _dense_from_element(e: FieldElement) -> list:
-    """Split an element into a dense polynomial in its top generator, with
-    coefficients over the parent tower."""
-    parent = e.tower.parent
-    buckets: dict = {}
-    for key, q in e.terms.items():
-        buckets.setdefault(key[-1], {})[key[:-1]] = q
-    top = max(buckets) if buckets else -1
-    return _dense_trim(
-        [FieldElement(parent, buckets.get(i, {}), reduce=False) for i in range(top + 1)]
-    )
-
-
-def _dense_to_element(c: list, tower: ExtensionTower) -> FieldElement:
-    terms: dict = {}
-    for i, coeff in enumerate(c):
-        for key, q in coeff.terms.items():
-            terms[key + (i,)] = q
-    return FieldElement(tower, terms, reduce=False)
-
-
-def _dense_divmod(num: list, den: list, tower: ExtensionTower):
-    """Polynomial division with remainder; the divisor's leading coefficient
-    is inverted in the tower (may raise ZeroDivisor)."""
-    den = _dense_trim(list(den))
-    if not den:
-        raise InvalidInput("division by the zero polynomial")
-    inv_lc = den[-1].inverse()
-    r = list(num)
-    _dense_trim(r)
-    q = [tower.zero()] * max(0, len(r) - len(den) + 1)
-    while len(r) >= len(den):
-        shift = len(r) - len(den)
-        factor = r[-1] * inv_lc
-        q[shift] = factor
-        for i, dc in enumerate(den):
-            r[shift + i] = r[shift + i] - factor * dc
-        _dense_trim(r)
-    return _dense_trim(q), r
-
-
-def _dense_derivative(c: list, tower: ExtensionTower) -> list:
-    return _dense_trim([c[i] * i for i in range(1, len(c))])
-
-
-def _dense_gcd_monic(a: list, b: list, tower: ExtensionTower) -> list:
-    a, b = _dense_trim(list(a)), _dense_trim(list(b))
-    while b:
-        _, r = _dense_divmod(a, b, tower)
-        a, b = b, r
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
-
-
-def _dense_is_squarefree(c: list, tower: ExtensionTower) -> bool:
-    g = _dense_gcd_monic(c, _dense_derivative(c, tower), tower)
-    return _dense_deg(g) == 0
-
-
-def _dense_invert_mod(a: list, m: list, parent: ExtensionTower, step_name: str) -> list:
-    """Inverse of ``a`` modulo the monic polynomial ``m`` over ``parent``.
-
-    Half-extended Euclid. A nonconstant gcd means ``a`` is a zero divisor
-    in parent[x]/(m); the monic gcd is reported as the splitting factor.
-    """
-    r0, r1 = _dense_trim(list(m)), _dense_trim(list(a))
-    s0, s1 = [], [parent.one()]
-    while r1 and _dense_deg(r1) > 0:
-        q, r2 = _dense_divmod(r0, r1, parent)
-        s2 = _dense_sub(s0, _dense_mul(q, s1, parent), parent)
-        r0, r1, s0, s1 = r1, r2, s1, s2
-    if not r1:
-        inv_lc = r0[-1].inverse()
-        factor = tuple(c * inv_lc for c in r0)
-        raise ZeroDivisor(step_name, factor)
-    c_inv = r1[0].inverse()
-    inv = [c * c_inv for c in s1]
-    _, rem = _dense_divmod(inv, m, parent)
-    return rem
-
-
-def _dense_mul(a: list, b: list, tower: ExtensionTower) -> list:
-    if not a or not b:
-        return []
-    out = [tower.zero()] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return _dense_trim(out)
-
-
-def _dense_sub(a: list, b: list, tower: ExtensionTower) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else tower.zero()
-        y = b[i] if i < len(b) else tower.zero()
-        out.append(x - y)
-    return _dense_trim(out)

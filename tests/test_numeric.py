@@ -1,5 +1,6 @@
 """Certified evaluation: isolating intervals, refinement, embeddings."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,24 @@ def test_sqrt2_positive_embedding():
 def test_rational_is_exact():
     got = numeric_eval(Fraction(3, 4))
     assert got.value == 0.75 and got.halfwidth == 0.0
+
+
+def test_halfwidth_covers_the_float_rounding():
+    # 1/3 is no float: halfwidth is the smallest float at least |value - 1/3|
+    third = numeric_eval(Fraction(1, 3))
+    error = abs(Fraction(third.value) - Fraction(1, 3))
+    assert error > 0
+    assert Fraction(third.halfwidth) >= error
+    assert Fraction(math.nextafter(third.halfwidth, 0)) < error
+    # 3*sqrt(2) + 1/7 at a tolerance far below the float's rounding error;
+    # the truth is bracketed exactly, to 1e-50, by integer square roots
+    tower = QQ.extend("th", [-2, 0, 1], embedding=(Fraction(1), Fraction(2)))
+    got = numeric_eval(3 * tower.gen("th") + Fraction(1, 7), tol=Fraction(1, 10 ** 30))
+    scale = 10 ** 50
+    root = math.isqrt(18 * scale ** 2)  # floor(3*sqrt(2)*scale)
+    lo, hi = Fraction(root, scale) + Fraction(1, 7), Fraction(root + 1, scale) + Fraction(1, 7)
+    distance = max(abs(Fraction(got.value) - lo), abs(Fraction(got.value) - hi))
+    assert distance <= Fraction(got.halfwidth)
 
 
 def test_polynomial_in_generator():

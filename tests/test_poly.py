@@ -17,6 +17,8 @@ from revolutio import (
     UniPoly,
     exact_divide,
     gcd_unipoly,
+    invert_mod,
+    is_squarefree,
     rational_roots,
     resultant_eliminate,
     squarefree_decompose,
@@ -101,6 +103,79 @@ class TestGcd:
             gcd_unipoly(t ** 2, f)
         assert exc.value.step_name == "g"
         assert len(exc.value.factor) == 3  # a quadratic factor of the quartic
+
+
+def _random_dense(rng, degree, monic=False):
+    dense = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(degree)]
+    return dense + [Fraction(1) if monic else Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))]
+
+
+class TestInvertMod:
+    def test_coprime_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        import random
+
+        rng = random.Random(1201)
+        x = sympy.Symbol("t")
+        sym = {"t": x}
+        checked = 0
+        while checked < 30:
+            m = from_dense(_random_dense(rng, rng.randint(1, 5), monic=True))
+            a = from_dense(_random_dense(rng, rng.randint(0, m.degree - 1)))
+            sm, sa = _sympy_poly(m.to_multi(), sym), _sympy_poly(a.to_multi(), sym)
+            if sympy.degree(sympy.gcd(sa, sm), x) > 0:
+                continue
+            inv = invert_mod(a, m, "t")
+            assert inv.degree < m.degree
+            assert sympy.expand(_sympy_poly(inv.to_multi(), sym) - sympy.invert(sa, sm, x)) == 0
+            checked += 1
+
+    def test_common_factor_raises_the_monic_gcd(self):
+        sympy = pytest.importorskip("sympy")
+        from revolutio import ZeroDivisor
+        import random
+
+        rng = random.Random(1202)
+        x = sympy.Symbol("t")
+        sym = {"t": x}
+        for _ in range(20):
+            common = from_dense(_random_dense(rng, rng.randint(1, 2), monic=True))
+            m = common * from_dense(_random_dense(rng, rng.randint(1, 3), monic=True))
+            a = (common * from_dense(_random_dense(rng, rng.randint(0, 2)))).divmod(m)[1]
+            if a.is_zero():
+                continue
+            with pytest.raises(ZeroDivisor) as exc:
+                invert_mod(a, m, "g")
+            assert exc.value.step_name == "g"
+            sa, sm = _sympy_poly(a.to_multi(), sym), _sympy_poly(m.to_multi(), sym)
+            expected = sympy.Poly(sympy.gcd(sa, sm), x).monic()
+            got = [c.as_rational() for c in exc.value.factor]
+            assert got == [Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())]
+
+    def test_known_values(self):
+        # modulo t^2 - 2: 1/t = t/2, and t^3 = 2t, so 1/t^3 = t/4
+        assert invert_mod(t, t ** 2 - 2, "t") == t * Fraction(1, 2)
+        assert invert_mod(t ** 3, t ** 2 - 2, "t") == t * Fraction(1, 4)
+
+
+class TestIsSquarefree:
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        import random
+
+        rng = random.Random(1203)
+        x = sympy.Symbol("t")
+        sym = {"t": x}
+        seen = set()
+        for _ in range(40):
+            f = from_dense(_random_dense(rng, rng.randint(1, 3)))
+            if rng.random() < 0.5:
+                f = f * from_dense(_random_dense(rng, 1)) ** 2
+            sf = _sympy_poly(f.to_multi(), sym)
+            expected = sympy.degree(sympy.gcd(sf, sympy.diff(sf, x)), x) == 0
+            assert is_squarefree(f) == expected
+            seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestSquarefreeDecompose:

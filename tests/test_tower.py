@@ -77,6 +77,37 @@ def test_zero_divisor_detection_and_split():
     assert factor in ([Fraction(-2), Fraction(0), Fraction(1)], [Fraction(-3), Fraction(0), Fraction(1)])
 
 
+@pytest.fixture
+def qs():
+    return QQ.extend("s", [-2, 0, 1])
+
+
+def test_zero_divisor_over_a_two_step_tower(qs):
+    # th^2 - 2 = (th - s)(th + s) over QQ[s]: square-free but reducible
+    t = qs.extend("th", [-2, 0, 1])
+    s, th = t.gen("s"), t.gen("th")
+    with pytest.raises(ZeroDivisor) as exc_info:
+        (th - s).inverse()
+    exc = exc_info.value
+    assert exc.step_name == "th"
+    assert all(c.tower == qs for c in exc.factor)
+    s_below = qs.gen("s")
+    assert list(exc.factor) in ([-s_below, qs.one()], [s_below, qs.one()])
+
+
+def test_extend_rejects_a_square_over_the_tower_below(qs):
+    s = qs.gen("s")
+    with pytest.raises(InvalidInput):
+        qs.extend("th", [2, -2 * s, 1])  # (th - s)^2, since s^2 = 2
+
+
+def test_inverse_over_a_two_step_tower(qs):
+    t = qs.extend("th", [-3, 0, 1])
+    s, th = t.gen("s"), t.gen("th")
+    x = 3 * s + th + 1
+    assert x * x.inverse() == 1
+
+
 def test_reduction_with_cancellation():
     # rewriting theta^6 feeds mass into theta^4 and can cancel an existing
     # entry mid-pass; the reducer must tolerate vanished keys

@@ -10,10 +10,22 @@ evaluation and interpolation is everything the parametrization pipeline
 needs; there is deliberately no general factorization. It is the one
 univariate implementation: tower inversion and the square-free check on
 minimal polynomials run through it too.
+
+MultiPoly products and powers and ``substitute`` run on one packed-integer
+kernel (Kronecker substitution, ``_Kronecker``). Denominators are cleared,
+and each tower coefficient is split into its power-basis components, so a
+polynomial becomes one integer coefficient list per basis monomial, laid
+out dense in its variables with widths from the result's degree bounds.
+Each list is packed into one Python int, whose products run in C; every
+product is reduced at once with the tower's basis products
+(``ExtensionTower.basis_products``), and only the final result is unpacked
+into FieldElements.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence, Union
@@ -311,6 +323,14 @@ class MultiPoly:
         self.terms = out
 
     @classmethod
+    def _canonical(cls, vars_: tuple, terms: dict, tower: ExtensionTower) -> "MultiPoly":
+        """Wrap terms that are already nonzero FieldElements over ``tower``,
+        keyed in the order of the sorted ``vars_``, skipping ``__init__``."""
+        p = object.__new__(cls)
+        p.vars, p.tower, p.terms = vars_, tower, terms
+        return p
+
+    @classmethod
     def zero(cls, vars_: Sequence[str] = (), tower: ExtensionTower = QQ) -> "MultiPoly":
         return cls(tuple(vars_), {}, tower)
 
@@ -398,6 +418,8 @@ class MultiPoly:
             other = other.to_multi()
         if not isinstance(other, MultiPoly):
             return None, None
+        if other.vars == self.vars and other.tower == self.tower:
+            return self, other
         vars_ = tuple(sorted(set(self.vars) | set(other.vars)))
         t = join_towers(self.tower, other.tower)
         return (
@@ -411,17 +433,17 @@ class MultiPoly:
             return NotImplemented
         out = dict(a.terms)
         for k, c in b.terms.items():
-            s = out.get(k, a.tower.zero()) + c
+            s = out[k] + c if k in out else c
             if s.is_zero():
-                out.pop(k, None)
+                del out[k]
             else:
                 out[k] = s
-        return MultiPoly(a.vars, out, a.tower)
+        return MultiPoly._canonical(a.vars, out, a.tower)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {k: -c for k, c in self.terms.items()}, self.tower)
+        return MultiPoly._canonical(self.vars, {k: -c for k, c in self.terms.items()}, self.tower)
 
     def __sub__(self, other):
         a, b = self._binary(other)
@@ -436,31 +458,27 @@ class MultiPoly:
         a, b = self._binary(other)
         if a is None:
             return NotImplemented
-        out: dict = {}
-        for k1, c1 in a.terms.items():
-            for k2, c2 in b.terms.items():
-                k = tuple(x + y for x, y in zip(k1, k2))
-                s = out.get(k, a.tower.zero()) + c1 * c2
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return MultiPoly(a.vars, out, a.tower)
+        if a.is_zero() or b.is_zero():
+            return MultiPoly._canonical(a.vars, {}, a.tower)
+        degs = [x + y for x, y in zip(a._degrees(), b._degrees())]
+        return _Kronecker(a.vars, degs, a.tower).run([a, b], lambda k, ab: k.mul(*ab))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise InvalidInput("negative exponent")
-        result = MultiPoly.constant(1, self.vars, self.tower)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if n == 0:
+            return MultiPoly.constant(1, self.vars, self.tower)
+        if self.is_zero():
+            return self
+        degs = [n * d for d in self._degrees()]
+        kernel = _Kronecker(self.vars, degs, self.tower)
+        return kernel.run([self], lambda k, leaves: k.power([leaves[0]], n))
+
+    def _degrees(self) -> list:
+        """Degree in each variable; 0 for the zero polynomial."""
+        return [max(e) for e in zip(*self.terms)] if self.terms else [0] * len(self.vars)
 
     def partial_derivative(self, var: str) -> "MultiPoly":
         if var not in self.vars:
@@ -551,6 +569,164 @@ def _poly_str(terms: Mapping[tuple, FieldElement], vars_: tuple) -> str:
     return out
 
 
+# -- packed integer products (Kronecker substitution) ------------------------------
+
+
+class _Packed:
+    """A polynomial over a tower as packed integers: ``comps[i]`` is the
+    Kronecker image of the numerators of power-basis monomial ``i``, all over
+    the common denominator ``den``; ``norm`` bounds the sum of the absolute
+    values of all numerators. ``comps`` is None while only bounds are taken."""
+
+    __slots__ = ("comps", "den", "norm")
+
+    def __init__(self, comps, den: int, norm: int):
+        self.comps, self.den, self.norm = comps, den, norm
+
+
+class _Kronecker:
+    """One packed computation over ``tower`` (von zur Gathen & Gerhard,
+    *Modern Computer Algebra* §8.4; Fateman 2005).
+
+    Monomial ``prod(x_i^e_i)`` of ``vars_`` goes to slot ``sum(e_i *
+    stride_i)``, dense, with widths ``degs[i] + 1`` from the result's degree
+    bounds, so no product inside the computation wraps. A coefficient list is
+    packed into one int by evaluating it at ``2^bits``; that map is a ring
+    homomorphism, so products, sums and the tower reduction all run on the
+    ints, and only the final result must have every numerator below
+    ``2^(bits-1)`` for the signed unpacking. ``run`` therefore evaluates its
+    program twice: on bounds, to fix ``bits``, then on packed values.
+    """
+
+    def __init__(self, vars_: tuple, degs: Sequence[int], tower: ExtensionTower):
+        self.vars, self.tower = vars_, tower
+        self.widths = [d + 1 for d in degs]
+        self.strides = [1] * len(degs)
+        for i in range(1, len(degs)):
+            self.strides[i] = self.strides[i - 1] * self.widths[i - 1]
+        self.table = tower.basis_products()
+        self.size = len(self.table.basis)
+        self.nbytes = 0
+
+    def run(self, leaves: list, program) -> "MultiPoly":
+        """``program(self, packed leaves)`` as a MultiPoly over the kernel's
+        variables; each leaf is a MultiPoly or a FieldElement."""
+        prepared = [self._prepare(x) for x in leaves]
+        bound = program(self, [_Packed(None, den, norm) for den, norm, _ in prepared])
+        top = max([bound.norm] + [norm for _, norm, _ in prepared])
+        self.nbytes = top.bit_length() // 8 + 1
+        result = program(self, [self._pack(den, norm, entries) for den, norm, entries in prepared])
+        return self._unpack(result)
+
+    def _prepare(self, leaf) -> tuple:
+        """(den, norm, {basis index: [(slot, numerator)]}) of a leaf."""
+        if isinstance(leaf, FieldElement):
+            terms, strides = {(): leaf}, ()
+        else:
+            terms = leaf.terms
+            strides = [self.strides[self.vars.index(v)] for v in leaf.vars]
+        radix = self.table.radix
+        flat = []
+        for key, c in terms.items():
+            slot = sum(map(operator.mul, key, strides))
+            for b, q in c.terms.items():
+                flat.append((sum(map(operator.mul, b, radix)), slot, q))
+        den = lcm(*[q.denominator for _, _, q in flat])
+        entries: dict = {}
+        norm = 0
+        for i, slot, q in flat:
+            n = q.numerator * (den // q.denominator)
+            norm += abs(n)
+            entries.setdefault(i, []).append((slot, n))
+        return den, norm, entries
+
+    def _pack(self, den: int, norm: int, entries: dict) -> _Packed:
+        width = self.nbytes
+        comps = [0] * self.size
+        for i, slots in entries.items():
+            n = (max(s for s, _ in slots) + 1) * width
+            pos, neg = bytearray(n), bytearray(n)
+            for s, c in slots:
+                if c > 0:
+                    pos[s * width:(s + 1) * width] = c.to_bytes(width, "little")
+                else:
+                    neg[s * width:(s + 1) * width] = (-c).to_bytes(width, "little")
+            comps[i] = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        return _Packed(comps, den, norm)
+
+    def mul(self, a: _Packed, b: _Packed) -> _Packed:
+        """Product, reduced right away by the tower's basis products."""
+        table = self.table
+        den, norm = a.den * b.den * table.den, a.norm * b.norm * table.cmax
+        if a.comps is None:
+            return _Packed(None, den, norm)
+        lift = table.lift
+        sums: dict = {}
+        for i, x in enumerate(a.comps):
+            if x:
+                for j, y in enumerate(b.comps):
+                    if y:
+                        s = lift[i] + lift[j]
+                        sums[s] = sums.get(s, 0) + x * y
+        comps = [0] * self.size
+        for s, t in sums.items():
+            for i, c in table.rules[s]:
+                comps[i] += c * t
+        return _Packed(comps, den, norm)
+
+    def add(self, a: _Packed, b: _Packed) -> _Packed:
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        norm = a.norm * fa + b.norm * fb
+        if a.comps is None:
+            return _Packed(None, den, norm)
+        return _Packed([x * fa + y * fb for x, y in zip(a.comps, b.comps)], den, norm)
+
+    def power(self, squares: list, n: int) -> _Packed:
+        """a^n for n >= 1 by repeated squaring, where ``squares[j]`` is
+        a^(2^j); the list grows as needed, so callers can share it."""
+        result, j = None, 0
+        while n >> j:
+            if j == len(squares):
+                squares.append(self.mul(squares[-1], squares[-1]))
+            if n >> j & 1:
+                result = squares[j] if result is None else self.mul(result, squares[j])
+            j += 1
+        return result
+
+    def _unpack(self, p: _Packed) -> "MultiPoly":
+        width = self.nbytes
+        half = 1 << (8 * width - 1)
+        half_bytes = half.to_bytes(width, "little")
+        basis = self.table.basis
+        place = list(zip(self.strides, self.widths))
+        coeffs: dict = {}
+        for i, x in enumerate(p.comps):
+            if not x:
+                continue
+            # every numerator lies in (-half, half): bias each slot by half
+            n = abs(x).bit_length() // (8 * width) + 1
+            bias = int.from_bytes(half_bytes * n, "little")
+            biased = x + bias
+            nonzero = (biased ^ bias).to_bytes(n * width, "little")
+            biased = biased.to_bytes(n * width, "little")
+            b = basis[i]
+            done = 0
+            for run in _NONZERO_BYTES.finditer(nonzero):
+                for s in range(max(run.start() // width, done), (run.end() - 1) // width + 1):
+                    c = int.from_bytes(biased[s * width:(s + 1) * width], "little") - half
+                    key = tuple(s // stride % w for stride, w in place)
+                    coeffs.setdefault(key, {})[b] = Fraction(c, p.den)
+                    done = s + 1
+        tower = self.tower
+        return MultiPoly._canonical(
+            self.vars, {k: FieldElement(tower, t, reduce=False) for k, t in coeffs.items()}, tower
+        )
+
+
+_NONZERO_BYTES = re.compile(rb"[^\x00]+")
+
+
 # -- univariate toolkit over Q ---------------------------------------------------
 
 
@@ -588,7 +764,8 @@ def invert_mod(a: UniPoly, m: UniPoly, step_name: str) -> UniPoly:
     if r1.is_zero():
         g = r0.monic()
         raise ZeroDivisor(step_name, tuple(g.coeff(e) for e in range(g.degree + 1)))
-    return (s1 * r1.coeff(0).inverse()).divmod(m)[1]
+    # deg s1 == deg m - deg r0 < deg m: the cofactor is already reduced
+    return s1 * r1.coeff(0).inverse()
 
 
 class SquareFreeDecomposition:
@@ -763,20 +940,38 @@ def substitute(f, bindings: Mapping[str, object]) -> MultiPoly:
             images[v] = img
             t = join_towers(t, img.tower)
     out_vars = tuple(sorted(set().union(*(m.vars for m in images.values())) if images else ()))
-    acc = MultiPoly.zero(out_vars, t)
-    powers = {v: {0: MultiPoly.constant(1, out_vars, t)} for v in images}
-    def power(v, e):
-        cache = powers[v]
-        if e not in cache:
-            cache[e] = power(v, e - 1) * images[v]
-        return cache[e]
-    for key, c in f.terms.items():
-        term = MultiPoly.constant(c, out_vars, t)
-        for v, e in zip(f.vars, key):
-            if e:
-                term = term * power(v, e)
-        acc = acc + term
-    return acc
+    if f.is_zero():
+        return MultiPoly._canonical(out_vars, {}, t)
+    order = [v for v in f.vars if v in images]
+    pos = [f.vars.index(v) for v in order]
+    # the result's degree in each variable is at most that of its largest term
+    img_degs = []
+    for v in order:
+        d = dict(zip(images[v].vars, images[v]._degrees()))
+        img_degs.append([d.get(w, 0) for w in out_vars])
+    degs = [
+        max(sum(key[p] * d[i] for p, d in zip(pos, img_degs)) for key in f.terms)
+        for i in range(len(out_vars))
+    ]
+    keys = list(f.terms)
+
+    def program(k: _Kronecker, leaves: list) -> _Packed:
+        squares = [[x] for x in leaves[:len(order)]]  # per image: image^(2^j)
+        powers: dict = {}
+        acc = None
+        for key, c in zip(keys, leaves[len(order):]):
+            term = c
+            for n, (p, sq) in enumerate(zip(pos, squares)):
+                e = key[p]
+                if e:
+                    if (n, e) not in powers:
+                        powers[n, e] = k.power(sq, e)
+                    term = k.mul(term, powers[n, e])
+            acc = term if acc is None else k.add(acc, term)
+        return acc
+
+    leaves = [images[v] for v in order] + [f.terms[key] for key in keys]
+    return _Kronecker(out_vars, degs, t).run(leaves, program)
 
 
 def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:

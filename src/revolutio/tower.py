@@ -10,13 +10,19 @@ division, gcd and square-free test live in ``poly`` alone.
 
 Elements are stored as multivariate polynomials in the generators with
 Fraction coefficients, reduced so the exponent of each generator stays
-below the degree of its minimal polynomial.
+below the degree of its minimal polynomial. Each tower instance fills in,
+on first use, the multiplication table of that power basis
+(``basis_products``), which the packed polynomial products of ``poly``
+reduce with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .errors import InvalidInput, TowerMismatch
@@ -50,11 +56,12 @@ class TowerStep:
 class ExtensionTower:
     """An ordered tuple of extension steps; the empty tower is Q."""
 
-    __slots__ = ("steps", "_degs")
+    __slots__ = ("steps", "_degs", "_products")
 
     def __init__(self, steps: tuple = ()):
         self.steps = tuple(steps)
         self._degs = tuple(s.degree for s in self.steps)
+        self._products = None
 
     @property
     def height(self) -> int:
@@ -91,7 +98,7 @@ class ExtensionTower:
     # -- element constructors -------------------------------------------------
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, {})
+        return FieldElement(self, {}, reduce=False)
 
     def one(self) -> "FieldElement":
         return self.rational(1)
@@ -99,13 +106,19 @@ class ExtensionTower:
     def rational(self, q) -> "FieldElement":
         q = _as_fraction(q)
         if q == 0:
-            return FieldElement(self, {})
-        return FieldElement(self, {(0,) * self.height: q})
+            return FieldElement(self, {}, reduce=False)
+        return FieldElement(self, {(0,) * self.height: q}, reduce=False)
 
     def gen(self, which) -> "FieldElement":
         k = which if isinstance(which, int) else self.step_index(which)
         key = tuple(1 if i == k else 0 for i in range(self.height))
         return FieldElement(self, {key: Fraction(1)})
+
+    def basis_products(self) -> "BasisProducts":
+        """How power-basis monomials multiply; computed once per tower instance."""
+        if self._products is None:
+            self._products = BasisProducts(self)
+        return self._products
 
     # -- construction ---------------------------------------------------------
 
@@ -152,6 +165,42 @@ def join_towers(a: ExtensionTower, b: ExtensionTower) -> ExtensionTower:
     if b.is_prefix_of(a):
         return a
     raise TowerMismatch(f"towers {a!r} and {b!r} are not nested")
+
+
+class BasisProducts:
+    """Multiplication table of the power basis, for packed products.
+
+    The basis is the monomials ``g^b`` with ``b[k] < deg m_k``. Monomial
+    ``b`` has number ``sum(b[k] * radix[k])`` (mixed radix, last generator
+    fastest), and ``basis`` lists the exponent tuples in that order. A
+    product ``g^b * g^c`` has the unreduced exponent ``s = b + c`` with
+    ``s[k] < 2 deg m_k - 1``; numbered the same way in that wider radix, the
+    product of basis monomials ``i`` and ``j`` is number ``lift[i] +
+    lift[j]``. ``rules[s]`` lists ``(i, c)`` with ``g^s == sum(c *
+    g^basis[i]) / den``: each ``g^s`` is reduced once, through
+    ``FieldElement``, and all are put over the one common denominator
+    ``den``. ``cmax`` bounds ``sum(|c|)`` over any one rule.
+    """
+
+    __slots__ = ("basis", "radix", "lift", "rules", "den", "cmax")
+
+    def __init__(self, tower: ExtensionTower):
+        degs = tower._degs
+        wide = [2 * d - 1 for d in degs]
+        self.radix = [prod(degs[k + 1:]) for k in range(len(degs))]
+        wide_radix = [prod(wide[k + 1:]) for k in range(len(degs))]
+        self.basis = list(product(*(range(d) for d in degs)))
+        self.lift = [sum(map(mul, b, wide_radix)) for b in self.basis]
+        reduced = [FieldElement(tower, {s: Fraction(1)}).terms for s in product(*map(range, wide))]
+        self.den = lcm(*(q.denominator for terms in reduced for q in terms.values()))
+        self.rules = [
+            [
+                (sum(map(mul, b, self.radix)), q.numerator * (self.den // q.denominator))
+                for b, q in terms.items()
+            ]
+            for terms in reduced
+        ]
+        self.cmax = max(sum(abs(c) for _, c in rule) for rule in self.rules)
 
 
 class FieldElement:

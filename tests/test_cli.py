@@ -52,9 +52,18 @@ class TestAnalyze:
         assert rv["fiber_count"] == 2
         assert rv["fiber_sample"] == ["1", "1"]
 
-    def test_p2_double_cover_fiber(self, capsys):
-        # p = t^2 - 1, a = t: the real witness doubly covers one sheet
-        code, doc = run_cli(capsys, "analyze", "--p2", "(t^2-1)*t^2", "t")
+    @pytest.mark.parametrize(
+        "p2",
+        [
+            # p = t^2 - 1, a = t: the real witness doubly covers one sheet
+            ("(t^2-1)*t^2", "t"),
+            # the leading space keeps argparse from reading " -t^3" as a flag
+            ("t^4-3*t^3", " -t^3"),
+        ],
+        ids=["linear_axis", "cubic_axis"],
+    )
+    def test_p2_double_cover_fiber(self, capsys, p2):
+        code, doc = run_cli(capsys, "analyze", "--p2", *p2)
         assert code == 0
         rv = doc["real_verdict"]
         assert rv["code"] == "REAL_NONPROPER_DOUBLE_COVER"

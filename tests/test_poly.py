@@ -471,3 +471,153 @@ class TestResultant:
         tt, ww, zz = (MultiPoly.variable(n, names) for n in names)
         r = self.check_against_sylvester(ww - tt ** 2, zz - tt ** 3, "t")
         assert (r.degree_in("w"), r.degree_in("z")) == (3, 2)
+
+
+def _towers():
+    """name -> (tower, [(generator name, minimal polynomial in that name)], bottom first)."""
+    sqrt2 = QQ.extend("s", [-2, 0, 1])
+    third = QQ.extend("r", [Fraction(-1, 3), 0, 1])  # r = sqrt(1/3)
+    alpha = QQ.extend("a", [-3, Fraction(-1, 2), 0, 1])  # a^3 - a/2 - 3
+    alpha_i = alpha.extend("i", [1, 0, 1])
+    return {
+        "QQ": (QQ, []),
+        "sqrt2": (sqrt2, [("s", "s**2 - 2")]),
+        "sqrt1/3": (third, [("r", "r**2 - 1/3")]),
+        "alpha_i": (alpha_i, [("a", "a**3 - a/2 - 3"), ("i", "i**2 + 1")]),
+    }
+
+
+class TestPackedProducts:
+    """Products and substitutions on the packed-integer kernel, against sympy
+    products of ``Poly``s reduced by ``rem`` modulo the minimal polynomials,
+    top generator first."""
+
+    @staticmethod
+    def _rational(rng, huge):
+        if huge:
+            num = 2 ** 100 + rng.randrange(2 ** 100)
+            den = rng.choice((1, 3, 2 ** 70 + 1))
+        else:
+            num, den = rng.randint(1, 9), rng.choice((1, 1, 2, 3))
+        return Fraction(rng.choice((-1, 1)) * num, den)
+
+    def _element(self, rng, tower, huge=False):
+        from itertools import product
+
+        from revolutio import FieldElement
+
+        basis = list(product(*(range(s.degree) for s in tower.steps)))
+        picks = rng.sample(basis, rng.randint(1, len(basis)))
+        return FieldElement(tower, {b: self._rational(rng, huge) for b in picks})
+
+    def _poly(self, rng, tower, names, degree, terms, huge=False):
+        keys = {tuple(rng.randrange(degree + 1) for _ in names) for _ in range(terms)}
+        return MultiPoly(names, {k: self._element(rng, tower, huge) for k in keys}, tower)
+
+    def _check(self, got, expected, name, names):
+        """``expected(value)`` builds the sympy Poly of the result, where
+        ``value(p, images)`` is the Poly of a MultiPoly p with its variables
+        replaced by the Polys ``images`` (default: the variables themselves)."""
+        sympy = pytest.importorskip("sympy")
+        tower, minpolys = _towers()[name]
+        gens = [sympy.Symbol(g) for g, _ in minpolys]
+        ring = gens[::-1] + [sympy.Symbol(n) for n in names]  # top generator first
+        one = sympy.Poly(1, *ring, domain="QQ")
+        gen_polys = [one * g for g in gens]
+        variables = {n: one * sympy.Symbol(n) for n in names}
+
+        def value(p, images=variables):
+            total = one * 0
+            for key, c in p.terms.items():
+                coeff = one * 0
+                for b, q in c.terms.items():
+                    mono = one * sympy.Rational(q.numerator, q.denominator)
+                    for g, e in zip(gen_polys, b):
+                        mono *= g ** e
+                    coeff += mono
+                for v, e in zip(p.vars, key):
+                    coeff *= images[v] ** e
+                total += coeff
+            return total
+
+        want = expected(value)
+        for g, m in reversed(minpolys):
+            order = [sympy.Symbol(g)] + [x for x in ring if x.name != g]
+            want = want.reorder(*order).rem(sympy.Poly(sympy.sympify(m), *order, domain="QQ"))
+            want = want.reorder(*ring)
+        assert got.tower == tower and got.vars == names
+        assert value(got) == want
+
+    @pytest.mark.parametrize("name", ["QQ", "sqrt2", "sqrt1/3", "alpha_i"])
+    def test_products(self, name):
+        import random
+
+        rng = random.Random(7100 + len(name))
+        tower = _towers()[name][0]
+        names = ("u", "v", "w")
+        for trial in range(6):
+            f = self._poly(rng, tower, names, 3, rng.randint(1, 5), huge=trial % 2 == 1)
+            g = self._poly(rng, tower, names, 3, rng.randint(1, 5), huge=trial % 3 == 1)
+            self._check(f * g, lambda value: value(f) * value(g), name, names)
+            self._check(g ** 3, lambda value: value(g) ** 3, name, names)
+
+    @pytest.mark.parametrize("name", ["QQ", "sqrt2", "sqrt1/3", "alpha_i"])
+    def test_substitute(self, name):
+        import random
+
+        rng = random.Random(7200 + len(name))
+        tower = _towers()[name][0]
+        xyz, uv = ("x", "y", "z"), ("u", "v")
+        for trial in range(4):
+            f = self._poly(rng, QQ if trial % 2 else tower, xyz, 2, 5, huge=trial == 1)
+            images = {n: self._poly(rng, tower, uv, 2, 3, huge=trial == 2) for n in xyz}
+            self._check(
+                substitute(f, images),
+                lambda value: value(f, {n: value(images[n]) for n in xyz}),
+                name, uv,
+            )
+
+    def test_huge_coefficients_of_both_signs(self):
+        big = 2 ** 100 + 12345
+        f = big * u - (big + 2) * v + Fraction(-big, 3)
+        g = -big * u + Fraction(big, 7) * v ** 2
+        got = f * g
+        assert got.terms[(1, 2)].as_rational() == Fraction(big * big, 7)
+        assert got.terms[(2, 0)].as_rational() == -big * big
+        assert got.terms[(0, 3)].as_rational() == Fraction(-(big + 2) * big, 7)
+        self._check(got, lambda value: value(f) * value(g), "QQ", ("u", "v"))
+
+    def test_exact_cancellation_to_zero(self):
+        # g^2 = 1 is square-free but reducible: (g + 1)(g - 1) multiplies zero divisors
+        split = QQ.extend("g", [-1, 0, 1])
+        g = split.gen("g")
+        uu = MultiPoly.variable("u", ("u", "v"), split)
+        product = ((g + 1) * (uu - 2 ** 120)) * ((g - 1) * (v ** 5 + 3))
+        assert product.is_zero()
+        assert product.vars == ("u", "v") and product.tower == split
+        # the cone witness: every term of the residual cancels
+        x, y, z = (MultiPoly.variable(n, ("x", "y", "z")) for n in "xyz")
+        images = {"x": u ** 2 - v ** 2, "y": 2 * u * v, "z": u ** 2 + v ** 2}
+        residual = substitute(x ** 2 + y ** 2 - z ** 2, images)
+        assert residual.is_zero() and residual.vars == ("u", "v")
+
+    def test_sparse_high_degree_images(self):
+        # x^2 + y^2 = z^30 from x + i y = u^30, x - i y = v^30, z = u v
+        qi = QQ.extend("i", [1, 0, 1])
+        i = qi.gen("i")
+        uu, vv = (MultiPoly.variable(n, ("u", "v"), qi) for n in "uv")
+        x, y, z = (MultiPoly.variable(n, ("x", "y", "z")) for n in "xyz")
+        F = x ** 2 + y ** 2 - z ** 30
+        witness = {
+            "x": (uu ** 30 + vv ** 30) * Fraction(1, 2),
+            "y": (vv ** 30 - uu ** 30) * (i / 2),
+            "z": uu * vv,
+        }
+        assert substitute(F, witness).is_zero()
+        # sparse images whose powers do not cancel
+        images = {"x": u ** 17 - 3 * v ** 11, "y": 2 * u * v ** 29, "z": u ** 7 - 3 * v ** 5}
+        got = substitute(F, images)
+        assert got.degree_in("u") == 210 and len(got.terms) == 31 + 3 + 1
+        self._check(
+            got, lambda value: value(F, {n: value(images[n]) for n in "xyz"}), "QQ", ("u", "v")
+        )

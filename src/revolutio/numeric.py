@@ -5,12 +5,19 @@ exact rational isolating interval that is bisected against its minimal
 polynomial (sign tests only) until the requested output tolerance is
 certified. Generators without a real root have no real embedding and are
 rejected, which is exactly what mesh export needs.
+
+The embedding keeps, between refinements, the exact range of each
+power-basis monomial as integers over one common denominator. An element's
+enclosure is then one integer dot product: its coefficients over their
+common denominator against those ranges, each coefficient taking the low or
+the high end by its sign. An interval product is the exact range, so this
+gives the same enclosure as multiplying out the generator intervals term by
+term, and the same refinements.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInput, NoRealEmbedding
@@ -18,14 +25,6 @@ from .poly import UniPoly, sturm_real_root_count
 from .tower import ExtensionTower, FieldElement
 
 Iv = tuple  # (lo, hi) with Fraction endpoints, lo <= hi
-
-
-def _iv_exact(q: Fraction) -> Iv:
-    return (q, q)
-
-
-def _iv_add(a: Iv, b: Iv) -> Iv:
-    return (a[0] + b[0], a[1] + b[1])
 
 
 def _iv_mul(a: Iv, b: Iv) -> Iv:
@@ -94,7 +93,13 @@ def _refine_once(f: UniPoly, iv: Iv) -> Iv:
 
 
 class RealEmbedding:
-    """A designated real root (isolating interval) for each tower generator."""
+    """A designated real root (isolating interval) for each tower generator.
+
+    For the current intervals it also keeps the exact range of each
+    power-basis monomial ``g^m``, as a pair of integers over the one common
+    denominator ``den``. Ranges are filled on first use and dropped by
+    ``refine_all``.
+    """
 
     def __init__(self, tower: ExtensionTower, intervals: dict):
         self.tower = tower
@@ -108,10 +113,34 @@ class RealEmbedding:
                     "coefficients; no numeric embedding is available"
                 )
             self._minpolys[step.name] = mp
+        self._reset_ranges()
+
+    def _reset_ranges(self):
+        # a reduced monomial has exponent below deg m_k in generator k, so
+        # den_k^(deg m_k - 1) clears every denominator its range can have
+        ivs = [self.intervals[step.name] for step in self.tower.steps]
+        self.den = math.prod(
+            math.lcm(lo.denominator, hi.denominator) ** (step.degree - 1)
+            for step, (lo, hi) in zip(self.tower.steps, ivs)
+        )
+        self._ranges = {}
 
     def refine_all(self):
         for name, iv in self.intervals.items():
             self.intervals[name] = _refine_once(self._minpolys[name], iv)
+        self._reset_ranges()
+
+    def monomial_range(self, key: tuple) -> tuple:
+        """Exact range ``(lo, hi)`` of the monomial with exponents ``key``
+        over the current intervals, both over ``den``."""
+        rng = self._ranges.get(key)
+        if rng is None:
+            iv = (Fraction(1), Fraction(1))
+            for e, step in zip(key, self.tower.steps):
+                if e:
+                    iv = _iv_mul(iv, _iv_pow(self.intervals[step.name], e))
+            rng = self._ranges[key] = tuple(q.numerator * (self.den // q.denominator) for q in iv)
+        return rng
 
     def width(self) -> Fraction:
         return max((hi - lo for lo, hi in self.intervals.values()), default=Fraction(0))
@@ -142,35 +171,42 @@ def default_real_embedding(tower: ExtensionTower) -> RealEmbedding:
     return RealEmbedding(tower, intervals)
 
 
-@dataclass(frozen=True)
 class CertifiedValue:
-    """A float together with a certified bound on its distance to the truth."""
+    """A float together with a certified bound on its distance to the truth.
 
-    value: float
-    halfwidth: float
+    The exact enclosure is kept as integers: the truth lies within
+    ``radius / den`` of ``mid / den``. ``value`` is the float nearest
+    ``mid / den``. ``halfwidth`` is the smallest float at least the radius
+    plus the rounding error of ``value``; it is computed on first read, since
+    mesh export reads only ``value``.
+    """
+
+    __slots__ = ("value", "_mid", "_radius", "_den", "_halfwidth")
+
+    def __init__(self, mid: int, radius: int, den: int):
+        self.value = mid / den  # int division is correctly rounded
+        self._mid, self._radius, self._den = mid, radius, den
+        self._halfwidth = None
+
+    @property
+    def halfwidth(self) -> float:
+        if self._halfwidth is None:
+            p, q = self.value.as_integer_ratio()
+            # radius/den + |p/q - mid/den| == num / den_q
+            num = self._radius * q + abs(p * self._den - self._mid * q)
+            den_q = self._den * q
+            halfwidth = num / den_q  # correctly rounded, so at most one float short
+            hp, hq = halfwidth.as_integer_ratio()
+            if hp * den_q < num * hq:
+                halfwidth = math.nextafter(halfwidth, math.inf)
+            self._halfwidth = halfwidth
+        return self._halfwidth
 
     def __float__(self) -> float:
         return self.value
 
-
-def _certified(mid: Fraction, radius: Fraction) -> CertifiedValue:
-    """The float nearest ``mid``, with the smallest float halfwidth that is at
-    least ``radius`` plus the rounding error of that float.
-
-    Plain integers, not Fraction: mesh export makes one call per vertex
-    coordinate, and Fraction arithmetic here costs about four times more.
-    """
-    value = float(mid)
-    p, q = value.as_integer_ratio()
-    # radius + |p/q - mid| == num / den
-    num = (radius.numerator * mid.denominator * q
-           + abs(p * mid.denominator - mid.numerator * q) * radius.denominator)
-    den = radius.denominator * mid.denominator * q
-    halfwidth = num / den  # correctly rounded, so at most one float short
-    hp, hq = halfwidth.as_integer_ratio()
-    if hp * den < num * hq:
-        halfwidth = math.nextafter(halfwidth, math.inf)
-    return CertifiedValue(value, halfwidth)
+    def __repr__(self) -> str:
+        return f"CertifiedValue(value={self.value!r}, halfwidth={self.halfwidth!r})"
 
 
 _MAX_REFINEMENTS = 400
@@ -181,33 +217,38 @@ def numeric_eval(value, embedding: RealEmbedding | None = None, tol=Fraction(1, 
 
     ``value`` may be a Fraction/int (returned exactly) or a FieldElement;
     generator intervals are bisected until the enclosure is narrower than
-    ``tol``.
+    ``tol``. The enclosure is a dot product in integers: the element's
+    coefficients over their common denominator against the embedding's
+    monomial ranges, taking each range's low or high end by the sign of the
+    coefficient.
     """
     tol = Fraction(tol) if not isinstance(tol, Fraction) else tol
     if tol <= 0:
         raise InvalidInput("tolerance must be positive")
-    if isinstance(value, int):
-        value = Fraction(value)
-    if isinstance(value, Fraction):
-        return _certified(value, Fraction(0))
+    if isinstance(value, (int, Fraction)):
+        return CertifiedValue(value.numerator, 0, value.denominator)
     if not isinstance(value, FieldElement):
         raise InvalidInput("numeric_eval expects a rational or a FieldElement")
     if value.is_rational():
-        return _certified(value.as_rational(), Fraction(0))
+        q = value.as_rational()
+        return CertifiedValue(q.numerator, 0, q.denominator)
     emb = embedding or default_real_embedding(value.tower)
     if emb.tower != value.tower:
         raise InvalidInput("embedding belongs to a different tower")
-    names = [s.name for s in value.tower.steps]
+    den = math.lcm(*(q.denominator for q in value.terms.values()))
+    coeffs = [(key, q.numerator * (den // q.denominator)) for key, q in value.terms.items()]
     for _ in range(_MAX_REFINEMENTS):
-        acc = _iv_exact(Fraction(0))
-        for key, q in value.terms.items():
-            term = _iv_exact(q)
-            for name, e in zip(names, key):
-                if e:
-                    term = _iv_mul(term, _iv_pow(emb.intervals[name], e))
-            acc = _iv_add(acc, term)
-        width = acc[1] - acc[0]
-        if width < tol:
-            return _certified((acc[0] + acc[1]) / 2, width / 2)
+        lo = hi = 0
+        for key, n in coeffs:
+            a, b = emb.monomial_range(key)
+            if n > 0:
+                lo += n * a
+                hi += n * b
+            else:
+                lo += n * b
+                hi += n * a
+        d = den * emb.den
+        if (hi - lo) * tol.denominator < tol.numerator * d:
+            return CertifiedValue(lo + hi, hi - lo, 2 * d)
         emb.refine_all()
     raise InvalidInput("interval refinement did not converge (tolerance too small?)")

@@ -1,11 +1,16 @@
-"""OBJ export: counts, numeric residuals, determinism, refusals."""
+"""OBJ export: counts, numeric residuals, determinism, refusals, and the
+integer tabulation and interval dot product against the per-vertex path."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from revolutio import MultiPoly, NoRealEmbedding, SurfaceParam, sphere_witness
+from revolutio import QQ, InvalidInput, MultiPoly, NoRealEmbedding, SurfaceParam, sphere_witness
 from revolutio.mesh import export_obj, sample_grid
+from revolutio.numeric import default_real_embedding, numeric_eval
+from revolutio.tower import FieldElement
 
 u = MultiPoly.variable("u", ("u", "v"))
 v = MultiPoly.variable("v", ("u", "v"))
@@ -57,9 +62,149 @@ def test_deterministic_output(tmp_path):
 
 
 def test_bad_grid(tmp_path):
-    from revolutio import InvalidInput
-
     with pytest.raises(InvalidInput):
         export_obj(paraboloid(), 1, (-1, 1), (-1, 1), str(tmp_path / "x.obj"))
     with pytest.raises(InvalidInput):
         export_obj(paraboloid(), 4, (1, -1), (-1, 1), str(tmp_path / "x.obj"))
+
+
+# -- integer tabulation against the per-vertex path ---------------------------
+
+SQRT2 = QQ.extend("th", [-2, 0, 1], embedding=(Fraction(1), Fraction(2)))
+SQRT_THIRD = QQ.extend("r", [Fraction(-1, 3), 0, 1])  # no hint: the greatest root
+# a = -sqrt(2), then b^3 = 2: the monomials a*b^j have negative ranges
+TWO_STEP = QQ.extend("a", [-2, 0, 1], embedding=(Fraction(-2), Fraction(-1))).extend(
+    "b", [-2, 0, 0, 1], embedding=(Fraction(1), Fraction(2))
+)
+TOWERS = {"QQ": QQ, "sqrt2": SQRT2, "sqrt_third": SQRT_THIRD, "two_step": TWO_STEP}
+RANGES = [
+    ((Fraction(-1, 3), Fraction(5, 7)), (Fraction(2, 9), 3)),
+    ((0, 1), (0, 1)),  # equal ranges: grid points on the diagonal u == v
+]
+TOL = Fraction(1, 10 ** 9)
+
+
+def reference_grid(s, n, u_range, v_range, tol):
+    """The per-vertex path: exact ``eval_at`` at every grid point, then
+    ``numeric_eval`` with one fresh embedding, row-major in u then v."""
+    (u0, u1), (v0, v1) = [tuple(map(Fraction, r)) for r in (u_range, v_range)]
+    emb = default_real_embedding(s.tower) if s.tower.height else None
+    verts = []
+    for iu in range(n):
+        uq = u0 + (u1 - u0) * iu / (n - 1)
+        for iv in range(n):
+            vq = v0 + (v1 - v0) * iv / (n - 1)
+            point = {"u": uq, "v": vq}
+            verts.append(tuple(numeric_eval(c.eval_at(point), emb, tol).value for c in s.components))
+    return verts
+
+
+def random_element(rng, tower):
+    terms = {
+        m: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        for m in product(*(range(step.degree) for step in tower.steps))
+        if rng.random() < 0.7
+    }
+    return FieldElement(tower, terms)
+
+
+def random_component(rng, tower):
+    du, dv = rng.randint(0, 3), rng.randint(0, 3)
+    terms = {(a, b): random_element(rng, tower) for a, b in product(range(du + 1), range(dv + 1))
+             if rng.random() < 0.6}
+    return MultiPoly(("u", "v"), terms, tower)
+
+
+def special_components(tower):
+    """A constant, a component in u only, one in v only, and one whose
+    irrational part vanishes on the diagonal u == v."""
+    g = tower.gen(0) if tower.height else tower.rational(Fraction(7, 5))
+    return [
+        MultiPoly.constant(Fraction(-5, 2) * g, ("u", "v"), tower),
+        u * u * g - Fraction(1, 3) * u,
+        Fraction(-3, 4) * g * v ** 3 + v,
+        (u - v) * g + v * v - 1,
+    ]
+
+
+@pytest.mark.parametrize("tower_name", sorted(TOWERS))
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sample_grid_matches_per_vertex_evaluation(tower_name, n):
+    tower = TOWERS[tower_name]
+    rng = random.Random(20261018 + 10 * sorted(TOWERS).index(tower_name) + n)
+    comps = [random_component(rng, tower) for _ in range(2)] + special_components(tower)
+    for u_range, v_range in RANGES:
+        for trio in (comps[:3], comps[3:]):
+            s = SurfaceParam.make(trio)
+            assert sample_grid(s, n, u_range, v_range, TOL) == reference_grid(s, n, u_range, v_range, TOL)
+
+
+def test_components_in_fewer_variables():
+    # components keyed by (u,), (v,) and () directly, not reindexed onto (u, v)
+    th = SQRT2.gen("th")
+    cu = MultiPoly.variable("u") * th + Fraction(2, 3)
+    cv = MultiPoly.variable("v") ** 2 * (-th)
+    const = MultiPoly.constant(th * 5)
+    s = SurfaceParam((cu, cv, const), SQRT2)
+    ranges = ((Fraction(-1, 3), Fraction(5, 7)), (-1, 2))
+    assert sample_grid(s, 4, *ranges, TOL) == reference_grid(s, 4, *ranges, TOL)
+
+
+def test_component_in_another_variable_refused():
+    w = MultiPoly.variable("w", ("u", "w"))
+    s = SurfaceParam((w, u, v), QQ)
+    with pytest.raises(InvalidInput, match="'w'"):
+        sample_grid(s, 3, (0, 1), (0, 1))
+
+
+def power_range(iv, e):
+    """Exact range of x^e for x in the interval iv."""
+    lo, hi = iv[0] ** e, iv[1] ** e
+    if e % 2 == 0 and iv[0] < 0 < iv[1]:
+        return Fraction(0), max(lo, hi)
+    return min(lo, hi), max(lo, hi)
+
+
+def term_by_term(value, emb, tol):
+    """Enclosure of a tower element by interval products term by term, the
+    generator intervals bisected until narrower than tol: (mid, radius)."""
+    names = [step.name for step in value.tower.steps]
+    for _ in range(400):
+        lo = hi = Fraction(0)
+        for key, q in value.terms.items():
+            tlo = thi = q
+            for name, e in zip(names, key):
+                plo, phi = power_range(emb.intervals[name], e)
+                products = (tlo * plo, tlo * phi, thi * plo, thi * phi)
+                tlo, thi = min(products), max(products)
+            lo, hi = lo + tlo, hi + thi
+        if hi - lo < tol:
+            return (lo + hi) / 2, (hi - lo) / 2
+        emb.refine_all()
+    raise AssertionError("the term-by-term enclosure did not converge")
+
+
+@pytest.mark.parametrize("tower_name", ["sqrt2", "sqrt_third", "two_step"])
+def test_numeric_eval_matches_term_by_term_intervals(tower_name):
+    tower = TOWERS[tower_name]
+    rng = random.Random(20261019 + sorted(TOWERS).index(tower_name))
+    emb, ref = default_real_embedding(tower), default_real_embedding(tower)
+    # negative coefficients on every monomial, then random signs
+    values = [FieldElement(tower, {m: Fraction(-3, 2) for m in product(*(range(s.degree) for s in tower.steps))})]
+    values += [random_element(rng, tower) for _ in range(20)]
+    for value in values:
+        for tol in (Fraction(1, 10 ** 3), Fraction(1, 10 ** 12)):
+            got = numeric_eval(value, emb, tol)
+            mid, radius = term_by_term(value, ref, tol)
+            assert got.value == float(mid)
+            assert Fraction(got.halfwidth) >= radius + abs(Fraction(got.value) - mid)
+            assert emb.intervals == ref.intervals
+
+
+def test_rational_value_is_not_refined():
+    emb = default_real_embedding(SQRT2)
+    before = dict(emb.intervals)
+    th = SQRT2.gen("th")
+    got = numeric_eval(th - th + Fraction(1, 3), emb, Fraction(1, 10 ** 30))
+    assert got.value == 1 / 3
+    assert emb.intervals == before

@@ -20,6 +20,15 @@ Each list is packed into one Python int, whose products run in C; every
 product is reduced at once with the tower's basis products
 (``ExtensionTower.basis_products``), and only the final result is unpacked
 into FieldElements.
+
+Resultants and rational roots run on dense lists of plain ints as well.
+``resultant_eliminate`` clears denominators and makes each tower generator
+one more variable of an integer polynomial; evaluation, Newton interpolation
+and the subresultant PRS stay in Z, and only the result is reduced through
+the tower, so it is the Sylvester determinant over any tower.
+``rational_roots`` isolates the real roots of the square-free part by integer
+bisection on one Sturm chain, so its cost does not grow with the divisors of
+the coefficients.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InvalidInput, NotDivisible, ZeroDivisor
@@ -823,49 +832,78 @@ def squarefree_part(f: UniPoly) -> UniPoly:
     return f.divmod(g)[0].monic()
 
 
-def _divisors(n: int) -> list:
-    n = abs(n)
-    out = set()
-    for i in range(1, isqrt(n) + 1):
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-    return sorted(out)
-
-
 def rational_roots(f: UniPoly) -> list:
-    """All rational roots with multiplicity, in descending order."""
+    """All rational roots with multiplicity, in descending order.
+
+    With ``ad`` the leading coefficient of the square-free part ``p`` over
+    Z, every rational root ``r`` of ``p`` makes ``ad * r`` an integer root of
+    the monic ``ad^(d-1) p(s / ad)``. Those are isolated by integer bisection
+    on one Sturm chain, down to intervals (m - 1, m], and each such ``m`` is
+    tested by exact evaluation; each root found is then divided out of ``f``
+    as often as it goes.
+    """
     if f.is_zero():
         raise InvalidInput("zero polynomial")
     coeffs = f.rational_coeffs()
     if f.is_constant():
         return []
-    roots = []
     low = min(coeffs)
-    if low > 0:
-        roots.extend([Fraction(0)] * low)
-        coeffs = {e - low: c for e, c in coeffs.items()}
     den = lcm(*(c.denominator for c in coeffs.values()))
-    ints = {e: int(c * den) for e, c in coeffs.items()}
-    g = gcd(*(abs(v) for v in ints.values()))
-    ints = {e: v // g for e, v in ints.items()}
-    deg = max(ints)
-    a0 = ints[0]  # nonzero: the power of t was stripped above
-    ad = ints[deg]
-    candidates = []
-    if deg >= 1:
-        for p in _divisors(a0):
-            for q in _divisors(ad):
-                if gcd(p, q) == 1:
-                    candidates.append(Fraction(p, q))
-                    candidates.append(Fraction(-p, q))
-    work = UniPoly(f.var, {e: Fraction(v) for e, v in ints.items()})
-    for r in candidates:
-        while not work.is_constant() and work.eval_at(r).is_zero():
+    work = [int(coeffs.get(e, 0) * den) for e in range(low, max(coeffs) + 1)]
+    sqf = _primitive(_divexact(work, _gcd_int(work, _derivative_int(work))))[1]
+    if sqf[-1] < 0:
+        sqf = [-c for c in sqf]
+    ad, d = sqf[-1], len(sqf) - 1
+    scaled = [c * ad ** (d - 1 - k) for k, c in enumerate(sqf[:-1])] + [1]
+    roots = [Fraction(0)] * low
+    for m in _integer_roots(scaled):
+        r = Fraction(m, ad)
+        while (q := _deflate(work, r.numerator, r.denominator)) is not None:
+            work = q
             roots.append(r)
-            lin = UniPoly.from_dense(f.var, [-r, 1])
-            work = work.divmod(lin)[0]
     return sorted(roots, reverse=True)
+
+
+def _integer_roots(p: list) -> list:
+    """Integer roots of a monic square-free integer polynomial, by integer
+    bisection of (-B, B] with one Sturm chain; B bounds the roots (Fujiwara)."""
+    if len(p) < 2:
+        return []
+    d = len(p) - 1
+    B = 2 << max(-(-abs(c).bit_length() // (d - k)) for k, c in enumerate(p[:-1]))
+    chain = [p, _derivative_int(p)]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r = _prem(a, b)
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            r = [-x for x in r]  # -rem(a, b) times a positive factor
+        chain.append(_primitive(r)[1])
+
+    def variations(x: int) -> int:
+        out, last = 0, 0
+        for q in chain:
+            v = _horner_int(q, x)
+            if v:
+                if last and (v > 0) != (last > 0):
+                    out += 1
+                last = v
+        return out
+
+    found = []
+    stack = [(-B, B, variations(-B), variations(B))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
+            continue  # no root in (lo, hi]
+        if hi - lo == 1:
+            if not _horner_int(p, hi):
+                found.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        vmid = variations(mid)
+        stack.append((lo, mid, vlo, vmid))
+        stack.append((mid, hi, vmid, vhi))
+    return found
 
 
 def _sign_at(f: UniPoly, x) -> int:
@@ -1003,16 +1041,24 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 def resultant_eliminate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Resultant with respect to ``var``, eliminating it exactly.
+    """Resultant with respect to ``var``, eliminating it exactly: the
+    Sylvester determinant, over any tower.
 
-    Evaluation and interpolation (Collins, "The calculation of multivariate
-    polynomial resultants", 1971): the last remaining variable is set to
-    0, 1, 2, ..., skipping points where a leading coefficient in ``var``
-    vanishes, the resultant of the images is taken recursively, and Newton
-    interpolation through one point more than the degree bound recovers
-    it. With no variable left, the Euclidean remainder sequence gives the
-    scalar resultant. Over a reducible tower a leading coefficient may be
-    a zero divisor, and ZeroDivisor propagates.
+    Evaluation and interpolation on plain integers (Collins, "The
+    calculation of multivariate polynomial resultants", 1971). Each
+    polynomial is put over one denominator, and each tower coefficient is
+    split into its power-basis components, so every tower generator becomes
+    one more variable of an integer polynomial. The last remaining variable
+    is set to 0, 1, 2, ..., skipping points where a leading coefficient in
+    ``var`` vanishes; the resultant of the images is taken recursively, and
+    Newton interpolation through one point more than the degree bound
+    ``deg_var(g) * deg(f) + deg_var(f) * deg(g)`` recovers it, with exact
+    integer divided differences. With no variable left, the subresultant PRS
+    over Z gives the scalar resultant. The integer result is divided by the
+    denominators' powers and reduced once through the tower. Reduction
+    modulo the minimal polynomials is a ring homomorphism that keeps the
+    leading coefficients nonzero, so the result is the Sylvester
+    determinant over the tower even when the tower is reducible.
     """
     if isinstance(f, UniPoly):
         f = f.to_multi()
@@ -1029,99 +1075,201 @@ def resultant_eliminate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     i = vars_.index(var)
     rest = vars_[:i] + vars_[i + 1:]
 
-    def split(p: MultiPoly) -> list:
-        # dense in ``var``; each coefficient is {exponents in rest: FieldElement}
+    def split(p: MultiPoly) -> tuple:
+        # dense in ``var``; each coefficient is {exponents in rest, then of
+        # the generators: integer numerator over the returned denominator}
+        den = lcm(*(q.denominator for c in p.terms.values() for q in c.terms.values()))
         coeffs: list = [{} for _ in range(p.degree_in(var) + 1)]
         for k, c in p.terms.items():
-            coeffs[k[i]][k[:i] + k[i + 1:]] = c
-        return coeffs
+            entry, key = coeffs[k[i]], k[:i] + k[i + 1:]
+            for b, q in c.terms.items():
+                entry[key + b] = q.numerator * (den // q.denominator)
+        return coeffs, den
 
-    return MultiPoly(rest, _resultant(split(fv), split(gv), len(rest), t), t)
+    (fc, df), (gc, dg) = split(fv), split(gv)
+    scale = df ** (len(gc) - 1) * dg ** (len(fc) - 1)
+    nrest = len(rest)
+    grouped: dict = {}
+    for k, c in _resultant(fc, gc, nrest + t.height).items():
+        grouped.setdefault(k[:nrest], {})[k[nrest:]] = Fraction(c, scale)
+    terms = {}
+    for k, b in grouped.items():
+        c = FieldElement(t, b)
+        if not c.is_zero():
+            terms[k] = c
+    return MultiPoly._canonical(rest, terms, t)
 
 
-def _resultant(fc: list, gc: list, nvars: int, tower: ExtensionTower) -> dict:
-    """Res of two dense coefficient lists whose entries are dicts keyed by
-    ``nvars`` exponents; both leading entries are nonzero."""
+def _resultant(fc: list, gc: list, nvars: int) -> dict:
+    """Res of two dense coefficient lists whose entries are {exponents:
+    int} dicts keyed by ``nvars`` exponents; both leading entries are
+    nonzero."""
     if nvars == 0:
-        zero = tower.zero()
-        r = _scalar_resultant([c.get((), zero) for c in fc], [c.get((), zero) for c in gc])
-        return {} if r.is_zero() else {(): r}
+        r = _prs_resultant([c.get((), 0) for c in fc], [c.get((), 0) for c in gc])
+        return {(): r} if r else {}
+    fd, gd = [_by_last(c) for c in fc], [_by_last(c) for c in gc]
     m, n = len(fc) - 1, len(gc) - 1
-    bound = n * _last_degree(fc) + m * _last_degree(gc)
+    bound = n * _last_degree(fd) + m * _last_degree(gd)
     points: list = []
     values: list = []
     x = 0
     while len(points) <= bound:
-        fx = [_eval_last(c, x) for c in fc]
-        gx = [_eval_last(c, x) for c in gc]
+        fx = [_eval_last(c, x) for c in fd]
+        gx = [_eval_last(c, x) for c in gd]
         if fx[-1] and gx[-1]:
             points.append(x)
-            values.append(_resultant(fx, gx, nvars - 1, tower))
+            values.append(_resultant(fx, gx, nvars - 1))
         x += 1
-    return _interpolate(points, values, tower)
+    return _interpolate(points, values)
 
 
-def _last_degree(coeffs: list) -> int:
-    return max((k[-1] for c in coeffs for k in c), default=0)
-
-
-def _eval_last(c: dict, x: int) -> dict:
-    """Set the last variable of a {exponents: FieldElement} dict to x."""
+def _by_last(c: dict) -> dict:
+    """{exponents: int} as {all exponents but the last: dense list in the last}."""
     out: dict = {}
     for k, v in c.items():
+        dense = out.setdefault(k[:-1], [])
         e = k[-1]
-        if e and x != 1:
-            if not x:
-                continue
-            v = v * x ** e
-        key = k[:-1]
-        s = out[key] + v if key in out else v
-        if s.is_zero():
-            del out[key]
-        else:
-            out[key] = s
+        if e >= len(dense):
+            dense.extend([0] * (e + 1 - len(dense)))
+        dense[e] = v
     return out
 
 
-def _interpolate(points: list, values: list, tower: ExtensionTower) -> dict:
-    """The polynomial through (points[j], values[j]) in a new last variable,
-    by Newton's divided differences, one coefficient key at a time."""
+def _last_degree(coeffs: list) -> int:
+    return max((len(dense) - 1 for c in coeffs for dense in c.values()), default=0)
+
+
+def _eval_last(c: dict, x: int) -> dict:
+    """Set the last variable of a ``_by_last`` dict to x."""
+    out = {}
+    for key, dense in c.items():
+        y = _horner_int(dense, x)
+        if y:
+            out[key] = y
+    return out
+
+
+def _interpolate(points: list, values: list) -> dict:
+    """The integer polynomial through (points[j], values[j]) in a new last
+    variable, by Newton's divided differences, one coefficient key at a
+    time. Divided differences of an integer polynomial at integer nodes are
+    integers, so every division is exact."""
     keys = set().union(*values)
-    zero = tower.zero()
     out: dict = {}
     for key in keys:
-        ys = [v.get(key, zero) for v in values]
+        ys = [v.get(key, 0) for v in values]
         # divided differences, in place: ys[j] becomes f[x_0, ..., x_j]
         for j in range(1, len(points)):
             for l in range(len(points) - 1, j - 1, -1):
-                ys[l] = (ys[l] - ys[l - 1]) * Fraction(1, points[l] - points[l - j])
+                ys[l] = (ys[l] - ys[l - 1]) // (points[l] - points[l - j])
         # Newton form to monomials, innermost factor first
         poly = [ys[-1]]
         for j in range(len(points) - 2, -1, -1):
             xj = points[j]
             poly = [ys[j] - poly[0] * xj] + [
-                poly[e - 1] - (poly[e] * xj if e < len(poly) else zero)
+                poly[e - 1] - (poly[e] * xj if e < len(poly) else 0)
                 for e in range(1, len(poly) + 1)
             ]
         for e, c in enumerate(poly):
-            if not c.is_zero():
+            if c:
                 out[key + (e,)] = c
     return out
 
 
-def _scalar_resultant(a: list, b: list) -> FieldElement:
-    """Res(a, b) of dense coefficient lists with nonzero leading entries, by
-    Res(a, b) = (-1)^(m n) lc(b)^(m - k) Res(b, a mod b), Res(a, b0) = b0^m."""
-    tower = b[-1].tower
-    a, b = UniPoly.from_dense("x", a, tower), UniPoly.from_dense("x", b, tower)
-    acc = tower.one()
-    while b.degree > 0:
-        m, n = a.degree, b.degree
-        r = a.divmod(b)[1]
-        if r.is_zero():
-            return tower.zero()
-        if m * n % 2:
-            acc = -acc
-        acc = acc * b.lc() ** (m - r.degree)
-        a, b = b, r
-    return acc * b.coeff(0) ** a.degree
+# -- dense integer polynomials: lists, constant term first, no trailing zeros ------
+
+
+def _prem(a: list, b: list) -> list:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b."""
+    r = list(a)
+    lb, db = b[-1], len(b) - 1
+    e = len(a) - db
+    while len(r) > db:
+        c, s = r[-1], len(r) - 1 - db
+        r = [x * lb for x in r]
+        for k in range(db):
+            r[s + k] -= c * b[k]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+        e -= 1
+    if e > 0:
+        f = lb ** e
+        r = [x * f for x in r]
+    return r
+
+
+def _primitive(a: list) -> tuple:
+    """(content, primitive part); the content is positive."""
+    c = gcd(*a)
+    return c, [x // c for x in a]
+
+
+def _prs_resultant(a: list, b: list) -> int:
+    """Res(a, b) of integer lists with nonzero leading entries, by the
+    subresultant PRS (Brown & Traub 1971; Cohen, *A Course in Computational
+    Algebraic Number Theory*, Alg. 3.3.7), every division exact."""
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            s = -1
+    (ca, a), (cb, b) = _primitive(a), _primitive(b)
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
+            s = -s
+        r = _prem(a, b)
+        if not r:
+            return 0
+        d = g * h ** delta
+        a, b = b, [x // d for x in r]
+        g = a[-1]
+        h = h * g ** delta // h ** delta
+    da = len(a) - 1
+    return s * t * (h * b[0] ** da // h ** da)
+
+
+def _horner_int(p: list, x: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _derivative_int(p: list) -> list:
+    return [k * c for k, c in enumerate(p) if k]
+
+
+def _gcd_int(a: list, b: list) -> list:
+    """A gcd in Z[t] up to sign, by the primitive PRS; b may be zero."""
+    while b:
+        a, b = b, _prem(a, b)
+        if b:
+            b = _primitive(b)[1]
+    return _primitive(a)[1]
+
+
+def _divexact(a: list, b: list) -> list:
+    """a / b in Z[t], when b divides a with an integer quotient."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + len(b) - 1] // b[-1]
+        for j, y in enumerate(b):
+            r[k + j] -= c * y
+    return q
+
+
+def _deflate(a: list, p: int, q: int):
+    """a / (q t - p) in Z[t] when it divides exactly, else None."""
+    out = [0] * (len(a) - 1)
+    b = 0
+    for k in range(len(a) - 1, 0, -1):
+        b, rem = divmod(a[k] + p * b, q)
+        if rem:
+            return None
+        out[k - 1] = b
+    return out if a and a[0] + p * b == 0 else None

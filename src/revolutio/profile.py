@@ -322,9 +322,10 @@ def tubularize(d: P2Decomposition) -> TubularSurface:
 
 def p2_implicit(x: UniPoly, b: UniPoly) -> MultiPoly:
     """An implicit equation of the curve [x(t), b(t)] in (w, z): the
-    resultant Res_t(w - x(t), z - b(t)), taken by evaluation at rational
-    (w, z) and interpolation, with degree deg b in w and deg x in z. It
-    vanishes on the curve, which is all the on-surface verification needs."""
+    resultant Res_t(w - x(t), z - b(t)), taken by evaluation at integer
+    points and interpolation (``resultant_eliminate``), with degree deg b in
+    w and deg x in z. It vanishes on the curve, which is all the on-surface
+    verification needs."""
     tvar = x.var
     w = MultiPoly.variable("w", ("w", tvar))
     z = MultiPoly.variable("z", ("z", tvar))

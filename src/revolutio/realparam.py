@@ -374,11 +374,8 @@ def _rational_quadratic_factors(f: UniPoly):
             beta_candidates.update(rational_roots(h.to_unipoly("B")))
     if R1.uses("G") and R0.uses("G"):
         res = resultant_eliminate(R1, R0, "G")
-        if not res.is_zero():
-            if res.uses("B"):
-                beta_candidates.update(rational_roots(res.to_unipoly("B")))
-            elif not res.is_constant():
-                pass  # nonzero constant: no common solution from this route
+        if res.uses("B"):
+            beta_candidates.update(rational_roots(res.to_unipoly("B")))
     out = []
     tvar = UniPoly.variable(f.var)
     for beta in sorted(beta_candidates):

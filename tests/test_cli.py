@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -307,3 +308,26 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["real_verdict"]["status"] == "real-proper"
+
+
+@pytest.mark.parametrize(
+    "p2",
+    [
+        # huge constant terms: the rational-root search once trial-divided up
+        # to sqrt|a0| and never finished on these
+        "t^3-100000000000000000000",
+        "3*t^4-100000000000000000000000000000007",
+    ],
+)
+def test_huge_constant_term_within_budget(p2):
+    budget = 10.0  # seconds, interpreter start included
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "revolutio", "analyze", "--p2", p2, "t"],
+        capture_output=True,
+        text=True,
+        timeout=budget,
+    )
+    assert time.perf_counter() - start < budget
+    assert proc.returncode in (0, 2, 3)
+    json.loads(proc.stdout)

@@ -229,6 +229,31 @@ class TestRationalRoots:
     def test_root_at_zero(self):
         assert rational_roots(t ** 2 * (t - 5)) == [Fraction(5), Fraction(0), Fraction(0)]
 
+    def test_huge_constant_terms_against_sympy(self):
+        # |a0| above 2^64, repeated roots and a leading coefficient other than
+        # +-1; trial division up to sqrt|a0| never finished on such inputs
+        sympy = pytest.importorskip("sympy")
+        import random
+
+        rng = random.Random(6400)
+        T = sympy.Symbol("t")
+        for _ in range(25):
+            expr = rng.choice((2, -3, 12)) * (T ** 2 + rng.randint(-9, 9) * T + rng.choice((2, 7)))
+            for _ in range(rng.randint(1, 3)):
+                q = rng.choice((1, 2, 3, 7, 2 ** 33 + 1))
+                p = rng.choice((-1, 1)) * rng.randint(2 ** 64, 2 ** 80)
+                expr *= (q * T - p) ** rng.randint(1, 3)
+            poly = sympy.Poly(expr * sympy.Rational(rng.choice((1, 5)), rng.choice((1, 3))), T)
+            assert abs(poly.TC()) > 2 ** 64 and abs(poly.LC()) != 1
+            want = []
+            for factor, mult in sympy.factor_list(poly)[1]:
+                if factor.degree() == 1:
+                    c1, c0 = factor.all_coeffs()
+                    r = -c0 / c1
+                    want += [Fraction(int(r.p), int(r.q))] * mult
+            f = UniPoly("t", {m: Fraction(int(c.p), int(c.q)) for (m,), c in poly.terms()})
+            assert rational_roots(f) == sorted(want, reverse=True)
+
 
 class TestSturm:
     def test_no_real_roots(self):
@@ -472,6 +497,100 @@ class TestResultant:
         r = self.check_against_sylvester(ww - tt ** 2, zz - tt ** 3, "t")
         assert (r.degree_in("w"), r.degree_in("z")) == (3, 2)
 
+    # Over a tower, against sympy's Sylvester determinant of the polynomials in
+    # the generators, reduced by ``rem`` modulo the minimal polynomials, top
+    # generator first (``TestPackedProducts._check``).
+    def check_reduced_sylvester(self, f, g, var, name):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        gens = [sympy.Symbol(n) for n, _ in _towers()[name][1]]
+        names = sorted(set(f.vars) | set(g.vars))
+        symbols = dict(zip(names, sympy.symbols(names)))
+        rest = tuple(n for n in names if n != var)
+        det = sylvester(
+            _sympy_poly(f, symbols, gens), _sympy_poly(g, symbols, gens), symbols[var]
+        ).det(method="berkowitz")  # division-free; far faster than bareiss on these entries
+        ring = gens[::-1] + [symbols[n] for n in rest]
+        r = resultant_eliminate(f, g, var)
+        TestPackedProducts()._check(
+            r, lambda value: sympy.Poly(det, *ring, domain="QQ"), name, rest
+        )
+        return r
+
+    def test_reducible_tower_returns_the_determinant(self):
+        # g^2 = 1 is square-free but reducible, and lc_v(f) = g - 1 is a zero
+        # divisor: a Euclidean remainder sequence over the tower would have to
+        # invert it, the Sylvester determinant does not
+        from revolutio import ZeroDivisor
+
+        tower = _towers()["split"][0]
+        gen = tower.gen("g")
+        uu, vv = (MultiPoly.variable(n, ("u", "v"), tower) for n in "uv")
+        f = (gen - 1) * vv ** 2 + vv + 2
+        g = vv ** 3 + uu * vv - gen
+        r = self.check_reduced_sylvester(g, f, "v", "split")
+        assert not r.is_zero() and not all(c.is_rational() for c in r.terms.values())
+        with pytest.raises(ZeroDivisor):
+            (gen - 1).inverse()
+
+    @pytest.mark.parametrize("names", [("v",), ("u", "v")])
+    def test_random_over_two_generators(self, names):
+        import random
+
+        rng = random.Random(9300 + len(names))
+        tower = _towers()["alpha_i"][0]
+        products = TestPackedProducts()
+        for trial in range(4):
+            f = products._poly(rng, tower, names, 2, 3)
+            g = products._poly(rng, tower, names, 2, 3)
+            f = f + products._element(rng, tower) * MultiPoly.variable("v", names, tower) ** 2
+            g = g + products._element(rng, tower) * MultiPoly.variable("v", names, tower) ** 3
+            self.check_reduced_sylvester(f, g, "v", "alpha_i")
+
+    @pytest.mark.parametrize("name", ["QQ", "sqrt2"])
+    def test_huge_coefficients_of_both_signs(self, name):
+        import random
+
+        rng = random.Random(9400 + len(name))
+        tower = _towers()[name][0]
+        products = TestPackedProducts()
+        vv = MultiPoly.variable("v", ("u", "v"), tower)
+        for _ in range(3):
+            f = products._poly(rng, tower, ("u", "v"), 2, 3, huge=True)
+            g = products._poly(rng, tower, ("u", "v"), 2, 3, huge=True)
+            f = f + products._element(rng, tower, huge=True) * vv ** 3
+            g = g + products._element(rng, tower, huge=True) * vv ** 2
+            self.check_reduced_sylvester(f, g, "v", name)
+
+    @pytest.mark.parametrize("name", ["QQ", "sqrt1/3"])
+    def test_denominators(self, name):
+        # D_f = 15 and D_g = 14 with deg_v f = 3 and deg_v g = 1: the integer
+        # determinant is divided by 15^1 * 14^3; r = sqrt(1/3) adds a
+        # denominator in the final reduction as well
+        tower, minpolys = _towers()[name]
+        gen = tower.gen(minpolys[0][0]) if minpolys else Fraction(5, 4)
+        uu, vv = (MultiPoly.variable(n, ("u", "v"), tower) for n in "uv")
+        f = Fraction(1, 3) * vv ** 3 + Fraction(2, 5) * gen * uu * vv - 1
+        g = Fraction(-1, 7) * gen * vv + Fraction(1, 2) * uu ** 2 + gen
+        self.check_reduced_sylvester(f, g, "v", name)
+        self.check_reduced_sylvester(g, f, "v", name)
+
+    def test_leading_coefficient_vanishes_at_generator_points(self):
+        # the generators are evaluated like variables, i first: lc_v(g) = i (a + 1)
+        # vanishes at i = 0, and lc_v(f) = a^2 - a at a = 0 and a = 1
+        tower = _towers()["alpha_i"][0]
+        a, i = tower.gen("a"), tower.gen("i")
+        uu, vv = (MultiPoly.variable(n, ("u", "v"), tower) for n in "uv")
+        f = (a * a - a) * vv ** 2 + uu * vv - i
+        g = (i * a + i) * vv ** 3 + a * vv ** 2 + uu
+        self.check_reduced_sylvester(f, g, "v", "alpha_i")
+        # with no variable left besides v, the generators are all there is
+        v1 = MultiPoly.variable("v", ("v",), tower)
+        f1 = (a * a - a) * v1 ** 2 + v1 - i
+        g1 = (i * a + i) * v1 ** 3 + a
+        self.check_reduced_sylvester(f1, g1, "v", "alpha_i")
+
 
 def _towers():
     """name -> (tower, [(generator name, minimal polynomial in that name)], bottom first)."""
@@ -484,6 +603,7 @@ def _towers():
         "sqrt2": (sqrt2, [("s", "s**2 - 2")]),
         "sqrt1/3": (third, [("r", "r**2 - 1/3")]),
         "alpha_i": (alpha_i, [("a", "a**3 - a/2 - 3"), ("i", "i**2 + 1")]),
+        "split": (QQ.extend("g", [-1, 0, 1]), [("g", "g**2 - 1")]),
     }
 
 

@@ -133,7 +133,10 @@ def tower_sqrt(tower: ExtensionTower, q: Fraction):
     """(element, tower) with element^2 = q.
 
     Positive non-squares get a fresh generator with the positive root as
-    the recorded embedding; negative values factor through i.
+    the recorded embedding, unless ``q`` is a rational square times the
+    radicand of a ``sqrt`` step already present: then sqrt(q) is a rational
+    multiple of that generator, and a second one would make the tower
+    reducible. Negative values factor through i.
     """
     q = Fraction(q)
     if q == 0:
@@ -145,10 +148,12 @@ def tower_sqrt(tower: ExtensionTower, q: Fraction):
     r = _is_rational_square(q)
     if r is not None:
         return tower.rational(r), tower
-    name = f"sqrt({q})"
     for s in tower.steps:
-        if s.name == name:
-            return tower.gen(name), tower
+        if s.name.startswith("sqrt("):
+            r = _is_rational_square(q / -s.minpoly[0].as_rational())
+            if r is not None:
+                return tower.gen(s.name) * r, tower
+    name = f"sqrt({q})"
     tower = tower.extend(name, [-q, 0, 1], embedding=(Fraction(0), q + 1))
     return tower.gen(name), tower
 

@@ -20,14 +20,8 @@ from math import lcm
 
 from .errors import InvalidInput
 from .numeric import default_real_embedding, numeric_eval
+from .poly import _horner_int
 from .tower import FieldElement
-
-
-def _horner(coeffs: list, x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 class _Tabulation:
@@ -63,12 +57,12 @@ class _Tabulation:
 
     def row(self, u: int) -> list:
         """Per monomial, the coefficients in ``v`` on grid row ``u``."""
-        return [(m, [_horner(cs, u) for cs in by_v]) for m, by_v in self.monos.items()]
+        return [(m, [_horner_int(cs, u) for cs in by_v]) for m, by_v in self.monos.items()]
 
     def value(self, row: list, v: int) -> FieldElement:
         terms = {}
         for m, cs in row:
-            n = _horner(cs, v)
+            n = _horner_int(cs, v)
             if n:
                 terms[m] = Fraction(n, self.den)
         return FieldElement(self.tower, terms, reduce=False)

@@ -2,9 +2,12 @@
 
 No floating-point root finding happens here: every generator carries an
 exact rational isolating interval that is bisected against its minimal
-polynomial (sign tests only) until the requested output tolerance is
-certified. Generators without a real root have no real embedding and are
-rejected, which is exactly what mesh export needs.
+polynomial until the requested output tolerance is certified. Each minimal
+polynomial is kept as an integer list, so a bisection step is integer sign
+tests at the interval's ends and midpoint (``poly._hsign``); isolation
+counts roots with one integer Sturm chain per polynomial. Generators
+without a real root have no real embedding and are rejected, which is
+exactly what mesh export needs.
 
 The embedding keeps, between refinements, the exact range of each
 power-basis monomial as integers over one common denominator. An element's
@@ -21,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInput, NoRealEmbedding
-from .poly import UniPoly, sturm_real_root_count
+from .poly import UniPoly, _hsign, _int_coeffs, _squarefree_chain, _sturm_count, sturm_real_root_count
 from .tower import ExtensionTower, FieldElement
 
 Iv = tuple  # (lo, hi) with Fraction endpoints, lo <= hi
@@ -42,35 +45,30 @@ def _iv_pow(a: Iv, e: int) -> Iv:
     return (min(lo, hi), max(lo, hi))
 
 
-def cauchy_root_bound(f: UniPoly) -> Fraction:
-    """All complex roots of f lie strictly inside |x| < bound."""
-    coeffs = f.rational_coeffs()
-    d = max(coeffs)
-    lead = abs(coeffs[d])
-    rest = [abs(c) for e, c in coeffs.items() if e != d]
-    return Fraction(1) + (max(rest) / lead if rest else Fraction(0))
-
-
 def isolate_real_roots(f: UniPoly) -> list:
     """Disjoint rational intervals, one distinct real root each, sorted.
 
     ``f`` must be square-free with rational coefficients. A degenerate
-    interval (r, r) marks an exact rational root.
+    interval (r, r) marks an exact rational root. Bisection starts from the
+    Cauchy bound ``1 + max |f_k / f_d|`` and counts roots with one Sturm
+    chain for the whole call.
     """
     if f.is_constant():
         return []
-    bound = cauchy_root_bound(f)
+    p = _int_coeffs(f)
+    bound = 1 + Fraction(max(map(abs, p[:-1])), abs(p[-1]))
+    chain = _squarefree_chain(p)
     out = []
 
     def rec(lo: Fraction, hi: Fraction):
-        n = sturm_real_root_count(f, (lo, hi))
+        n = _sturm_count(chain, lo.as_integer_ratio(), hi.as_integer_ratio())
         if n == 0:
             return
         if n == 1:
             out.append((lo, hi))
             return
         mid = (lo + hi) / 2
-        if f.eval_at(mid).is_zero():
+        if not _hsign(p, *mid.as_integer_ratio()):
             out.append((mid, mid))
         rec(lo, mid)
         rec(mid, hi)
@@ -79,15 +77,17 @@ def isolate_real_roots(f: UniPoly) -> list:
     return sorted(out, key=lambda iv: iv[0] + iv[1])
 
 
-def _refine_once(f: UniPoly, iv: Iv) -> Iv:
+def _refine_once(p: list, iv: Iv) -> Iv:
+    """Half of the isolating interval ``iv`` of a root of the integer
+    polynomial ``p``, by the signs of ``p`` at its ends and midpoint."""
     lo, hi = iv
     if lo == hi:
         return iv
     mid = (lo + hi) / 2
-    fm = f.eval_at(mid)
-    if fm.is_zero():
+    sm = _hsign(p, *mid.as_integer_ratio())
+    if not sm:
         return (mid, mid)
-    if f.eval_at(lo).sign() * fm.sign() < 0:
+    if _hsign(p, *lo.as_integer_ratio()) * sm < 0:
         return (lo, mid)
     return (mid, hi)
 
@@ -112,7 +112,7 @@ class RealEmbedding:
                     f"step {step.name!r} has non-rational minimal polynomial "
                     "coefficients; no numeric embedding is available"
                 )
-            self._minpolys[step.name] = mp
+            self._minpolys[step.name] = _int_coeffs(mp)
         self._reset_ranges()
 
     def _reset_ranges(self):

@@ -5,11 +5,11 @@ geometry, four for the Diophantine-identity check). Both keep no zero
 coefficients and canonicalize on construction, so structural equality is
 semantic equality. The univariate toolkit (gcd, inversion modulo a
 polynomial, square-free test, Yun decomposition, rational roots, Sturm
-counts) together with substitution, exact division and resultants by
-evaluation and interpolation is everything the parametrization pipeline
-needs; there is deliberately no general factorization. It is the one
-univariate implementation: tower inversion and the square-free check on
-minimal polynomials run through it too.
+counts on one integer chain) together with substitution, exact division
+and resultants by evaluation and interpolation is everything the
+parametrization pipeline needs; there is deliberately no general
+factorization. It is the one univariate implementation: tower inversion
+and the square-free check on minimal polynomials run through it too.
 
 MultiPoly products and powers and ``substitute`` run on one packed-integer
 kernel (Kronecker substitution, ``_Kronecker``). Denominators are cleared,
@@ -29,6 +29,12 @@ the tower, so it is the Sylvester determinant over any tower.
 ``rational_roots`` isolates the real roots of the square-free part by integer
 bisection on one Sturm chain, so its cost does not grow with the divisors of
 the coefficients.
+
+Every real-root and signature decision (Sturm counts, rational roots, root
+isolation and refinement in ``numeric``, quadric signatures) runs on one
+integer core: ``_sturm_chain``, which ends at gcd(p, p') and so tests
+square-freeness too, ``_hsign``, a sign at a homogeneous point with
+``b = 0`` for +-infinity, and ``_sign_changes``.
 """
 
 from __future__ import annotations
@@ -837,20 +843,18 @@ def rational_roots(f: UniPoly) -> list:
 
     With ``ad`` the leading coefficient of the square-free part ``p`` over
     Z, every rational root ``r`` of ``p`` makes ``ad * r`` an integer root of
-    the monic ``ad^(d-1) p(s / ad)``. Those are isolated by integer bisection
-    on one Sturm chain, down to intervals (m - 1, m], and each such ``m`` is
-    tested by exact evaluation; each root found is then divided out of ``f``
-    as often as it goes.
+    the monic ``ad^(d-1) p(s / ad)``. Those are found by integer bisection
+    on one Sturm chain, each integer midpoint tested by exact evaluation;
+    each root found is then divided out of ``f`` as often as it goes.
     """
     if f.is_zero():
         raise InvalidInput("zero polynomial")
-    coeffs = f.rational_coeffs()
+    work = _int_coeffs(f)
     if f.is_constant():
         return []
-    low = min(coeffs)
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    work = [int(coeffs.get(e, 0) * den) for e in range(low, max(coeffs) + 1)]
-    sqf = _primitive(_divexact(work, _gcd_int(work, _derivative_int(work))))[1]
+    low = next(k for k, c in enumerate(work) if c)
+    work = work[low:]
+    sqf = _primitive(_divexact(work, _sturm_chain(work)[-1]))[1]
     if sqf[-1] < 0:
         sqf = [-c for c in sqf]
     ad, d = sqf[-1], len(sqf) - 1
@@ -865,58 +869,26 @@ def rational_roots(f: UniPoly) -> list:
 
 
 def _integer_roots(p: list) -> list:
-    """Integer roots of a monic square-free integer polynomial, by integer
-    bisection of (-B, B] with one Sturm chain; B bounds the roots (Fujiwara)."""
+    """Integer roots of a monic square-free integer polynomial, by bisection
+    of (-B, B) on one Sturm chain, B a strict root bound (Fujiwara), down to
+    intervals without an integer inside; each integer midpoint is tested by
+    exact evaluation."""
     if len(p) < 2:
         return []
     d = len(p) - 1
     B = 2 << max(-(-abs(c).bit_length() // (d - k)) for k, c in enumerate(p[:-1]))
-    chain = [p, _derivative_int(p)]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        r = _prem(a, b)
-        if b[-1] > 0 or (len(a) - len(b)) % 2:
-            r = [-x for x in r]  # -rem(a, b) times a positive factor
-        chain.append(_primitive(r)[1])
-
-    def variations(x: int) -> int:
-        out, last = 0, 0
-        for q in chain:
-            v = _horner_int(q, x)
-            if v:
-                if last and (v > 0) != (last > 0):
-                    out += 1
-                last = v
-        return out
-
+    chain = _sturm_chain(p)
     found = []
-    stack = [(-B, B, variations(-B), variations(B))]
+    stack = [(-B, B)]
     while stack:
-        lo, hi, vlo, vhi = stack.pop()
-        if vlo == vhi:
-            continue  # no root in (lo, hi]
-        if hi - lo == 1:
-            if not _horner_int(p, hi):
-                found.append(hi)
+        lo, hi = stack.pop()
+        if hi - lo < 2 or not _sturm_count(chain, (lo, 1), (hi, 1)):
             continue
         mid = (lo + hi) // 2
-        vmid = variations(mid)
-        stack.append((lo, mid, vlo, vmid))
-        stack.append((mid, hi, vmid, vhi))
+        if not _hsign(p, mid, 1):
+            found.append(mid)
+        stack += [(lo, mid), (mid, hi)]
     return found
-
-
-def _sign_at(f: UniPoly, x) -> int:
-    """Sign of a rational-coefficient polynomial at a rational point or +-infinity
-    (x=None means +inf, x is the string '-inf' for -inf)."""
-    if f.is_zero():
-        return 0
-    if x is None:
-        return f.lc().sign()
-    if x == "-inf":
-        s = f.lc().sign()
-        return s if int(f.degree) % 2 == 0 else -s
-    return f.eval_at(x).sign()
 
 
 def sturm_real_root_count(f: UniPoly, interval: tuple = (None, None)) -> int:
@@ -928,31 +900,16 @@ def sturm_real_root_count(f: UniPoly, interval: tuple = (None, None)) -> int:
         raise InvalidInput("Sturm counting needs rational coefficients")
     if f.is_constant():
         return 0
-    if not is_squarefree(f):
-        raise InvalidInput("input must be square-free (deflate first)")
+    chain = _squarefree_chain(_int_coeffs(f))
     lo, hi = interval
     if lo is not None and hi is not None:
         if lo > hi:
             raise InvalidInput("empty interval: lo > hi")
         if lo == hi:
             return 0
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero() and not chain[-1].is_constant():
-        _, r = chain[-2].divmod(chain[-1])
-        chain.append(-r)
-    if chain[-1].is_zero():
-        chain.pop()
-
-    def variations(point) -> int:
-        signs = [s for s in (_sign_at(p, point) for p in chain) if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    v_lo = variations("-inf" if lo is None else lo)
-    v_hi = variations(None if hi is None else hi)
-    count = v_lo - v_hi
-    if hi is not None and f.eval_at(hi).is_zero():
-        count -= 1  # Sturm counts (lo, hi]; the interval is open
-    return count
+    lo = (-1, 0) if lo is None else Fraction(lo).as_integer_ratio()
+    hi = (1, 0) if hi is None else Fraction(hi).as_integer_ratio()
+    return _sturm_count(chain, lo, hi)
 
 
 # -- substitution, exact division, resultants -------------------------------------
@@ -1232,6 +1189,60 @@ def _prs_resultant(a: list, b: list) -> int:
     return s * t * (h * b[0] ** da // h ** da)
 
 
+def _int_coeffs(f: UniPoly) -> list:
+    """The rational polynomial f times the lcm of its denominators."""
+    coeffs = f.rational_coeffs()
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return [int(coeffs.get(e, 0) * den) for e in range(max(coeffs) + 1)]
+
+
+def _sturm_chain(p: list) -> list:
+    """Sturm chain of p: p, p', then each next entry -rem of the two before,
+    all up to positive factors and made primitive after p. It ends at
+    gcd(p, p') up to sign, so p is square-free when the last entry is a
+    constant."""
+    chain, r = [p], _derivative_int(p)
+    while r:
+        chain.append(_primitive(r)[1])
+        a, b = chain[-2], chain[-1]
+        r = _prem(a, b)
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            r = [-x for x in r]  # -rem(a, b) times a positive factor
+    return chain
+
+
+def _squarefree_chain(p: list) -> list:
+    """The Sturm chain of p; InvalidInput unless p is square-free."""
+    chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:
+        raise InvalidInput("input must be square-free (deflate first)")
+    return chain
+
+
+def _hsign(p: list, a: int, b: int) -> int:
+    """Sign of p at a / b for b > 0, at +inf for (1, 0) and at -inf for
+    (-1, 0): the sign of the homogeneous sum of p_k a^k b^(deg p - k)."""
+    acc, bk = 0, 1
+    for c in reversed(p):
+        acc = acc * a + c * bk
+        bk *= b
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_changes(values) -> int:
+    """Sign changes along a sequence of numbers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _sturm_count(chain: list, lo: tuple, hi: tuple) -> int:
+    """Distinct real roots of the square-free ``chain[0]`` in the open
+    interval between the points ``lo`` and ``hi`` given as for ``_hsign``.
+    The sign changes at lo less those at hi count the roots in (lo, hi]."""
+    at_hi = [_hsign(q, *hi) for q in chain]
+    return _sign_changes(_hsign(q, *lo) for q in chain) - _sign_changes(at_hi) - (not at_hi[0])
+
+
 def _horner_int(p: list, x: int) -> int:
     acc = 0
     for c in reversed(p):
@@ -1241,15 +1252,6 @@ def _horner_int(p: list, x: int) -> int:
 
 def _derivative_int(p: list) -> list:
     return [k * c for k, c in enumerate(p) if k]
-
-
-def _gcd_int(a: list, b: list) -> list:
-    """A gcd in Z[t] up to sign, by the primitive PRS; b may be zero."""
-    while b:
-        a, b = b, _prem(a, b)
-        if b:
-            b = _primitive(b)[1]
-    return _primitive(a)[1]
 
 
 def _divexact(a: list, b: list) -> list:

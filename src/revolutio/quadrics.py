@@ -2,21 +2,24 @@
 
 The class is read off the ranks and absolute signatures of the 4x4
 homogeneous matrix and its quadratic-part 3x3 block, both computed
-exactly: ranks from trailing zeros of the characteristic polynomial,
-signatures by Descartes' rule (legitimate because symmetric matrices have
-real spectra). Witness construction is deliberately limited to diagonal
-quadratic parts, which covers every canonical representative at zero
-radical cost; verdicts need no witness and work for any quadric.
+exactly from the characteristic polynomial of the matrix scaled to
+integers (Faddeev-LeVerrier over Z): ranks from its trailing zeros,
+signatures from its sign changes by Descartes' rule (legitimate because
+symmetric matrices have real spectra). Witness construction is
+deliberately limited to diagonal quadratic parts, which covers every
+canonical representative at zero radical cost; verdicts need no witness
+and work for any quadric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .complexparam import SurfaceParam, tower_sqrt
 from .errors import InternalInvariant, InvalidInput, NotPolynomial, Unsupported
-from .poly import MultiPoly
+from .poly import MultiPoly, _sign_changes
 from .realparam import one_sheet_components, sphere_witness, two_sheet_components
 from .tower import QQ
 
@@ -108,36 +111,30 @@ def quadric_matrices(F: MultiPoly):
 
 
 def _charpoly(a) -> list:
-    """Coefficients [1, c1, ..., cn] of det(tI - A) via Faddeev-LeVerrier."""
+    """Coefficients [1, c1, ..., cn] of det(tI - A) for an integer matrix A,
+    by Faddeev-LeVerrier; the divisions are exact, as every c_k is an
+    integer."""
     n = len(a)
-    m = [[Fraction(0)] * n for _ in range(n)]
-    coeffs = [Fraction(1)]
-    c = Fraction(1)
+    m = [[0] * n for _ in range(n)]
+    coeffs = [1]
     for k in range(1, n + 1):
         for i in range(n):
-            m[i][i] += c
+            m[i][i] += coeffs[-1]
         m = [[sum(a[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
-        c = -sum(m[i][i] for i in range(n)) / k
-        coeffs.append(c)
+        coeffs.append(-sum(m[i][i] for i in range(n)) // k)
     return coeffs
 
 
 def _eigen_sign_counts(a) -> tuple:
     """(positive, negative, zero) eigenvalue counts of a symmetric rational
-    matrix, by Descartes' rule on the characteristic polynomial."""
-    coeffs = _charpoly(a)
-    n = len(a)
-    zero = 0
-    while zero < n and coeffs[n - zero] == 0:
-        zero += 1
-    seq = [c for c in coeffs if c != 0]
-    pos = sum(1 for x, y in zip(seq, seq[1:]) if (x > 0) != (y > 0))
-    seq_neg = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        seq_neg.append(c * ((-1) ** i))
-    neg = sum(1 for x, y in zip(seq_neg, seq_neg[1:]) if (x > 0) != (y > 0))
+    matrix, by Descartes' rule, exact on a real-rooted polynomial, on the
+    characteristic polynomial of the integer matrix ``den * a``: a positive
+    scale keeps every eigenvalue's sign."""
+    den = lcm(*(q.denominator for row in a for q in row))
+    coeffs = _charpoly([[q.numerator * (den // q.denominator) for q in row] for row in a])
+    zero = len(coeffs) - 1 - max(k for k, c in enumerate(coeffs) if c)
+    pos = _sign_changes(coeffs)
+    neg = _sign_changes(-c if k % 2 else c for k, c in enumerate(coeffs))
     return pos, neg, zero
 
 

@@ -1,11 +1,15 @@
 """Command-line surface: subcommands, JSON output, exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from revolutio.cli import main
 from revolutio.profile import surface_implicit
@@ -64,6 +68,25 @@ class TestAnalyze:
         ids=["linear_axis", "cubic_axis"],
     )
     def test_p2_double_cover_fiber(self, capsys, p2):
+        code, doc = run_cli(capsys, "analyze", "--p2", *p2)
+        assert code == 0
+        rv = doc["real_verdict"]
+        assert rv["code"] == "REAL_NONPROPER_DOUBLE_COVER"
+        assert rv["fiber_count"] == 2
+
+    @pytest.mark.parametrize(
+        "p2",
+        [
+            # the double-cover witness takes sqrt(9/8) over QQ(sqrt 2)
+            ("3*t^3+2*t^4", " -2+2*t-t^2+3*t^3"),
+            # and this one sqrt(1/2) over QQ(sqrt 2)
+            ("2*t^3+2*t^4", " -5-2*t"),
+        ],
+        ids=["sqrt_9_8", "sqrt_1_2"],
+    )
+    def test_square_root_in_the_tower_already(self, capsys, p2):
+        # a rational square multiple of an adjoined sqrt(r) once became a second
+        # generator, the tower reducible, and the fiber count an internal error
         code, doc = run_cli(capsys, "analyze", "--p2", *p2)
         assert code == 0
         rv = doc["real_verdict"]
@@ -331,3 +354,30 @@ def test_huge_constant_term_within_budget(p2):
     assert time.perf_counter() - start < budget
     assert proc.returncode in (0, 2, 3)
     json.loads(proc.stdout)
+
+
+def _poly_text(coeffs: list) -> str:
+    """Integer coefficients, constant term first, as CLI text in t; the
+    leading space keeps argparse from reading a leading minus as a flag."""
+    terms = "+".join(f"{c}*t^{k}" for k, c in enumerate(coeffs) if c)
+    return " " + (terms.replace("+-", "-") or "0")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    x=st.lists(st.integers(-5, 5), min_size=1, max_size=7).map(_poly_text),
+    b=st.lists(st.integers(-5, 5), min_size=1, max_size=5).map(_poly_text),
+)
+@example(x="3*t^3+2*t^4", b=" -2+2*t-t^2+3*t^3")
+@example(x="2*t^3+2*t^4", b=" -5-2*t")
+def test_analyze_p2_exit_contract(x, b):
+    # any profile square x^2 + y^2 = X(t), z = B(t) with small integer
+    # coefficients ends in a report (0), a user error (2) or a refusal (3),
+    # as JSON, within budget
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(["analyze", "--p2", x, b])
+    assert time.perf_counter() - start < 10.0
+    assert code in (0, 2, 3), (x, b, out.getvalue())
+    assert "schema" in json.loads(out.getvalue())

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from revolutio import (
+    QQ,
     DegenerateProfile,
     InvalidInput,
     MultiPoly,
@@ -24,6 +25,7 @@ from revolutio import (
     sphere_witness,
     substitute,
     surface_implicit,
+    tower_sqrt,
     tubular_lift,
     tubular_polynomial_param,
     tubularize,
@@ -251,6 +253,23 @@ class TestCylinderRoute:
         d = decompose_paa(PlaneCurveParam.polynomial(2 * (t ** 2 - 3) ** 2, t))
         s = cylinder_case_param(d)
         assert verify_on_surface(s, surface_implicit(d)).on_surface
+
+
+class TestTowerSqrt:
+    def test_rational_square_multiple_adds_no_step(self):
+        # 9/8 = (3/4)^2 * 2: sqrt(9/8) is (3/4) sqrt(2), already in QQ(sqrt 2);
+        # a second generator would make the tower reducible
+        root2, tower = tower_sqrt(QQ, Fraction(2))
+        root, got = tower_sqrt(tower, Fraction(9, 8))
+        assert got == tower
+        assert root == Fraction(3, 4) * root2
+        assert root * root == got.rational(Fraction(9, 8))
+
+    def test_fresh_generator_for_a_new_square_class(self):
+        _, tower = tower_sqrt(QQ, Fraction(2))
+        root, got = tower_sqrt(tower, Fraction(3))
+        assert [s.name for s in got.steps] == ["sqrt(2)", "sqrt(3)"]
+        assert root * root == got.rational(3)
 
 
 class TestRotateCurve:

@@ -74,6 +74,30 @@ def test_isolation_counts_and_separates():
     assert any(lo == hi == 0 for lo, hi in ivs)  # exact rational root at 0
 
 
+def test_isolation_against_sympy():
+    # non-monic, irrational roots; a root at 0 is the first bisection midpoint,
+    # so the exact (mid, mid) branch is taken
+    import random
+
+    from test_poly import random_squarefree_real, sympy_open_count
+
+    rng = random.Random(2027)
+    exact = 0
+    for _ in range(60):
+        f, poly, _ = random_squarefree_real(rng)
+        ivs = isolate_real_roots(f)
+        assert len(ivs) == poly.count_roots()
+        for (lo, hi), (next_lo, _) in zip(ivs, ivs[1:]):
+            assert hi <= next_lo
+        for lo, hi in ivs:
+            if lo == hi:
+                exact += 1
+                assert f.eval_at(lo).is_zero()
+            else:
+                assert sympy_open_count(poly, lo, hi) == 1
+    assert exact > 5
+
+
 def test_tolerance_positive():
     with pytest.raises(InvalidInput):
         numeric_eval(Fraction(1), tol=0)

@@ -110,6 +110,48 @@ def _random_dense(rng, degree, monic=False):
     return dense + [Fraction(1) if monic else Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))]
 
 
+def random_squarefree_real(rng):
+    """A square-free, non-monic rational polynomial with irrational real
+    roots, plus its rational roots. Factors: c t^2 + e t - n (real roots,
+    irrational unless e^2 + 4 c n is a square), q t - r, t (a root at 0,
+    the first bisection midpoint) and t^2 + e t + n without real roots;
+    products with a repeated factor are drawn again."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("t")
+    while True:
+        f = UniPoly.constant("t", Fraction(rng.choice((-7, -3, 2, 5)), rng.choice((1, 3, 4))))
+        roots = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                f = f * (rng.randint(1, 4) * t ** 2 + rng.randint(-3, 3) * t - rng.choice((2, 3, 5, 7)))
+            elif kind == 1:
+                q, r = rng.randint(1, 3), rng.randint(-6, 6)
+                f = f * (q * t - r)
+                roots.append(Fraction(r, q))
+            elif kind == 2:
+                f = f * t
+                roots.append(Fraction(0))
+            else:
+                f = f * (t ** 2 + rng.randint(-3, 3) * t + rng.randint(3, 9))
+        sf = _sympy_poly(f.to_multi(), {"t": x})
+        if sympy.degree(sympy.gcd(sf, sympy.diff(sf, x)), x) == 0:
+            return f, sympy.Poly(sf, x), roots
+
+
+def sympy_open_count(poly, lo, hi):
+    """Real roots of a sympy Poly in the open interval (lo, hi), None for
+    an infinite end; count_roots counts the closed interval."""
+    import sympy
+
+    if lo is not None and lo == hi:
+        return 0
+    lo_s = None if lo is None else sympy.Rational(lo.numerator, lo.denominator)
+    hi_s = None if hi is None else sympy.Rational(hi.numerator, hi.denominator)
+    ends = [e for e in (lo_s, hi_s) if e is not None and poly.eval(e) == 0]
+    return poly.count_roots(lo_s, hi_s) - len(ends)
+
+
 class TestInvertMod:
     def test_coprime_against_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -285,6 +327,31 @@ class TestSturm:
         assert sturm_real_root_count(f, (Fraction(1), Fraction(1))) == 0
         with pytest.raises(InvalidInput):
             sturm_real_root_count(f, (Fraction(2), Fraction(1)))
+
+    def test_against_sympy(self):
+        # non-monic, irrational roots, and interval ends that are roots
+        import random
+
+        rng = random.Random(2026)
+        at_root = 0
+        for _ in range(60):
+            f, poly, roots = random_squarefree_real(rng)
+            for _ in range(4):
+                ends = []
+                for _ in range(2):
+                    pick = rng.random()
+                    if pick < 0.2:
+                        ends.append(None)
+                    elif pick < 0.5 and roots:
+                        ends.append(rng.choice(roots))
+                    else:
+                        ends.append(Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 8))))
+                lo, hi = ends
+                if lo is not None and hi is not None and lo > hi:
+                    lo, hi = hi, lo
+                at_root += any(e in roots for e in (lo, hi))
+                assert sturm_real_root_count(f, (lo, hi)) == sympy_open_count(poly, lo, hi)
+        assert at_root > 20
 
     def test_zero_degree_marker(self):
         assert UniPoly.zero("t").degree == float("-inf")

@@ -74,6 +74,39 @@ class TestClassification:
             assert classify_quadric(-F) == label
 
 
+class TestEigenSignCounts:
+    def test_against_sympy(self):
+        # random symmetric rational 3x3 and 4x4 matrices, half of them
+        # singular (P^T D P with zeros in D), against the signs of sympy's
+        # exact real roots of the characteristic polynomial
+        sympy = pytest.importorskip("sympy")
+        from revolutio.quadrics import _eigen_sign_counts
+
+        rng = random.Random(4411)
+        lam = sympy.Symbol("lam")
+        singular = 0
+        for _ in range(40):
+            n = rng.choice((3, 4))
+            if rng.random() < 0.5:
+                p = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+                d = [Fraction(rng.choice((0, 0, -2, 1, 3)), rng.choice((1, 2, 5))) for _ in range(n)]
+                a = [[sum(p[k][i] * d[k] * p[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+            else:
+                a = [[Fraction(0)] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        a[i][j] = a[j][i] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+            m = sympy.Matrix(n, n, lambda i, j: sympy.Rational(a[i][j].numerator, a[i][j].denominator))
+            eig = sympy.Poly(m.charpoly(lam).as_expr(), lam).real_roots()
+            assert len(eig) == n
+            signs = [1 if e.is_positive else -1 if e.is_negative else 0 for e in eig]
+            assert all(s or e.is_zero for s, e in zip(signs, eig))
+            want = (signs.count(1), signs.count(-1), signs.count(0))
+            singular += want[2] > 0
+            assert _eigen_sign_counts(a) == want
+        assert singular > 10
+
+
 class TestVerdicts:
     def test_golden_table_verbatim(self):
         for label, (over_c, over_r) in GOLDEN_TABLE.items():

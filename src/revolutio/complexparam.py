@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import combinations
+from math import isqrt, prod
 
 from .errors import (
     DegenerateProfile,
@@ -134,9 +135,10 @@ def tower_sqrt(tower: ExtensionTower, q: Fraction):
 
     Positive non-squares get a fresh generator with the positive root as
     the recorded embedding, unless ``q`` is a rational square times the
-    radicand of a ``sqrt`` step already present: then sqrt(q) is a rational
-    multiple of that generator, and a second one would make the tower
-    reducible. Negative values factor through i.
+    product of the radicands of some ``sqrt`` steps already present: then
+    sqrt(q) is a rational multiple of the product of their generators, and
+    a new one would make the tower reducible. Negative values factor
+    through i.
     """
     q = Fraction(q)
     if q == 0:
@@ -148,11 +150,12 @@ def tower_sqrt(tower: ExtensionTower, q: Fraction):
     r = _is_rational_square(q)
     if r is not None:
         return tower.rational(r), tower
-    for s in tower.steps:
-        if s.name.startswith("sqrt("):
-            r = _is_rational_square(q / -s.minpoly[0].as_rational())
+    radicals = [(s.name, -s.minpoly[0].as_rational()) for s in tower.steps if s.name.startswith("sqrt(")]
+    for k in range(1, len(radicals) + 1):
+        for subset in combinations(radicals, k):
+            r = _is_rational_square(q / prod(radicand for _, radicand in subset))
             if r is not None:
-                return tower.gen(s.name) * r, tower
+                return prod(tower.gen(name) for name, _ in subset) * r, tower
     name = f"sqrt({q})"
     tower = tower.extend(name, [-q, 0, 1], embedding=(Fraction(0), q + 1))
     return tower.gen(name), tower

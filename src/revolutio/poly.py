@@ -21,7 +21,8 @@ product is reduced at once with the tower's basis products
 (``ExtensionTower.basis_products``), and only the final result is unpacked
 into FieldElements.
 
-Resultants and rational roots run on dense lists of plain ints as well.
+Resultants, rational roots and square-free decompositions run on dense lists
+of plain ints as well.
 ``resultant_eliminate`` clears denominators and makes each tower generator
 one more variable of an integer polynomial; evaluation, Newton interpolation
 and the subresultant PRS stay in Z, and only the result is reduced through
@@ -29,6 +30,8 @@ the tower, so it is the Sylvester determinant over any tower.
 ``rational_roots`` isolates the real roots of the square-free part by integer
 bisection on one Sturm chain, so its cost does not grow with the divisors of
 the coefficients.
+``squarefree_decompose`` runs Yun's algorithm on the primitive integer
+multiple of its input, with primitive-PRS gcds and exact divisions in Z[t].
 
 Every real-root and signature decision (Sturm counts, rational roots, root
 isolation and refinement in ``numeric``, quadric signatures) runs on one
@@ -42,6 +45,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -805,29 +809,35 @@ class SquareFreeDecomposition:
 
 
 def squarefree_decompose(f: UniPoly) -> SquareFreeDecomposition:
-    """Yun's algorithm over Q; multiplicities come out strictly increasing."""
+    """Yun's algorithm (Yun 1976) on the primitive integer multiple of f;
+    multiplicities come out strictly increasing.
+
+    Every gcd is a primitive PRS gcd and every quotient an exact division
+    in Z[t]: b and d always carry the same rational scale, so Yun's
+    recurrence d = d / a - b' holds as over Q. Only the factors found are
+    made monic, at the end.
+    """
     if f.is_zero():
         raise InvalidInput("cannot decompose the zero polynomial")
     if not f.is_rational_poly():
         raise InvalidInput("square-free decomposition is restricted to rational coefficients")
     content = f.lc().as_rational()
-    fm = f.monic()
-    if fm.is_constant():
-        return SquareFreeDecomposition(content, [])
-    df = fm.derivative()
-    g = gcd_unipoly(fm, df)
-    b = fm.divmod(g)[0]
-    c = df.divmod(g)[0]
-    d = c - b.derivative()
     factors = []
+    if f.is_constant():
+        return SquareFreeDecomposition(content, factors)
+    p = _primitive(_int_coeffs(f))[1]
+    dp = _derivative_int(p)
+    g = _gcd_int(p, dp)
+    b = _divexact(p, g)
+    d = _sub_int(_divexact(dp, g), _derivative_int(b))
     i = 1
-    while not b.is_constant():
-        a = gcd_unipoly(b, d)
-        if not a.is_constant():
-            factors.append((a, i))
-        b = b.divmod(a)[0]
-        c = d.divmod(a)[0]
-        d = c - b.derivative()
+    while len(b) > 1:
+        a = _gcd_int(b, d)
+        if len(a) > 1:
+            monic = {k: Fraction(c, a[-1]) for k, c in enumerate(a) if c}
+            factors.append((UniPoly(f.var, monic, f.tower), i))
+        b = _divexact(b, a)
+        d = _sub_int(_divexact(d, a), _derivative_int(b))
         i += 1
     return SquareFreeDecomposition(content, factors)
 
@@ -1162,6 +1172,18 @@ def _primitive(a: list) -> tuple:
     return c, [x // c for x in a]
 
 
+def _gcd_int(a: list, b: list) -> list:
+    """gcd(a, b) in Z[t], primitive and up to sign, by the primitive PRS;
+    gcd(a, 0) is the primitive part of a. Not both may be zero."""
+    if len(a) < len(b):
+        a, b = b, a
+    a = _primitive(a)[1]
+    while b:
+        b = _primitive(b)[1]
+        a, b = b, _prem(a, b)
+    return a
+
+
 def _prs_resultant(a: list, b: list) -> int:
     """Res(a, b) of integer lists with nonzero leading entries, by the
     subresultant PRS (Brown & Traub 1971; Cohen, *A Course in Computational
@@ -1252,6 +1274,14 @@ def _horner_int(p: list, x: int) -> int:
 
 def _derivative_int(p: list) -> list:
     return [k * c for k, c in enumerate(p) if k]
+
+
+def _sub_int(a: list, b: list) -> list:
+    """a - b, trailing zeros dropped."""
+    r = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 def _divexact(a: list, b: list) -> list:

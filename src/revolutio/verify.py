@@ -10,6 +10,14 @@ nonzero as a polynomial, and fiber cardinality is counted by resultant
 elimination plus gcd degrees over quotient towers (splitting on zero
 divisors, so the count is exact even when the eliminant does not factor
 over Q).
+
+Dominance is proved by exact evaluation, never by expanding the minors.
+A minor has degree at most d_u in u and d_v in v (twice the largest
+component degree, less one), and each of its power-basis components is a
+rational polynomial; a polynomial of those degrees that vanishes on a
+(d_u + 1) x (d_v + 1) grid is zero (the grid form of the Schwartz-Zippel
+lemma). So the rank is 2 exactly when some minor is nonzero at some point
+of the grid {1..d_u+1} x {1..d_v+1}, over any tower, reducible or not.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .poly import (
     squarefree_part,
     substitute,
 )
-from .tower import ExtensionTower, join_towers
+from .tower import ExtensionTower, FieldElement, join_towers
 
 
 class _Indeterminate:
@@ -79,23 +87,67 @@ def verify_on_surface(s, F: MultiPoly) -> VerificationReport:
     )
 
 
-def _jacobian_minors(s) -> list:
+UV = ("u", "v")
+
+#: The index pairs of the three 2x2 minors of the 3x2 Jacobian.
+_MINORS = ((0, 1), (0, 2), (1, 2))
+
+
+def _uv_components(s) -> tuple:
     comps = s.components if hasattr(s, "components") else tuple(s)
-    du = [c.partial_derivative("u") for c in comps]
-    dv = [c.partial_derivative("v") for c in comps]
-    return [du[i] * dv[j] - du[j] * dv[i] for i, j in ((0, 1), (0, 2), (1, 2))]
+    return tuple(c if c.vars == UV else c.with_vars(UV) for c in comps)
+
+
+def _gradient_at(c: MultiPoly, u0, v0) -> tuple:
+    """(dc/du, dc/dv) at the rational point (u0, v0), as FieldElements over
+    c's tower: each term adds e * u0^(e-1) * v0^f times its coefficient's
+    power-basis entries, and no partial derivative is formed."""
+    du, dv = c._degrees()
+    pu = [u0 ** k for k in range(du + 1)]
+    pv = [v0 ** k for k in range(dv + 1)]
+    gu: dict = {}
+    gv: dict = {}
+    for (a, b), coeff in c.terms.items():
+        if a:
+            w = a * pu[a - 1] * pv[b]
+            for key, q in coeff.terms.items():
+                gu[key] = gu.get(key, 0) + w * q
+        if b:
+            w = b * pu[a] * pv[b - 1]
+            for key, q in coeff.terms.items():
+                gv[key] = gv.get(key, 0) + w * q
+    return tuple(
+        FieldElement(c.tower, {k: q for k, q in g.items() if q}, reduce=False)
+        for g in (gu, gv)
+    )
+
+
+def _minors_vanish(grads) -> bool:
+    """Whether all three 2x2 minors vanish, given the components' gradients
+    at one point."""
+    return all(
+        (grads[i][0] * grads[j][1] - grads[j][0] * grads[i][1]).is_zero() for i, j in _MINORS
+    )
 
 
 def jacobian_generic_rank(s) -> int:
     """2 if some 2x2 minor is nonzero, 1 if the Jacobian is nonzero with all
-    minors zero, 0 for a constant map."""
-    comps = s.components if hasattr(s, "components") else tuple(s)
-    if any(not m.is_zero() for m in _jacobian_minors(s)):
-        return 2
-    for c in comps:
-        if not c.partial_derivative("u").is_zero() or not c.partial_derivative("v").is_zero():
-            return 1
-    return 0
+    minors zero, 0 for a constant map.
+
+    The minors are evaluated on the grid {1..d_u+1} x {1..d_v+1} (u = 0 is
+    often singular for these witnesses); when they vanish on all of it
+    they are zero polynomials, and a partial derivative is nonzero exactly
+    when some term has a positive exponent in its variable.
+    """
+    comps = _uv_components(s)
+    degs = [c._degrees() for c in comps]
+    d_u = 2 * max(d[0] for d in degs) - 1
+    d_v = 2 * max(d[1] for d in degs) - 1
+    for u0 in range(1, d_u + 2):
+        for v0 in range(1, d_v + 2):
+            if not _minors_vanish([_gradient_at(c, u0, v0) for c in comps]):
+                return 2
+    return 1 if any(any(key) for c in comps for key in c.terms) else 0
 
 
 def fiber_count(s, sample) -> object:
@@ -107,12 +159,11 @@ def fiber_count(s, sample) -> object:
     Distinct solutions only; multiplicity is not counted.
     """
     u0, v0 = (Fraction(sample[0]), Fraction(sample[1]))
-    comps = s.components if hasattr(s, "components") else tuple(s)
+    comps = _uv_components(s)
     tower = comps[0].tower
     for c in comps[1:]:
         tower = join_towers(tower, c.tower)
-    vals = [m.eval_at({"u": u0, "v": v0}) for m in _jacobian_minors(s)]
-    if all(v.is_zero() for v in vals):
+    if _minors_vanish([_gradient_at(c, u0, v0) for c in comps]):
         raise InvalidInput("sample lies on the Jacobian's vanishing locus")
     eqs = []
     for c in comps:

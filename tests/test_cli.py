@@ -152,6 +152,22 @@ class TestAnalyze:
         assert doc["error"]["code"] == "INVALID_INPUT"
 
 
+def test_usage_errors_repeat_byte_identically(capsys):
+    # main() reuses one parser: a usage error must leave nothing behind in it
+    from revolutio.cli import build_parser
+
+    def stderr_of(parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    fresh = build_parser().parse_args
+    for argv in (["analyze"], ["analyze"], ["mesh", "--grid", "x"]):
+        assert stderr_of(main, argv) == stderr_of(fresh, argv)
+    assert stderr_of(main, ["analyze"]) == stderr_of(main, ["analyze"]) != ""
+
+
 def _count_calls(monkeypatch, fn):
     """Wrap fn under every revolutio module name that holds it; the list of its calls."""
     calls = []

@@ -271,6 +271,18 @@ class TestTowerSqrt:
         assert [s.name for s in got.steps] == ["sqrt(2)", "sqrt(3)"]
         assert root * root == got.rational(3)
 
+    def test_product_of_radicands_adds_no_step(self):
+        # sqrt(6) = sqrt(2) sqrt(3): a third generator would make the tower
+        # reducible, since x^2 - 6 splits over QQ(sqrt 2, sqrt 3)
+        root2, tower = tower_sqrt(QQ, Fraction(2))
+        root3, tower = tower_sqrt(tower, Fraction(3))
+        root, got = tower_sqrt(tower, Fraction(6))
+        assert got.height == 2
+        assert root == root2.lift_to(got) * root3
+        assert root * root == got.rational(6)
+        root, got = tower_sqrt(tower, Fraction(27, 2))  # (3/2)^2 * 2 * 3
+        assert got.height == 2 and root * root == got.rational(Fraction(27, 2))
+
 
 class TestRotateCurve:
     def test_vertical_line(self):

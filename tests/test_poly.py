@@ -247,6 +247,35 @@ class TestSquarefreeDecompose:
         assert d.content == -1
         assert d.reconstruct() == 1 - t ** 2
 
+    def test_against_sympy_sqf_list(self):
+        # content, monic factors and multiplicities up to 5, with negative and
+        # non-integer leading coefficients and zero constant terms
+        sympy = pytest.importorskip("sympy")
+        import random
+
+        rng = random.Random(1106)
+        x = sympy.Symbol("t")
+        mults = set()
+        for _ in range(60):
+            f = UniPoly.constant("t", Fraction(rng.choice((-7, -3, -1, 1, 2, 5)), rng.choice((1, 2, 3, 9))))
+            for _ in range(rng.randint(0, 3)):
+                f = f * from_dense(_random_dense(rng, rng.randint(1, 3))) ** rng.randint(1, 5)
+            if rng.random() < 0.3:
+                f = f * t ** rng.randint(1, 3)
+            d = squarefree_decompose(f)
+            assert d.reconstruct() == f
+            sf = sympy.Poly(_sympy_poly(f.to_multi(), {"t": x}), x, domain="QQ")
+            lc = sf.LC()
+            assert d.content == Fraction(int(lc.p), int(lc.q))
+            expected = [
+                ([Fraction(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs())], m)
+                for g, m in sf.sqf_list()[1]
+            ]
+            got = [([fac.coeff(e).as_rational() for e in range(fac.degree + 1)], m) for fac, m in d.factors]
+            assert got == expected
+            mults.update(m for _, m in d.factors)
+        assert {1, 2, 3, 4, 5} <= mults
+
 
 class TestRationalRoots:
     def test_cube(self):

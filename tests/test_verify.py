@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from revolutio import (
+    QQ,
     InvalidInput,
     MultiPoly,
     SurfaceParam,
@@ -75,6 +76,92 @@ class TestJacobianRank:
             vv = c * u + d * v + f
             comps = [substitute(cmp_, {"u": uu, "v": vv}) for cmp_ in base]
             assert jacobian_generic_rank(make(comps)) == 2
+
+
+def oracle_rank(s) -> int:
+    """The generic Jacobian rank from the symbolic 2x2 minors."""
+    du = [c.partial_derivative("u") for c in s.components]
+    dv = [c.partial_derivative("v") for c in s.components]
+    if any(not (du[i] * dv[j] - du[j] * dv[i]).is_zero() for i, j in ((0, 1), (0, 2), (1, 2))):
+        return 2
+    return 1 if any(not d.is_zero() for d in du + dv) else 0
+
+
+def minors_at(s, point) -> list:
+    du = [c.partial_derivative("u") for c in s.components]
+    dv = [c.partial_derivative("v") for c in s.components]
+    at = {"u": point[0], "v": point[1]}
+    return [(du[i] * dv[j] - du[j] * dv[i]).eval_at(at) for i, j in ((0, 1), (0, 2), (1, 2))]
+
+
+class TestRankCertificate:
+    """The grid evaluation of jacobian_generic_rank against the symbolic minors."""
+
+    def test_rank_two_with_every_minor_zero_at_the_first_grid_point(self):
+        s = make([(u - 1) ** 2, (v - 1) ** 2, u + v])
+        assert all(m.is_zero() for m in minors_at(s, (1, 1)))
+        assert oracle_rank(s) == jacobian_generic_rank(s) == 2
+
+    def test_rank_one_in_both_variables(self):
+        w = u + 2 * v
+        s = make([w, w ** 2 - 1, 3 * w ** 3 + w])
+        assert oracle_rank(s) == jacobian_generic_rank(s) == 1
+
+    def test_rotated_axis_is_rank_one(self):
+        zero = MultiPoly.zero(("u", "v"))
+        s = make([zero, zero, v])
+        assert oracle_rank(s) == jacobian_generic_rank(s) == 1
+
+    def test_rank_zero(self):
+        s = make([0, Fraction(1, 2), -7])
+        assert oracle_rank(s) == jacobian_generic_rank(s) == 0
+
+    def test_reducible_tower_minor_with_a_zero_divisor_factor(self):
+        # QQ[a]/(a^2 - 1) is QQ x QQ; the only nonzero minor is (a - 1) u,
+        # zero on the factor a = 1 and nonzero on a = -1
+        tw = QQ.extend("a", [-1, 0, 1])
+        a = tw.gen("a")
+        s = make([u, (a - 1) * u * v + u, MultiPoly.constant(a, ("u", "v"))])
+        minors = minors_at(s, (1, 1))
+        assert minors[1].is_zero() and minors[2].is_zero()
+        assert not minors[0].is_zero() and (minors[0] * (a + 1)).is_zero()
+        assert oracle_rank(s) == jacobian_generic_rank(s) == 2
+        # (a - 1)(a + 1) = 0 in this ring, so this map has rank 1
+        s = make([u, (a - 1) * (a + 1) * v, MultiPoly.constant(a, ("u", "v"))])
+        assert oracle_rank(s) == jacobian_generic_rank(s) == 1
+
+    def test_random_maps_against_the_symbolic_minors(self):
+        rng = random.Random(1105)
+        tw = QQ.extend("r", [-2, 0, 1])
+        r = tw.gen("r")
+
+        def poly(deg):
+            out = MultiPoly.zero(("u", "v"))
+            for i in range(deg + 1):
+                for j in range(deg + 1 - i):
+                    if rng.random() < 0.5:
+                        c = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                        out = out + (c + rng.randint(-1, 1) * r) * u ** i * v ** j
+            return out
+
+        seen = set()
+        for _ in range(60):
+            kind = rng.randrange(4)
+            c1, c2 = poly(rng.randint(0, 3)), poly(rng.randint(0, 3))
+            if kind == 0:
+                comps = [c1, c2, poly(rng.randint(0, 3))]
+            elif kind == 1:
+                comps = [c1, c2, c1 ** 2 + c2]
+            elif kind == 2:  # functions of one polynomial w: rank at most 1
+                w = poly(rng.randint(1, 2))
+                comps = [w, 3 * w ** 2 - w, r * w ** 3 + 1]
+            else:
+                comps = [c1, c1 * r, c1 ** 2]
+            s = make(comps)
+            rank = oracle_rank(s)
+            assert jacobian_generic_rank(s) == rank
+            seen.add(rank)
+        assert seen == {0, 1, 2}
 
 
 class TestFiberCount:

@@ -8,9 +8,13 @@ power-basis monomial of its tower, over one common denominator, and scaled
 so that with grid coordinates written as integers over ``Du`` and ``Dv``
 every vertex value is an integer over the one denominator
 ``L * Du^du * Dv^dv``. Each grid row takes one Horner pass in ``u`` per
-monomial, each vertex one in ``v``; rows are streamed. Parametrizations
-over towers without a full real embedding are refused (NoRealEmbedding
-propagates from the evaluator).
+monomial, each vertex one in ``v``; rows are streamed. The integers go
+straight to floats, with no Fraction or FieldElement per vertex: a
+component with only the unit monomial (every component over QQ) is one
+correctly rounded division, any other hands its ``(monomial, int)`` pairs
+and denominator to ``numeric_eval``. Parametrizations over towers without
+a full real embedding are refused (NoRealEmbedding propagates from the
+evaluator); a vertex beyond the float range is InvalidInput.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InvalidInput
-from .numeric import default_real_embedding, numeric_eval
+from .numeric import _as_float, _tolerance, default_real_embedding, numeric_eval
 from .poly import _horner_int
-from .tower import FieldElement
 
 
 class _Tabulation:
@@ -46,7 +49,6 @@ class _Tabulation:
         du = max((a for a, _, _ in terms), default=0)
         dv = max((b for _, b, _ in terms), default=0)
         common = lcm(*(q.denominator for _, _, fe in terms for q in fe.terms.values()))
-        self.tower = c.tower
         self.den = common * du_den ** du * dv_den ** dv
         self.monos: dict = {}
         for a, b, fe in terms:
@@ -54,18 +56,15 @@ class _Tabulation:
             for m, q in fe.terms.items():
                 by_v = self.monos.setdefault(m, [[0] * (du + 1) for _ in range(dv + 1)])
                 by_v[b][a] = q.numerator * (scale // q.denominator)
+        self.rational = not any(any(m) for m in self.monos)
 
     def row(self, u: int) -> list:
         """Per monomial, the coefficients in ``v`` on grid row ``u``."""
         return [(m, [_horner_int(cs, u) for cs in by_v]) for m, by_v in self.monos.items()]
 
-    def value(self, row: list, v: int) -> FieldElement:
-        terms = {}
-        for m, cs in row:
-            n = _horner_int(cs, v)
-            if n:
-                terms[m] = Fraction(n, self.den)
-        return FieldElement(self.tower, terms, reduce=False)
+    def value(self, row: list, v: int) -> list:
+        """The value at ``(u, v)`` as ``(monomial, int)`` pairs over ``den``."""
+        return [(m, n) for m, cs in row if (n := _horner_int(cs, v))]
 
 
 def _grid(lo: Fraction, hi: Fraction, n: int) -> tuple:
@@ -87,16 +86,16 @@ def sample_grid(s, n: int, u_range, v_range, tol=Fraction(1, 10 ** 9)) -> list:
     us, du_den = _grid(u0, u1, n)
     vs, dv_den = _grid(v0, v1, n)
     tabs = [_Tabulation(c, du_den, dv_den) for c in s.components]
+    tol = _tolerance(tol)
     verts = []
     for u in us:
         rows = [tab.row(u) for tab in tabs]
         for v in vs:
-            verts.append(
-                tuple(
-                    numeric_eval(tab.value(row, v), embedding, tol).value
-                    for tab, row in zip(tabs, rows)
-                )
-            )
+            verts.append(tuple([
+                _as_float(sum(n for _, n in tab.value(row, v)), tab.den) if tab.rational
+                else numeric_eval(tab.value(row, v), embedding, tol, den=tab.den).value
+                for tab, row in zip(tabs, rows)
+            ]))
     return verts
 
 

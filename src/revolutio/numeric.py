@@ -15,7 +15,10 @@ enclosure is then one integer dot product: its coefficients over their
 common denominator against those ranges, each coefficient taking the low or
 the high end by its sign. An interval product is the exact range, so this
 gives the same enclosure as multiplying out the generator intervals term by
-term, and the same refinements.
+term, and the same refinements. ``numeric_eval`` takes an element in that
+integer form directly (mesh export passes its tabulated integers), and puts
+a FieldElement in it first. A rational value is one correctly rounded
+integer division, InvalidInput beyond the float range.
 """
 
 from __future__ import annotations
@@ -171,6 +174,23 @@ def default_real_embedding(tower: ExtensionTower) -> RealEmbedding:
     return RealEmbedding(tower, intervals)
 
 
+def _as_float(n: int, den: int) -> float:
+    """The float nearest ``n / den`` (``den > 0``): int division is correctly rounded."""
+    try:
+        return n / den
+    except OverflowError:
+        raise InvalidInput(f"value near 2^{n.bit_length() - den.bit_length()} is outside the float range") from None
+
+
+def _tolerance(tol) -> Fraction:
+    """``tol`` as a Fraction; InvalidInput unless it is positive."""
+    if not isinstance(tol, Fraction):
+        tol = Fraction(tol)
+    if tol.numerator <= 0:
+        raise InvalidInput("tolerance must be positive")
+    return tol
+
+
 class CertifiedValue:
     """A float together with a certified bound on its distance to the truth.
 
@@ -184,7 +204,7 @@ class CertifiedValue:
     __slots__ = ("value", "_mid", "_radius", "_den", "_halfwidth")
 
     def __init__(self, mid: int, radius: int, den: int):
-        self.value = mid / den  # int division is correctly rounded
+        self.value = _as_float(mid, den)
         self._mid, self._radius, self._den = mid, radius, den
         self._halfwidth = None
 
@@ -212,34 +232,36 @@ class CertifiedValue:
 _MAX_REFINEMENTS = 400
 
 
-def numeric_eval(value, embedding: RealEmbedding | None = None, tol=Fraction(1, 10 ** 12)) -> CertifiedValue:
+def numeric_eval(value, embedding: RealEmbedding | None = None, tol=Fraction(1, 10 ** 12),
+                 den: int = 1) -> CertifiedValue:
     """Certified floating approximation of a tower element.
 
-    ``value`` may be a Fraction/int (returned exactly) or a FieldElement;
-    generator intervals are bisected until the enclosure is narrower than
-    ``tol``. The enclosure is a dot product in integers: the element's
-    coefficients over their common denominator against the embedding's
-    monomial ranges, taking each range's low or high end by the sign of the
-    coefficient.
+    ``value`` is a Fraction/int (returned exactly), a FieldElement, or the
+    integer form of one, which needs ``embedding``: ``(power-basis key,
+    int)`` pairs whose sum is the element times the positive int ``den``. A
+    FieldElement is put in that form over its coefficients' common
+    denominator. Without a nonzero irrational coefficient the value is one
+    division; else generator intervals are bisected until the enclosure, a
+    dot product in integers of the coefficients against the embedding's
+    monomial ranges (low or high end by sign), is narrower than ``tol``.
     """
-    tol = Fraction(tol) if not isinstance(tol, Fraction) else tol
-    if tol <= 0:
-        raise InvalidInput("tolerance must be positive")
+    tol = _tolerance(tol)
     if isinstance(value, (int, Fraction)):
         return CertifiedValue(value.numerator, 0, value.denominator)
-    if not isinstance(value, FieldElement):
-        raise InvalidInput("numeric_eval expects a rational or a FieldElement")
-    if value.is_rational():
-        q = value.as_rational()
-        return CertifiedValue(q.numerator, 0, q.denominator)
-    emb = embedding or default_real_embedding(value.tower)
-    if emb.tower != value.tower:
+    tower = None
+    if isinstance(value, FieldElement):
+        tower, den = value.tower, math.lcm(*(q.denominator for q in value.terms.values()))
+        value = [(key, q.numerator * (den // q.denominator)) for key, q in value.terms.items()]
+    elif not isinstance(value, list) or embedding is None:
+        raise InvalidInput("numeric_eval expects a rational, a FieldElement, or integer pairs and an embedding")
+    if all(not n or not any(key) for key, n in value):
+        return CertifiedValue(sum(n for _, n in value), 0, den)
+    emb = embedding or default_real_embedding(tower)
+    if tower is not None and emb.tower != tower:
         raise InvalidInput("embedding belongs to a different tower")
-    den = math.lcm(*(q.denominator for q in value.terms.values()))
-    coeffs = [(key, q.numerator * (den // q.denominator)) for key, q in value.terms.items()]
     for _ in range(_MAX_REFINEMENTS):
         lo = hi = 0
-        for key, n in coeffs:
+        for key, n in value:
             a, b = emb.monomial_range(key)
             if n > 0:
                 lo += n * a

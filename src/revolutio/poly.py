@@ -522,13 +522,16 @@ class MultiPoly:
             x = _coerce_scalar(point[v], t)
             t = x.tower
             vals.append(x)
-        vals = [x.lift_to(t) for x in vals]
+        # powers[i][e] is vals[i]^e, extended by one product as exponents need
+        powers = [[None, x.lift_to(t)] for x in vals]
         acc = t.zero()
         for k, c in self.terms.items():
             term = c.lift_to(t)
-            for x, e in zip(vals, k):
-                for _ in range(e):
-                    term = term * x
+            for pw, e in zip(powers, k):
+                if e:
+                    while len(pw) <= e:
+                        pw.append(pw[-1] * pw[1])
+                    term = term * pw[e]
             acc = acc + term
         return acc
 

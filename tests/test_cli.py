@@ -3,9 +3,12 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +17,8 @@ from hypothesis import strategies as st
 from revolutio.cli import main
 from revolutio.profile import surface_implicit
 from revolutio.verify import verify_on_surface
+
+REPORTS = Path(__file__).resolve().parents[1] / "perfbench" / "reports"
 
 
 def run_cli(capsys, *argv):
@@ -285,6 +290,31 @@ class TestMeshCmd:
         assert code == 2  # the sphere report has no real witness to sample
 
 
+    def test_vertex_beyond_float_range_is_user_error(self, capsys, tmp_path):
+        # 100^200 has no float; the parent raised OverflowError out of main()
+        code, doc = run_cli(
+            capsys, "mesh", "--param", "u^200", "v", "u", "--grid", "2", "--u-max", "100",
+            "--out", str(tmp_path / "x.obj"),
+        )
+        assert code == 2 and doc["error"]["code"] == "INVALID_INPUT"
+        assert "float range" in doc["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "source, tol",
+        [
+            (["--param", "u", "v", "u"], "0"),
+            (["--param", "u", "v", "u"], " -1"),
+            (["--report", str(REPORTS / "one_sheet_sqrt2.json")], "0"),
+        ],
+        ids=["rational_zero", "rational_negative", "sqrt2_report_zero"],
+    )
+    def test_tolerance_must_be_positive(self, capsys, tmp_path, source, tol):
+        out = tmp_path / "x.obj"
+        code, doc = run_cli(capsys, "mesh", *source, "--tol", tol, "--out", str(out))
+        assert code == 2 and doc["error"]["code"] == "INVALID_INPUT"
+        assert not out.exists()
+
+
 class TestP2Cmd:
     def test_decompose(self, capsys):
         code, doc = run_cli(capsys, "p2", "decompose", "--x", "t^3", "--z", "t")
@@ -396,4 +426,45 @@ def test_analyze_p2_exit_contract(x, b):
         code = main(["analyze", "--p2", x, b])
     assert time.perf_counter() - start < 10.0
     assert code in (0, 2, 3), (x, b, out.getvalue())
+    assert "schema" in json.loads(out.getvalue())
+
+
+def _uv_text(coeffs: dict) -> str:
+    """Integer coefficients keyed by exponents (a, b) of u^a v^b, as CLI
+    text, with the leading space of ``_poly_text``."""
+    terms = "+".join(f"{c}*u^{a}*v^{b}" for (a, b), c in sorted(coeffs.items()) if c)
+    return " " + (terms.replace("+-", "-") or "0")
+
+
+_UV_COMPONENT = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-5, 5), max_size=6
+).map(_uv_text)
+# ends as CLI text; ("2", "2") is an empty box
+_RANGE = st.sampled_from([("-1", "1"), ("0", "100"), ("-100", "100"), ("1/3", "5/7"), ("2", "2")])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    comps=st.tuples(_UV_COMPONENT, _UV_COMPONENT, _UV_COMPONENT),
+    grid=st.integers(2, 6),
+    u_range=_RANGE,
+    v_range=_RANGE,
+)
+@example(comps=("u^200", "v", "u"), grid=2, u_range=("-1", "100"), v_range=("-1", "1"))
+def test_mesh_param_exit_contract(comps, grid, u_range, v_range):
+    # any inline patch with small integer coefficients ends in a mesh (0) or
+    # a user error (2), as JSON, within budget; 100^200 has no float
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [
+            "mesh", "--param", *comps, "--grid", str(grid),
+            f"--u-min={u_range[0]}", f"--u-max={u_range[1]}",
+            f"--v-min={v_range[0]}", f"--v-max={v_range[1]}",
+            "--out", os.path.join(tmp, "m.obj"),
+        ]
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert time.perf_counter() - start < 10.0
+    assert code in (0, 2, 3), (argv, out.getvalue())
     assert "schema" in json.loads(out.getvalue())

@@ -1,6 +1,7 @@
 """OBJ export: counts, numeric residuals, determinism, refusals, and the
 integer tabulation and interval dot product against the per-vertex path."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -184,21 +185,32 @@ def term_by_term(value, emb, tol):
     raise AssertionError("the term-by-term enclosure did not converge")
 
 
+def integer_form(value, scale):
+    """A FieldElement as (power-basis key, int) pairs over a denominator:
+    the common one of its coefficients times ``scale``."""
+    den = math.lcm(*(q.denominator for q in value.terms.values())) * scale
+    return [(key, q.numerator * (den // q.denominator)) for key, q in value.terms.items()], den
+
+
 @pytest.mark.parametrize("tower_name", ["sqrt2", "sqrt_third", "two_step"])
 def test_numeric_eval_matches_term_by_term_intervals(tower_name):
     tower = TOWERS[tower_name]
     rng = random.Random(20261019 + sorted(TOWERS).index(tower_name))
     emb, ref = default_real_embedding(tower), default_real_embedding(tower)
+    emb_int = default_real_embedding(tower)  # refined only by the integer form
     # negative coefficients on every monomial, then random signs
     values = [FieldElement(tower, {m: Fraction(-3, 2) for m in product(*(range(s.degree) for s in tower.steps))})]
     values += [random_element(rng, tower) for _ in range(20)]
     for value in values:
+        pairs, den = integer_form(value, rng.randint(1, 5))
         for tol in (Fraction(1, 10 ** 3), Fraction(1, 10 ** 12)):
             got = numeric_eval(value, emb, tol)
+            ints = numeric_eval(pairs, emb_int, tol, den=den)
             mid, radius = term_by_term(value, ref, tol)
-            assert got.value == float(mid)
-            assert Fraction(got.halfwidth) >= radius + abs(Fraction(got.value) - mid)
-            assert emb.intervals == ref.intervals
+            for cv in (got, ints):
+                assert cv.value == float(mid)
+                assert Fraction(cv.halfwidth) >= radius + abs(Fraction(cv.value) - mid)
+            assert emb.intervals == emb_int.intervals == ref.intervals
 
 
 def test_rational_value_is_not_refined():
@@ -207,4 +219,26 @@ def test_rational_value_is_not_refined():
     th = SQRT2.gen("th")
     got = numeric_eval(th - th + Fraction(1, 3), emb, Fraction(1, 10 ** 30))
     assert got.value == 1 / 3
+    # the integer form, with a zero irrational coefficient, over 6
+    got = numeric_eval([((0,), 2), ((1,), 0)], emb, Fraction(1, 10 ** 30), den=6)
+    assert got.value == 1 / 3
     assert emb.intervals == before
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Fraction(10 ** 400, 3),
+        FieldElement(SQRT2, {(0,): Fraction(-(10 ** 400), 7), (1,): Fraction(1, 2)}),
+        FieldElement(SQRT2, {(0,): Fraction(10 ** 400)}),
+    ],
+    ids=["fraction", "irrational", "rational_field_element"],
+)
+def test_value_outside_float_range_is_invalid_input(value):
+    with pytest.raises(InvalidInput, match="outside the float range"):
+        numeric_eval(value, default_real_embedding(SQRT2))
+
+
+def test_integer_form_needs_an_embedding():
+    with pytest.raises(InvalidInput, match="an embedding"):
+        numeric_eval([((1,), 1)], None, den=2)

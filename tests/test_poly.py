@@ -837,3 +837,32 @@ class TestPackedProducts:
         self._check(
             got, lambda value: value(F, {n: value(images[n]) for n in "xyz"}), "QQ", ("u", "v")
         )
+
+
+class TestEvalAt:
+    @pytest.mark.parametrize("name", ["sqrt2", "alpha_i"])
+    def test_against_uncached_product(self, name):
+        # eval_at caches each variable's powers; the value must be the plain
+        # sum of each term times its variable values, one product at a time
+        import random
+
+        rng = random.Random(7300 + len(name))
+        tower = _towers()[name][0]
+        make = TestPackedProducts()
+        names = ("u", "v", "w")
+        for trial in range(12):
+            p = make._poly(rng, tower, names, 5, rng.randint(1, 8), huge=trial % 4 == 1)
+            point = {
+                "u": make._element(rng, tower, huge=trial % 3 == 2),
+                "v": make._rational(rng, huge=False),
+                "w": tower.gen(rng.randrange(tower.height)) + rng.randint(-2, 2),
+            }
+            want = tower.zero()
+            for key, c in p.terms.items():
+                term = c
+                for var, e in zip(names, key):
+                    for _ in range(e):
+                        term = term * point[var]
+                want = want + term
+            got = p.eval_at(point)
+            assert got.tower == tower and got == want

@@ -57,8 +57,6 @@ class SurfaceParam:
         comps = []
         t = QQ
         for c in components:
-            if isinstance(c, UniPoly):
-                c = c.to_multi()
             if not isinstance(c, MultiPoly):
                 c = MultiPoly.constant(c)
             t = join_towers(t, c.tower)
@@ -183,11 +181,7 @@ def choose_root_alpha(p: UniPoly) -> RootSpec:
     if r is not None:
         return RootSpec(value=p.tower.rational(r), source="rational-root")
     m = squarefree_part(p)
-    name = "alpha"
-    k = 2
-    while any(s.name == name for s in p.tower.steps):
-        name = f"alpha{k}"
-        k += 1
+    name = p.tower.fresh_name("alpha")
     ext = p.tower.extend(name, [m.coeff(e) for e in range(int(m.degree) + 1)])
     spec = RootSpec(value=ext.gen(name), source="tower-extension", minpoly=m)
     if not p.eval_at(spec.value).is_zero():
@@ -227,9 +221,7 @@ def tubular_lift(s: SurfaceParam, a: UniPoly, b: UniPoly) -> SurfaceParam:
     if b.is_constant():
         raise DegenerateProfile("constant height polynomial b")
     zc = s.z
-    az = substitute(a, {a.var: zc}) if not a.is_constant() else MultiPoly.constant(
-        a.constant_value(), UV, s.tower
-    )
+    az = substitute(a, {a.var: zc})
     bz = substitute(b, {b.var: zc})
     return SurfaceParam.make(
         [az * s.x, az * s.y, bz],
@@ -269,37 +261,34 @@ def cylinder_case_param(d: P2Decomposition) -> SurfaceParam:
         note = f"shift by rational root {r} of a"
     else:
         m = squarefree_part(d.a)
-        name = "beta"
-        k = 2
-        while any(s.name == name for s in tower.steps):
-            name = f"beta{k}"
-            k += 1
+        name = tower.fresh_name("beta")
         tower = tower.extend(name, [m.coeff(e) for e in range(int(m.degree) + 1)])
         root = tower.gen(name)
         a1 = a1.with_tower(tower)
         note = f"shift by extension root of {m}"
-    var = d.a.var
-    shifted = a1.compose(UniPoly(var, {1: 1, 0: root}, tower))
-    atil, rem = shifted.divmod(UniPoly.variable(var, tower))
-    if not rem.is_zero():
-        raise InternalInvariant("shifted a is not divisible by its variable")
-    bsh = d.b.with_tower(tower).compose(UniPoly(var, {1: 1, 0: root}, tower))
-    u, v = _u(tower), _v(tower)
-    w = u * u + v * v
-    at_w = substitute(atil, {var: w}) if not atil.is_constant() else MultiPoly.constant(
-        atil.constant_value(), UV, tower
-    )
-    comps = [
-        Fraction(-2) * u * v * at_w,
-        (v * v - u * u) * at_w,
-        substitute(bsh, {var: w}),
-    ]
     return SurfaceParam.make(
-        comps,
+        root_shift_components(a1, d.b, root, tower),
         provenance=(f"constant p = {c} absorbed into a", note,
                     "degree-two substitution [s,t] -> [-u/v, u^2+v^2]"),
         properness="unknown",
     )
+
+
+def root_shift_components(a: UniPoly, b: UniPoly, root: FieldElement, tower: ExtensionTower) -> list:
+    """[-2uv A(w), (v^2 - u^2) A(w), B(w)] with w = u^2 + v^2, where
+    A(t) = a(t + root) / t and B(t) = b(t + root): the root of a moves to 0
+    and the curve goes through [s, t] -> [-u/v, u^2 + v^2]. Both constant-p
+    constructions, over C and over R, end here."""
+    var = a.var
+    lin = UniPoly(var, {1: 1, 0: root}, tower)
+    atil, rem = a.compose(lin).divmod(UniPoly.variable(var, tower))
+    if not rem.is_zero():
+        raise InternalInvariant("shifted a is not divisible by its variable")
+    bsh = b.with_tower(tower).compose(lin)
+    u, v = _u(tower), _v(tower)
+    w = u * u + v * v
+    at_w = substitute(atil, {var: w})
+    return [Fraction(-2) * u * v * at_w, (v * v - u * u) * at_w, substitute(bsh, {var: w})]
 
 
 def rotate_curve(cx: UniPoly, cy: UniPoly, cz: UniPoly) -> RationalSurfaceParam:
@@ -315,11 +304,8 @@ def rotate_curve(cx: UniPoly, cy: UniPoly, cz: UniPoly) -> RationalSurfaceParam:
     two_s = 2 * s
     one_minus = one - s * s
     den = one + s * s
-    x_t = substitute(cx, {var: MultiPoly.variable("t", st, tower)}) if not cx.is_constant() \
-        else MultiPoly.constant(cx.constant_value(), st, tower)
-    y_t = substitute(cy, {var: MultiPoly.variable("t", st, tower)}) if not cy.is_constant() \
-        else MultiPoly.constant(cy.constant_value(), st, tower)
-    z_t = substitute(cz, {var: MultiPoly.variable("t", st, tower)})
+    t = MultiPoly.variable("t", st, tower)
+    x_t, y_t, z_t = (substitute(c, {var: t}) for c in (cx, cy, cz))
     return RationalSurfaceParam(
         components=(
             (x_t * two_s + y_t * one_minus, den),

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .complexparam import SurfaceParam
 from .errors import InvalidInput
-from .poly import MultiPoly, UniPoly
+from .poly import MultiPoly
 from .tower import QQ, ExtensionTower, FieldElement
 
 SCHEMA = "revolutio/1"
@@ -78,9 +78,7 @@ def json_to_tower(obj: list) -> ExtensionTower:
     return t
 
 
-def poly_to_json(p) -> dict:
-    if isinstance(p, UniPoly):
-        p = p.to_multi()
+def poly_to_json(p: MultiPoly) -> dict:
     terms = [
         {"exponents": list(key), "coefficient": field_to_json(c)}
         for key, c in sorted(p.terms.items())

@@ -1,23 +1,28 @@
 """Sparse exact polynomials over extension towers.
 
-UniPoly is univariate; MultiPoly holds up to four variables (three for
-geometry, four for the Diophantine-identity check). Both keep no zero
-coefficients and canonicalize on construction, so structural equality is
-semantic equality. The univariate toolkit (gcd, inversion modulo a
-polynomial, square-free test, Yun decomposition, rational roots, Sturm
-counts on one integer chain) together with substitution, exact division
-and resultants by evaluation and interpolation is everything the
-parametrization pipeline needs; there is deliberately no general
-factorization. It is the one univariate implementation: tower inversion
-and the square-free check on minimal polynomials run through it too.
+There is one polynomial arithmetic. MultiPoly holds up to four variables
+(three for geometry, four for the Diophantine-identity check); it keeps no
+zero coefficients and canonicalizes on construction, so structural
+equality is semantic equality. UniPoly is a MultiPoly in exactly one
+variable that adds only degree, leading coefficient, division with
+remainder and composition. Every arithmetic result with exactly one
+variable is a UniPoly, so the profile polynomials p, a and b enter
+bivariate witnesses with no conversion. The univariate toolkit (gcd,
+inversion modulo a polynomial, square-free test, Yun decomposition,
+rational roots, Sturm counts on one integer chain) together with
+substitution, exact division and resultants by evaluation and
+interpolation is everything the parametrization pipeline needs; there is
+deliberately no general factorization. Tower inversion and the
+square-free check on minimal polynomials run through it too.
 
-MultiPoly products and powers and ``substitute`` run on one packed-integer
-kernel (Kronecker substitution, ``_Kronecker``). Denominators are cleared,
-and each tower coefficient is split into its power-basis components, so a
-polynomial becomes one integer coefficient list per basis monomial, laid
-out dense in its variables with widths from the result's degree bounds.
-Each list is packed into one Python int, whose products run in C; every
-product is reduced at once with the tower's basis products
+Products, powers and ``substitute`` run on one packed-integer kernel
+(Kronecker substitution, ``_Kronecker``); only a product with a one-term
+operand skips it and multiplies coefficient by coefficient. Denominators
+are cleared, and each tower coefficient is split into its power-basis
+components, so a polynomial becomes one integer coefficient list per basis
+monomial, laid out dense in its variables with widths from the result's
+degree bounds. Each list is packed into one Python int, whose products run
+in C; every product is reduced at once with the tower's basis products
 (``ExtensionTower.basis_products``), and only the final result is unpacked
 into FieldElements.
 
@@ -66,243 +71,6 @@ def _coerce_scalar(x: Scalar, tower: ExtensionTower) -> FieldElement:
     return tower.rational(x)
 
 
-class UniPoly:
-    """Sparse univariate polynomial over a tower."""
-
-    __slots__ = ("var", "tower", "coeffs")
-
-    def __init__(self, var: str, coeffs: Mapping[int, Scalar], tower: ExtensionTower = QQ):
-        t = tower
-        coerced = {}
-        for e, c in coeffs.items():
-            if isinstance(c, FieldElement):
-                t = join_towers(t, c.tower)
-        for e, c in coeffs.items():
-            fe = _coerce_scalar(c, t)
-            if not fe.is_zero():
-                if e < 0:
-                    raise InvalidInput("negative exponent")
-                coerced[e] = fe
-        self.var = var
-        self.tower = t
-        self.coeffs = coerced
-
-    @classmethod
-    def _canonical(cls, var: str, coeffs: dict, tower: ExtensionTower) -> "UniPoly":
-        """Wrap coefficients that are already nonzero FieldElements over
-        ``tower``, skipping the coercion of ``__init__``."""
-        p = object.__new__(cls)
-        p.var, p.tower, p.coeffs = var, tower, coeffs
-        return p
-
-    @classmethod
-    def from_dense(cls, var: str, dense: Sequence[Scalar], tower: ExtensionTower = QQ) -> "UniPoly":
-        return cls(var, {i: c for i, c in enumerate(dense)}, tower)
-
-    @classmethod
-    def zero(cls, var: str, tower: ExtensionTower = QQ) -> "UniPoly":
-        return cls(var, {}, tower)
-
-    @classmethod
-    def constant(cls, var: str, c: Scalar, tower: ExtensionTower = QQ) -> "UniPoly":
-        return cls(var, {0: c}, tower)
-
-    @classmethod
-    def variable(cls, var: str, tower: ExtensionTower = QQ) -> "UniPoly":
-        return cls(var, {1: 1}, tower)
-
-    # -- structure ------------------------------------------------------------
-
-    @property
-    def degree(self):
-        return max(self.coeffs) if self.coeffs else NEG_INF
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return self.degree <= 0
-
-    def lc(self) -> FieldElement:
-        if self.is_zero():
-            return self.tower.zero()
-        return self.coeffs[max(self.coeffs)]
-
-    def coeff(self, e: int) -> FieldElement:
-        return self.coeffs.get(e, self.tower.zero())
-
-    def constant_value(self) -> FieldElement:
-        if not self.is_constant():
-            raise InvalidInput("not a constant polynomial")
-        return self.coeff(0)
-
-    def is_rational_poly(self) -> bool:
-        return all(c.is_rational() for c in self.coeffs.values())
-
-    def rational_coeffs(self) -> dict:
-        if not self.is_rational_poly():
-            raise InvalidInput("coefficients are not all rational")
-        return {e: c.as_rational() for e, c in self.coeffs.items()}
-
-    def with_tower(self, tower: ExtensionTower) -> "UniPoly":
-        return UniPoly(self.var, self.coeffs, tower)
-
-    def rename(self, var: str) -> "UniPoly":
-        return UniPoly(var, self.coeffs, self.tower)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, FieldElement)):
-            return self.is_constant() and self.coeff(0) == other
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if self.var != other.var:
-            return self.is_constant() and other.is_constant() and self.coeff(0) == other.coeff(0)
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.var, frozenset(self.coeffs.items())))
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def _binary(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            other = UniPoly.constant(self.var, other, self.tower)
-        if not isinstance(other, UniPoly):
-            return None, None
-        if other.var == self.var and other.tower == self.tower:
-            return self, other
-        if other.var != self.var and not (other.is_constant() or self.is_constant()):
-            raise InvalidInput(f"variable mismatch: {self.var} vs {other.var}")
-        var = self.var if not self.is_constant() else other.var
-        t = join_towers(self.tower, other.tower)
-        return (
-            UniPoly(var, self.coeffs, t),
-            UniPoly(var, other.coeffs, t),
-        )
-
-    def __add__(self, other):
-        a, b = self._binary(other)
-        if a is None:
-            return NotImplemented
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            s = out[e] + c if e in out else c
-            if s.is_zero():
-                del out[e]
-            else:
-                out[e] = s
-        return UniPoly._canonical(a.var, out, a.tower)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly._canonical(self.var, {e: -c for e, c in self.coeffs.items()}, self.tower)
-
-    def __sub__(self, other):
-        a, b = self._binary(other)
-        if a is None:
-            return NotImplemented
-        return a + (-b)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        a, b = self._binary(other)
-        if a is None:
-            return NotImplemented
-        out: dict = {}
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                e = e1 + e2
-                p = c1 * c2
-                s = out[e] + p if e in out else p
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return UniPoly._canonical(a.var, out, a.tower)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise InvalidInput("negative exponent")
-        result = UniPoly.constant(self.var, 1, self.tower)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def divmod(self, other: "UniPoly"):
-        """Division with remainder; inverts the divisor's leading coefficient."""
-        a, b = self._binary(other)
-        if b.is_zero():
-            raise InvalidInput("division by zero polynomial")
-        inv_lc = b.lc().inverse()
-        db = b.degree
-        q: dict = {}
-        r = dict(a.coeffs)
-        while r and max(r) >= db:
-            dr = max(r)
-            f = r[dr] * inv_lc
-            q[dr - db] = f
-            for e, c in b.coeffs.items():
-                key = dr - db + e
-                p = f * c
-                s = r[key] - p if key in r else -p
-                if s.is_zero():
-                    r.pop(key, None)
-                else:
-                    r[key] = s
-        return UniPoly._canonical(a.var, q, a.tower), UniPoly._canonical(a.var, r, a.tower)
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        inv = self.lc().inverse()
-        return UniPoly._canonical(self.var, {e: c * inv for e, c in self.coeffs.items()}, self.tower)
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly._canonical(
-            self.var, {e - 1: c * e for e, c in self.coeffs.items() if e > 0}, self.tower
-        )
-
-    def eval_at(self, x: Scalar) -> FieldElement:
-        xe = _coerce_scalar(x, self.tower)
-        t = xe.tower
-        acc = t.zero()
-        for e in range(int(self.degree), -1, -1) if not self.is_zero() else []:
-            acc = acc * xe + self.coeff(e).lift_to(t)
-        return acc
-
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """self(inner(t)); the result lives in inner's variable."""
-        t = join_towers(self.tower, inner.tower)
-        acc = UniPoly.zero(inner.var, t)
-        if self.is_zero():
-            return acc
-        for e in range(int(self.degree), -1, -1):
-            acc = acc * inner + UniPoly.constant(inner.var, self.coeff(e), t)
-        return acc
-
-    def to_multi(self, extra_vars: Iterable[str] = ()) -> "MultiPoly":
-        vars_ = tuple(sorted(set(extra_vars) | {self.var}))
-        i = vars_.index(self.var)
-        terms = {}
-        for e, c in self.coeffs.items():
-            key = tuple(e if j == i else 0 for j in range(len(vars_)))
-            terms[key] = c
-        return MultiPoly(vars_, terms, self.tower)
-
-    def __repr__(self) -> str:
-        return _poly_str({(e,): c for e, c in self.coeffs.items()}, (self.var,))
-
-
 class MultiPoly:
     """Sparse polynomial in up to four variables over a tower.
 
@@ -341,11 +109,13 @@ class MultiPoly:
         self.tower = t
         self.terms = out
 
-    @classmethod
-    def _canonical(cls, vars_: tuple, terms: dict, tower: ExtensionTower) -> "MultiPoly":
+    @staticmethod
+    def _canonical(vars_: tuple, terms: dict, tower: ExtensionTower) -> "MultiPoly":
         """Wrap terms that are already nonzero FieldElements over ``tower``,
-        keyed in the order of the sorted ``vars_``, skipping ``__init__``."""
-        p = object.__new__(cls)
+        keyed in the order of the sorted ``vars_``, skipping ``__init__``.
+        This is where arithmetic results get their class: a UniPoly when
+        there is exactly one variable, else a MultiPoly."""
+        p = object.__new__(UniPoly if len(vars_) == 1 else MultiPoly)
         p.vars, p.tower, p.terms = vars_, tower, terms
         return p
 
@@ -411,6 +181,20 @@ class MultiPoly:
             terms[tuple(nk)] = c
         return MultiPoly(vars_, terms, self.tower)
 
+    def _over(self, vars_: tuple, tower: ExtensionTower) -> "MultiPoly":
+        """Keyed by ``vars_``, a sorted superset of the variables, with every
+        coefficient lifted to ``tower``, a tower above this one."""
+        if len(vars_) > MAX_VARS:
+            raise InvalidInput(f"at most {MAX_VARS} variables are supported")
+        pos = [vars_.index(v) for v in self.vars]
+        terms = {}
+        for key, c in self.terms.items():
+            nk = [0] * len(vars_)
+            for i, e in zip(pos, key):
+                nk[i] = e
+            terms[tuple(nk)] = c.lift_to(tower)
+        return MultiPoly._canonical(vars_, terms, tower)
+
     def drop_unused_vars(self) -> "MultiPoly":
         used = tuple(v for v in self.vars if self.uses(v))
         return self.with_vars(used)
@@ -433,18 +217,13 @@ class MultiPoly:
     def _binary(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
             other = MultiPoly.constant(other, self.vars, self.tower)
-        if isinstance(other, UniPoly):
-            other = other.to_multi()
         if not isinstance(other, MultiPoly):
             return None, None
         if other.vars == self.vars and other.tower == self.tower:
             return self, other
         vars_ = tuple(sorted(set(self.vars) | set(other.vars)))
         t = join_towers(self.tower, other.tower)
-        return (
-            MultiPoly(vars_, self.with_vars(vars_).terms, t),
-            MultiPoly(vars_, other.with_vars(vars_).terms, t),
-        )
+        return self._over(vars_, t), other._over(vars_, t)
 
     def __add__(self, other):
         a, b = self._binary(other)
@@ -479,6 +258,18 @@ class MultiPoly:
             return NotImplemented
         if a.is_zero() or b.is_zero():
             return MultiPoly._canonical(a.vars, {}, a.tower)
+        if len(a.terms) == 1 or len(b.terms) == 1:
+            # one term: shift the exponents; over a reducible tower a product
+            # of two nonzero coefficients can be zero
+            if len(a.terms) == 1:
+                a, b = b, a
+            ((kb, cb),) = b.terms.items()
+            terms = {}
+            for k, c in a.terms.items():
+                p = c * cb
+                if not p.is_zero():
+                    terms[tuple(map(operator.add, k, kb))] = p
+            return MultiPoly._canonical(a.vars, terms, a.tower)
         degs = [x + y for x, y in zip(a._degrees(), b._degrees())]
         return _Kronecker(a.vars, degs, a.tower).run([a, b], lambda k, ab: k.mul(*ab))
 
@@ -488,7 +279,7 @@ class MultiPoly:
         if n < 0:
             raise InvalidInput("negative exponent")
         if n == 0:
-            return MultiPoly.constant(1, self.vars, self.tower)
+            return MultiPoly._canonical(self.vars, {(0,) * len(self.vars): self.tower.one()}, self.tower)
         if self.is_zero():
             return self
         degs = [n * d for d in self._degrees()]
@@ -536,7 +327,8 @@ class MultiPoly:
         return acc
 
     def as_unipoly_in(self, var: str) -> list:
-        """Dense coefficient list in ``var``; entries are MultiPoly in the rest."""
+        """Dense coefficient list in ``var``; entries are polynomials in the
+        rest (UniPolys when one variable is left)."""
         if var not in self.vars:
             raise InvalidInput(f"{var!r} is not a variable of this polynomial")
         i = self.vars.index(var)
@@ -547,7 +339,7 @@ class MultiPoly:
         buckets: list = [dict() for _ in range(int(d) + 1)]
         for k, c in self.terms.items():
             buckets[k[i]][k[:i] + k[i + 1:]] = c
-        return [MultiPoly(rest, b, self.tower) for b in buckets]
+        return [MultiPoly._canonical(rest, b, self.tower) for b in buckets]
 
     def to_unipoly(self, var: str | None = None) -> UniPoly:
         """Convert when at most one variable is actually used."""
@@ -565,6 +357,113 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return _poly_str(self.terms, self.vars)
+
+
+class UniPoly(MultiPoly):
+    """A MultiPoly in exactly one variable: ``vars == (var,)``, keys ``(e,)``.
+
+    It adds only what is univariate: the degree and leading coefficient,
+    division with remainder, and composition.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, var: str, coeffs: Mapping[int, Scalar], tower: ExtensionTower = QQ):
+        super().__init__((var,), {(e,): c for e, c in coeffs.items()}, tower)
+
+    @classmethod
+    def from_dense(cls, var: str, dense: Sequence[Scalar], tower: ExtensionTower = QQ) -> "UniPoly":
+        return cls(var, {i: c for i, c in enumerate(dense)}, tower)
+
+    @classmethod
+    def zero(cls, var: str, tower: ExtensionTower = QQ) -> "UniPoly":
+        return cls(var, {}, tower)
+
+    @classmethod
+    def constant(cls, var: str, c: Scalar, tower: ExtensionTower = QQ) -> "UniPoly":
+        return cls(var, {0: c}, tower)
+
+    @classmethod
+    def variable(cls, var: str, tower: ExtensionTower = QQ) -> "UniPoly":
+        return cls(var, {1: 1}, tower)
+
+    @property
+    def var(self) -> str:
+        return self.vars[0]
+
+    @property
+    def degree(self):
+        return max(self.terms)[0] if self.terms else NEG_INF
+
+    def lc(self) -> FieldElement:
+        return self.terms[max(self.terms)] if self.terms else self.tower.zero()
+
+    def coeff(self, e: int) -> FieldElement:
+        return self.terms.get((e,), self.tower.zero())
+
+    def is_rational_poly(self) -> bool:
+        return all(c.is_rational() for c in self.terms.values())
+
+    def rational_coeffs(self) -> dict:
+        if not self.is_rational_poly():
+            raise InvalidInput("coefficients are not all rational")
+        return {e: c.as_rational() for (e,), c in self.terms.items()}
+
+    def with_tower(self, tower: ExtensionTower) -> "UniPoly":
+        return UniPoly(self.var, {e: c for (e,), c in self.terms.items()}, tower)
+
+    def rename(self, var: str) -> "UniPoly":
+        return MultiPoly._canonical((var,), dict(self.terms), self.tower)
+
+    def to_multi(self, extra_vars: Iterable[str] = ()) -> MultiPoly:
+        return self.with_vars(set(extra_vars) | {self.var})
+
+    def divmod(self, other) -> tuple:
+        """Division with remainder; inverts the divisor's leading coefficient."""
+        a, b = self._binary(other)
+        if len(a.vars) != 1:
+            raise InvalidInput(f"variable mismatch: {' vs '.join(a.vars)}")
+        if b.is_zero():
+            raise InvalidInput("division by zero polynomial")
+        (db,) = max(b.terms)
+        inv_lc = b.terms[(db,)].inverse()
+        q: dict = {}
+        r = {e: c for (e,), c in a.terms.items()}
+        while r and max(r) >= db:
+            dr = max(r)
+            f = r[dr] * inv_lc
+            q[(dr - db,)] = f
+            for (e,), c in b.terms.items():
+                key = dr - db + e
+                p = f * c
+                s = r[key] - p if key in r else -p
+                if s.is_zero():
+                    r.pop(key, None)
+                else:
+                    r[key] = s
+        return (
+            MultiPoly._canonical(a.vars, q, a.tower),
+            MultiPoly._canonical(a.vars, {(e,): c for e, c in r.items()}, a.tower),
+        )
+
+    def monic(self) -> "UniPoly":
+        if self.is_zero():
+            return self
+        inv = self.lc().inverse()
+        return MultiPoly._canonical(self.vars, {k: c * inv for k, c in self.terms.items()}, self.tower)
+
+    def derivative(self) -> "UniPoly":
+        return MultiPoly._canonical(
+            self.vars, {(e - 1,): c * e for (e,), c in self.terms.items() if e > 0}, self.tower
+        )
+
+    def eval_at(self, x) -> FieldElement:
+        """The value at the scalar ``x`` (or at a point, as for MultiPoly)."""
+        return super().eval_at(x if isinstance(x, Mapping) else {self.var: x})
+
+    def compose(self, inner: "UniPoly") -> "UniPoly":
+        """self(inner(t)); the result lives in inner's variable."""
+        return substitute(self, {self.var: inner})
 
 
 def _poly_str(terms: Mapping[tuple, FieldElement], vars_: tuple) -> str:
@@ -930,8 +829,6 @@ def sturm_real_root_count(f: UniPoly, interval: tuple = (None, None)) -> int:
 
 def substitute(f, bindings: Mapping[str, object]) -> MultiPoly:
     """Ring-homomorphic substitution; every variable of f must be bound."""
-    if isinstance(f, UniPoly):
-        f = f.to_multi()
     if not isinstance(f, MultiPoly):
         raise InvalidInput("substitute expects a polynomial")
     images = {}
@@ -941,9 +838,7 @@ def substitute(f, bindings: Mapping[str, object]) -> MultiPoly:
             if v not in bindings:
                 raise InvalidInput(f"unbound variable {v!r}")
             img = bindings[v]
-            if isinstance(img, UniPoly):
-                img = img.to_multi()
-            elif not isinstance(img, MultiPoly):
+            if not isinstance(img, MultiPoly):
                 img = MultiPoly.constant(img)
             images[v] = img
             t = join_towers(t, img.tower)
@@ -985,16 +880,11 @@ def substitute(f, bindings: Mapping[str, object]) -> MultiPoly:
 def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Quotient q with q*g == f, exactly; raises NotDivisible (with the
     remainder attached) otherwise."""
-    if isinstance(f, UniPoly):
-        f = f.to_multi()
-    if isinstance(g, UniPoly):
-        g = g.to_multi()
     if g.is_zero():
         raise InvalidInput("division by zero polynomial")
     vars_ = tuple(sorted(set(f.vars) | set(g.vars)))
     t = join_towers(f.tower, g.tower)
-    r = MultiPoly(vars_, f.with_vars(vars_).terms, t)
-    gg = MultiPoly(vars_, g.with_vars(vars_).terms, t)
+    r, gg = f._over(vars_, t), g._over(vars_, t)
     lt_g = max(gg.terms)
     c_g = gg.terms[lt_g]
     q = MultiPoly.zero(vars_, t)
@@ -1030,16 +920,11 @@ def resultant_eliminate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     leading coefficients nonzero, so the result is the Sylvester
     determinant over the tower even when the tower is reducible.
     """
-    if isinstance(f, UniPoly):
-        f = f.to_multi()
-    if isinstance(g, UniPoly):
-        g = g.to_multi()
     vars_ = tuple(sorted(set(f.vars) | set(g.vars)))
     if var not in vars_:
         raise InvalidInput(f"{var!r} appears in neither polynomial")
     t = join_towers(f.tower, g.tower)
-    fv = MultiPoly(vars_, f.with_vars(vars_).terms, t)
-    gv = MultiPoly(vars_, g.with_vars(vars_).terms, t)
+    fv, gv = f._over(vars_, t), g._over(vars_, t)
     if not fv.uses(var) or not gv.uses(var):
         raise InvalidInput(f"both polynomials must contain {var!r}")
     i = vars_.index(var)

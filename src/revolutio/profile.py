@@ -146,8 +146,7 @@ class TubularSurface:
     def implicit_poly(self) -> MultiPoly:
         x = MultiPoly.variable("x", ("x", "y", "z"))
         y = MultiPoly.variable("y", ("x", "y", "z"))
-        pz = self.p.to_multi(("x", "y"))
-        return x * x + y * y - pz
+        return x * x + y * y - self.p
 
 
 # -- operations ---------------------------------------------------------------
@@ -201,9 +200,7 @@ def p2_param_from_graph(G: MultiPoly) -> PlaneCurveParam:
     if not lead.is_constant():
         raise NotAGraph("leading coefficient in w depends on z")
     c = lead.constant_value()
-    g = -coeffs[0]
-    g_t = g.to_unipoly("z").rename("t") if not g.is_zero() else UniPoly.zero("t", g.tower)
-    x = g_t * c.inverse()
+    x = (-coeffs[0]).rename("t") * c.inverse()
     return PlaneCurveParam.polynomial(x, UniPoly.variable("t", x.tower))
 
 
@@ -276,7 +273,7 @@ def _moebius_lift(f: UniPoly, r) -> UniPoly:
     d = int(f.degree) if not f.is_zero() else 0
     lin = UniPoly("t", {1: r, 0: 1}, t)  # r*X + 1
     acc = UniPoly.zero("t", t)
-    for e, coeff in f.coeffs.items():
+    for (e,), coeff in f.terms.items():
         acc = acc + UniPoly.constant("t", coeff, t) * lin ** e * UniPoly("t", {d - e: 1}, t)
     return acc
 
@@ -329,9 +326,7 @@ def p2_implicit(x: UniPoly, b: UniPoly) -> MultiPoly:
     tvar = x.var
     w = MultiPoly.variable("w", ("w", tvar))
     z = MultiPoly.variable("z", ("z", tvar))
-    e1 = w - x.to_multi()
-    e2 = z - b.to_multi()
-    return resultant_eliminate(e1, e2, tvar)
+    return resultant_eliminate(w - x, z - b, tvar)
 
 
 def surface_implicit(d: P2Decomposition) -> MultiPoly:

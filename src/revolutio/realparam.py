@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexparam import SurfaceParam, ensure_imaginary_unit, pick_rational_root, tower_sqrt
+from .complexparam import (
+    SurfaceParam,
+    ensure_imaginary_unit,
+    pick_rational_root,
+    root_shift_components,
+    tower_sqrt,
+)
 from .errors import InternalInvariant, InvalidInput
 from .numeric import default_real_embedding, isolate_real_roots
 from .poly import (
@@ -91,9 +97,7 @@ def dioph_identity_check(q1, q2, q3, q4) -> MultiPoly:
     """Residual of the four-square identity; identically zero for any inputs."""
     vals = []
     for q in (q1, q2, q3, q4):
-        if isinstance(q, UniPoly):
-            q = q.to_multi()
-        elif not isinstance(q, MultiPoly):
+        if not isinstance(q, MultiPoly):
             q = MultiPoly.constant(q)
         vals.append(q)
     q1, q2, q3, q4 = vals
@@ -173,9 +177,7 @@ def real_param_delta1(d: P2Decomposition) -> RealVerdict:
     u = MultiPoly.variable("u", UV)
     v = MultiPoly.variable("v", UV)
     w = u * u + v * v
-    aw = substitute(a1, {a1.var: w}) if not a1.is_constant() else MultiPoly.constant(
-        a1.constant_value(), UV
-    )
+    aw = substitute(a1, {a1.var: w})
     bw = substitute(b1, {b1.var: w})
     witness = SurfaceParam.make(
         [aw * u, aw * v, bw],
@@ -215,9 +217,7 @@ def real_param_delta2(d: P2Decomposition) -> RealVerdict:
     scale = cq.reparam.scale.lift_to(tower)
     shift = cq.reparam.shift.lift_to(tower)
     z_orig = scale * base[2] + MultiPoly.constant(shift, UV, tower)
-    a_z = substitute(d.a, {d.a.var: z_orig}) if not d.a.is_constant() else MultiPoly.constant(
-        d.a.constant_value(), UV, tower
-    )
+    a_z = substitute(d.a, {d.a.var: z_orig})
     b_z = substitute(d.b, {d.b.var: z_orig})
     witness = SurfaceParam.make(
         [a_z * base[0], a_z * base[1], b_z],
@@ -279,21 +279,8 @@ def _delta0_real_root_witness(d: P2Decomposition, c: Fraction) -> SurfaceParam:
         root = tower.gen("beta")
         a1 = a1.with_tower(tower)
         note = "shift by a designated real root of a (tower extension)"
-    var = d.a.var
-    lin = UniPoly(var, {1: 1, 0: root}, tower)
-    shifted = a1.compose(lin)
-    atil, rem = shifted.divmod(UniPoly.variable(var, tower))
-    if not rem.is_zero():
-        raise InternalInvariant("shifted a not divisible by its variable")
-    bsh = d.b.with_tower(tower).compose(lin)
-    u = MultiPoly.variable("u", UV, tower)
-    v = MultiPoly.variable("v", UV, tower)
-    w = u * u + v * v
-    at_w = substitute(atil, {var: w}) if not atil.is_constant() else MultiPoly.constant(
-        atil.constant_value(), UV, tower
-    )
     witness = SurfaceParam.make(
-        [Fraction(-2) * u * v * at_w, (v * v - u * u) * at_w, substitute(bsh, {var: w})],
+        root_shift_components(a1, d.b, root, tower),
         provenance=(f"absorb sqrt({c}) into a", note,
                     "degree-two substitution [s,t] -> [-u/v, u^2+v^2]"),
         properness="unknown",
@@ -319,9 +306,7 @@ def _delta0_no_real_root_witness(d: P2Decomposition, c: Fraction, pair) -> Surfa
         raise InternalInvariant("normalized quadratic factor does not divide a")
     b1 = d.b.with_tower(tower).compose(lin)
     A, B, C = one_sheet_components(tower)
-    ahat_C = substitute(ahat, {var: C}) if not ahat.is_constant() else MultiPoly.constant(
-        ahat.constant_value(), UV, tower
-    )
+    ahat_C = substitute(ahat, {var: C})
     witness = SurfaceParam.make(
         [2 * A * B * ahat_C, (B * B - A * A) * ahat_C, substitute(b1, {var: C})],
         provenance=(
@@ -375,7 +360,7 @@ def _rational_quadratic_factors(f: UniPoly):
     if R1.uses("G") and R0.uses("G"):
         res = resultant_eliminate(R1, R0, "G")
         if res.uses("B"):
-            beta_candidates.update(rational_roots(res.to_unipoly("B")))
+            beta_candidates.update(rational_roots(res))  # a UniPoly in B
     out = []
     tvar = UniPoly.variable(f.var)
     for beta in sorted(beta_candidates):

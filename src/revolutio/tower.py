@@ -95,6 +95,14 @@ class ExtensionTower:
                 return k
         raise InvalidInput(f"no tower step named {name!r}")
 
+    def fresh_name(self, base: str) -> str:
+        """``base``, or ``base2``, ``base3``, ... : the first not yet a generator."""
+        names = {s.name for s in self.steps}
+        name, k = base, 2
+        while name in names:
+            name, k = f"{base}{k}", k + 1
+        return name
+
     # -- element constructors -------------------------------------------------
 
     def zero(self) -> "FieldElement":
@@ -355,7 +363,7 @@ class FieldElement:
         )
         m = UniPoly.from_dense(step.name, step.minpoly, parent)
         inv = invert_mod(a, m, step.name)
-        terms = {key + (e,): q for e, c in inv.coeffs.items() for key, q in c.terms.items()}
+        terms = {key + (e,): q for (e,), c in inv.terms.items() for key, q in c.terms.items()}
         return FieldElement(tower, terms, reduce=False)
 
     def sign(self) -> int:

@@ -34,7 +34,7 @@ from .poly import (
     squarefree_part,
     substitute,
 )
-from .tower import ExtensionTower, FieldElement, join_towers
+from .tower import FieldElement, join_towers
 
 
 class _Indeterminate:
@@ -174,12 +174,12 @@ def fiber_count(s, sample) -> object:
     u_only = [e for e in eqs if not e.uses("v")]
     if not with_v:
         return INDETERMINATE
-    candidates = [_to_unipoly_u(e, tower) for e in u_only]
+    candidates = [e.to_unipoly("u") for e in u_only]
     for i in range(len(with_v)):
         for j in range(i + 1, len(with_v)):
-            r = resultant_eliminate(with_v[i], with_v[j], "v")
+            r = resultant_eliminate(with_v[i], with_v[j], "v")  # a UniPoly in u
             if not r.is_zero():
-                candidates.append(_to_unipoly_u(r, tower))
+                candidates.append(r)
     if not candidates:
         return INDETERMINATE
     g = candidates[0]
@@ -199,7 +199,7 @@ def fiber_count(s, sample) -> object:
             branch_tower = tower
             branch_name = None
         else:
-            branch_name = _fresh_name(tower, "fiber_u")
+            branch_name = tower.fresh_name("fiber_u")
             branch_tower = tower.extend(
                 branch_name, [m.coeff(e) for e in range(deg_m + 1)]
             )
@@ -217,23 +217,6 @@ def fiber_count(s, sample) -> object:
             return INDETERMINATE
         total += deg_m * nv
     return total
-
-
-def _fresh_name(tower: ExtensionTower, base: str) -> str:
-    name = base
-    k = 2
-    while any(s.name == name for s in tower.steps):
-        name = f"{base}{k}"
-        k += 1
-    return name
-
-
-def _to_unipoly_u(e: MultiPoly, tower: ExtensionTower) -> UniPoly:
-    coeffs = {}
-    aligned = e.with_vars(("u", "v"))
-    for key, c in aligned.terms.items():
-        coeffs[key[0]] = coeffs.get(key[0], tower.zero()) + c
-    return UniPoly("u", coeffs, tower)
 
 
 def _common_v_root_count(with_v, theta, branch_tower) -> object:

@@ -391,6 +391,18 @@ class TestSturm:
 class TestSubstitute:
     def test_simple(self):
         assert substitute(t ** 2, {"t": u * v + 1}) == u ** 2 * v ** 2 + 2 * u * v + 1
+        # a constant, zero included, comes back in the image's variables over
+        # the joined tower, exactly as MultiPoly.constant would build it
+        sqrt2 = QQ.extend("s", [-2, 0, 1])
+        for tower in (QQ, sqrt2):
+            image = MultiPoly.variable("u", ("u", "v"), tower) * v + 1
+            constants = [UniPoly.constant("t", c, own) for c in (0, Fraction(-3, 2)) for own in (QQ, tower)]
+            constants.append(UniPoly.constant("t", tower.gen("s") + 1 if tower.height else 5, tower))
+            for const in constants:
+                got = substitute(const, {"t": image})
+                want = MultiPoly.constant(const.constant_value(), ("u", "v"), tower)
+                assert (got.vars, got.terms, got.tower) == (want.vars, want.terms, want.tower)
+                assert type(got) is MultiPoly
 
     def test_paraboloid(self):
         x = MultiPoly.variable("x", ("x", "y", "z"))
@@ -837,6 +849,85 @@ class TestPackedProducts:
         self._check(
             got, lambda value: value(F, {n: value(images[n]) for n in "xyz"}), "QQ", ("u", "v")
         )
+
+    # UniPoly is a MultiPoly in the one variable t: the same kernel, plus the
+    # one-term product
+
+    def _uni(self, rng, tower, degree, terms, huge=False):
+        return UniPoly(
+            "t", {rng.randrange(degree + 1): self._element(rng, tower, huge) for _ in range(terms)}, tower
+        )
+
+    @pytest.mark.parametrize("name", ["QQ", "sqrt2", "sqrt1/3", "alpha_i"])
+    def test_univariate_products_powers_and_compose(self, name):
+        import random
+
+        rng = random.Random(7400 + len(name))
+        tower = _towers()[name][0]
+        for trial in range(6):
+            f = self._uni(rng, tower, 6, rng.randint(2, 6), huge=trial % 2 == 1)
+            g = self._uni(rng, tower, 4, rng.randint(2, 4), huge=trial % 3 == 1)
+            one_term = self._uni(rng, tower, 5, 1, huge=trial == 2)
+            c = self._element(rng, tower, huge=trial == 4)
+            scalar = UniPoly.constant("t", c, tower)
+            for got, want in (
+                (f * g, lambda value: value(f) * value(g)),
+                (g ** 3, lambda value: value(g) ** 3),
+                (f.compose(g), lambda value: value(f, {"t": value(g)})),
+                (f * one_term, lambda value: value(f) * value(one_term)),
+                (one_term * g, lambda value: value(one_term) * value(g)),
+                (c * f, lambda value: value(scalar) * value(f)),
+                (f * c, lambda value: value(f) * value(scalar)),
+            ):
+                assert isinstance(got, UniPoly) and got.var == "t"
+                self._check(got, want, name, ("t",))
+
+    def test_one_term_product_drops_zero_coefficients(self):
+        # g^2 = 1 is square-free but reducible: (g - 1)(g + 1) = 0
+        split = QQ.extend("g", [-1, 0, 1])
+        g = split.gen("g")
+        x = UniPoly.variable("t", split)
+        got = (g - 1) * x * ((g + 1) * x + 1)
+        assert got == (g - 1) * x
+        assert got.terms == {(1,): g - 1} and got.tower == split
+        self._check(got, lambda value: value((g - 1) * x) * value((g + 1) * x + 1), "split", ("t",))
+
+    @pytest.mark.parametrize("name", ["QQ", "sqrt2", "sqrt1/3", "alpha_i"])
+    def test_univariate_divmod(self, name):
+        import random
+
+        rng = random.Random(7500 + len(name))
+        tower = _towers()[name][0]
+        for trial in range(6):
+            a = self._uni(rng, tower, 7, rng.randint(1, 6), huge=trial % 2 == 1)
+            b = self._uni(rng, tower, 4, rng.randint(1, 4), huge=trial == 2)
+            q, r = a.divmod(b)
+            assert q * b + r == a
+            assert r.degree < b.degree
+            assert all(isinstance(x, UniPoly) and x.var == "t" for x in (q, r))
+
+    def test_univariate_results_keep_the_class(self):
+        sqrt2 = QQ.extend("s", [-2, 0, 1])
+        f = UniPoly("x", {3: sqrt2.gen("s"), 1: 2, 0: -1}, sqrt2)
+        g = UniPoly("x", {2: 1, 0: Fraction(1, 3)})
+        inner = UniPoly("y", {2: 1, 1: 1})
+        results = [
+            f + g, f - g, f * g, f ** 2, f ** 0, -f, 3 * f, f - 1, 1 - f, *f.divmod(g),
+            f.monic(), f.derivative(), f + MultiPoly.constant(2),
+        ]
+        for p in results:
+            assert type(p) is UniPoly and p.var == "x", p
+        assert type(f.compose(inner)) is UniPoly and f.compose(inner).var == "y"
+        with pytest.raises(InvalidInput, match="variable mismatch: x vs y"):
+            f.divmod(inner)
+        st = ("s", "t")
+        s_, t_ = MultiPoly.variable("s", st), MultiPoly.variable("t", st)
+        res = resultant_eliminate(s_ ** 2 - t_, s_ * t_ - 1, "s")
+        assert type(res) is UniPoly and res.var == "t"
+        assert res == 1 - t_ ** 3  # t^2 * f(1/t), as in TestResultant
+        # two variables, or none, stay MultiPoly
+        assert type(f * inner) is MultiPoly and type(s_ * t_) is MultiPoly
+        assert type(MultiPoly.constant(2) * 3) is MultiPoly
 
 
 class TestEvalAt:

@@ -1,0 +1,87 @@
+"""Digest of the benchmark corpus's outputs, for byte-identity checks.
+
+Runs every distinct invocation of ``perfbench/workloads.py`` at the given
+seeds (default 1 and 7) once through ``revolutio.cli.main``, in one
+process, and prints one line per call:
+
+    exit=<code> out=<sha256 of stdout> err=<sha256 of stderr> obj=<sha256 of the OBJ file or -> <argv>
+
+The tree's own path is replaced by ``<ROOT>`` in the argv, stdout and
+stderr, so two checkouts of different commits give the same digest exactly
+when their outputs agree. Mesh calls write their OBJ files to the
+gitignored ``perfbench/out/``, as benchmark runs do; each is removed before
+its call, so a call that writes none shows ``obj=-``.
+
+Compare a change with its parent:
+
+    python3 tools/corpus_digest.py > head.txt
+    python3 tools/corpus_digest.py --root ../parent-checkout > base.txt
+    diff base.txt head.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+PLACEHOLDER = "<ROOT>"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def invocations(workloads, seeds) -> list:
+    """Distinct argv tuples over every workload and seed, in first-seen order."""
+    seen = {}
+    for seed in seeds:
+        for name in workloads.WORKLOADS:
+            for case in workloads.build(name, seed):
+                seen.setdefault(tuple(case.argv), None)
+    return list(seen)
+
+
+def digest_line(cli, argv: tuple, root: str) -> str:
+    out_path = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if out_path is not None:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a traceback is an output too
+            code = f"{type(exc).__name__}: {exc}".replace(root, PLACEHOLDER)
+    obj = _sha(out_path.read_bytes()) if out_path is not None and out_path.exists() else "-"
+    label = " ".join(repr(a) for a in argv).replace(root, PLACEHOLDER)
+    return (
+        f"exit={code} out={_sha(out.getvalue().replace(root, PLACEHOLDER).encode())} "
+        f"err={_sha(err.getvalue().replace(root, PLACEHOLDER).encode())} obj={obj} {label}"
+    )
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
+                    help="checkout whose src/ and perfbench/ are run (default: this one)")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
+    args = ap.parse_args(argv)
+    root = str(Path(args.root).resolve())
+    sys.path[:0] = [str(Path(root, "src")), str(Path(root, "perfbench"))]
+    import workloads
+
+    import revolutio.cli as cli
+
+    for call in invocations(workloads, args.seeds):
+        print(digest_line(cli, call, root), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

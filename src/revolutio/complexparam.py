@@ -61,7 +61,7 @@ class SurfaceParam:
                 c = MultiPoly.constant(c)
             t = join_towers(t, c.tower)
             comps.append(c)
-        comps = [MultiPoly(UV, c.with_vars(UV).terms, t) for c in comps]
+        comps = [c.with_vars(UV, t) for c in comps]
         if len(comps) != 3:
             raise InvalidInput("a surface parametrization has three components")
         return SurfaceParam(tuple(comps), t, tuple(provenance), properness)
@@ -182,7 +182,7 @@ def choose_root_alpha(p: UniPoly) -> RootSpec:
         return RootSpec(value=p.tower.rational(r), source="rational-root")
     m = squarefree_part(p)
     name = p.tower.fresh_name("alpha")
-    ext = p.tower.extend(name, [m.coeff(e) for e in range(int(m.degree) + 1)])
+    ext = p.tower.extend(name, [m.coeff(e) for e in range(m.degree + 1)])
     spec = RootSpec(value=ext.gen(name), source="tower-extension", minpoly=m)
     if not p.eval_at(spec.value).is_zero():
         raise InconsistentRoot("extension generator does not annihilate p")
@@ -262,7 +262,7 @@ def cylinder_case_param(d: P2Decomposition) -> SurfaceParam:
     else:
         m = squarefree_part(d.a)
         name = tower.fresh_name("beta")
-        tower = tower.extend(name, [m.coeff(e) for e in range(int(m.degree) + 1)])
+        tower = tower.extend(name, [m.coeff(e) for e in range(m.degree + 1)])
         root = tower.gen(name)
         a1 = a1.with_tower(tower)
         note = f"shift by extension root of {m}"

@@ -104,18 +104,12 @@ class RealEmbedding:
     ``refine_all``.
     """
 
-    def __init__(self, tower: ExtensionTower, intervals: dict):
+    def __init__(self, tower: ExtensionTower, intervals: dict, minpolys: dict):
+        """``minpolys`` maps each step name to its minimal polynomial's
+        integer coefficients (``_int_coeffs``), lowest degree first."""
         self.tower = tower
         self.intervals = dict(intervals)
-        self._minpolys = {}
-        for step in tower.steps:
-            mp = UniPoly.from_dense("x", [c for c in step.minpoly])
-            if not mp.is_rational_poly():
-                raise InvalidInput(
-                    f"step {step.name!r} has non-rational minimal polynomial "
-                    "coefficients; no numeric embedding is available"
-                )
-            self._minpolys[step.name] = _int_coeffs(mp)
+        self._minpolys = minpolys
         self._reset_ranges()
 
     def _reset_ranges(self):
@@ -152,13 +146,14 @@ class RealEmbedding:
 def default_real_embedding(tower: ExtensionTower) -> RealEmbedding:
     """Embedding from each step's recorded hint, falling back to the greatest
     real root; NoRealEmbedding if some generator has no real root."""
-    intervals = {}
+    intervals, minpolys = {}, {}
     for step in tower.steps:
         mp = UniPoly.from_dense("x", [c for c in step.minpoly])
         if not mp.is_rational_poly():
             raise InvalidInput(
                 f"step {step.name!r} has non-rational minimal polynomial coefficients"
             )
+        minpolys[step.name] = _int_coeffs(mp)
         if step.embedding is not None:
             lo, hi = step.embedding
             ok = lo == hi and mp.eval_at(lo).is_zero()
@@ -171,7 +166,7 @@ def default_real_embedding(tower: ExtensionTower) -> RealEmbedding:
         if not roots:
             raise NoRealEmbedding(f"generator {step.name!r} has no real root")
         intervals[step.name] = roots[-1]
-    return RealEmbedding(tower, intervals)
+    return RealEmbedding(tower, intervals, minpolys)
 
 
 def _as_float(n: int, den: int) -> float:

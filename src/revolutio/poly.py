@@ -15,6 +15,17 @@ interpolation is everything the parametrization pipeline needs; there is
 deliberately no general factorization. Tower inversion and the
 square-free check on minimal polynomials run through it too.
 
+There is one way to build a polynomial inside the package.
+``MultiPoly(vars, terms, tower)`` (and ``UniPoly(var, coeffs, tower)``,
+``UniPoly.from_dense``) is the validating constructor, for scalars and input
+from outside the package: it sorts the variables, checks the exponents and
+coerces every coefficient onto one tower. Everything else is built by
+``MultiPoly._canonical``, which trusts nonzero FieldElements over the given
+tower keyed by the sorted variables: arithmetic results, ``zero``,
+``constant`` and ``variable`` of both classes, and ``with_vars``, the one
+method that re-keys a polynomial onto other variables or lifts it onto a
+taller tower. The zero polynomial has degree -1.
+
 Products, powers and ``substitute`` run on one packed-integer kernel
 (Kronecker substitution, ``_Kronecker``); only a product with a one-term
 operand skips it and multiplies coefficient by coefficient. Denominators
@@ -57,11 +68,18 @@ from typing import Iterable, Mapping, Sequence, Union
 from .errors import InvalidInput, NotDivisible, ZeroDivisor
 from .tower import QQ, ExtensionTower, FieldElement, join_towers
 
-NEG_INF = float("-inf")
-
 Scalar = Union[int, Fraction, FieldElement]
 
 MAX_VARS = 4
+
+
+def _sorted_vars(vars_: Iterable[str]) -> tuple:
+    vars_ = tuple(sorted(vars_))
+    if len(vars_) > MAX_VARS:
+        raise InvalidInput(f"at most {MAX_VARS} variables are supported")
+    if len(set(vars_)) != len(vars_):
+        raise InvalidInput("duplicate variable")
+    return vars_
 
 
 def _coerce_scalar(x: Scalar, tower: ExtensionTower) -> FieldElement:
@@ -81,12 +99,8 @@ class MultiPoly:
 
     def __init__(self, vars_: Sequence[str], terms: Mapping[tuple, Scalar], tower: ExtensionTower = QQ):
         vars_ = tuple(vars_)
-        if len(vars_) > MAX_VARS:
-            raise InvalidInput(f"at most {MAX_VARS} variables are supported")
-        if len(set(vars_)) != len(vars_):
-            raise InvalidInput("duplicate variable")
-        order = tuple(sorted(range(len(vars_)), key=lambda i: vars_[i]))
-        svars = tuple(vars_[i] for i in order)
+        svars = _sorted_vars(vars_)
+        order = sorted(range(len(vars_)), key=vars_.__getitem__)
         t = tower
         for c in terms.values():
             if isinstance(c, FieldElement):
@@ -98,13 +112,9 @@ class MultiPoly:
             if any(e < 0 for e in key):
                 raise InvalidInput("negative exponent")
             fe = _coerce_scalar(c, t)
-            if fe.is_zero():
-                continue
-            skey = tuple(key[i] for i in order)
-            prev = out.get(skey)
-            out[skey] = fe if prev is None else prev + fe
-            if out[skey].is_zero():
-                del out[skey]
+            if not fe.is_zero():
+                # one fixed permutation re-orders every key: distinct keys stay distinct
+                out[tuple(key[i] for i in order)] = fe
         self.vars = svars
         self.tower = t
         self.terms = out
@@ -113,28 +123,28 @@ class MultiPoly:
     def _canonical(vars_: tuple, terms: dict, tower: ExtensionTower) -> "MultiPoly":
         """Wrap terms that are already nonzero FieldElements over ``tower``,
         keyed in the order of the sorted ``vars_``, skipping ``__init__``.
-        This is where arithmetic results get their class: a UniPoly when
-        there is exactly one variable, else a MultiPoly."""
+        This is where every polynomial built inside the package gets its
+        class: a UniPoly when there is exactly one variable, else a
+        MultiPoly."""
         p = object.__new__(UniPoly if len(vars_) == 1 else MultiPoly)
         p.vars, p.tower, p.terms = vars_, tower, terms
         return p
 
     @classmethod
     def zero(cls, vars_: Sequence[str] = (), tower: ExtensionTower = QQ) -> "MultiPoly":
-        return cls(tuple(vars_), {}, tower)
+        return MultiPoly._canonical(_sorted_vars(vars_), {}, tower)
 
     @classmethod
     def constant(cls, c: Scalar, vars_: Sequence[str] = (), tower: ExtensionTower = QQ) -> "MultiPoly":
-        vars_ = tuple(vars_)
-        return cls(vars_, {(0,) * len(vars_): c}, tower)
+        vars_ = _sorted_vars(vars_)
+        c = _coerce_scalar(c, tower)
+        return MultiPoly._canonical(vars_, {} if c.is_zero() else {(0,) * len(vars_): c}, c.tower)
 
     @classmethod
     def variable(cls, var: str, vars_: Sequence[str] = (), tower: ExtensionTower = QQ) -> "MultiPoly":
-        vars_ = tuple(vars_) or (var,)
-        if var not in vars_:
-            vars_ = vars_ + (var,)
-        key = tuple(1 if v == var else 0 for v in vars_)
-        return cls(vars_, {key: 1}, tower)
+        vars_ = tuple(vars_)
+        vars_ = _sorted_vars(vars_ if var in vars_ else vars_ + (var,))
+        return MultiPoly._canonical(vars_, {tuple(int(v == var) for v in vars_): tower.one()}, tower)
 
     # -- structure ------------------------------------------------------------
 
@@ -152,46 +162,36 @@ class MultiPoly:
         return next(iter(self.terms.values()))
 
     @property
-    def total_degree(self):
-        return max((sum(k) for k in self.terms), default=NEG_INF)
+    def total_degree(self) -> int:
+        """-1 for the zero polynomial."""
+        return max((sum(k) for k in self.terms), default=-1)
 
-    def degree_in(self, var: str):
+    def degree_in(self, var: str) -> int:
+        """-1 for the zero polynomial."""
         if var not in self.vars:
-            return 0 if not self.is_zero() else NEG_INF
+            return 0 if self.terms else -1
         i = self.vars.index(var)
-        return max((k[i] for k in self.terms), default=NEG_INF)
+        return max((k[i] for k in self.terms), default=-1)
 
     def uses(self, var: str) -> bool:
-        d = self.degree_in(var)
-        return d != NEG_INF and d > 0
+        return self.degree_in(var) > 0
 
-    def with_vars(self, vars_: Sequence[str]) -> "MultiPoly":
-        """Reindex onto a superset of variables."""
-        vars_ = tuple(sorted(vars_))
+    def with_vars(self, vars_: Sequence[str], tower: ExtensionTower | None = None) -> "MultiPoly":
+        """Re-keyed onto the variables ``vars_``, which may add variables or
+        drop unused ones, with every coefficient lifted to ``tower`` (default:
+        this polynomial's tower), which must have this tower as a prefix."""
+        vars_ = _sorted_vars(vars_)
         missing = [v for v in self.vars if v not in vars_ and self.uses(v)]
         if missing:
             raise InvalidInput(f"cannot drop used variables {missing}")
-        pos = {v: i for i, v in enumerate(vars_)}
-        terms = {}
-        for key, c in self.terms.items():
-            nk = [0] * len(vars_)
-            for v, e in zip(self.vars, key):
-                if e:
-                    nk[pos[v]] = e
-            terms[tuple(nk)] = c
-        return MultiPoly(vars_, terms, self.tower)
-
-    def _over(self, vars_: tuple, tower: ExtensionTower) -> "MultiPoly":
-        """Keyed by ``vars_``, a sorted superset of the variables, with every
-        coefficient lifted to ``tower``, a tower above this one."""
-        if len(vars_) > MAX_VARS:
-            raise InvalidInput(f"at most {MAX_VARS} variables are supported")
-        pos = [vars_.index(v) for v in self.vars]
+        tower = self.tower if tower is None else tower
+        pos = [vars_.index(v) if v in vars_ else None for v in self.vars]
         terms = {}
         for key, c in self.terms.items():
             nk = [0] * len(vars_)
             for i, e in zip(pos, key):
-                nk[i] = e
+                if e:
+                    nk[i] = e
             terms[tuple(nk)] = c.lift_to(tower)
         return MultiPoly._canonical(vars_, terms, tower)
 
@@ -223,7 +223,7 @@ class MultiPoly:
             return self, other
         vars_ = tuple(sorted(set(self.vars) | set(other.vars)))
         t = join_towers(self.tower, other.tower)
-        return self._over(vars_, t), other._over(vars_, t)
+        return self.with_vars(vars_, t), other.with_vars(vars_, t)
 
     def __add__(self, other):
         a, b = self._binary(other)
@@ -298,11 +298,8 @@ class MultiPoly:
         for k, c in self.terms.items():
             if k[i] == 0:
                 continue
-            nk = k[:i] + (k[i] - 1,) + k[i + 1:]
-            nc = c * k[i]
-            prev = terms.get(nk)
-            terms[nk] = nc if prev is None else prev + nc
-        return MultiPoly(self.vars, terms, self.tower)
+            terms[k[:i] + (k[i] - 1,) + k[i + 1:]] = c * k[i]
+        return MultiPoly._canonical(self.vars, terms, self.tower)
 
     def eval_at(self, point: Mapping[str, Scalar]) -> FieldElement:
         t = self.tower
@@ -333,10 +330,7 @@ class MultiPoly:
             raise InvalidInput(f"{var!r} is not a variable of this polynomial")
         i = self.vars.index(var)
         rest = self.vars[:i] + self.vars[i + 1:]
-        d = self.degree_in(var)
-        if d == NEG_INF:
-            return []
-        buckets: list = [dict() for _ in range(int(d) + 1)]
+        buckets: list = [dict() for _ in range(self.degree_in(var) + 1)]
         for k, c in self.terms.items():
             buckets[k[i]][k[:i] + k[i + 1:]] = c
         return [MultiPoly._canonical(rest, b, self.tower) for b in buckets]
@@ -346,14 +340,11 @@ class MultiPoly:
         used = [v for v in self.vars if self.uses(v)]
         if len(used) > 1:
             raise InvalidInput("more than one variable in use")
-        v = var or (used[0] if used else (self.vars[0] if self.vars else "t"))
         if used and var is not None and used[0] != var:
             raise InvalidInput(f"polynomial uses {used[0]!r}, not {var!r}")
-        i = self.vars.index(used[0]) if used else None
-        coeffs = {}
-        for k, c in self.terms.items():
-            coeffs[k[i] if i is not None else 0] = c
-        return UniPoly(v, coeffs, self.tower)
+        if var is None:
+            var = used[0] if used else (self.vars[0] if self.vars else "t")
+        return self.with_vars((var,))
 
     def __repr__(self) -> str:
         return _poly_str(self.terms, self.vars)
@@ -377,23 +368,24 @@ class UniPoly(MultiPoly):
 
     @classmethod
     def zero(cls, var: str, tower: ExtensionTower = QQ) -> "UniPoly":
-        return cls(var, {}, tower)
+        return MultiPoly.zero((var,), tower)
 
     @classmethod
     def constant(cls, var: str, c: Scalar, tower: ExtensionTower = QQ) -> "UniPoly":
-        return cls(var, {0: c}, tower)
+        return MultiPoly.constant(c, (var,), tower)
 
     @classmethod
     def variable(cls, var: str, tower: ExtensionTower = QQ) -> "UniPoly":
-        return cls(var, {1: 1}, tower)
+        return MultiPoly.variable(var, (var,), tower)
 
     @property
     def var(self) -> str:
         return self.vars[0]
 
     @property
-    def degree(self):
-        return max(self.terms)[0] if self.terms else NEG_INF
+    def degree(self) -> int:
+        """-1 for the zero polynomial."""
+        return max(self.terms)[0] if self.terms else -1
 
     def lc(self) -> FieldElement:
         return self.terms[max(self.terms)] if self.terms else self.tower.zero()
@@ -410,13 +402,10 @@ class UniPoly(MultiPoly):
         return {e: c.as_rational() for (e,), c in self.terms.items()}
 
     def with_tower(self, tower: ExtensionTower) -> "UniPoly":
-        return UniPoly(self.var, {e: c for (e,), c in self.terms.items()}, tower)
+        return self.with_vars(self.vars, tower)
 
     def rename(self, var: str) -> "UniPoly":
         return MultiPoly._canonical((var,), dict(self.terms), self.tower)
-
-    def to_multi(self, extra_vars: Iterable[str] = ()) -> MultiPoly:
-        return self.with_vars(set(extra_vars) | {self.var})
 
     def divmod(self, other) -> tuple:
         """Division with remainder; inverts the divisor's leading coefficient."""
@@ -884,7 +873,7 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         raise InvalidInput("division by zero polynomial")
     vars_ = tuple(sorted(set(f.vars) | set(g.vars)))
     t = join_towers(f.tower, g.tower)
-    r, gg = f._over(vars_, t), g._over(vars_, t)
+    r, gg = f.with_vars(vars_, t), g.with_vars(vars_, t)
     lt_g = max(gg.terms)
     c_g = gg.terms[lt_g]
     q = MultiPoly.zero(vars_, t)
@@ -894,7 +883,7 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         if any(d < 0 for d in diff):
             raise NotDivisible(r)
         c = r.terms[lt_r] / c_g
-        mono = MultiPoly(vars_, {diff: c}, t)
+        mono = MultiPoly._canonical(vars_, {diff: c}, t)
         q = q + mono
         r = r - mono * gg
     return q
@@ -924,7 +913,7 @@ def resultant_eliminate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     if var not in vars_:
         raise InvalidInput(f"{var!r} appears in neither polynomial")
     t = join_towers(f.tower, g.tower)
-    fv, gv = f._over(vars_, t), g._over(vars_, t)
+    fv, gv = f.with_vars(vars_, t), g.with_vars(vars_, t)
     if not fv.uses(var) or not gv.uses(var):
         raise InvalidInput(f"both polynomials must contain {var!r}")
     i = vars_.index(var)

@@ -103,7 +103,7 @@ class P2Decomposition:
 
     @property
     def delta(self) -> int:
-        return max(int(self.p.degree), 0)
+        return max(self.p.degree, 0)
 
     def first_coordinate(self) -> UniPoly:
         return self.p * self.a * self.a
@@ -172,7 +172,7 @@ def implicit_to_p2(F: MultiPoly) -> MultiPoly:
         if ex % 2 != 0:
             raise NotSurfaceOfRevolution("odd power of x in the y = 0 section")
         terms[(ex // 2, ez)] = c
-    G = MultiPoly(("w", "z"), terms, section.tower)
+    G = MultiPoly._canonical(("w", "z"), terms, section.tower)
     xyz = {
         "w": _sum_of_squares(),
         "z": MultiPoly.variable("z", ("x", "y", "z")),
@@ -238,7 +238,7 @@ def polynomialize_rational(c: PlaneCurveParam) -> PlaneCurveParam:
         return c
     q = _lcm_poly(c.x_den, c.z_den)
     s = squarefree_part(q)
-    if int(s.degree) != 1:
+    if s.degree != 1:
         raise NotPolynomialCurve(
             "the common denominator has several distinct roots (several points at infinity)"
         )
@@ -250,7 +250,7 @@ def polynomialize_rational(c: PlaneCurveParam) -> PlaneCurveParam:
             new.append(n_lift)
             continue
         d_lift = _moebius_lift(den, r)
-        gap = int(den.degree) - int(num.degree)
+        gap = den.degree - num.degree
         if gap >= 0:
             n_lift = n_lift * UniPoly("t", {gap: 1}, n_lift.tower)
         else:
@@ -270,7 +270,7 @@ def _lcm_poly(a: UniPoly, b: UniPoly) -> UniPoly:
 def _moebius_lift(f: UniPoly, r) -> UniPoly:
     """X^deg(f) * f(r + 1/X), a polynomial in the fresh variable t."""
     t = join_towers(f.tower, r.tower)
-    d = int(f.degree) if not f.is_zero() else 0
+    d = max(f.degree, 0)
     lin = UniPoly("t", {1: r, 0: 1}, t)  # r*X + 1
     acc = UniPoly.zero("t", t)
     for (e,), coeff in f.terms.items():
@@ -296,7 +296,7 @@ def affine_equivalent(f: PlaneCurveParam, g: PlaneCurveParam) -> AffineReparam:
         raise NotEquivalent("no non-constant component to match")
     if not all(h.is_rational_poly() for h in (fx, fz, gx, gz)):
         raise InvalidInput("affine matching is implemented for rational coefficients")
-    d = int(fp.degree)
+    d = fp.degree
     ratio = gp.lc().as_rational() / fp.lc().as_rational()
     xvar = UniPoly.variable("x")
     for alpha in set(rational_roots(xvar ** d - ratio)):

@@ -142,7 +142,7 @@ def cubic_example() -> SurfaceParam:
 
 def canonicalize_quadratic(p: UniPoly) -> CanonicalQuadratic:
     """Complete the square: an affine change making p into sign*z^2 + lambda."""
-    if int(p.degree) != 2:
+    if p.degree != 2:
         raise InvalidInput("canonicalization expects degree exactly 2")
     c = p.rational_coeffs()
     c2 = c[2]
@@ -274,7 +274,7 @@ def _delta0_real_root_witness(d: P2Decomposition, c: Fraction) -> SurfaceParam:
         m = squarefree_part(d.a)
         iv = isolate_real_roots(m)[-1]
         tower = tower.extend(
-            "beta", [m.coeff(e) for e in range(int(m.degree) + 1)], embedding=iv
+            "beta", [m.coeff(e) for e in range(m.degree + 1)], embedding=iv
         )
         root = tower.gen("beta")
         a1 = a1.with_tower(tower)
@@ -337,10 +337,10 @@ def _smallest_disc_quadratic_factor(f: UniPoly):
 def _rational_quadratic_factors(f: UniPoly):
     """All monic rational quadratic factors of f, by solving the two
     remainder coefficients of f mod (t^2 + B t + G) for rational (B, G)."""
-    if int(f.degree) < 2 or not f.is_rational_poly():
+    if f.degree < 2 or not f.is_rational_poly():
         return []
     co = f.rational_coeffs()
-    deg = int(f.degree)
+    deg = f.degree
     BG = ("B", "G")
     Bv = MultiPoly.variable("B", BG)
     Gv = MultiPoly.variable("G", BG)

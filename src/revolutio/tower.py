@@ -38,6 +38,14 @@ def _as_fraction(x) -> Fraction:
     raise InvalidInput(f"expected a rational, got {type(x).__name__}")
 
 
+def _strip_zeros(key: tuple) -> tuple:
+    """An exponent tuple without its trailing zeros."""
+    n = len(key)
+    while n and not key[n - 1]:
+        n -= 1
+    return key[:n]
+
+
 @dataclass(frozen=True)
 class TowerStep:
     """One extension step: a generator name, its monic minimal polynomial
@@ -263,7 +271,9 @@ class FieldElement:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.tower, frozenset(self.terms.items())))
+        # equal elements over different towers differ only by the zero
+        # exponents ``lift_to`` pads at the end, so hash without those
+        return hash(frozenset((_strip_zeros(k), q) for k, q in self.terms.items()))
 
     # -- ring operations ------------------------------------------------------
 
@@ -348,7 +358,7 @@ class FieldElement:
         tower = self.tower
         if tower.height == 0:
             return tower.rational(1 / self.as_rational())
-        from .poly import UniPoly, invert_mod
+        from .poly import MultiPoly, UniPoly, invert_mod
 
         # a polynomial in the top generator, with coefficients over the parent
         step = tower.steps[-1]
@@ -356,9 +366,9 @@ class FieldElement:
         buckets: dict = {}
         for key, q in self.terms.items():
             buckets.setdefault(key[-1], {})[key[:-1]] = q
-        a = UniPoly(
-            step.name,
-            {e: FieldElement(parent, terms, reduce=False) for e, terms in buckets.items()},
+        a = MultiPoly._canonical(
+            (step.name,),
+            {(e,): FieldElement(parent, terms, reduce=False) for e, terms in buckets.items()},
             parent,
         )
         m = UniPoly.from_dense(step.name, step.minpoly, parent)

@@ -28,7 +28,6 @@ from fractions import Fraction
 from .errors import InvalidInput, ZeroDivisor
 from .poly import (
     MultiPoly,
-    UniPoly,
     gcd_unipoly,
     resultant_eliminate,
     squarefree_part,
@@ -168,8 +167,8 @@ def fiber_count(s, sample) -> object:
     eqs = []
     for c in comps:
         e = c - MultiPoly.constant(c.eval_at({"u": u0, "v": v0}), c.vars, tower)
-        if not e.is_zero():
-            eqs.append(MultiPoly(("u", "v"), e.with_vars(("u", "v")).terms, tower))
+        if not e.is_zero():  # over (u, v) and ``tower`` already
+            eqs.append(e)
     with_v = [e for e in eqs if e.uses("v")]
     u_only = [e for e in eqs if not e.uses("v")]
     if not with_v:
@@ -193,7 +192,7 @@ def fiber_count(s, sample) -> object:
     stack = [g.monic()]
     while stack:
         m = stack.pop()
-        deg_m = int(m.degree)
+        deg_m = m.degree
         if deg_m == 1:
             theta = -(m.coeff(0) * m.coeff(1).inverse())
             branch_tower = tower
@@ -208,7 +207,9 @@ def fiber_count(s, sample) -> object:
             nv = _common_v_root_count(with_v, theta, branch_tower)
         except ZeroDivisor as exc:
             if branch_name is not None and exc.step_name == branch_name:
-                f = UniPoly(m.var, {e: c for e, c in enumerate(exc.factor)}, tower)
+                f = MultiPoly._canonical(
+                    m.vars, {(e,): c for e, c in enumerate(exc.factor) if not c.is_zero()}, tower
+                )
                 stack.append(f.monic())
                 stack.append(m.divmod(f)[0].monic())
                 continue
@@ -223,17 +224,14 @@ def _common_v_root_count(with_v, theta, branch_tower) -> object:
     g = None
     for e in with_v:
         dense = e.as_unipoly_in("v")
-        pe = UniPoly(
-            "v",
-            {k: c.eval_at({"u": theta}) for k, c in enumerate(dense)},
-            branch_tower,
-        )
+        values = ((k, c.eval_at({"u": theta})) for k, c in enumerate(dense))
+        pe = MultiPoly._canonical(("v",), {(k,): x for k, x in values if not x.is_zero()}, branch_tower)
         g = pe if g is None else gcd_unipoly(g, pe)
     if g is None or g.is_zero():
         return INDETERMINATE
     if g.is_constant():
         return 0
-    return int(squarefree_part(g).degree)
+    return squarefree_part(g).degree
 
 
 def fiber_count_first_valid(s, samples=FIBER_SAMPLES):

@@ -151,8 +151,8 @@ def run_gcd_suite(cases=CASES):
         gcd = gcd_unipoly(f, g)
         assert not gcd.is_constant()  # a common factor was planted
         for h in (f, g):
-            q = exact_divide(h.to_multi(), gcd.to_multi())
-            assert q * gcd.to_multi() == h.to_multi()
+            q = exact_divide(h, gcd)
+            assert q * gcd == h
     return cases
 
 

@@ -14,6 +14,7 @@ from revolutio import (
     InvalidInput,
     MultiPoly,
     NotDivisible,
+    TowerMismatch,
     UniPoly,
     exact_divide,
     gcd_unipoly,
@@ -134,7 +135,7 @@ def random_squarefree_real(rng):
                 roots.append(Fraction(0))
             else:
                 f = f * (t ** 2 + rng.randint(-3, 3) * t + rng.randint(3, 9))
-        sf = _sympy_poly(f.to_multi(), {"t": x})
+        sf = _sympy_poly(f, {"t": x})
         if sympy.degree(sympy.gcd(sf, sympy.diff(sf, x)), x) == 0:
             return f, sympy.Poly(sf, x), roots
 
@@ -164,12 +165,12 @@ class TestInvertMod:
         while checked < 30:
             m = from_dense(_random_dense(rng, rng.randint(1, 5), monic=True))
             a = from_dense(_random_dense(rng, rng.randint(0, m.degree - 1)))
-            sm, sa = _sympy_poly(m.to_multi(), sym), _sympy_poly(a.to_multi(), sym)
+            sm, sa = _sympy_poly(m, sym), _sympy_poly(a, sym)
             if sympy.degree(sympy.gcd(sa, sm), x) > 0:
                 continue
             inv = invert_mod(a, m, "t")
             assert inv.degree < m.degree
-            assert sympy.expand(_sympy_poly(inv.to_multi(), sym) - sympy.invert(sa, sm, x)) == 0
+            assert sympy.expand(_sympy_poly(inv, sym) - sympy.invert(sa, sm, x)) == 0
             checked += 1
 
     def test_common_factor_raises_the_monic_gcd(self):
@@ -189,7 +190,7 @@ class TestInvertMod:
             with pytest.raises(ZeroDivisor) as exc:
                 invert_mod(a, m, "g")
             assert exc.value.step_name == "g"
-            sa, sm = _sympy_poly(a.to_multi(), sym), _sympy_poly(m.to_multi(), sym)
+            sa, sm = _sympy_poly(a, sym), _sympy_poly(m, sym)
             expected = sympy.Poly(sympy.gcd(sa, sm), x).monic()
             got = [c.as_rational() for c in exc.value.factor]
             assert got == [Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())]
@@ -213,7 +214,7 @@ class TestIsSquarefree:
             f = from_dense(_random_dense(rng, rng.randint(1, 3)))
             if rng.random() < 0.5:
                 f = f * from_dense(_random_dense(rng, 1)) ** 2
-            sf = _sympy_poly(f.to_multi(), sym)
+            sf = _sympy_poly(f, sym)
             expected = sympy.degree(sympy.gcd(sf, sympy.diff(sf, x)), x) == 0
             assert is_squarefree(f) == expected
             seen.add(expected)
@@ -264,7 +265,7 @@ class TestSquarefreeDecompose:
                 f = f * t ** rng.randint(1, 3)
             d = squarefree_decompose(f)
             assert d.reconstruct() == f
-            sf = sympy.Poly(_sympy_poly(f.to_multi(), {"t": x}), x, domain="QQ")
+            sf = sympy.Poly(_sympy_poly(f, {"t": x}), x, domain="QQ")
             lc = sf.LC()
             assert d.content == Fraction(int(lc.p), int(lc.q))
             expected = [
@@ -383,8 +384,8 @@ class TestSturm:
         assert at_root > 20
 
     def test_zero_degree_marker(self):
-        assert UniPoly.zero("t").degree == float("-inf")
-        assert MultiPoly.zero(("u", "v")).total_degree == float("-inf")
+        assert UniPoly.zero("t").degree == -1
+        assert MultiPoly.zero(("u", "v")).total_degree == -1
         assert UniPoly.constant("t", 3).degree == 0
 
 
@@ -491,9 +492,9 @@ class TestResultant:
                     var,
                     {e: Fraction(rng.randint(-3, 3)) for e in range(rng.randrange(1, 3) + 1)},
                 ) + UniPoly(var, {rng.randrange(1, 3): 1})
-            common = rnd("v").to_multi(("u", "v")) + u
-            f1 = rnd("v").to_multi(("u", "v")) + u * v
-            g1 = rnd("v").to_multi(("u", "v")) - u * v
+            common = rnd("v").with_vars(("u", "v")) + u
+            f1 = rnd("v").with_vars(("u", "v")) + u * v
+            g1 = rnd("v").with_vars(("u", "v")) - u * v
             f = common * f1
             g = common * g1
             if not f.uses("v") or not g.uses("v"):
@@ -957,3 +958,94 @@ class TestEvalAt:
                 want = want + term
             got = p.eval_at(point)
             assert got.tower == tower and got == want
+
+
+class TestWithVars:
+    """``with_vars`` is the one re-keying path and the trusted constructors
+    share its canonical form; the validating constructor is the oracle."""
+
+    @staticmethod
+    def _rekeyed(p, names):
+        """p's terms keyed by ``names`` in the given order (the oracle's input)."""
+        return {tuple(dict(zip(p.vars, k)).get(n, 0) for n in names): c for k, c in p.terms.items()}
+
+    @staticmethod
+    def _same(got, want):
+        assert type(got) is (UniPoly if len(want.vars) == 1 else MultiPoly)
+        assert got.vars == want.vars and got.tower == want.tower and got.terms == want.terms
+        assert all(c.tower == got.tower for c in got.terms.values())
+
+    @pytest.mark.parametrize("name", ["QQ", "sqrt2", "sqrt1/3", "alpha_i", "split"])
+    def test_against_the_validating_constructor(self, name):
+        import random
+
+        rng = random.Random(7600 + len(name))
+        tower = _towers()[name][0]
+        taller = tower.extend(tower.fresh_name("c"), [-7, 0, 1])
+        make = TestPackedProducts()
+        for trial in range(12):
+            names = tuple(rng.sample(("w", "u", "v"), rng.randint(1, 3)))
+            p = make._poly(rng, tower, names, 4, rng.randint(1, 6), huge=trial % 4 == 1)
+            # onto a superset, named in unsorted order
+            wider = names + ("x",)
+            wider = tuple(rng.sample(wider, len(wider)))
+            self._same(p.with_vars(wider), MultiPoly(wider, self._rekeyed(p, wider), tower))
+            # onto a subset that drops an unused variable
+            padded = MultiPoly(names + ("x",), self._rekeyed(p, names + ("x",)), tower)
+            self._same(padded.with_vars(names), MultiPoly(names, self._rekeyed(p, names), tower))
+            # onto a taller tower
+            self._same(p.with_vars(names, taller), MultiPoly(p.vars, dict(p.terms), taller))
+
+    def test_refusals(self):
+        sqrt2 = QQ.extend("s", [-2, 0, 1])
+        p = u * v + 1
+        with pytest.raises(InvalidInput, match="cannot drop used variables"):
+            p.with_vars(("u",))
+        with pytest.raises(InvalidInput, match="at most 4 variables"):
+            p.with_vars(("u", "v", "w", "x", "y"))
+        with pytest.raises(InvalidInput, match="duplicate variable"):
+            p.with_vars(("u", "v", "v"))
+        with pytest.raises(TowerMismatch):
+            (u + sqrt2.gen("s")).with_vars(("u", "v"), QQ)
+        for build in (
+            lambda names: MultiPoly.zero(names),
+            lambda names: MultiPoly.constant(1, names),
+            lambda names: MultiPoly.variable("u", names),
+        ):
+            with pytest.raises(InvalidInput, match="at most 4 variables"):
+                build(("u", "v", "w", "x", "y"))
+
+    def test_trusted_constructors(self):
+        sqrt2 = QQ.extend("s", [-2, 0, 1])
+        s = sqrt2.gen("s")
+        for zero in (0, Fraction(0), sqrt2.zero()):
+            assert MultiPoly.constant(zero, ("v", "u")).is_zero()
+            assert MultiPoly.constant(zero, ("v", "u")).vars == ("u", "v")
+            assert UniPoly.constant("t", zero).terms == {}
+        self._same(MultiPoly.variable("u", ("w", "v")), MultiPoly(("w", "v", "u"), {(0, 0, 1): 1}))
+        self._same(MultiPoly.variable("u", ("w",)), MultiPoly(("w", "u"), {(0, 1): 1}))
+        # a coefficient over a taller tower lifts the constant onto it
+        self._same(MultiPoly.constant(s, ("u", "v")), MultiPoly(("u", "v"), {(0, 0): s}))
+        self._same(UniPoly.constant("t", s), UniPoly("t", {0: s}))
+        self._same(MultiPoly.zero(("v", "u"), sqrt2), MultiPoly(("u", "v"), {}, sqrt2))
+
+    def test_one_variable_results_are_unipolys(self):
+        for p in (
+            MultiPoly.variable("u"),
+            MultiPoly.constant(2, ("t",)),
+            MultiPoly.zero(("t",)),
+            (u + 1).with_vars(("u",)),
+            t.with_vars(("t",)),
+            (v + 2).to_unipoly(),
+        ):
+            assert type(p) is UniPoly, p
+        assert type(t.with_vars(("t", "u"))) is MultiPoly
+        assert type(MultiPoly.constant(2)) is MultiPoly
+
+
+class TestHash:
+    def test_equal_polynomials_over_different_towers_hash_alike(self):
+        sqrt2 = QQ.extend("s", [-2, 0, 1])
+        assert UniPoly.constant("t", 3) == UniPoly.constant("t", 3, sqrt2)
+        assert len({UniPoly.constant("t", 3), UniPoly.constant("t", 3, sqrt2)}) == 1
+        assert len({u + v, (u + v).with_vars(("u", "v"), sqrt2)}) == 1

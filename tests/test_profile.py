@@ -182,7 +182,7 @@ class TestPolynomialize:
         )
         out = polynomialize_rational(curve)
         x, b = out.poly_components()
-        assert substitute(implicit, {"w": x.to_multi(), "z": b.to_multi()}).is_zero()
+        assert substitute(implicit, {"w": x, "z": b}).is_zero()
 
 
 class TestAffineEquivalent:

@@ -133,3 +133,13 @@ def test_equality_and_repr(qi):
     assert i + 1 == 1 + i
     assert repr(qi.rational(Fraction(1, 2)) * i) == "1/2*i"
     assert repr(qi.zero()) == "0"
+
+
+def test_hash_agrees_with_equality_across_towers(qi):
+    # lift_to pads exponent tuples with zeros, so equal elements over a
+    # tower and a taller one must hash alike
+    taller = qi.extend("s", [-2, 0, 1])
+    assert QQ.rational(3) == qi.rational(3) and hash(QQ.rational(3)) == hash(qi.rational(3))
+    x = qi.gen("i") + Fraction(1, 2)
+    assert x == x.lift_to(taller) and hash(x) == hash(x.lift_to(taller))
+    assert len({QQ.rational(3), qi.rational(3), taller.rational(3), x, x.lift_to(taller)}) == 2

@@ -209,6 +209,8 @@ class MultiPoly:
         return a.vars == b.vars and a.terms == b.terms
 
     def __hash__(self):
+        if self.is_constant():  # equal to its value, so hashed like it
+            return hash(self.constant_value())
         a = self.drop_unused_vars()
         return hash((a.vars, frozenset(a.terms.items())))
 
@@ -289,17 +291,6 @@ class MultiPoly:
     def _degrees(self) -> list:
         """Degree in each variable; 0 for the zero polynomial."""
         return [max(e) for e in zip(*self.terms)] if self.terms else [0] * len(self.vars)
-
-    def partial_derivative(self, var: str) -> "MultiPoly":
-        if var not in self.vars:
-            return MultiPoly.zero(self.vars, self.tower)
-        i = self.vars.index(var)
-        terms = {}
-        for k, c in self.terms.items():
-            if k[i] == 0:
-                continue
-            terms[k[:i] + (k[i] - 1,) + k[i + 1:]] = c * k[i]
-        return MultiPoly._canonical(self.vars, terms, self.tower)
 
     def eval_at(self, point: Mapping[str, Scalar]) -> FieldElement:
         t = self.tower
@@ -641,13 +632,22 @@ _NONZERO_BYTES = re.compile(rb"[^\x00]+")
 
 
 def gcd_unipoly(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd by the Euclidean algorithm; gcd(f, 0) = monic(f).
+    """Monic gcd; gcd(f, 0) = monic(f).
 
-    Over a reducible tower a leading coefficient may be a zero divisor, in
-    which case ZeroDivisor propagates so the caller can split the tower.
+    Two nonzero polynomials in one variable with rational coefficients (over
+    any tower) take the primitive PRS on their integer multiples, made monic
+    at the end. Others take the Euclidean algorithm over the tower: there a
+    leading coefficient may be a zero divisor, in which case ZeroDivisor
+    propagates so the caller can split the tower.
     """
     if f.var != g.var and not (f.is_constant() or g.is_constant()):
         raise InvalidInput("gcd of polynomials in different variables")
+    if f.terms and g.terms and f.var == g.var and f.is_rational_poly() and g.is_rational_poly():
+        h = _gcd_int(_int_coeffs(f), _int_coeffs(g))
+        t = join_towers(f.tower, g.tower)
+        return MultiPoly._canonical(
+            f.vars, {(e,): t.rational(Fraction(c, h[-1])) for e, c in enumerate(h) if c}, t
+        )
     a, b = f, g
     while not b.is_zero():
         a, b = b, a.divmod(b)[1]
@@ -684,13 +684,6 @@ class SquareFreeDecomposition:
     def __init__(self, content: Fraction, factors: list):
         self.content = content
         self.factors = factors  # list of (monic UniPoly, multiplicity), mult increasing
-
-    def reconstruct(self, var: str = None) -> UniPoly:
-        v = var or (self.factors[0][0].var if self.factors else "t")
-        out = UniPoly.constant(v, self.content)
-        for f, m in self.factors:
-            out = out * f ** m
-        return out
 
     def __iter__(self):
         return iter(self.factors)
@@ -846,24 +839,30 @@ def substitute(f, bindings: Mapping[str, object]) -> MultiPoly:
         for i in range(len(out_vars))
     ]
     keys = list(f.terms)
-
-    def program(k: _Kronecker, leaves: list) -> _Packed:
-        squares = [[x] for x in leaves[:len(order)]]  # per image: image^(2^j)
-        powers: dict = {}
-        acc = None
-        for key, c in zip(keys, leaves[len(order):]):
-            term = c
-            for n, (p, sq) in enumerate(zip(pos, squares)):
-                e = key[p]
-                if e:
-                    if (n, e) not in powers:
-                        powers[n, e] = k.power(sq, e)
-                    term = k.mul(term, powers[n, e])
-            acc = term if acc is None else k.add(acc, term)
-        return acc
-
+    n = len(order)
     leaves = [images[v] for v in order] + [f.terms[key] for key in keys]
-    return _Kronecker(out_vars, degs, t).run(leaves, program)
+    return _Kronecker(out_vars, degs, t).run(
+        leaves, lambda k, packed: _packed_sum(k, keys, pos, packed[:n], packed[n:])
+    )
+
+
+def _packed_sum(k: _Kronecker, keys: list, pos: Sequence[int], images: list, coeffs: list) -> _Packed:
+    """The sum over ``keys`` of ``coeffs[j] * prod(images[n]^keys[j][pos[n]])``
+    in ``k``'s packed ring: the body of a substitution, each power of an
+    image computed once by repeated squaring."""
+    squares = [[x] for x in images]  # per image: image^(2^j)
+    powers: dict = {}
+    acc = None
+    for key, c in zip(keys, coeffs):
+        term = c
+        for n, (p, sq) in enumerate(zip(pos, squares)):
+            e = key[p]
+            if e:
+                if (n, e) not in powers:
+                    powers[n, e] = k.power(sq, e)
+                term = k.mul(term, powers[n, e])
+        acc = term if acc is None else k.add(acc, term)
+    return acc
 
 
 def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:

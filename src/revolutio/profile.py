@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import (
     DegenerateProfile,
@@ -85,6 +86,8 @@ def _is_constant_ratio(n: UniPoly, d: UniPoly) -> bool:
 
 
 def _reduce_fraction(n: UniPoly, d: UniPoly):
+    if d.is_constant():
+        return n, d
     g = gcd_unipoly(n, d)
     if not g.is_constant():
         n = n.divmod(g)[0]
@@ -154,31 +157,32 @@ class TubularSurface:
 
 def implicit_to_p2(F: MultiPoly) -> MultiPoly:
     """Rewrite F(x, y, z) = G(x^2 + y^2, z); the result is the implicit
-    equation of the profile-square curve in variables (w, z)."""
+    equation of the profile-square curve in variables (w, z).
+
+    G is read off the y = 0 section of F, and the rewrite is proved term by
+    term: w^n z^k expands to the binomial sum of C(n, i) x^(2i) y^(2n-2i)
+    z^k, whose monomials are distinct for distinct (n, k, i). So F equals
+    G(x^2 + y^2, z) exactly when every term of F is one of these with that
+    coefficient and F has as many terms as the expansions together.
+    """
     if F.is_zero():
         raise InvalidInput("zero polynomial")
     extra = [v for v in F.vars if v not in ("x", "y", "z") and F.uses(v)]
     if extra:
         raise InvalidInput(f"unexpected variables {extra}; expected x, y, z")
-    xz = {
-        "x": MultiPoly.variable("x", ("x", "z")),
-        "y": MultiPoly.zero(("x", "z")),
-        "z": MultiPoly.variable("z", ("x", "z")),
-    }
-    section = substitute(F, {v: xz[v] for v in F.vars})
+    Fxyz = F.with_vars(("x", "y", "z"))
     terms = {}
-    for key, c in section.with_vars(("x", "z")).terms.items():
-        ex, ez = key
-        if ex % 2 != 0:
-            raise NotSurfaceOfRevolution("odd power of x in the y = 0 section")
-        terms[(ex // 2, ez)] = c
-    G = MultiPoly._canonical(("w", "z"), terms, section.tower)
-    xyz = {
-        "w": _sum_of_squares(),
-        "z": MultiPoly.variable("z", ("x", "y", "z")),
-    }
-    back = substitute(G, xyz)
-    if not (back - F).is_zero():
+    for (ex, ey, ez), c in Fxyz.terms.items():
+        if ey == 0:
+            if ex % 2 != 0:
+                raise NotSurfaceOfRevolution("odd power of x in the y = 0 section")
+            terms[(ex // 2, ez)] = c
+    G = MultiPoly._canonical(("w", "z"), terms, F.tower)
+    for (ex, ey, ez), c in Fxyz.terms.items():
+        g = terms.get(((ex + ey) // 2, ez))
+        if ex % 2 or ey % 2 or g is None or c != g * comb((ex + ey) // 2, ex // 2):
+            raise NotSurfaceOfRevolution("not expressible through x^2 + y^2 and z")
+    if len(Fxyz.terms) != sum(n + 1 for n, _ in terms):
         raise NotSurfaceOfRevolution("not expressible through x^2 + y^2 and z")
     return G
 

@@ -19,6 +19,7 @@ reduce with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
@@ -59,6 +60,15 @@ class TowerStep:
     @property
     def degree(self) -> int:
         return len(self.minpoly) - 1
+
+    @cached_property
+    def poly(self):
+        """The minimal polynomial as a UniPoly over the tower below, built
+        once per step by the trusted constructor."""
+        from .poly import MultiPoly
+
+        terms = {(e,): c for e, c in enumerate(self.minpoly) if not c.is_zero()}
+        return MultiPoly._canonical((self.name,), terms, self.minpoly[0].tower)
 
 
 class ExtensionTower:
@@ -154,11 +164,11 @@ class ExtensionTower:
             raise InvalidInput("minimal polynomial must have degree >= 2")
         if coeffs[-1] != self.one():
             raise InvalidInput("minimal polynomial must be monic")
-        from .poly import UniPoly, is_squarefree
+        from .poly import is_squarefree
 
-        if not is_squarefree(UniPoly.from_dense(name, coeffs, self)):
-            raise InvalidInput("minimal polynomial must be square-free over the tower below")
         step = TowerStep(name=name, minpoly=tuple(coeffs), embedding=embedding)
+        if not is_squarefree(step.poly):
+            raise InvalidInput("minimal polynomial must be square-free over the tower below")
         return ExtensionTower(self.steps + (step,))
 
     def _coerce_coeff(self, c) -> "FieldElement":
@@ -271,8 +281,11 @@ class FieldElement:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        # equal elements over different towers differ only by the zero
-        # exponents ``lift_to`` pads at the end, so hash without those
+        # a rational element equals its number, so it hashes like it; equal
+        # elements over different towers differ only by the zero exponents
+        # ``lift_to`` pads at the end, so hash without those
+        if self.is_rational():
+            return hash(self.as_rational())
         return hash(frozenset((_strip_zeros(k), q) for k, q in self.terms.items()))
 
     # -- ring operations ------------------------------------------------------
@@ -358,7 +371,7 @@ class FieldElement:
         tower = self.tower
         if tower.height == 0:
             return tower.rational(1 / self.as_rational())
-        from .poly import MultiPoly, UniPoly, invert_mod
+        from .poly import MultiPoly, invert_mod
 
         # a polynomial in the top generator, with coefficients over the parent
         step = tower.steps[-1]
@@ -371,8 +384,7 @@ class FieldElement:
             {(e,): FieldElement(parent, terms, reduce=False) for e, terms in buckets.items()},
             parent,
         )
-        m = UniPoly.from_dense(step.name, step.minpoly, parent)
-        inv = invert_mod(a, m, step.name)
+        inv = invert_mod(a, step.poly, step.name)
         terms = {key + (e,): q for (e,), c in inv.terms.items() for key, q in c.terms.items()}
         return FieldElement(tower, terms, reduce=False)
 

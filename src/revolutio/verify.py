@@ -11,6 +11,11 @@ elimination plus gcd degrees over quotient towers (splitting on zero
 divisors, so the count is exact even when the eliminant does not factor
 over Q).
 
+The residual F(X, Y, Z) of a surface of revolution is computed as
+G(X*X + Y*Y, Z), the same polynomial, once ``implicit_to_p2`` has proved
+F = G(x^2 + y^2, z) term by term: G has far fewer terms than F. Every
+other surface takes the direct substitution.
+
 Dominance is proved by exact evaluation, never by expanding the minors.
 A minor has degree at most d_u in u and d_v in v (twice the largest
 component degree, less one), and each of its power-basis components is a
@@ -25,14 +30,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInput, ZeroDivisor
+from .errors import InvalidInput, NotSurfaceOfRevolution, ZeroDivisor
 from .poly import (
     MultiPoly,
+    _Kronecker,
+    _packed_sum,
     gcd_unipoly,
     resultant_eliminate,
     squarefree_part,
     substitute,
 )
+from .profile import implicit_to_p2
 from .tower import FieldElement, join_towers
 
 
@@ -77,13 +85,60 @@ def verify_on_surface(s, F: MultiPoly) -> VerificationReport:
     """Substitute the parametrization into F and reduce; on-surface iff the
     residual is identically zero."""
     comps = s.components if hasattr(s, "components") else tuple(s)
-    bindings = dict(zip(("x", "y", "z"), comps))
-    residual = substitute(F, {v: bindings[v] for v in F.vars if v in bindings})
+    residual = _residual(comps, F)
     return VerificationReport(
         residual=residual,
         on_surface=residual.is_zero(),
         jacobian_rank=jacobian_generic_rank(s),
     )
+
+
+def _residual(comps, F: MultiPoly) -> MultiPoly:
+    """F(X, Y, Z) for the components (X, Y, Z).
+
+    When ``implicit_to_p2`` proves F = G(x^2 + y^2, z), as it does for every
+    surface of revolution, the residual is G(X*X + Y*Y, Z): one packed run
+    whose leaves are X, Y, Z and G's coefficients, with W = X*X + Y*Y formed
+    inside it. Any other F, such as a quadric that is not of revolution,
+    takes the direct substitution; an odd power of x or y sends it there
+    before any proof is tried.
+    """
+    G = _rotation_form(F)
+    if G is None:
+        bindings = dict(zip(("x", "y", "z"), comps))
+        return substitute(F, {v: bindings[v] for v in F.vars if v in bindings})
+    X, Y, Z = (c if isinstance(c, MultiPoly) else MultiPoly.constant(c) for c in comps)
+    out_vars = tuple(sorted(set(X.vars) | set(Y.vars) | set(Z.vars)))
+    tower = G.tower
+    for c in (X, Y, Z):
+        tower = join_towers(tower, c.tower)
+    # per output variable: the degrees of X, Y, Z and W = X*X + Y*Y bound
+    # those of the result, and the widths cover every leaf too
+    degs = []
+    for v in out_vars:
+        dx, dy, dz = (dict(zip(c.vars, c._degrees())).get(v, 0) for c in (X, Y, Z))
+        dw = 2 * max(dx, dy)
+        degs.append(max([n * dw + k * dz for n, k in G.terms] + [dx, dy, dz]))
+    keys = list(G.terms)
+
+    def program(k, leaves):
+        x, y, z = leaves[:3]
+        w = k.add(k.mul(x, x), k.mul(y, y))
+        return _packed_sum(k, keys, (0, 1), [w, z], leaves[3:])
+
+    return _Kronecker(out_vars, degs, tower).run([X, Y, Z] + [G.terms[k] for k in keys], program)
+
+
+def _rotation_form(F: MultiPoly):
+    """G in (w, z) with F = G(x^2 + y^2, z), proved by ``implicit_to_p2``,
+    or None when F has an odd power of x or y or the proof fails."""
+    odd = [F.vars.index(v) for v in ("x", "y") if v in F.vars]
+    if any(key[i] % 2 for key in F.terms for i in odd):
+        return None
+    try:
+        return implicit_to_p2(F)
+    except (InvalidInput, NotSurfaceOfRevolution):
+        return None
 
 
 UV = ("u", "v")
@@ -202,9 +257,9 @@ def fiber_count(s, sample) -> object:
             branch_tower = tower.extend(
                 branch_name, [m.coeff(e) for e in range(deg_m + 1)]
             )
-            theta = branch_tower.gen(branch_name)
+            theta = None  # the new generator
         try:
-            nv = _common_v_root_count(with_v, theta, branch_tower)
+            nv = _common_v_root_count(with_v, branch_tower, theta)
         except ZeroDivisor as exc:
             if branch_name is not None and exc.step_name == branch_name:
                 f = MultiPoly._canonical(
@@ -220,11 +275,23 @@ def fiber_count(s, sample) -> object:
     return total
 
 
-def _common_v_root_count(with_v, theta, branch_tower) -> object:
+def _common_v_root_count(with_v, branch_tower, theta) -> object:
+    """Distinct common v-roots of the equations at the u-root theta, or
+    INDETERMINATE. theta None stands for the generator of ``branch_tower``'s
+    top step: a v-coefficient c(u) = sum c_e u^e over the tower below then
+    takes the value sum c_e theta^e, written down unreduced (c_e at the
+    generator's exponent e) and reduced once."""
+
+    def value(c: MultiPoly) -> FieldElement:
+        if theta is not None:
+            return c.eval_at({"u": theta})
+        return FieldElement(
+            branch_tower, {key + (d,): q for (d,), ce in c.terms.items() for key, q in ce.terms.items()}
+        )
+
     g = None
     for e in with_v:
-        dense = e.as_unipoly_in("v")
-        values = ((k, c.eval_at({"u": theta})) for k, c in enumerate(dense))
+        values = enumerate(value(c) for c in e.as_unipoly_in("v"))
         pe = MultiPoly._canonical(("v",), {(k,): x for k, x in values if not x.is_zero()}, branch_tower)
         g = pe if g is None else gcd_unipoly(g, pe)
     if g is None or g.is_zero():

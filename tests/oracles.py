@@ -3,7 +3,8 @@
 Everything here is deliberately primitive: dense coefficient lists over
 Fraction, schoolbook algorithms, no sharing with the package under test.
 Oracle results get frozen into the tests next to the computation that
-produced them.
+produced them. ``sympy_unipoly`` hands a rational polynomial to sympy, for
+the tests whose oracle is sympy.
 """
 
 from fractions import Fraction
@@ -93,3 +94,14 @@ def from_roots(roots):
 def sign_variations(values):
     signs = [v for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+
+
+def sympy_unipoly(f, gen):
+    """A rational revolutio UniPoly as a sympy Poly over QQ in ``gen``."""
+    import sympy
+
+    terms = {}
+    for k, c in f.terms.items():
+        q = c.as_rational()
+        terms[k] = sympy.Rational(q.numerator, q.denominator)
+    return sympy.Poly.from_dict(terms or {(0,): 0}, gen, domain="QQ")

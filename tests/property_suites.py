@@ -16,6 +16,8 @@ content signs) without inflating runtime.
 import random
 from fractions import Fraction
 
+import oracles
+
 from revolutio import (
     MultiPoly,
     PlaneCurveParam,
@@ -50,13 +52,20 @@ def _random_product(rng, max_factors=3, max_mult=3):
 
 
 def run_yun_suite(cases=CASES):
-    """Yun round-trip: content * prod f_i^m_i == f, factors pairwise coprime
-    and square-free, multiplicities strictly increasing."""
+    """Yun round-trip: content * prod f_i^m_i == f (multiplied out by sympy),
+    factors pairwise coprime and square-free, multiplicities strictly
+    increasing."""
+    import sympy  # the recomposition oracle; a test dependency
+
+    x = sympy.Symbol("t")
     rng = random.Random(20260811)
     for _ in range(cases):
         f = _random_product(rng)
         dec = squarefree_decompose(f)
-        assert dec.reconstruct("t") == f
+        recomposed = sympy.Poly(sympy.Rational(dec.content), x, domain="QQ")
+        for fi, m in dec.factors:
+            recomposed *= oracles.sympy_unipoly(fi, x) ** m
+        assert recomposed == oracles.sympy_unipoly(f, x)
         mults = [m for _, m in dec.factors]
         assert mults == sorted(set(mults))
         for i, (fi, _) in enumerate(dec.factors):

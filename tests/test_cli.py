@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, JSON output, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -193,6 +194,7 @@ def _count_calls(monkeypatch, fn):
         (("analyze", "--p2", "t^2+1", "t"), 1, 2),  # complex and real witness
         (("analyze", "--implicit", "x^2+y^2-z"), 0, 2),  # F is the input itself
         (("quadric", "--implicit", "4*x^2+y^2+z^2-1"), 0, 1),
+        (("analyze", "--p2", "t^12", "t"), 1, 1),  # the real witness is the complex one
     ],
 )
 def test_each_witness_verified_once(capsys, monkeypatch, argv, implicit_calls, verify_calls):
@@ -201,6 +203,41 @@ def test_each_witness_verified_once(capsys, monkeypatch, argv, implicit_calls, v
     code, _ = run_cli(capsys, *argv)
     assert code == 0
     assert (len(implicit), len(verified)) == (implicit_calls, verify_calls)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--implicit", "x^2+y^2-z^2+1"),
+        ("--p2", "t^2-1", "t^2+t"),
+        ("--p2", "t^2-4", "t^3+t"),
+        ("--p2", "(t^2-1)*t^2", "t"),
+    ],
+    ids=["two_sheets", "quadratic_axis", "cubic_axis", "linear_axis"],
+)
+def test_corpus_double_covers_keep_fiber_two(capsys, argv):
+    # the benchmark corpus's double covers: their fiber counts run the
+    # integer gcds and the branch-root values reduced once
+    code, doc = run_cli(capsys, "analyze", *argv)
+    assert code == 0
+    rv = doc["real_verdict"]
+    assert rv["code"] == "REAL_NONPROPER_DOUBLE_COVER"
+    assert (rv["fiber_count"], rv["fiber_sample"]) == (2, ["1", "1"])
+
+
+def test_degree_six_profile_report_pinned():
+    # the slowest input of the exit-contract fuzz: a degree-6 p, so the
+    # complex witness lives over QQ[alpha, i]; its report, byte for byte
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["analyze", "--p2", " 4+2*t-4*t^2-t^3-5*t^4+t^5+4*t^6", " 4+2*t-4*t^2-t^3-5*t^4"])
+    assert code == 0
+    doc = json.loads(out.getvalue())
+    assert doc["complex_parametrization"]["verification"] == {"on_surface": True, "jacobian_rank": 2}
+    assert [step["name"] for step in doc["complex_parametrization"]["tower"]] == ["alpha", "i"]
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "0e3c63155c9f60e5ee8fbe5dd7375d3c7f09a27b98b57576c9a9cb939576a74d"
+    )
 
 
 class TestQuadricCmd:

@@ -6,6 +6,8 @@ an explicit formula) and then frozen."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -70,6 +72,9 @@ class TestRingArithmetic:
             assert f * g == g * f
 
 
+_DENSE = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=5)
+
+
 class TestGcd:
     def test_simple(self):
         assert gcd_unipoly(t ** 2 - 1, t - 1) == t - 1
@@ -91,6 +96,32 @@ class TestGcd:
         i = qi.gen("i")
         f = (t - i) * (t + i)  # t^2 + 1 over Q(i)
         assert gcd_unipoly(f, t - i) == t - i
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(a=_DENSE, b=_DENSE, common=_DENSE, lift=st.booleans())
+    @example(a=[], b=[], common=[], lift=False)
+    @example(a=[Fraction(3)], b=[], common=[], lift=False)
+    @example(a=[], b=[Fraction(-2), Fraction(1, 2)], common=[], lift=True)
+    @example(a=[Fraction(5)], b=[Fraction(1), Fraction(1)], common=[Fraction(1)], lift=False)
+    def test_rational_gcd_against_sympy(self, a, b, common, lift):
+        # rational inputs take the integer primitive PRS, over QQ or lifted
+        # onto a tower; the oracle is sympy's monic gcd over QQ
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("t")
+        f, g = from_dense(a), from_dense(b)
+        if common:
+            f, g = f * from_dense(common), g * from_dense(common)
+        if lift:
+            tw = QQ.extend("s", [-2, 0, 1])
+            f, g = f.with_tower(tw), g.with_tower(tw)
+        got = gcd_unipoly(f, g)
+        if f.is_zero() and g.is_zero():
+            assert got.is_zero()
+            return
+        expected = sympy.gcd(oracles.sympy_unipoly(f, x), oracles.sympy_unipoly(g, x)).monic()
+        want = [Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())]
+        assert [got.coeff(e).as_rational() for e in range(got.degree + 1)] == want
+        assert got.tower == f.tower
 
     def test_zero_divisor_surfaces_with_factor(self):
         # Euclid over Q[g]/((g^2-2)(g^2-3)) must hit the zero divisor g^2 - 2
@@ -221,6 +252,21 @@ class TestIsSquarefree:
         assert seen == {True, False}
 
 
+def _sympy_of(f):
+    sympy = pytest.importorskip("sympy")
+    return oracles.sympy_unipoly(f, sympy.Symbol("t"))
+
+
+def _sympy_recompose(d):
+    """content * prod(factor^multiplicity), multiplied out by sympy."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("t")
+    out = sympy.Poly(sympy.Rational(d.content), x, domain="QQ")
+    for f, m in d.factors:
+        out *= oracles.sympy_unipoly(f, x) ** m
+    return out
+
+
 class TestSquarefreeDecompose:
     def test_pure_power(self):
         d = squarefree_decompose(t ** 3)
@@ -228,12 +274,12 @@ class TestSquarefreeDecompose:
         assert d.factors == [(t, 3)]
 
     def test_expand_and_recompose(self):
-        # oracle: build (t^2+1)^2 (t-2) densely, decompose, recompose
+        # oracle: build (t^2+1)^2 (t-2) densely, decompose, recompose in sympy
         dense = oracles.mul(oracles.power([1, 0, 1], 2), [-2, 1])
         f = from_dense(dense)
         d = squarefree_decompose(f)
         assert d.factors == [(t - 2, 1), (t ** 2 + 1, 2)]
-        assert d.reconstruct() == f
+        assert _sympy_recompose(d) == _sympy_of(f)
 
     def test_constant(self):
         d = squarefree_decompose(UniPoly.constant("t", 5))
@@ -246,7 +292,7 @@ class TestSquarefreeDecompose:
     def test_content_sign(self):
         d = squarefree_decompose(1 - t ** 2)
         assert d.content == -1
-        assert d.reconstruct() == 1 - t ** 2
+        assert _sympy_recompose(d) == _sympy_of(1 - t ** 2)
 
     def test_against_sympy_sqf_list(self):
         # content, monic factors and multiplicities up to 5, with negative and
@@ -264,7 +310,7 @@ class TestSquarefreeDecompose:
             if rng.random() < 0.3:
                 f = f * t ** rng.randint(1, 3)
             d = squarefree_decompose(f)
-            assert d.reconstruct() == f
+            assert _sympy_recompose(d) == _sympy_of(f)
             sf = sympy.Poly(_sympy_poly(f, {"t": x}), x, domain="QQ")
             lc = sf.LC()
             assert d.content == Fraction(int(lc.p), int(lc.q))
@@ -1049,3 +1095,9 @@ class TestHash:
         assert UniPoly.constant("t", 3) == UniPoly.constant("t", 3, sqrt2)
         assert len({UniPoly.constant("t", 3), UniPoly.constant("t", 3, sqrt2)}) == 1
         assert len({u + v, (u + v).with_vars(("u", "v"), sqrt2)}) == 1
+
+    def test_constant_polynomial_hashes_like_its_value(self):
+        assert UniPoly.constant("t", 3) == 3 and len({UniPoly.constant("t", 3), 3}) == 1
+        assert len({MultiPoly.constant(Fraction(-1, 2), ("u", "v")), Fraction(-1, 2)}) == 1
+        assert len({UniPoly.zero("t"), 0}) == 1
+        assert len({t + 3, 3}) == 2

@@ -15,6 +15,7 @@ from revolutio import (
     NotEquivalent,
     NotPolynomialCurve,
     NotSurfaceOfRevolution,
+    QQ,
     PlaneCurveParam,
     UniPoly,
     affine_equivalent,
@@ -64,6 +65,39 @@ class TestImplicitToP2:
         x, y, z = xyz()
         with pytest.raises(NotSurfaceOfRevolution):
             implicit_to_p2(x ** 2 + y ** 2 + x * y - z)
+
+    def test_odd_power_of_y(self):
+        x, y, z = xyz()
+        with pytest.raises(NotSurfaceOfRevolution):
+            implicit_to_p2(x ** 2 + y ** 3 - z)
+
+    def test_round_trip_and_every_broken_term(self):
+        # F = G(x^2 + y^2, z) rewrites back to G; dropping or doubling any
+        # one term of F with a y in it breaks the rewrite (the y-free terms
+        # define G itself)
+        rng = random.Random(1606)
+        x, y, z = xyz()
+        tw = QQ.extend("r", [-2, 0, 1])
+        r = tw.gen("r")
+        wz = ("w", "z")
+        for _ in range(12):
+            terms = {
+                (rng.randint(0, 3), rng.randint(0, 3)):
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)) + rng.randint(-1, 1) * r
+                for _ in range(4)
+            }
+            G = MultiPoly(wz, terms, tw)
+            if G.degree_in("w") < 1:
+                continue
+            F = substitute(G, {"w": x * x + y * y, "z": z})
+            assert implicit_to_p2(F) == G
+            for key, c in F.terms.items():
+                if key[1] == 0:
+                    continue
+                one = MultiPoly(F.vars, {key: c}, F.tower)
+                for broken in (F - one, F + one):
+                    with pytest.raises(NotSurfaceOfRevolution):
+                        implicit_to_p2(broken)
 
 
 class TestGraphParam:

@@ -143,3 +143,11 @@ def test_hash_agrees_with_equality_across_towers(qi):
     x = qi.gen("i") + Fraction(1, 2)
     assert x == x.lift_to(taller) and hash(x) == hash(x.lift_to(taller))
     assert len({QQ.rational(3), qi.rational(3), taller.rational(3), x, x.lift_to(taller)}) == 2
+
+
+def test_hash_agrees_with_equality_against_numbers(qi):
+    # a rational element equals its number, so it must hash like it
+    assert QQ.rational(3) == 3 and len({QQ.rational(3), 3}) == 1
+    assert len({qi.rational(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert len({qi.zero(), 0}) == 1
+    assert len({qi.gen("i"), 3}) == 2

@@ -13,10 +13,13 @@ from revolutio import (
     UniPoly,
     fiber_count,
     jacobian_generic_rank,
+    parse_poly,
+    quadric_param,
     sphere_witness,
+    substitute,
     verify_on_surface,
 )
-from revolutio.verify import FIBER_SAMPLES, fiber_count_first_valid
+from revolutio.verify import FIBER_SAMPLES, _rotation_form, fiber_count_first_valid
 
 u = MultiPoly.variable("u", ("u", "v"))
 v = MultiPoly.variable("v", ("u", "v"))
@@ -52,6 +55,51 @@ class TestOnSurface:
         assert rep.residual == -1
 
 
+def _profile_surface(x, b):
+    """(F, complex witness) of the surface with profile square [x(t), b(t)]."""
+    from revolutio import PlaneCurveParam, decompose_paa, sor_complex_param, surface_implicit
+
+    d = decompose_paa(PlaneCurveParam.polynomial(x, b))
+    return surface_implicit(d), sor_complex_param(d)
+
+
+class TestResidualRoute:
+    """The residual through F = G(x^2 + y^2, z), and the direct substitution."""
+
+    def test_perturbed_witness_residual_is_the_direct_substitution(self):
+        t = UniPoly.variable("t")
+        F, w = _profile_surface((t ** 2 + 1) * (t ** 2 - 2) * (t - 3) ** 2, t ** 3 + t)
+        assert _rotation_form(F) is not None
+        X, Y, Z = w.components
+        g = w.tower.gen(w.tower.steps[0].name)
+        # the first two lie on F (it is symmetric in x and y), the rest do not
+        cases = [(X, Y, Z), (Y, X, Z), (X + u * v, Y, Z), (X, Y - g * v, Z), (X, Y, Z + 1)]
+        for n, comps in enumerate(cases):
+            rep = verify_on_surface(comps, F)
+            direct = substitute(F, dict(zip(("x", "y", "z"), comps)))
+            assert rep.residual == direct
+            assert rep.on_surface == direct.is_zero() == (n < 2)
+
+    @pytest.mark.parametrize(
+        "text, witness",
+        [
+            ("x*y - z", lambda F: make([u, v, u * v])),
+            ("2*x^2+3*y^2+z^2-1", quadric_param),
+            ("x^2+y^2+x-z", lambda F: make([u, v, u ** 2 + v ** 2 + u])),
+        ],
+        ids=["saddle", "ellipsoid", "shifted_paraboloid"],
+    )
+    def test_surfaces_not_of_revolution_take_the_direct_route(self, text, witness):
+        F = parse_poly(text, allowed_vars=("x", "y", "z"))
+        assert _rotation_form(F) is None
+        s = witness(F)
+        rep = verify_on_surface(s, F)
+        assert rep.on_surface and rep.jacobian_rank == 2
+        X, Y, Z = s.components
+        off = verify_on_surface((X, Y, Z + u), F)
+        assert not off.on_surface and off.residual == substitute(F, {"x": X, "y": Y, "z": Z + u})
+
+
 class TestJacobianRank:
     def test_rank_two(self):
         assert jacobian_generic_rank(make([u, v, u ** 2 + v ** 2])) == 2
@@ -78,20 +126,63 @@ class TestJacobianRank:
             assert jacobian_generic_rank(make(comps)) == 2
 
 
+def _sympy_minors(s):
+    """sympy's view of s: (the three 2x2 Jacobian minors, the six partial
+    derivatives, a map from expressions to Polys reduced modulo the
+    tower's minimal polynomial). Every test tower here has at most one
+    step, with rational coefficients: it leads the generators, so
+    ``Poly.rem`` by the monic minimal polynomial reduces it."""
+    sympy = pytest.importorskip("sympy")
+    U, V = sympy.symbols("u v")
+    steps = s.tower.steps
+    assert len(steps) <= 1
+    gens = [sympy.Symbol(st.name) for st in steps]
+
+    mods = [
+        sympy.Poly(sum(sympy.Rational(c.as_rational()) * g ** e for e, c in enumerate(st.minpoly)),
+                   *gens, U, V, domain="QQ")
+        for g, st in zip(gens, steps)
+    ]
+
+    def reduce(p):
+        if not isinstance(p, sympy.Poly):
+            p = sympy.Poly(p, *gens, U, V, domain="QQ")
+        for m in mods:
+            p = p.rem(m)
+        return p
+
+    def as_poly(c):
+        # the component's terms straight into a Poly in (generators, u, v)
+        pad = (0,) * len(steps)
+        return sympy.Poly.from_dict(
+            {
+                (*(k + pad)[:len(steps)], a, b): sympy.Rational(q.numerator, q.denominator)
+                for (a, b), coeff in c.with_vars(("u", "v")).terms.items()
+                for k, q in coeff.terms.items()
+            } or {(0,) * (len(steps) + 2): 0},
+            *gens, U, V, domain="QQ",
+        )
+
+    comps = [as_poly(c) for c in s.components]
+    du = [c.diff(U) for c in comps]
+    dv = [c.diff(V) for c in comps]
+    minors = [reduce(du[i] * dv[j] - du[j] * dv[i]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    return minors, du + dv, reduce
+
+
 def oracle_rank(s) -> int:
     """The generic Jacobian rank from the symbolic 2x2 minors."""
-    du = [c.partial_derivative("u") for c in s.components]
-    dv = [c.partial_derivative("v") for c in s.components]
-    if any(not (du[i] * dv[j] - du[j] * dv[i]).is_zero() for i, j in ((0, 1), (0, 2), (1, 2))):
+    minors, partials, _ = _sympy_minors(s)
+    if any(not m.is_zero for m in minors):
         return 2
-    return 1 if any(not d.is_zero() for d in du + dv) else 0
+    return 1 if any(not d.is_zero for d in partials) else 0
 
 
 def minors_at(s, point) -> list:
-    du = [c.partial_derivative("u") for c in s.components]
-    dv = [c.partial_derivative("v") for c in s.components]
-    at = {"u": point[0], "v": point[1]}
-    return [(du[i] * dv[j] - du[j] * dv[i]).eval_at(at) for i, j in ((0, 1), (0, 2), (1, 2))]
+    """The three minors at a point (u, v), reduced in the tower, as Polys."""
+    minors, _, reduce = _sympy_minors(s)
+    U, V = pytest.importorskip("sympy").symbols("u v")
+    return [reduce(m.as_expr().subs({U: point[0], V: point[1]})) for m in minors]
 
 
 class TestRankCertificate:
@@ -99,7 +190,7 @@ class TestRankCertificate:
 
     def test_rank_two_with_every_minor_zero_at_the_first_grid_point(self):
         s = make([(u - 1) ** 2, (v - 1) ** 2, u + v])
-        assert all(m.is_zero() for m in minors_at(s, (1, 1)))
+        assert all(m.is_zero for m in minors_at(s, (1, 1)))
         assert oracle_rank(s) == jacobian_generic_rank(s) == 2
 
     def test_rank_one_in_both_variables(self):
@@ -123,8 +214,10 @@ class TestRankCertificate:
         a = tw.gen("a")
         s = make([u, (a - 1) * u * v + u, MultiPoly.constant(a, ("u", "v"))])
         minors = minors_at(s, (1, 1))
-        assert minors[1].is_zero() and minors[2].is_zero()
-        assert not minors[0].is_zero() and (minors[0] * (a + 1)).is_zero()
+        reduce = _sympy_minors(s)[2]
+        A = pytest.importorskip("sympy").Symbol("a")
+        assert minors[1].is_zero and minors[2].is_zero
+        assert not minors[0].is_zero and reduce(minors[0].as_expr() * (A + 1)).is_zero
         assert oracle_rank(s) == jacobian_generic_rank(s) == 2
         # (a - 1)(a + 1) = 0 in this ring, so this map has rank 1
         s = make([u, (a - 1) * (a + 1) * v, MultiPoly.constant(a, ("u", "v"))])

@@ -75,24 +75,16 @@ def _cone_entry() -> CatalogResult:
     return _on_surface_entry("cone-via-degree-two-substitution", s, x * x + y * y - z * z)
 
 
-def _one_sheet_entry(lam: int) -> CatalogResult:
+def _hyperboloid_entry(lam: int) -> CatalogResult:
+    """The real witness for x^2 + y^2 - z^2 = lam: one sheet when lam > 0,
+    the double cover of one of the two sheets when lam < 0."""
     t = UniPoly.variable("t")
     x, y, z = _xyz()
-    d = decompose_paa(PlaneCurveParam.polynomial(t ** 2 + lam, t))
-    v = real_param_delta2(d)
+    name = f"one-sheet[lambda={lam}]" if lam > 0 else "two-sheet-double-cover"
+    v = real_param_delta2(decompose_paa(PlaneCurveParam.polynomial(t ** 2 + lam, t)))
     if v.witness is None:
-        return CatalogResult(f"one-sheet[lambda={lam}]", False, f"no witness: {v.reason}")
-    return _on_surface_entry(f"one-sheet[lambda={lam}]", v.witness, x * x + y * y - z * z - lam)
-
-
-def _two_sheet_entry() -> CatalogResult:
-    t = UniPoly.variable("t")
-    x, y, z = _xyz()
-    d = decompose_paa(PlaneCurveParam.polynomial(t ** 2 - 1, t))
-    v = real_param_delta2(d)
-    if v.witness is None:
-        return CatalogResult("two-sheet-double-cover", False, f"no witness: {v.reason}")
-    return _on_surface_entry("two-sheet-double-cover", v.witness, x * x + y * y - z * z + 1)
+        return CatalogResult(name, False, f"no witness: {v.reason}")
+    return _on_surface_entry(name, v.witness, x * x + y * y - z * z - lam)
 
 
 def _cubic_entry() -> CatalogResult:
@@ -162,8 +154,7 @@ def catalog_results() -> list:
     results = [_sphere_entry()]
     results += [_tubular_entry(p) for p in ps]
     results.append(_cone_entry())
-    results += [_one_sheet_entry(lam) for lam in (1, 2)]
-    results.append(_two_sheet_entry())
+    results += [_hyperboloid_entry(lam) for lam in (1, 2, -1)]
     results.append(_cubic_entry())
     results += [_q_phi_entry(p) for p in ps]
     results.append(_rotation_entry())

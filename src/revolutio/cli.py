@@ -93,6 +93,10 @@ def _verification_block(report) -> dict:
     return {"on_surface": report.on_surface, "jacobian_rank": report.jacobian_rank}
 
 
+def _decomposition_block(d) -> dict:
+    return {"p": poly_to_json(d.p), "a": poly_to_json(d.a), "b": poly_to_json(d.b), "delta": d.delta}
+
+
 def cmd_analyze(args) -> int:
     F = None
     if args.implicit is not None:
@@ -154,12 +158,7 @@ def cmd_analyze(args) -> int:
     _emit(
         {
             "input": echo,
-            "p2_decomposition": {
-                "p": poly_to_json(d.p),
-                "a": poly_to_json(d.a),
-                "b": poly_to_json(d.b),
-                "delta": d.delta,
-            },
+            "p2_decomposition": _decomposition_block(d),
             "tubularization": {
                 "p": poly_to_json(tub.p),
                 "implicit": poly_to_json(tub.implicit_poly()),
@@ -259,17 +258,7 @@ def cmd_verify_catalog(args) -> int:
 
 def cmd_p2_decompose(args) -> int:
     curve = PlaneCurveParam.polynomial(_to_unipoly(args.x, "t"), _to_unipoly(args.z, "t"))
-    d = decompose_paa(curve)
-    _emit(
-        {
-            "p2_decomposition": {
-                "p": poly_to_json(d.p),
-                "a": poly_to_json(d.a),
-                "b": poly_to_json(d.b),
-                "delta": d.delta,
-            }
-        }
-    )
+    _emit({"p2_decomposition": _decomposition_block(decompose_paa(curve))})
     return 0
 
 

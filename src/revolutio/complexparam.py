@@ -1,15 +1,17 @@
 """Polynomial parametrizations of surfaces of revolution over C.
 
-Given the normal form [p(t) a(t)^2, b(t)] of the profile-square curve,
-the construction picks a root alpha of p, factors
-p(u v + alpha) = v * h(u, v), parametrizes the tubular companion
-x^2 + y^2 - p(z) = 0 as
+Every witness of a surface of revolution, here and in `realparam`, is a
+base (X, Y, Z) on a companion surface lifted by `tubular_lift` through
+[x, y, z] -> [a(z) x, a(z) y, b(z)]. Over C, a non-constant p gets the
+base on the tubular companion x^2 + y^2 - p(z) = 0: pick a root alpha of
+p, factor p(u v + alpha) = v * h(u, v), and take
 
-    [ (i/2)(v - h), (1/2)(v + h), u v + alpha ],
+    [ (i/2)(v - h), (1/2)(v + h), u v + alpha ].
 
-and lifts through [x, y, z] -> [a(z) x, a(z) y, b(z)]. Cylinders of
-revolution are the one refusal; a constant p with non-constant a goes
-through the separate degree-two substitution [s, t] -> [-u/v, u^2+v^2].
+Cylinders of revolution are the one refusal. A constant p with
+non-constant a shifts a root of a to 0 and lifts the cone base
+[-2uv, v^2 - u^2, u^2 + v^2] (the substitution [s, t] -> [-u/v, u^2+v^2])
+by the shifted (a, b).
 """
 
 from __future__ import annotations
@@ -216,18 +218,22 @@ def tubular_polynomial_param(T: TubularSurface, alpha: RootSpec) -> SurfaceParam
     )
 
 
-def tubular_lift(s: SurfaceParam, a: UniPoly, b: UniPoly) -> SurfaceParam:
-    """Compose with [x, y, z] -> [a(z) x, a(z) y, b(z)]."""
+def tubular_lift(base, a: UniPoly, b: UniPoly, provenance=None, properness="unknown") -> SurfaceParam:
+    """Compose a base (X, Y, Z), three components or a SurfaceParam, with
+    [x, y, z] -> [a(z) x, a(z) y, b(z)]; the one place a witness of a surface
+    of revolution takes its (a, b). The trail defaults to the base's plus
+    the lift."""
     if b.is_constant():
         raise DegenerateProfile("constant height polynomial b")
-    zc = s.z
-    az = substitute(a, {a.var: zc})
-    bz = substitute(b, {b.var: zc})
-    return SurfaceParam.make(
-        [az * s.x, az * s.y, bz],
-        provenance=s.provenance + (f"lift by a = {a}, b = {b}",),
-        properness="unknown",
-    )
+    if isinstance(base, SurfaceParam):
+        trail, base = base.provenance, base.components
+    else:
+        trail = ()
+    x, y, z = base
+    if provenance is None:
+        provenance = trail + (f"lift by a = {a}, b = {b}",)
+    az = substitute(a, {a.var: z})
+    return SurfaceParam.make([az * x, az * y, substitute(b, {b.var: z})], provenance, properness)
 
 
 def sor_complex_param(d: P2Decomposition) -> SurfaceParam:
@@ -266,29 +272,31 @@ def cylinder_case_param(d: P2Decomposition) -> SurfaceParam:
         root = tower.gen(name)
         a1 = a1.with_tower(tower)
         note = f"shift by extension root of {m}"
-    return SurfaceParam.make(
-        root_shift_components(a1, d.b, root, tower),
+    base, A, B = root_shift_components(a1, d.b, root, tower)
+    return tubular_lift(
+        base, A, B,
         provenance=(f"constant p = {c} absorbed into a", note,
                     "degree-two substitution [s,t] -> [-u/v, u^2+v^2]"),
-        properness="unknown",
     )
 
 
-def root_shift_components(a: UniPoly, b: UniPoly, root: FieldElement, tower: ExtensionTower) -> list:
-    """[-2uv A(w), (v^2 - u^2) A(w), B(w)] with w = u^2 + v^2, where
-    A(t) = a(t + root) / t and B(t) = b(t + root): the root of a moves to 0
-    and the curve goes through [s, t] -> [-u/v, u^2 + v^2]. Both constant-p
-    constructions, over C and over R, end here."""
+def cone_components(tower=QQ):
+    """(-2uv, v^2 - u^2, u^2 + v^2): satisfies X^2 + Y^2 = Z^2."""
+    u, v = _u(tower), _v(tower)
+    return (Fraction(-2) * u * v, v * v - u * u, u * u + v * v)
+
+
+def root_shift_components(a: UniPoly, b: UniPoly, root: FieldElement, tower: ExtensionTower):
+    """The cone base with the shifted (A, B) that lift it: A(t) = a(t + root) / t
+    and B(t) = b(t + root), so the root of a moves to 0 and the curve goes
+    through [s, t] -> [-u/v, u^2 + v^2]. Both constant-p constructions, over
+    C and over R, lift this."""
     var = a.var
     lin = UniPoly(var, {1: 1, 0: root}, tower)
     atil, rem = a.compose(lin).divmod(UniPoly.variable(var, tower))
     if not rem.is_zero():
         raise InternalInvariant("shifted a is not divisible by its variable")
-    bsh = b.with_tower(tower).compose(lin)
-    u, v = _u(tower), _v(tower)
-    w = u * u + v * v
-    at_w = substitute(atil, {var: w})
-    return [Fraction(-2) * u * v * at_w, (v * v - u * u) * at_w, substitute(bsh, {var: w})]
+    return cone_components(tower), atil, b.with_tower(tower).compose(lin)
 
 
 def rotate_curve(cx: UniPoly, cy: UniPoly, cz: UniPoly) -> RationalSurfaceParam:

@@ -117,7 +117,8 @@ class P2Decomposition:
 
 @dataclass(frozen=True)
 class AffineReparam:
-    """t -> scale*t + shift with scale != 0; closed under compose/invert."""
+    """t -> scale*t + shift with scale != 0, applied to a polynomial by
+    substitution; what `canonicalize_quadratic` and `affine_equivalent` return."""
 
     scale: FieldElement
     shift: FieldElement
@@ -130,14 +131,6 @@ class AffineReparam:
         t = join_towers(join_towers(f.tower, self.scale.tower), self.shift.tower)
         inner = UniPoly(f.var, {1: self.scale, 0: self.shift}, t)
         return f.compose(inner)
-
-    def compose(self, other: "AffineReparam") -> "AffineReparam":
-        # self after other: t -> self(other(t))
-        return AffineReparam(self.scale * other.scale, self.scale * other.shift + self.shift)
-
-    def inverse(self) -> "AffineReparam":
-        inv = self.scale.inverse()
-        return AffineReparam(inv, -(inv * self.shift))
 
 
 @dataclass(frozen=True)

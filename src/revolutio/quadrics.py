@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .complexparam import SurfaceParam, tower_sqrt
+from .complexparam import SurfaceParam, cone_components, tower_sqrt
 from .errors import InternalInvariant, InvalidInput, NotPolynomial, Unsupported
 from .poly import MultiPoly, _sign_changes
-from .realparam import one_sheet_components, sphere_witness, two_sheet_components
+from .realparam import hyperboloid_components, sphere_witness
 from .tower import QQ
 
 XYZ = ("x", "y", "z")
@@ -252,9 +252,7 @@ def _central_witness(quad, d_const, cls):
     if cls == CONE:
         if d != 0 or len(pos) != 2 or len(neg) != 1:
             raise InternalInvariant("cone normalization mismatch")
-        u = MultiPoly.variable("u", UV)
-        v_ = MultiPoly.variable("v", UV)
-        canonical = {pos[0]: -2 * u * v_, pos[1]: v_ * v_ - u * u, neg[0]: u * u + v_ * v_}
+        canonical = dict(zip((pos[0], pos[1], neg[0]), cone_components()))
     elif cls == ELLIPSOID:
         lam = -d
         if len(pos) != 3 or lam <= 0:
@@ -266,16 +264,11 @@ def _central_witness(quad, d_const, cls):
         mu = -d
         if len(pos) != 2 or len(neg) != 1 or mu == 0:
             raise InternalInvariant("hyperboloid normalization mismatch")
-        root, tower = tower_sqrt(tower, abs(mu))
-        if mu > 0:
-            if cls != HYP1:
-                raise InternalInvariant("classified class disagrees with normalization")
-            c1, c2, c3 = one_sheet_components(tower)
-        else:
-            if cls != HYP2:
-                raise InternalInvariant("classified class disagrees with normalization")
-            c1, c2, c3 = two_sheet_components(tower)
-        canonical = {pos[0]: root * c1, pos[1]: root * c2, neg[0]: root * c3}
+        if cls != (HYP1 if mu > 0 else HYP2):
+            raise InternalInvariant("classified class disagrees with normalization")
+        comps = hyperboloid_components(tower, mu)
+        tower = comps[0].tower
+        canonical = dict(zip((pos[0], pos[1], neg[0]), comps))
     comps = {}
     for v in XYZ:
         root, tower = tower_sqrt(tower, Fraction(1) / abs(q[v]))

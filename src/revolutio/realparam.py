@@ -1,13 +1,17 @@
 """Real polynomial parametrizations, decided by the degree of p.
 
-Degrees 0, 1 and 2 are settled constructively: degree 1 reduces to the
-paraboloid pattern [a(u^2+v^2)u, a(u^2+v^2)v, b(u^2+v^2)], degree 2 to a
-canonical +-z^2 + lambda whose four sign cases are a hyperboloid recipe,
-a double-cover recipe, a compactness refusal, or an empty real locus, and
-degree 0 to the cone-style substitution or, when a has no real roots, to
-the Pythagorean-style identity on the one-sheeted hyperboloid. Degree 3
-has one hard-coded witness; everything else is honestly `unresolved` with
-the root-count predicate as evidence.
+Every real witness is a base on a canonical companion surface, lifted by
+`tubular_lift` through [x, y, z] -> [a(z) x, a(z) y, b(z)]; the affine
+change of variable that makes p canonical rides in the base's Z. Degree 1
+lifts the paraboloid base (u, v, (u^2 + v^2 - c0)/c1). Degree 2 brings p to
++-z^2 + lambda, whose four sign cases are a hyperboloid base
+(`hyperboloid_components`, shared with the quadrics), a double-cover base,
+a compactness refusal, or an empty real locus. Degree 0 lifts the cone base
+at a real root of a or, when a has no real roots, the Pythagorean base
+(2AB, B^2 - A^2, C) on the one-sheeted hyperboloid. Degree 3 lifts one
+hard-coded base for p = t^3 + 1 by any (a, b); everything else is honestly
+`unresolved` with the root-count predicate as evidence. `real_verdict`
+checks once, for every real witness, that its tower embeds into R.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .complexparam import (
     pick_rational_root,
     root_shift_components,
     tower_sqrt,
+    tubular_lift,
 )
 from .errors import InternalInvariant, InvalidInput
 from .numeric import default_real_embedding, isolate_real_roots
@@ -118,6 +123,15 @@ def two_sheet_components(tower: ExtensionTower = QQ):
     return dioph_point(q1, q2, q3, q1)
 
 
+def hyperboloid_components(tower: ExtensionTower, lam: Fraction):
+    """sqrt(|lam|) times the one-sheet recipe when lam > 0, or times the
+    two-sheet double cover when lam < 0: satisfies X^2 + Y^2 - Z^2 = lam,
+    over tower extended by sqrt(|lam|) unless that is already in it."""
+    root, tower = tower_sqrt(tower, abs(lam))
+    recipe = one_sheet_components if lam > 0 else two_sheet_components
+    return tuple(root * c for c in recipe(tower))
+
+
 def cubic_example() -> SurfaceParam:
     """The discovered real witness for x^2 + y^2 - z^3 - 1 = 0, over Q(sqrt 3)."""
     s3, tower = tower_sqrt(QQ, Fraction(3))
@@ -165,26 +179,19 @@ def canonicalize_quadratic(p: UniPoly) -> CanonicalQuadratic:
 
 
 def real_param_delta1(d: P2Decomposition) -> RealVerdict:
-    """Degree-1 p: always a real proper parametrization over u^2 + v^2."""
+    """Degree-1 p = c1 t + c0: the paraboloid base (u, v, (u^2 + v^2 - c0)/c1),
+    lifted by (a, b), is always real and proper."""
     if d.delta != 1:
         raise InvalidInput("expects deg p = 1")
     c = d.p.rational_coeffs()
-    rep = AffineReparam(
-        scale=QQ.rational(1 / c[1]), shift=QQ.rational(-c.get(0, Fraction(0)) / c[1])
-    )
-    a1 = rep.apply_to_poly(d.a)
-    b1 = rep.apply_to_poly(d.b)
     u = MultiPoly.variable("u", UV)
     v = MultiPoly.variable("v", UV)
-    w = u * u + v * v
-    aw = substitute(a1, {a1.var: w})
-    bw = substitute(b1, {b1.var: w})
-    witness = SurfaceParam.make(
-        [aw * u, aw * v, bw],
+    z = (u * u + v * v - c.get(0, Fraction(0))) * (1 / c[1])
+    witness = tubular_lift(
+        (u, v, z), d.a, d.b,
         provenance=("normalize p to t", "paraboloid pattern [a(u^2+v^2)u, a(u^2+v^2)v, b(u^2+v^2)]"),
         properness="proper",
     )
-    default_real_embedding(witness.tower)  # raises unless every generator embeds into R
     return RealVerdict("real-proper", "deg p = 1: paraboloid tubularization", witness)
 
 
@@ -199,32 +206,24 @@ def real_param_delta2(d: P2Decomposition) -> RealVerdict:
         return RealVerdict(
             "no-real-parametrization", "compact (sphere tubularization)"
         )
-    root, tower = tower_sqrt(cq.reparam.scale.tower, abs(cq.lam))
+    X, Y, Z = hyperboloid_components(cq.reparam.scale.tower, cq.lam)
+    tower = Z.tower
     if cq.lam > 0:
-        A, B, C = one_sheet_components(tower)
-        base = (root * A, root * B, root * C)
         flag = "proper"
         status = "real-proper"
         note = "one-sheeted hyperboloid recipe scaled by sqrt(lambda)"
         reason = "deg p = 2, positive leading sign, lambda > 0"
     else:
-        Q1, Q2, Q3 = two_sheet_components(tower)
-        base = (root * Q1, root * Q2, root * Q3)
         flag = "non-proper-degree-2"
         status = "real-nonproper-double-cover"
         note = "two-sheeted double-cover recipe scaled by sqrt(|lambda|)"
         reason = "deg p = 2, positive leading sign, lambda < 0: doubly covers one sheet"
-    scale = cq.reparam.scale.lift_to(tower)
-    shift = cq.reparam.shift.lift_to(tower)
-    z_orig = scale * base[2] + MultiPoly.constant(shift, UV, tower)
-    a_z = substitute(d.a, {d.a.var: z_orig})
-    b_z = substitute(d.b, {d.b.var: z_orig})
-    witness = SurfaceParam.make(
-        [a_z * base[0], a_z * base[1], b_z],
+    shift = MultiPoly.constant(cq.reparam.shift.lift_to(tower), UV, tower)
+    witness = tubular_lift(
+        (X, Y, cq.reparam.scale.lift_to(tower) * Z + shift), d.a, d.b,
         provenance=("canonicalize p to sign*z^2 + lambda", note, "lift by (a, b)"),
         properness=flag,
     )
-    default_real_embedding(witness.tower)  # raises unless every generator embeds into R
     return RealVerdict(status, reason, witness)
 
 
@@ -279,14 +278,12 @@ def _delta0_real_root_witness(d: P2Decomposition, c: Fraction) -> SurfaceParam:
         root = tower.gen("beta")
         a1 = a1.with_tower(tower)
         note = "shift by a designated real root of a (tower extension)"
-    witness = SurfaceParam.make(
-        root_shift_components(a1, d.b, root, tower),
+    base, A, B = root_shift_components(a1, d.b, root, tower)
+    return tubular_lift(
+        base, A, B,
         provenance=(f"absorb sqrt({c}) into a", note,
                     "degree-two substitution [s,t] -> [-u/v, u^2+v^2]"),
-        properness="unknown",
     )
-    default_real_embedding(witness.tower)  # raises unless every generator embeds into R
-    return witness
 
 
 def _delta0_no_real_root_witness(d: P2Decomposition, c: Fraction, pair) -> SurfaceParam:
@@ -306,17 +303,13 @@ def _delta0_no_real_root_witness(d: P2Decomposition, c: Fraction, pair) -> Surfa
         raise InternalInvariant("normalized quadratic factor does not divide a")
     b1 = d.b.with_tower(tower).compose(lin)
     A, B, C = one_sheet_components(tower)
-    ahat_C = substitute(ahat, {var: C})
-    witness = SurfaceParam.make(
-        [2 * A * B * ahat_C, (B * B - A * A) * ahat_C, substitute(b1, {var: C})],
+    return tubular_lift(
+        (2 * A * B, B * B - A * A, C), ahat, b1,
         provenance=(
             f"normalize quadratic factor t^2 + ({beta})t + ({gamma}) of a to t^2 + 1",
             "substitute A, B, C with C^2 + 1 = A^2 + B^2",
         ),
-        properness="unknown",
     )
-    default_real_embedding(witness.tower)  # raises unless every generator embeds into R
-    return witness
 
 
 def _smallest_disc_quadratic_factor(f: UniPoly):
@@ -417,24 +410,30 @@ def conjecture_predicate(d: P2Decomposition) -> ConjecturePredicate:
 
 
 def real_verdict(d: P2Decomposition) -> RealVerdict:
-    """Dispatch on the degree of p; degrees above 2 are unresolved except the
-    one hard-coded cubic."""
+    """Dispatch on the degree of p; degrees above 2 are unresolved except
+    p = t^3 + 1, whose hard-coded base lifts by any (a, b). Every real
+    witness is checked once to embed into R."""
     if d.delta == 0:
-        return real_param_delta0(d)
-    if d.delta == 1:
-        return real_param_delta1(d)
-    if d.delta == 2:
-        return real_param_delta2(d)
-    tvar = UniPoly.variable(d.p.var)
-    if d.p == tvar ** 3 + 1 and d.a == 1 and d.b == tvar:
-        return RealVerdict(
+        verdict = real_param_delta0(d)
+    elif d.delta == 1:
+        verdict = real_param_delta1(d)
+    elif d.delta == 2:
+        verdict = real_param_delta2(d)
+    elif d.p == UniPoly.variable(d.p.var) ** 3 + 1:
+        base = cubic_example()
+        # reason and trail name the base; (a, b) are in the report's decomposition
+        verdict = RealVerdict(
             "real-proper",
             "hard-coded witness for x^2 + y^2 - z^3 - 1 (properness not certified)",
-            cubic_example(),
+            tubular_lift(base, d.a, d.b, provenance=base.provenance),
         )
-    ev = conjecture_predicate(d)
-    return RealVerdict(
-        "unresolved",
-        f"deg p = {d.delta} >= 3 is open; conjecture predicate {ev.status} "
-        f"(real roots of p: {ev.real_root_count}, two-dimensional: {ev.two_dimensional})",
-    )
+    else:
+        ev = conjecture_predicate(d)
+        verdict = RealVerdict(
+            "unresolved",
+            f"deg p = {d.delta} >= 3 is open; conjecture predicate {ev.status} "
+            f"(real roots of p: {ev.real_root_count}, two-dimensional: {ev.two_dimensional})",
+        )
+    if verdict.witness is not None:
+        default_real_embedding(verdict.witness.tower)  # raises unless every generator embeds into R
+    return verdict

@@ -112,6 +112,31 @@ class TestAnalyze:
         assert doc["p2_decomposition"]["delta"] == 3
         assert doc["real_verdict"]["status"] == "real-proper"  # hard-coded cubic
 
+    @pytest.mark.parametrize(
+        "x, z", [("(t^2+1)^2*(t^3+1)", "t"), ("(t^3+1)*(t+2)^2", "t^2+t")]
+    )
+    def test_cubic_base_lifts_by_any_a_b(self, capsys, tmp_path, x, z):
+        # p = t^3 + 1 with a != 1 or b != t: the hard-coded base, lifted
+        code, doc = run_cli(capsys, "analyze", "--p2", x, z)
+        assert code == 0
+        assert doc["p2_decomposition"]["delta"] == 3
+        rv = doc["real_verdict"]
+        assert rv["code"] == "REAL_PROPER"
+        assert rv["verification"] == {"on_surface": True, "jacobian_rank": 2}
+        rpath = tmp_path / "report.json"
+        rpath.write_text(json.dumps(doc))
+        code, mesh = run_cli(
+            capsys, "mesh", "--report", str(rpath), "--witness", "real",
+            "--grid", "4", "--out", str(tmp_path / "c.obj"),
+        )
+        assert code == 0 and mesh["mesh"]["vertices"] == 16
+
+    def test_other_cubic_stays_unresolved(self, capsys):
+        code, doc = run_cli(capsys, "analyze", "--p2", "t^3-1", "t")
+        assert code == 0
+        assert doc["real_verdict"]["code"] == "UNRESOLVED"
+        assert doc["real_verdict"]["witness"] is None
+
     def test_p2_rational_input(self, capsys):
         code, doc = run_cli(capsys, "analyze", "--p2-rational", "1", "s", "1", "s^2")
         assert code == 0

@@ -175,6 +175,23 @@ class TestLift:
         s = tubular_polynomial_param(T, choose_root_alpha(T.p))
         with pytest.raises(DegenerateProfile):
             tubular_lift(s, t, UniPoly.constant("t", 2))
+        with pytest.raises(DegenerateProfile):
+            tubular_lift(s.components, t, UniPoly.constant("t", 2))
+
+    def test_tuple_base(self):
+        # the paraboloid base (u, v, u^2 + v^2) on x^2 + y^2 = z, lifted by
+        # a = t + 1, b = t^2: the surface of revolution with profile square
+        # [t (t + 1)^2, t^2]
+        lifted = tubular_lift((u, v, u * u + v * v), t + 1, t ** 2)
+        w = u * u + v * v
+        assert lifted.components == ((w + 1) * u, (w + 1) * v, w * w)
+        assert lifted.provenance == ("lift by a = t + 1, b = t^2",)
+        assert lifted.properness == "unknown"
+        d = decompose_paa(PlaneCurveParam.polynomial(t * (t + 1) ** 2, t ** 2))
+        assert verify_on_surface(lifted, surface_implicit(d)).on_surface
+        flagged = tubular_lift((u, v, w), t + 1, t ** 2, provenance=("p",), properness="proper")
+        assert flagged.components == lifted.components
+        assert (flagged.provenance, flagged.properness) == (("p",), "proper")
 
     def test_rotational_structure_preserved(self):
         d = decompose_paa(PlaneCurveParam.polynomial((t ** 2 + 1) ** 2 * (t - 2), t + 5))

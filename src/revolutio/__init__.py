@@ -37,7 +37,7 @@ from .errors import (
     ZeroDivisor,
 )
 from .numeric import CertifiedValue, default_real_embedding, isolate_real_roots, numeric_eval
-from .parsing import parse_expression, parse_poly
+from .parsing import parse_poly
 from .poly import (
     MultiPoly,
     UniPoly,

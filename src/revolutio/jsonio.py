@@ -22,10 +22,6 @@ from .tower import QQ, ExtensionTower, FieldElement
 SCHEMA = "revolutio/1"
 
 
-def fraction_to_str(q: Fraction) -> str:
-    return str(q)
-
-
 def str_to_fraction(s: str) -> Fraction:
     try:
         return Fraction(s)
@@ -35,7 +31,7 @@ def str_to_fraction(s: str) -> Fraction:
 
 def field_to_json(e: FieldElement) -> dict:
     return {
-        ",".join(str(x) for x in key): fraction_to_str(q)
+        ",".join(str(x) for x in key): str(q)
         for key, q in sorted(e.terms.items())
     }
 
@@ -58,7 +54,7 @@ def tower_to_json(t: ExtensionTower) -> list:
                 "name": step.name,
                 "minpoly": [field_to_json(c) for c in step.minpoly],
                 "embedding": (
-                    [fraction_to_str(step.embedding[0]), fraction_to_str(step.embedding[1])]
+                    [str(step.embedding[0]), str(step.embedding[1])]
                     if step.embedding is not None
                     else None
                 ),

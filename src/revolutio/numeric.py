@@ -139,9 +139,6 @@ class RealEmbedding:
             rng = self._ranges[key] = tuple(q.numerator * (self.den // q.denominator) for q in iv)
         return rng
 
-    def width(self) -> Fraction:
-        return max((hi - lo for lo, hi in self.intervals.values()), default=Fraction(0))
-
 
 def default_real_embedding(tower: ExtensionTower) -> RealEmbedding:
     """Embedding from each step's recorded hint, falling back to the greatest

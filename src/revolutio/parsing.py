@@ -1,4 +1,4 @@
-"""Recursive-descent parser for polynomial expressions.
+"""Recursive-descent parser that evaluates polynomial expressions as it reads.
 
 Grammar (loosest binding first):
 
@@ -7,22 +7,36 @@ Grammar (loosest binding first):
     factor := '-' factor | power
     power  := atom ('^' INT)?
     atom   := INT ('/' INT)? | VAR | '(' expr ')'
+    INT    := [0-9]+
 
 so '^' binds tighter than unary minus, which binds tighter than '*'.
 Implicit multiplication is not supported; '/' only forms integer fraction
-literals like 3/4; exponents are non-negative integer literals. Variables
-are single letters from x y z w t s u v.
+literals like 3/4; exponents are non-negative integer literals. Literals
+use the ASCII digits 0-9 only: any other digit, such as '²' or '٣', is an
+unexpected character. Variables are single letters from x y z w t s u v.
+
+There is no syntax tree. Each rule returns the MultiPoly of the text it
+read, built with MultiPoly's operators over the one sorted tuple of names
+the whole text uses, so no operand is ever re-keyed and the result keeps
+a name whose terms cancel. A first pass over the same tokens, with every
+leaf the zero polynomial, checks the syntax, so every ParseError comes
+before any arithmetic and before the at-most-four-variables refusal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
 from .errors import InvalidInput
 from .poly import MultiPoly
 
 ALLOWED_VARIABLES = ("s", "t", "u", "v", "w", "x", "y", "z")
+
+# INT comes first, so a NAME never starts with an ASCII digit; _tokenize
+# refuses one that starts with any other digit
+_TOKEN = re.compile(r"(?P<INT>[0-9]+)|(?P<NAME>\w+)|(?P<OP>[-+*^()/])|(?P<SPACE>\s+)|(?P<BAD>.)", re.S)
+_ZERO = MultiPoly.zero()
 
 
 class ParseError(InvalidInput):
@@ -31,203 +45,115 @@ class ParseError(InvalidInput):
         super().__init__(f"{message} (at position {position})")
 
 
-# -- AST ------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-
-
-ExpressionAST = object  # Const | Var | Add | Mul | Neg | Pow
-
-
-# -- lexer ------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # INT NAME OP END
-    text: str
-    pos: int
-
-
 def _tokenize(text: str) -> list:
+    """``(kind, text, position)`` per token, kind INT, NAME, OP or a final END."""
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "SPACE":
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(_Token("NAME", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*^()/":
-            out.append(_Token("OP", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(_Token("END", "", n))
+        if kind == "BAD" or (kind == "NAME" and not (tok[0].isalpha() or tok[0] == "_")):
+            raise ParseError(f"unexpected character {tok[0]!r}", m.start())
+        out.append((kind, tok, m.start()))
+    out.append(("END", "", len(text)))
     return out
 
 
-# -- parser -----------------------------------------------------------------------
-
-
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.k = 0
+    """One descent over ``tokens``. Each rule returns the polynomial it read
+    over ``vars_``; with ``vars_`` None every leaf is zero, so the descent
+    only checks the syntax."""
 
-    def peek(self) -> _Token:
+    def __init__(self, tokens: list, vars_: tuple | None):
+        self.tokens = tokens
+        self.k = 0
+        self.vars = vars_
+
+    def peek(self) -> tuple:
         return self.tokens[self.k]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.k]
         self.k += 1
         return tok
 
-    def expect_op(self, op: str):
-        tok = self.peek()
-        if tok.kind != "OP" or tok.text != op:
-            raise ParseError(f"expected {op!r}", tok.pos)
-        return self.advance()
+    def at(self, ops: str) -> bool:
+        kind, text, _ = self.peek()
+        return kind == "OP" and text in ops
 
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "END":
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
-        return node
+    def parse(self) -> MultiPoly:
+        value = self.expr()
+        kind, text, pos = self.peek()
+        if kind != "END":
+            raise ParseError(f"unexpected {text!r}", pos)
+        return value
 
-    def expr(self):
-        node = self.term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = Add(node, rhs if op == "+" else Neg(rhs))
-        return node
+    def expr(self) -> MultiPoly:
+        value = self.term()
+        while self.at("+-"):
+            if self.advance()[1] == "+":
+                value = value + self.term()
+            else:
+                value = value - self.term()
+        return value
 
-    def term(self):
-        node = self.factor()
-        while self.peek().kind == "OP" and self.peek().text == "*":
+    def term(self) -> MultiPoly:
+        value = self.factor()
+        while self.at("*"):
             self.advance()
-            node = Mul(node, self.factor())
-        return node
+            value = value * self.factor()
+        return value
 
-    def factor(self):
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
+    def factor(self) -> MultiPoly:
+        if self.at("-"):
             self.advance()
-            return Neg(self.factor())
+            return -self.factor()
         return self.power()
 
-    def power(self):
+    def power(self) -> MultiPoly:
         base = self.atom()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "^":
+        if not self.at("^"):
+            return base
+        self.advance()
+        kind, text, pos = self.advance()
+        if kind != "INT":
+            raise ParseError("exponent must be a non-negative integer literal", pos)
+        return base ** int(text)
+
+    def atom(self) -> MultiPoly:
+        kind, text, pos = self.advance()
+        if kind == "INT":
+            value = int(text)
+            if self.at("/"):
+                slash = self.advance()[2]
+                dkind, dtext, dpos = self.advance()
+                if dkind != "INT":
+                    raise ParseError("'/' is only allowed between integer literals", slash)
+                if int(dtext) == 0:
+                    raise ParseError("zero denominator", dpos)
+                value = Fraction(int(text), int(dtext))
+            return _ZERO if self.vars is None else MultiPoly.constant(value, self.vars)
+        if kind == "NAME":
+            if text not in ALLOWED_VARIABLES:
+                raise ParseError(f"unknown variable {text!r}", pos)
+            return _ZERO if self.vars is None else MultiPoly.variable(text, self.vars)
+        if kind == "OP" and text == "(":
+            value = self.expr()
+            if not self.at(")"):
+                raise ParseError("expected ')'", self.peek()[2])
             self.advance()
-            etok = self.peek()
-            if etok.kind != "INT":
-                raise ParseError(
-                    "exponent must be a non-negative integer literal", etok.pos
-                )
-            self.advance()
-            return Pow(base, int(etok.text))
-        return base
-
-    def atom(self):
-        tok = self.advance()
-        if tok.kind == "INT":
-            nxt = self.peek()
-            if nxt.kind == "OP" and nxt.text == "/":
-                slash = self.advance()
-                dtok = self.peek()
-                if dtok.kind != "INT":
-                    raise ParseError("'/' is only allowed between integer literals", slash.pos)
-                self.advance()
-                den = int(dtok.text)
-                if den == 0:
-                    raise ParseError("zero denominator", dtok.pos)
-                return Const(Fraction(int(tok.text), den))
-            return Const(Fraction(int(tok.text)))
-        if tok.kind == "NAME":
-            if tok.text not in ALLOWED_VARIABLES:
-                raise ParseError(f"unknown variable {tok.text!r}", tok.pos)
-            return Var(tok.text)
-        if tok.kind == "OP" and tok.text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
-
-
-def parse_expression(text: str) -> ExpressionAST:
-    """Parse to an AST of Const/Var/Add/Mul/Neg/Pow nodes."""
-    return _Parser(text).parse()
-
-
-def ast_to_poly(node: ExpressionAST) -> MultiPoly:
-    """Evaluate an AST into a canonical sparse polynomial (total)."""
-    if isinstance(node, Const):
-        return MultiPoly.constant(node.value)
-    if isinstance(node, Var):
-        return MultiPoly.variable(node.name)
-    if isinstance(node, Add):
-        return ast_to_poly(node.left) + ast_to_poly(node.right)
-    if isinstance(node, Mul):
-        return ast_to_poly(node.left) * ast_to_poly(node.right)
-    if isinstance(node, Neg):
-        return -ast_to_poly(node.operand)
-    if isinstance(node, Pow):
-        return ast_to_poly(node.base) ** node.exponent
-    raise InvalidInput(f"not an expression node: {node!r}")
+            return value
+        raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
 
 
 def parse_poly(text: str, allowed_vars=None) -> MultiPoly:
-    """Parse and evaluate, optionally restricting the variables used."""
-    poly = ast_to_poly(parse_expression(text))
+    """Parse and evaluate, optionally restricting the variables used. The
+    result's variables are the sorted names in the text."""
+    tokens = _tokenize(text)
+    _Parser(tokens, None).parse()
+    # over more than four names the first leaf raises InvalidInput
+    names = tuple(sorted({tok for kind, tok, _ in tokens if kind == "NAME"}))
+    poly = _Parser(tokens, names).parse()
     if allowed_vars is not None:
         bad = [v for v in poly.vars if poly.uses(v) and v not in allowed_vars]
         if bad:

@@ -71,14 +71,9 @@ class VerificationReport:
     residual: MultiPoly
     on_surface: bool
     jacobian_rank: int
-    fiber_count: object = None  # int | INDETERMINATE | None
-    fiber_sample: tuple | None = None
 
     def __repr__(self):
-        return (
-            f"VerificationReport(on_surface={self.on_surface}, "
-            f"jacobian_rank={self.jacobian_rank}, fiber_count={self.fiber_count})"
-        )
+        return f"VerificationReport(on_surface={self.on_surface}, jacobian_rank={self.jacobian_rank})"
 
 
 def verify_on_surface(s, F: MultiPoly) -> VerificationReport:

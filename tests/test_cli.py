@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -489,6 +490,51 @@ def test_analyze_p2_exit_contract(x, b):
     assert time.perf_counter() - start < 10.0
     assert code in (0, 2, 3), (x, b, out.getvalue())
     assert "schema" in json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--implicit", "x^²"),
+        ("analyze", "--p2", "²", "t"),
+        ("mesh", "--param", "u", "v", "u^²", "--out", "{tmp}/x.obj"),
+    ],
+    ids=["analyze_implicit", "analyze_p2", "mesh_param"],
+)
+def test_non_ascii_digit_is_user_error(capsys, tmp_path, argv):
+    # '²' passed str.isdigit() in the lexer but not int(): a ValueError left main()
+    code, doc = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2 and doc["error"]["code"] == "INVALID_INPUT"
+    assert "unexpected character '²'" in doc["error"]["message"]
+
+
+# the grammar's characters, and characters a lexer may misread: a
+# superscript digit, an Arabic-Indic digit, a fullwidth letter and '_'
+_RAW_TEXT = st.text(st.sampled_from(list("0123456789xyzwtsuv+-*^()/ ") + ["²", "٣", "ｘ", "_"]), max_size=16)
+
+
+def _one_digit_exponents(text: str) -> str:
+    """The text with each exponent cut to one digit, after the leading space
+    of ``_poly_text``."""
+    return " " + re.sub(r"\^(\s*[0-9])[0-9]+", r"^\1", text)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(text=_RAW_TEXT.map(_one_digit_exponents))
+@example(text=" x^²+y^2-z")
+@example(text=" x^2+y^2-z+٣")
+@example(text=" x^2+ｘ^2-z")
+def test_implicit_text_exit_contract(text):
+    # any text over that alphabet ends in a report (0), a user error (2) or
+    # a refusal (3), as JSON, within budget
+    for cmd in ("quadric", "analyze"):
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main([cmd, "--implicit", text])
+        assert time.perf_counter() - start < 10.0
+        assert code in (0, 2, 3), (cmd, text, out.getvalue())
+        assert "schema" in json.loads(out.getvalue())
 
 
 def _uv_text(coeffs: dict) -> str:

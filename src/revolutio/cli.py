@@ -80,6 +80,9 @@ def _to_unipoly(text: str, var: str) -> UniPoly:
 
 
 def _fraction_arg(text: str) -> Fraction:
+    # Fraction() and float() read any Unicode digit; a number here is ASCII
+    if not text.isascii():
+        raise InvalidInput(f"bad number {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -23,6 +23,10 @@ SCHEMA = "revolutio/1"
 
 
 def str_to_fraction(s: str) -> Fraction:
+    # a rational is ASCII text: Fraction() also reads any Unicode digit,
+    # true as 1 and a JSON float as its binary fraction
+    if not isinstance(s, str) or not s.isascii():
+        raise InvalidInput(f"bad rational literal {s!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -39,6 +43,8 @@ def field_to_json(e: FieldElement) -> dict:
 def json_to_field(obj: dict, tower: ExtensionTower) -> FieldElement:
     terms = {}
     for key, val in obj.items():
+        if not key.isascii():
+            raise InvalidInput(f"bad exponent key {key!r}")
         exps = tuple(int(x) for x in key.split(",")) if key else ()
         if len(exps) != tower.height:
             raise InvalidInput("field element exponent arity does not match the tower")
@@ -86,7 +92,10 @@ def json_to_poly(obj: dict, tower: ExtensionTower = QQ) -> MultiPoly:
     vars_ = tuple(obj["variables"])
     terms = {}
     for item in obj["terms"]:
-        key = tuple(int(e) for e in item["exponents"])
+        key = tuple(item["exponents"])
+        # only JSON integers: int() would truncate 1.5 and read true as 1
+        if not all(type(e) is int for e in key):
+            raise InvalidInput(f"exponents must be JSON integers, got {item['exponents']!r}")
         terms[key] = json_to_field(item["coefficient"], tower)
     return MultiPoly(vars_, terms, tower)
 

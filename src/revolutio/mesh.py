@@ -6,21 +6,25 @@ values are tabulated in integers (Knuth, TAOCP Vol. 2, 4.6.4): each
 component is split once into one integer ``(u, v)`` coefficient array per
 power-basis monomial of its tower, over one common denominator, and scaled
 so that with grid coordinates written as integers over ``Du`` and ``Dv``
+(each grid side computed in integers over its least common denominator)
 every vertex value is an integer over the one denominator
 ``L * Du^du * Dv^dv``. Each grid row takes one Horner pass in ``u`` per
-monomial, each vertex one in ``v``; rows are streamed. The integers go
-straight to floats, with no Fraction or FieldElement per vertex: a
-component with only the unit monomial (every component over QQ) is one
-correctly rounded division, any other hands its ``(monomial, int)`` pairs
-and denominator to ``numeric_eval``. Parametrizations over towers without
-a full real embedding are refused (NoRealEmbedding propagates from the
-evaluator); a vertex beyond the float range is InvalidInput.
+monomial, then one in ``v`` per monomial over the whole row at once; rows
+are streamed. The integers go straight to floats, with no Fraction or
+FieldElement per vertex: a component with only the unit monomial (every
+component over QQ) is one correctly rounded division per vertex, and the
+row's values of the other components go to ``numeric_eval`` in one call,
+as ``(keys, ints, den)`` triples in vertex order, then component order,
+each component's monomial keys in one fixed order. Parametrizations over
+towers without a full real embedding are refused (NoRealEmbedding
+propagates from the evaluator); a vertex beyond the float range is
+InvalidInput.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InvalidInput
 from .numeric import _as_float, _tolerance, default_real_embedding, numeric_eval
@@ -56,22 +60,34 @@ class _Tabulation:
             for m, q in fe.terms.items():
                 by_v = self.monos.setdefault(m, [[0] * (du + 1) for _ in range(dv + 1)])
                 by_v[b][a] = q.numerator * (scale // q.denominator)
-        self.rational = not any(any(m) for m in self.monos)
+        self.keys = tuple(self.monos)
+        self.rational = not any(map(any, self.keys))
 
-    def row(self, u: int) -> list:
-        """Per monomial, the coefficients in ``v`` on grid row ``u``."""
-        return [(m, [_horner_int(cs, u) for cs in by_v]) for m, by_v in self.monos.items()]
+    def row(self, u: int, vs: list) -> list:
+        """The values on grid row ``u`` at every ``v`` in ``vs``: per vertex,
+        a tuple of integers in ``keys`` order."""
+        cols = [_horner_at([_horner_int(cs, u) for cs in by_v], vs) for by_v in self.monos.values()]
+        return list(zip(*cols)) if cols else [()] * len(vs)
 
-    def value(self, row: list, v: int) -> list:
-        """The value at ``(u, v)`` as ``(monomial, int)`` pairs over ``den``."""
-        return [(m, n) for m, cs in row if (n := _horner_int(cs, v))]
+
+def _horner_at(p: list, xs: list) -> list:
+    """The integer polynomial ``p`` (lowest degree first) at every x in ``xs``."""
+    acc = [p[-1]] * len(xs)
+    for c in reversed(p[:-1]):
+        acc = [a * x + c for a, x in zip(acc, xs)]
+    return acc
 
 
 def _grid(lo: Fraction, hi: Fraction, n: int) -> tuple:
-    """The n points lo + (hi - lo) * i / (n - 1) as integers over one denominator."""
-    pts = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    den = lcm(*(q.denominator for q in pts))
-    return [q.numerator * (den // q.denominator) for q in pts], den
+    """The n points lo + (hi - lo) * i / (n - 1) as integers over their least
+    common denominator."""
+    # the points are (a + k*i) / D; their reduced denominators have lcm D / g,
+    # with g the gcd of D and the progression, which is gcd(D, a, k)
+    a = lo.numerator * hi.denominator * (n - 1)
+    k = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    den = lo.denominator * hi.denominator * (n - 1)
+    g = gcd(den, a, k)
+    return [(a + k * i) // g for i in range(n)], den // g
 
 
 def sample_grid(s, n: int, u_range, v_range, tol=Fraction(1, 10 ** 9)) -> list:
@@ -87,15 +103,20 @@ def sample_grid(s, n: int, u_range, v_range, tol=Fraction(1, 10 ** 9)) -> list:
     vs, dv_den = _grid(v0, v1, n)
     tabs = [_Tabulation(c, du_den, dv_den) for c in s.components]
     tol = _tolerance(tol)
+    irrational = [tab for tab in tabs if not tab.rational]
     verts = []
     for u in us:
-        rows = [tab.row(u) for tab in tabs]
-        for v in vs:
-            verts.append(tuple([
-                _as_float(sum(n for _, n in tab.value(row, v)), tab.den) if tab.rational
-                else numeric_eval(tab.value(row, v), embedding, tol, den=tab.den).value
-                for tab, row in zip(tabs, rows)
-            ]))
+        rows = [tab.row(u, vs) for tab in tabs]
+        # the row's irrational values, vertex by vertex, then component by component
+        batch = [(tab.keys, row[j], tab.den) for j in range(n)
+                 for tab, row in zip(tabs, rows) if not tab.rational]
+        certified = numeric_eval(batch, embedding, tol) if batch else []
+        coords = [
+            [_as_float(sum(ints), tab.den) for ints in row] if tab.rational
+            else [cv.value for cv in certified[irrational.index(tab)::len(irrational)]]
+            for tab, row in zip(tabs, rows)
+        ]
+        verts += zip(*coords)
     return verts
 
 

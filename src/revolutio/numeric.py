@@ -9,43 +9,36 @@ counts roots with one integer Sturm chain per polynomial. Generators
 without a real root have no real embedding and are rejected, which is
 exactly what mesh export needs.
 
-The embedding keeps, between refinements, the exact range of each
-power-basis monomial as integers over one common denominator. An element's
-enclosure is then one integer dot product: its coefficients over their
-common denominator against those ranges, each coefficient taking the low or
-the high end by its sign. An interval product is the exact range, so this
+The embedding keeps each generator's interval as two integer ends over
+the generator's own denominator, and between refinements, for each tuple
+of power-basis keys it is asked about, the exact ranges of those monomials
+as integer lists over one common denominator (integer interval products,
+so the same ranges as multiplying out the Fraction intervals). An
+element's enclosure is then two integer dot products of its coefficients
+over their common denominator: with the ranges' ``lo + hi`` for the
+midpoint and, in absolute value, with their ``hi - lo`` for the width. This
 gives the same enclosure as multiplying out the generator intervals term by
-term, and the same refinements. ``numeric_eval`` takes an element in that
-integer form directly (mesh export passes its tabulated integers), and puts
-a FieldElement in it first. A rational value is one correctly rounded
-integer division, InvalidInput beyond the float range.
+term, and the same refinements. ``numeric_eval`` takes a batch of elements
+in that integer form (mesh export passes one grid row of tabulated
+integers) and certifies them in order in one loop, refining the one
+embedding whenever a value is still too wide, exactly as consecutive single
+calls would; a FieldElement is put in that form first and certified as a
+batch of one. A rational value is one correctly rounded integer division,
+InvalidInput beyond the float range.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 
 from .errors import InvalidInput, NoRealEmbedding
 from .poly import UniPoly, _hsign, _int_coeffs, _squarefree_chain, _sturm_count, sturm_real_root_count
 from .tower import ExtensionTower, FieldElement
 
 Iv = tuple  # (lo, hi) with Fraction endpoints, lo <= hi
-
-
-def _iv_mul(a: Iv, b: Iv) -> Iv:
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(products), max(products))
-
-
-def _iv_pow(a: Iv, e: int) -> Iv:
-    if e == 0:
-        return (Fraction(1), Fraction(1))
-    if e % 2 == 0 and a[0] < 0 <= a[1]:
-        m = max(-a[0], a[1])
-        return (Fraction(0), m ** e)
-    lo, hi = a[0] ** e, a[1] ** e
-    return (min(lo, hi), max(lo, hi))
 
 
 def isolate_real_roots(f: UniPoly) -> list:
@@ -98,10 +91,12 @@ def _refine_once(p: list, iv: Iv) -> Iv:
 class RealEmbedding:
     """A designated real root (isolating interval) for each tower generator.
 
-    For the current intervals it also keeps the exact range of each
-    power-basis monomial ``g^m``, as a pair of integers over the one common
-    denominator ``den``. Ranges are filled on first use and dropped by
-    ``refine_all``.
+    ``intervals`` holds the Fraction intervals. For the current intervals
+    the embedding also keeps each generator's interval as two integer ends
+    over the generator's own denominator, and, for each tuple of
+    power-basis keys it is asked about, the exact ranges of those monomials
+    as integer lists over the one common denominator ``den``. The lists are
+    built on first use and dropped by ``refine_all``.
     """
 
     def __init__(self, tower: ExtensionTower, intervals: dict, minpolys: dict):
@@ -110,17 +105,21 @@ class RealEmbedding:
         self.tower = tower
         self.intervals = dict(intervals)
         self._minpolys = minpolys
+        self._ranges = {}
         self._reset_ranges()
 
     def _reset_ranges(self):
         # a reduced monomial has exponent below deg m_k in generator k, so
         # den_k^(deg m_k - 1) clears every denominator its range can have
-        ivs = [self.intervals[step.name] for step in self.tower.steps]
-        self.den = math.prod(
-            math.lcm(lo.denominator, hi.denominator) ** (step.degree - 1)
-            for step, (lo, hi) in zip(self.tower.steps, ivs)
-        )
-        self._ranges = {}
+        self._ends = []
+        self.den = 1
+        for step in self.tower.steps:
+            lo, hi = self.intervals[step.name]
+            d = math.lcm(lo.denominator, hi.denominator)
+            top = step.degree - 1
+            self._ends.append((lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d, top))
+            self.den *= d ** top
+        self._ranges.clear()
 
     def refine_all(self):
         for name, iv in self.intervals.items():
@@ -129,15 +128,32 @@ class RealEmbedding:
 
     def monomial_range(self, key: tuple) -> tuple:
         """Exact range ``(lo, hi)`` of the monomial with exponents ``key``
-        over the current intervals, both over ``den``."""
-        rng = self._ranges.get(key)
-        if rng is None:
-            iv = (Fraction(1), Fraction(1))
-            for e, step in zip(key, self.tower.steps):
-                if e:
-                    iv = _iv_mul(iv, _iv_pow(self.intervals[step.name], e))
-            rng = self._ranges[key] = tuple(q.numerator * (self.den // q.denominator) for q in iv)
-        return rng
+        over the current intervals, both over ``den``: an integer interval
+        product, each generator's power scaled to ``d_k^(deg m_k - 1)``."""
+        lo = hi = 1
+        for e, (a, b, d, top) in zip(key, self._ends):
+            scale = d ** (top - e)
+            if not e:
+                pa = pb = scale
+            else:
+                pa, pb = a ** e, b ** e
+                if e % 2 == 0 and a < 0 < b:
+                    pa, pb = 0, max(pa, pb)
+                elif pa > pb:
+                    pa, pb = pb, pa
+                pa, pb = pa * scale, pb * scale
+            products = (lo * pa, lo * pb, hi * pa, hi * pb)
+            lo, hi = min(products), max(products)
+        return lo, hi
+
+    def ranges(self, keys: tuple) -> tuple:
+        """The ranges of the monomials ``keys`` as two integer lists over
+        ``den``, in the order of ``keys``: ``lo + hi`` and ``hi - lo`` of each."""
+        got = self._ranges.get(keys)
+        if got is None:
+            ends = [self.monomial_range(key) for key in keys]
+            got = self._ranges[keys] = ([lo + hi for lo, hi in ends], [hi - lo for lo, hi in ends])
+        return got
 
 
 def default_real_embedding(tower: ExtensionTower) -> RealEmbedding:
@@ -224,45 +240,71 @@ class CertifiedValue:
 _MAX_REFINEMENTS = 400
 
 
-def numeric_eval(value, embedding: RealEmbedding | None = None, tol=Fraction(1, 10 ** 12),
-                 den: int = 1) -> CertifiedValue:
-    """Certified floating approximation of a tower element.
+def _irrational(keys: tuple, ints: list) -> bool:
+    """Whether some nonzero integer sits on a monomial other than 1."""
+    return any(map(any, compress(keys, ints)))
 
-    ``value`` is a Fraction/int (returned exactly), a FieldElement, or the
-    integer form of one, which needs ``embedding``: ``(power-basis key,
-    int)`` pairs whose sum is the element times the positive int ``den``. A
-    FieldElement is put in that form over its coefficients' common
-    denominator. Without a nonzero irrational coefficient the value is one
-    division; else generator intervals are bisected until the enclosure, a
-    dot product in integers of the coefficients against the embedding's
-    monomial ranges (low or high end by sign), is narrower than ``tol``.
+
+def _enclose(batch: list, emb: RealEmbedding, tol: Fraction) -> list:
+    """One CertifiedValue per ``(keys, ints, den)`` in ``batch``, certified
+    in order against ``emb``, which is refined whenever the current value is
+    not yet narrower than ``tol`` (at most ``_MAX_REFINEMENTS`` times per
+    value). A rational value has a zero-width enclosure, so it is never
+    refined; it is one division."""
+    tn, td = tol.numerator, tol.denominator
+    ranges, eden = emb._ranges, emb.den  # refine_all clears the dict in place
+    out = []
+    for keys, ints, den in batch:
+        refinements = 0
+        while True:
+            mids, widths = ranges.get(keys) or emb.ranges(keys)
+            d = den * eden
+            # the value's hi - lo over d: the sum of |n| * (hi - lo)
+            width = sum(map(mul, map(abs, ints), widths))
+            if width * td < tn * d:
+                break
+            emb.refine_all()
+            eden = emb.den
+            refinements += 1
+            if refinements == _MAX_REFINEMENTS:
+                raise InvalidInput("interval refinement did not converge (tolerance too small?)")
+        if width or _irrational(keys, ints):
+            out.append(CertifiedValue(sum(map(mul, ints, mids)), width, 2 * d))
+        else:
+            out.append(CertifiedValue(sum(ints), 0, den))
+    return out
+
+
+def numeric_eval(value, embedding: RealEmbedding | None = None, tol=Fraction(1, 10 ** 12)):
+    """Certified floating approximation of tower elements.
+
+    ``value`` is a Fraction/int or a FieldElement, giving one CertifiedValue,
+    or the integer form of a batch of elements, which needs ``embedding``
+    and gives a list: ``(keys, ints, den)`` triples, ``keys`` distinct
+    power-basis keys and ``ints`` the matching integers, whose dot product
+    with the monomials is the element times the positive int ``den``. The
+    batch is certified in order against the one embedding, exactly as by
+    consecutive single calls. A FieldElement is put in that form, over its
+    coefficients' common denominator, and certified as a batch of one. A
+    value without a nonzero irrational coefficient is one division, and a
+    single one needs no embedding; any other is enclosed by the dot products
+    of its integers with the embedding's monomial ranges (``lo + hi`` and
+    ``hi - lo``), and the generator intervals are bisected until the
+    enclosure is narrower than ``tol``.
     """
     tol = _tolerance(tol)
+    if isinstance(value, list) and embedding is not None:
+        return _enclose(value, embedding, tol)
     if isinstance(value, (int, Fraction)):
         return CertifiedValue(value.numerator, 0, value.denominator)
-    tower = None
-    if isinstance(value, FieldElement):
-        tower, den = value.tower, math.lcm(*(q.denominator for q in value.terms.values()))
-        value = [(key, q.numerator * (den // q.denominator)) for key, q in value.terms.items()]
-    elif not isinstance(value, list) or embedding is None:
-        raise InvalidInput("numeric_eval expects a rational, a FieldElement, or integer pairs and an embedding")
-    if all(not n or not any(key) for key, n in value):
-        return CertifiedValue(sum(n for _, n in value), 0, den)
-    emb = embedding or default_real_embedding(tower)
-    if tower is not None and emb.tower != tower:
+    if not isinstance(value, FieldElement):
+        raise InvalidInput("numeric_eval expects a rational, a FieldElement, or integer triples and an embedding")
+    den = math.lcm(*(q.denominator for q in value.terms.values()))
+    keys = tuple(value.terms)
+    ints = [q.numerator * (den // q.denominator) for q in value.terms.values()]
+    if not _irrational(keys, ints):
+        return CertifiedValue(sum(ints), 0, den)
+    embedding = embedding or default_real_embedding(value.tower)
+    if embedding.tower != value.tower:
         raise InvalidInput("embedding belongs to a different tower")
-    for _ in range(_MAX_REFINEMENTS):
-        lo = hi = 0
-        for key, n in value:
-            a, b = emb.monomial_range(key)
-            if n > 0:
-                lo += n * a
-                hi += n * b
-            else:
-                lo += n * b
-                hi += n * a
-        d = den * emb.den
-        if (hi - lo) * tol.denominator < tol.numerator * d:
-            return CertifiedValue(lo + hi, hi - lo, 2 * d)
-        emb.refine_all()
-    raise InvalidInput("interval refinement did not converge (tolerance too small?)")
+    return _enclose([(keys, ints, den)], embedding, tol)[0]

@@ -378,6 +378,60 @@ class TestMeshCmd:
         assert not out.exists()
 
 
+def _mutated_report(tmp_path, mutate):
+    """The one_sheet_sqrt2 report with its real witness changed by ``mutate``."""
+    doc = json.loads((REPORTS / "one_sheet_sqrt2.json").read_text())
+    mutate(doc["real_verdict"]["witness"])
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _set(path, value):
+    def mutate(witness):
+        *head, last = path
+        obj = witness
+        for step in head:
+            obj = obj[step]
+        obj[last] = value
+    return mutate
+
+
+def _rekey(witness):
+    # the coefficient {"1": "1"} of the second component's first term, keyed by ARABIC-INDIC DIGIT ONE
+    witness["components"][1]["terms"][0]["coefficient"] = {"\u0661": "1"}
+
+
+@pytest.mark.parametrize(
+    "flags, mutate",
+    [
+        (["--param", "u", "v", "u", "--u-min", "\u0663", "--u-max", "5"], None),
+        (["--param", "u", "v", "u", "--v-max", "\u0665"], None),
+        (["--param", "u", "v", "u", "--tol", "\uff11e-9"], None),
+        (["--report"], _set(["components", 1, "terms", 0, "coefficient", "1"], "\u0663")),
+        (["--report"], _rekey),
+        (["--report"], _set(["tower", 0, "embedding"], ["0", "\u0663"])),
+        (["--report"], _set(["components", 1, "terms", 0, "coefficient", "1"], True)),
+        (["--report"], _set(["components", 1, "terms", 0, "coefficient", "1"], 0.5)),
+        (["--report"], _set(["components", 0, "terms", 1, "exponents"], [1.5, 0])),
+        (["--report"], _set(["components", 0, "terms", 1, "exponents"], [True, False])),
+    ],
+    ids=["u_min_arabic_indic", "v_max_arabic_indic", "tol_fullwidth", "report_coefficient",
+         "report_exponent_key", "report_embedding", "report_bool_coefficient", "report_float_coefficient",
+         "report_float_exponent", "report_bool_exponent"],
+)
+def test_mesh_numbers_are_ascii_and_exponents_integers(capsys, tmp_path, flags, mutate):
+    # Fraction(), float() and int() read any Unicode digit, Fraction() and
+    # int() read true as 1, Fraction() reads a JSON float and int() truncates
+    # 1.5: each of these meshed something at exit 0
+    if mutate is not None:
+        flags = flags + [_mutated_report(tmp_path, mutate)]
+    out = tmp_path / "x.obj"
+    code, doc = run_cli(capsys, "mesh", *flags, "--grid", "2", "--out", str(out))
+    assert code == 2 and doc["error"]["code"] == "INVALID_INPUT"
+    assert not out.exists()
+
+
 class TestP2Cmd:
     def test_decompose(self, capsys):
         code, doc = run_cli(capsys, "p2", "decompose", "--x", "t^3", "--z", "t")

@@ -3,26 +3,33 @@
 `perfbench/tracing.py` names its traced functions and counted methods by
 module and attribute; a refactor that renames or removes one loses that
 layer from the benchmark without failing anything else. This reads the
-tracer's tables (without installing it) and resolves each name.
+tracer's tables (without installing it) and resolves each name, and runs
+the mesh-export workload once under the tracer: a traced function that
+mesh export no longer reaches through its module attribute (a kernel
+inlined or called under another name) is a layer lost there.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up there
     spec.loader.exec_module(mod)
     return mod
 
 
-_T = _tracing()
+_T = _load("tracing")
 TRACED = [(m, f) for table in (_T.STAGES, _T.KERNELS) for m, fs in table.items() for f in fs]
 
 
@@ -37,3 +44,22 @@ def test_counted_attribute_resolves(module, cls, attr, metric):
     # the tracer reads a class's own attribute, not an inherited one
     fn = vars(getattr(mod, cls)).get(attr) if cls else getattr(mod, attr, None)
     assert callable(fn)
+
+
+def test_mesh_export_round_calls_every_expected_layer(tmp_path):
+    import revolutio.cli as cli
+
+    cases = _load("workloads").build("mesh-export", 1)
+    tracer = _T.Tracer()
+    tracer.install()
+    try:
+        for i, case in enumerate(cases):
+            argv = list(case.argv)
+            argv[argv.index("--out") + 1] = str(tmp_path / f"{i}.obj")
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
+    finally:
+        tracer.uninstall()
+    calls = tracer.layer_metrics()
+    assert tracer.missing == []
+    assert [n for n in _T.EXPECTED_NONZERO["mesh-export"] if calls[n]["calls"] == 0] == []

@@ -9,8 +9,9 @@ from itertools import product
 import pytest
 
 from revolutio import QQ, InvalidInput, MultiPoly, NoRealEmbedding, SurfaceParam, sphere_witness
+from revolutio import mesh
 from revolutio.mesh import export_obj, sample_grid
-from revolutio.numeric import default_real_embedding, numeric_eval
+from revolutio.numeric import RealEmbedding, default_real_embedding, numeric_eval
 from revolutio.tower import FieldElement
 
 u = MultiPoly.variable("u", ("u", "v"))
@@ -85,11 +86,13 @@ RANGES = [
 TOL = Fraction(1, 10 ** 9)
 
 
-def reference_grid(s, n, u_range, v_range, tol):
+def reference_grid(s, n, u_range, v_range, tol, emb=None):
     """The per-vertex path: exact ``eval_at`` at every grid point, then
-    ``numeric_eval`` with one fresh embedding, row-major in u then v."""
+    ``numeric_eval`` with one embedding (``emb``, else a fresh one),
+    row-major in u then v."""
     (u0, u1), (v0, v1) = [tuple(map(Fraction, r)) for r in (u_range, v_range)]
-    emb = default_real_embedding(s.tower) if s.tower.height else None
+    if emb is None and s.tower.height:
+        emb = default_real_embedding(s.tower)
     verts = []
     for iu in range(n):
         uq = u0 + (u1 - u0) * iu / (n - 1)
@@ -140,6 +143,26 @@ def test_sample_grid_matches_per_vertex_evaluation(tower_name, n):
             assert sample_grid(s, n, u_range, v_range, TOL) == reference_grid(s, n, u_range, v_range, TOL)
 
 
+@pytest.mark.parametrize("tower_name", ["sqrt2", "sqrt_third", "two_step"])
+@pytest.mark.parametrize("tol", [TOL, Fraction(1, 10 ** 15)])
+def test_sample_grid_refines_as_the_per_vertex_path(monkeypatch, tower_name, tol):
+    # one batch per grid row must refine exactly as one call per vertex does
+    tower = TOWERS[tower_name]
+    rng = random.Random(20261020 + sorted(TOWERS).index(tower_name))
+    used = []
+
+    def recording(t):
+        used.append(default_real_embedding(t))
+        return used[-1]
+
+    monkeypatch.setattr(mesh, "default_real_embedding", recording)
+    s = SurfaceParam.make([random_component(rng, tower) for _ in range(2)] + special_components(tower)[3:])
+    ref = default_real_embedding(tower)
+    assert sample_grid(s, 7, *RANGES[0], tol) == reference_grid(s, 7, *RANGES[0], tol, ref)
+    [emb] = used
+    assert emb.intervals == ref.intervals != default_real_embedding(tower).intervals
+
+
 def test_components_in_fewer_variables():
     # components keyed by (u,), (v,) and () directly, not reindexed onto (u, v)
     th = SQRT2.gen("th")
@@ -161,7 +184,7 @@ def test_component_in_another_variable_refused():
 def power_range(iv, e):
     """Exact range of x^e for x in the interval iv."""
     lo, hi = iv[0] ** e, iv[1] ** e
-    if e % 2 == 0 and iv[0] < 0 < iv[1]:
+    if e and e % 2 == 0 and iv[0] < 0 < iv[1]:
         return Fraction(0), max(lo, hi)
     return min(lo, hi), max(lo, hi)
 
@@ -185,11 +208,49 @@ def term_by_term(value, emb, tol):
     raise AssertionError("the term-by-term enclosure did not converge")
 
 
+def fraction_range(intervals, names, key):
+    """Range of the monomial ``key`` by Fraction interval products."""
+    lo = hi = Fraction(1)
+    for name, e in zip(names, key):
+        plo, phi = power_range(intervals[name], e)
+        products = (lo * plo, lo * phi, hi * plo, hi * phi)
+        lo, hi = min(products), max(products)
+    return lo, hi
+
+
+@pytest.mark.parametrize(
+    "intervals",
+    [
+        None,  # the recorded ones: a < 0, b > 0
+        {"a": (Fraction(-3, 2), Fraction(1, 3)), "b": (Fraction(-1, 2), Fraction(5, 3))},  # both straddle 0
+        {"a": (Fraction(-7, 3), Fraction(-5, 4)), "b": (Fraction(-2), Fraction(-1, 3))},  # both negative
+        {"a": (Fraction(0), Fraction(3, 7)), "b": (Fraction(-5, 6), Fraction(0))},  # an end at 0
+        {"a": (Fraction(-9, 8), Fraction(-9, 8)), "b": (Fraction(4, 3), Fraction(4, 3))},  # degenerate
+    ],
+    ids=["recorded", "straddle", "negative", "zero_end", "degenerate"],
+)
+def test_monomial_range_is_the_fraction_interval_product(intervals):
+    names = [step.name for step in TWO_STEP.steps]
+    emb = default_real_embedding(TWO_STEP)
+    if intervals is not None:
+        emb = RealEmbedding(TWO_STEP, intervals, {})
+    keys = tuple(product(*(range(step.degree) for step in TWO_STEP.steps)))
+    for key in keys:
+        lo, hi = fraction_range(emb.intervals, names, key)
+        got = emb.monomial_range(key)
+        assert all(type(x) is int for x in got)
+        assert got == (lo * emb.den, hi * emb.den)
+    mids, widths = emb.ranges(keys)
+    assert [(m - w, m + w) for m, w in zip(mids, widths)] == [
+        (2 * lo, 2 * hi) for lo, hi in map(emb.monomial_range, keys)
+    ]
+
+
 def integer_form(value, scale):
-    """A FieldElement as (power-basis key, int) pairs over a denominator:
-    the common one of its coefficients times ``scale``."""
+    """A FieldElement as a ``(keys, ints, den)`` triple: its power-basis keys
+    and integers over the common denominator of its coefficients times ``scale``."""
     den = math.lcm(*(q.denominator for q in value.terms.values())) * scale
-    return [(key, q.numerator * (den // q.denominator)) for key, q in value.terms.items()], den
+    return tuple(value.terms), [q.numerator * (den // q.denominator) for q in value.terms.values()], den
 
 
 @pytest.mark.parametrize("tower_name", ["sqrt2", "sqrt_third", "two_step"])
@@ -202,15 +263,36 @@ def test_numeric_eval_matches_term_by_term_intervals(tower_name):
     values = [FieldElement(tower, {m: Fraction(-3, 2) for m in product(*(range(s.degree) for s in tower.steps))})]
     values += [random_element(rng, tower) for _ in range(20)]
     for value in values:
-        pairs, den = integer_form(value, rng.randint(1, 5))
+        triple = integer_form(value, rng.randint(1, 5))
         for tol in (Fraction(1, 10 ** 3), Fraction(1, 10 ** 12)):
             got = numeric_eval(value, emb, tol)
-            ints = numeric_eval(pairs, emb_int, tol, den=den)
+            [ints] = numeric_eval([triple], emb_int, tol)
             mid, radius = term_by_term(value, ref, tol)
             for cv in (got, ints):
                 assert cv.value == float(mid)
                 assert Fraction(cv.halfwidth) >= radius + abs(Fraction(cv.value) - mid)
             assert emb.intervals == emb_int.intervals == ref.intervals
+
+
+@pytest.mark.parametrize("tower_name", ["sqrt2", "sqrt_third", "two_step"])
+def test_batch_equals_consecutive_single_calls(tower_name):
+    tower = TOWERS[tower_name]
+    rng = random.Random(20261021 + sorted(TOWERS).index(tower_name))
+    values = [random_element(rng, tower) for _ in range(40)]
+    values += [FieldElement(tower, {}), tower.rational(Fraction(-5, 3))]  # zero and rational
+    rng.shuffle(values)
+    triples = [integer_form(value, rng.randint(1, 5)) for value in values]
+    tol = Fraction(1, 10 ** 12)
+    batch_emb, single_emb, element_emb = (default_real_embedding(tower) for _ in range(3))
+    batch = numeric_eval(triples, batch_emb, tol)
+    singles = [numeric_eval([triple], single_emb, tol) for triple in triples]
+    elements = [numeric_eval(value, element_emb, tol) for value in values]
+    assert all(len(one) == 1 for one in singles)
+    for got, [single], element in zip(batch, singles, elements):
+        assert got.value == single.value == element.value
+        assert got.halfwidth == single.halfwidth == element.halfwidth
+    assert batch_emb.intervals == single_emb.intervals == element_emb.intervals
+    assert batch_emb.intervals != default_real_embedding(tower).intervals
 
 
 def test_rational_value_is_not_refined():
@@ -220,7 +302,7 @@ def test_rational_value_is_not_refined():
     got = numeric_eval(th - th + Fraction(1, 3), emb, Fraction(1, 10 ** 30))
     assert got.value == 1 / 3
     # the integer form, with a zero irrational coefficient, over 6
-    got = numeric_eval([((0,), 2), ((1,), 0)], emb, Fraction(1, 10 ** 30), den=6)
+    [got] = numeric_eval([(((0,), (1,)), [2, 0], 6)], emb, Fraction(1, 10 ** 30))
     assert got.value == 1 / 3
     assert emb.intervals == before
 
@@ -241,4 +323,4 @@ def test_value_outside_float_range_is_invalid_input(value):
 
 def test_integer_form_needs_an_embedding():
     with pytest.raises(InvalidInput, match="an embedding"):
-        numeric_eval([((1,), 1)], None, den=2)
+        numeric_eval([(((1,),), [1], 2)], None)

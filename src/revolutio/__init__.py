@@ -36,7 +36,7 @@ from .errors import (
     Unsupported,
     ZeroDivisor,
 )
-from .numeric import CertifiedValue, default_real_embedding, isolate_real_roots, numeric_eval
+from .numeric import default_real_embedding, isolate_real_roots, numeric_eval
 from .parsing import parse_poly
 from .poly import (
     MultiPoly,

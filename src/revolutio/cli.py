@@ -116,10 +116,12 @@ def cmd_analyze(args) -> int:
         curve = polynomialize_rational(PlaneCurveParam(xn, xd, zn, zd))
         echo = {"p2_rational": list(args.p2_rational)}
     d = decompose_paa(curve)
+    # before surface_implicit: the witness refuses a cylinder (x(t) constant),
+    # which the resultant there cannot take
+    witness = sor_complex_param(d)
     if F is None:
         F = surface_implicit(d)
     tub = tubularize(d)
-    witness = sor_complex_param(d)
     crep = verify_on_surface(witness, F)
     if not crep.on_surface or crep.jacobian_rank != 2:
         raise InternalInvariant("complex witness failed verification; refusing to emit")

@@ -5,13 +5,21 @@ trip. A field element is a map from comma-joined generator exponents to
 rationals ("" for the rational tower, "1,0" for g1^1). Polynomials carry
 their variable list and a term array; parametrizations embed their tower
 as an ordered list of steps (name, dense minimal polynomial over the
-prefix tower, optional real-root isolating interval). Decoding re-reduces
-nothing: encoded data is already canonical, and round-tripping reproduces
-structurally identical values.
+prefix tower, optional real-root isolating interval). Encoded data is
+canonical, so round-tripping reproduces structurally identical values.
+Decoding checks types and shapes: a field element is a JSON object whose
+keys are comma-separated runs of ASCII digits, one per generator, and
+whose values are ASCII rational strings; an exponent is a non-negative
+JSON integer; a step's name is a string and its embedding null or two
+rational strings. Anything else is InvalidInput. Decoding also reduces:
+each field element is brought to normal form by the tower's minimal
+polynomials (a key "5" over sqrt(2) becomes 4 * sqrt(2)), and each tower
+step is checked as ``ExtensionTower.extend`` checks it.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .complexparam import SurfaceParam
@@ -20,6 +28,9 @@ from .poly import MultiPoly
 from .tower import QQ, ExtensionTower, FieldElement
 
 SCHEMA = "revolutio/1"
+
+# int() would also read a sign, '_', spaces and any Unicode digit
+_EXPONENT_KEY = re.compile(r"[0-9]+(,[0-9]+)*")
 
 
 def str_to_fraction(s: str) -> Fraction:
@@ -41,9 +52,11 @@ def field_to_json(e: FieldElement) -> dict:
 
 
 def json_to_field(obj: dict, tower: ExtensionTower) -> FieldElement:
+    if not isinstance(obj, dict):
+        raise InvalidInput(f"a field element is a JSON object, got {obj!r}")
     terms = {}
     for key, val in obj.items():
-        if not key.isascii():
+        if key and not _EXPONENT_KEY.fullmatch(key):
             raise InvalidInput(f"bad exponent key {key!r}")
         exps = tuple(int(x) for x in key.split(",")) if key else ()
         if len(exps) != tower.height:
@@ -72,11 +85,16 @@ def tower_to_json(t: ExtensionTower) -> list:
 def json_to_tower(obj: list) -> ExtensionTower:
     t = QQ
     for step in obj:
+        name = step["name"]
+        if not isinstance(name, str):
+            raise InvalidInput(f"a generator name is a string, got {name!r}")
         coeffs = [json_to_field(c, t) for c in step["minpoly"]]
         emb = step.get("embedding")
         if emb is not None:
+            if not isinstance(emb, list) or len(emb) != 2:
+                raise InvalidInput(f"an embedding is two rationals, got {emb!r}")
             emb = (str_to_fraction(emb[0]), str_to_fraction(emb[1]))
-        t = t.extend(step["name"], coeffs, embedding=emb)
+        t = t.extend(name, coeffs, embedding=emb)
     return t
 
 

@@ -15,10 +15,11 @@ FieldElement per vertex: a component with only the unit monomial (every
 component over QQ) is one correctly rounded division per vertex, and the
 row's values of the other components go to ``numeric_eval`` in one call,
 as ``(keys, ints, den)`` triples in vertex order, then component order,
-each component's monomial keys in one fixed order. Parametrizations over
-towers without a full real embedding are refused (NoRealEmbedding
-propagates from the evaluator); a vertex beyond the float range is
-InvalidInput.
+each component's monomial keys in one fixed order; the floats it returns
+are sliced back per component. Parametrizations over towers without a
+full real embedding are refused (NoRealEmbedding from
+``default_real_embedding``); a vertex beyond the float range, and an
+output path that cannot be written, are InvalidInput.
 """
 
 from __future__ import annotations
@@ -110,10 +111,10 @@ def sample_grid(s, n: int, u_range, v_range, tol=Fraction(1, 10 ** 9)) -> list:
         # the row's irrational values, vertex by vertex, then component by component
         batch = [(tab.keys, row[j], tab.den) for j in range(n)
                  for tab, row in zip(tabs, rows) if not tab.rational]
-        certified = numeric_eval(batch, embedding, tol) if batch else []
+        values = numeric_eval(batch, embedding, tol) if batch else []
         coords = [
             [_as_float(sum(ints), tab.den) for ints in row] if tab.rational
-            else [cv.value for cv in certified[irrational.index(tab)::len(irrational)]]
+            else values[irrational.index(tab)::len(irrational)]
             for tab, row in zip(tabs, rows)
         ]
         verts += zip(*coords)
@@ -133,6 +134,9 @@ def export_obj(s, n: int, u_range, v_range, path: str, tol=Fraction(1, 10 ** 9))
             c = a + n + 1
             d = a + n
             lines.append(f"f {a} {b} {c} {d}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise InvalidInput(f"cannot write mesh: {exc}") from exc
     return {"vertices": n * n, "faces": (n - 1) * (n - 1)}

@@ -13,30 +13,29 @@ The embedding keeps each generator's interval as two integer ends over
 the generator's own denominator, and between refinements, for each tuple
 of power-basis keys it is asked about, the exact ranges of those monomials
 as integer lists over one common denominator (integer interval products,
-so the same ranges as multiplying out the Fraction intervals). An
-element's enclosure is then two integer dot products of its coefficients
-over their common denominator: with the ranges' ``lo + hi`` for the
-midpoint and, in absolute value, with their ``hi - lo`` for the width. This
-gives the same enclosure as multiplying out the generator intervals term by
-term, and the same refinements. ``numeric_eval`` takes a batch of elements
-in that integer form (mesh export passes one grid row of tabulated
-integers) and certifies them in order in one loop, refining the one
-embedding whenever a value is still too wide, exactly as consecutive single
-calls would; a FieldElement is put in that form first and certified as a
-batch of one. A rational value is one correctly rounded integer division,
-InvalidInput beyond the float range.
+so the same ranges as multiplying out the Fraction intervals).
+``numeric_eval`` takes elements in integer form, ``(keys, ints, den)``
+triples (mesh export passes one grid row of tabulated integers), and
+returns one float each. An element's enclosure is two integer dot
+products: its integers with the ranges' ``lo + hi`` for the midpoint and,
+in absolute value, with their ``hi - lo`` for the width, the same
+enclosure as multiplying out the generator intervals term by term. The
+batch is certified in order in one loop that refines the one embedding
+whenever a value is still too wide, exactly as consecutive single calls
+would. Each float is the correctly rounded midpoint (one integer
+division), InvalidInput beyond the float range; a rational value has a
+zero-width enclosure and is never refined.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress
 from operator import mul
 
 from .errors import InvalidInput, NoRealEmbedding
 from .poly import UniPoly, _hsign, _int_coeffs, _squarefree_chain, _sturm_count, sturm_real_root_count
-from .tower import ExtensionTower, FieldElement
+from .tower import ExtensionTower
 
 Iv = tuple  # (lo, hi) with Fraction endpoints, lo <= hi
 
@@ -199,112 +198,43 @@ def _tolerance(tol) -> Fraction:
     return tol
 
 
-class CertifiedValue:
-    """A float together with a certified bound on its distance to the truth.
-
-    The exact enclosure is kept as integers: the truth lies within
-    ``radius / den`` of ``mid / den``. ``value`` is the float nearest
-    ``mid / den``. ``halfwidth`` is the smallest float at least the radius
-    plus the rounding error of ``value``; it is computed on first read, since
-    mesh export reads only ``value``.
-    """
-
-    __slots__ = ("value", "_mid", "_radius", "_den", "_halfwidth")
-
-    def __init__(self, mid: int, radius: int, den: int):
-        self.value = _as_float(mid, den)
-        self._mid, self._radius, self._den = mid, radius, den
-        self._halfwidth = None
-
-    @property
-    def halfwidth(self) -> float:
-        if self._halfwidth is None:
-            p, q = self.value.as_integer_ratio()
-            # radius/den + |p/q - mid/den| == num / den_q
-            num = self._radius * q + abs(p * self._den - self._mid * q)
-            den_q = self._den * q
-            halfwidth = num / den_q  # correctly rounded, so at most one float short
-            hp, hq = halfwidth.as_integer_ratio()
-            if hp * den_q < num * hq:
-                halfwidth = math.nextafter(halfwidth, math.inf)
-            self._halfwidth = halfwidth
-        return self._halfwidth
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"CertifiedValue(value={self.value!r}, halfwidth={self.halfwidth!r})"
-
-
 _MAX_REFINEMENTS = 400
 
 
-def _irrational(keys: tuple, ints: list) -> bool:
-    """Whether some nonzero integer sits on a monomial other than 1."""
-    return any(map(any, compress(keys, ints)))
+def numeric_eval(batch: list, embedding: RealEmbedding, tol) -> list:
+    """One float per ``(keys, ints, den)`` triple in ``batch``: the float
+    nearest the midpoint of an exact enclosure of the element narrower than
+    ``tol``.
 
-
-def _enclose(batch: list, emb: RealEmbedding, tol: Fraction) -> list:
-    """One CertifiedValue per ``(keys, ints, den)`` in ``batch``, certified
-    in order against ``emb``, which is refined whenever the current value is
-    not yet narrower than ``tol`` (at most ``_MAX_REFINEMENTS`` times per
-    value). A rational value has a zero-width enclosure, so it is never
-    refined; it is one division."""
+    ``keys`` are distinct power-basis keys and ``ints`` the matching
+    integers, whose dot product with the monomials is the element times the
+    positive int ``den``. The triples are certified in order against the one
+    ``embedding``, which is refined whenever the current value is not yet
+    narrower than ``tol`` (at most ``_MAX_REFINEMENTS`` times per value):
+    the enclosure is the integers' dot products with the embedding's
+    monomial ranges (``lo + hi`` for twice the midpoint, in absolute value
+    ``hi - lo`` for the width). A rational value has a zero-width
+    enclosure, so it is never refined.
+    """
+    tol = _tolerance(tol)
+    if embedding is None:
+        raise InvalidInput("numeric_eval needs an embedding")
     tn, td = tol.numerator, tol.denominator
-    ranges, eden = emb._ranges, emb.den  # refine_all clears the dict in place
+    ranges, eden = embedding._ranges, embedding.den  # refine_all clears the dict in place
     out = []
     for keys, ints, den in batch:
         refinements = 0
         while True:
-            mids, widths = ranges.get(keys) or emb.ranges(keys)
+            mids, widths = ranges.get(keys) or embedding.ranges(keys)
             d = den * eden
             # the value's hi - lo over d: the sum of |n| * (hi - lo)
             width = sum(map(mul, map(abs, ints), widths))
             if width * td < tn * d:
                 break
-            emb.refine_all()
-            eden = emb.den
+            embedding.refine_all()
+            eden = embedding.den
             refinements += 1
             if refinements == _MAX_REFINEMENTS:
                 raise InvalidInput("interval refinement did not converge (tolerance too small?)")
-        if width or _irrational(keys, ints):
-            out.append(CertifiedValue(sum(map(mul, ints, mids)), width, 2 * d))
-        else:
-            out.append(CertifiedValue(sum(ints), 0, den))
+        out.append(_as_float(sum(map(mul, ints, mids)), 2 * d))
     return out
-
-
-def numeric_eval(value, embedding: RealEmbedding | None = None, tol=Fraction(1, 10 ** 12)):
-    """Certified floating approximation of tower elements.
-
-    ``value`` is a Fraction/int or a FieldElement, giving one CertifiedValue,
-    or the integer form of a batch of elements, which needs ``embedding``
-    and gives a list: ``(keys, ints, den)`` triples, ``keys`` distinct
-    power-basis keys and ``ints`` the matching integers, whose dot product
-    with the monomials is the element times the positive int ``den``. The
-    batch is certified in order against the one embedding, exactly as by
-    consecutive single calls. A FieldElement is put in that form, over its
-    coefficients' common denominator, and certified as a batch of one. A
-    value without a nonzero irrational coefficient is one division, and a
-    single one needs no embedding; any other is enclosed by the dot products
-    of its integers with the embedding's monomial ranges (``lo + hi`` and
-    ``hi - lo``), and the generator intervals are bisected until the
-    enclosure is narrower than ``tol``.
-    """
-    tol = _tolerance(tol)
-    if isinstance(value, list) and embedding is not None:
-        return _enclose(value, embedding, tol)
-    if isinstance(value, (int, Fraction)):
-        return CertifiedValue(value.numerator, 0, value.denominator)
-    if not isinstance(value, FieldElement):
-        raise InvalidInput("numeric_eval expects a rational, a FieldElement, or integer triples and an embedding")
-    den = math.lcm(*(q.denominator for q in value.terms.values()))
-    keys = tuple(value.terms)
-    ints = [q.numerator * (den // q.denominator) for q in value.terms.values()]
-    if not _irrational(keys, ints):
-        return CertifiedValue(sum(ints), 0, den)
-    embedding = embedding or default_real_embedding(value.tower)
-    if embedding.tower != value.tower:
-        raise InvalidInput("embedding belongs to a different tower")
-    return _enclose([(keys, ints, den)], embedding, tol)[0]

@@ -43,8 +43,19 @@ class TestAnalyze:
         assert doc["conjecture_predicate"]["status"] == "satisfied"
         assert doc["quadric"]["class"] == "elliptic-paraboloid"
 
-    def test_cylinder_refused(self, capsys):
-        code, doc = run_cli(capsys, "analyze", "--implicit", "x^2+y^2-1")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--implicit", "x^2+y^2-1"),
+            # the same cylinder by its profile: the implicit form, a resultant
+            # of a constant, once came first and ended in INVALID_INPUT
+            ("--p2", "1", "t"),
+            ("--p2-rational", "1", "1", "s", "1"),
+        ],
+        ids=["implicit", "p2", "p2_rational"],
+    )
+    def test_cylinder_refused(self, capsys, argv):
+        code, doc = run_cli(capsys, "analyze", *argv)
         assert code == 3
         assert doc["error"]["code"] == "CYLINDER"
 
@@ -415,21 +426,40 @@ def _rekey(witness):
         (["--report"], _set(["components", 1, "terms", 0, "coefficient", "1"], 0.5)),
         (["--report"], _set(["components", 0, "terms", 1, "exponents"], [1.5, 0])),
         (["--report"], _set(["components", 0, "terms", 1, "exponents"], [True, False])),
+        (["--report"], _set(["components", 1, "terms", 0, "coefficient"], {"-1": "1"})),
+        (["--report"], _set(["components", 1, "terms", 0, "coefficient"], {"0_0": "1"})),
+        (["--report"], _set(["components", 1, "terms", 0, "coefficient"], "3")),
+        (["--report"], _set(["tower", 0, "embedding"], ["1"])),
+        (["--report"], _set(["tower", 0, "name"], 5)),
     ],
     ids=["u_min_arabic_indic", "v_max_arabic_indic", "tol_fullwidth", "report_coefficient",
          "report_exponent_key", "report_embedding", "report_bool_coefficient", "report_float_coefficient",
-         "report_float_exponent", "report_bool_exponent"],
+         "report_float_exponent", "report_bool_exponent", "report_negative_exponent_key",
+         "report_underscore_exponent_key", "report_coefficient_not_object", "report_one_ended_embedding",
+         "report_number_name"],
 )
 def test_mesh_numbers_are_ascii_and_exponents_integers(capsys, tmp_path, flags, mutate):
     # Fraction(), float() and int() read any Unicode digit, Fraction() and
     # int() read true as 1, Fraction() reads a JSON float and int() truncates
-    # 1.5: each of these meshed something at exit 0
+    # 1.5: each of these meshed something at exit 0; int() also reads "0_0",
+    # and a generator name 5 was taken as given. A negative exponent key, a
+    # coefficient that is no JSON object and a one-ended embedding ended in
+    # tracebacks
     if mutate is not None:
         flags = flags + [_mutated_report(tmp_path, mutate)]
     out = tmp_path / "x.obj"
     code, doc = run_cli(capsys, "mesh", *flags, "--grid", "2", "--out", str(out))
     assert code == 2 and doc["error"]["code"] == "INVALID_INPUT"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_mesh_out_not_writable_is_user_error(capsys, tmp_path, target):
+    # open() raised FileNotFoundError or IsADirectoryError out of main()
+    out = tmp_path / "missing" / "m.obj" if target == "missing_dir" else tmp_path
+    code, doc = run_cli(capsys, "mesh", "--param", "u", "v", "u*v", "--grid", "3", "--out", str(out))
+    assert code == 2 and doc["error"]["code"] == "INVALID_INPUT"
+    assert "cannot write mesh" in doc["error"]["message"]
 
 
 class TestP2Cmd:
@@ -519,10 +549,22 @@ def test_huge_constant_term_within_budget(p2):
     json.loads(proc.stdout)
 
 
-def _poly_text(coeffs: list) -> str:
-    """Integer coefficients, constant term first, as CLI text in t; the
+def _exit_contract(argv: list) -> None:
+    """``main(argv)`` ends in a report (0), a user error (2) or a refusal
+    (3), as JSON, within budget."""
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert time.perf_counter() - start < 10.0
+    assert code in (0, 2, 3), (argv, out.getvalue())
+    assert "schema" in json.loads(out.getvalue())
+
+
+def _poly_text(coeffs: list, var: str = "t") -> str:
+    """Integer coefficients, constant term first, as CLI text in ``var``; the
     leading space keeps argparse from reading a leading minus as a flag."""
-    terms = "+".join(f"{c}*t^{k}" for k, c in enumerate(coeffs) if c)
+    terms = "+".join(f"{c}*{var}^{k}" for k, c in enumerate(coeffs) if c)
     return " " + (terms.replace("+-", "-") or "0")
 
 
@@ -535,15 +577,8 @@ def _poly_text(coeffs: list) -> str:
 @example(x="2*t^3+2*t^4", b=" -5-2*t")
 def test_analyze_p2_exit_contract(x, b):
     # any profile square x^2 + y^2 = X(t), z = B(t) with small integer
-    # coefficients ends in a report (0), a user error (2) or a refusal (3),
-    # as JSON, within budget
-    out = io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out):
-        code = main(["analyze", "--p2", x, b])
-    assert time.perf_counter() - start < 10.0
-    assert code in (0, 2, 3), (x, b, out.getvalue())
-    assert "schema" in json.loads(out.getvalue())
+    # coefficients
+    _exit_contract(["analyze", "--p2", x, b])
 
 
 @pytest.mark.parametrize(
@@ -579,16 +614,9 @@ def _one_digit_exponents(text: str) -> str:
 @example(text=" x^2+y^2-z+٣")
 @example(text=" x^2+ｘ^2-z")
 def test_implicit_text_exit_contract(text):
-    # any text over that alphabet ends in a report (0), a user error (2) or
-    # a refusal (3), as JSON, within budget
+    # any text over that alphabet
     for cmd in ("quadric", "analyze"):
-        out = io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out):
-            code = main([cmd, "--implicit", text])
-        assert time.perf_counter() - start < 10.0
-        assert code in (0, 2, 3), (cmd, text, out.getvalue())
-        assert "schema" in json.loads(out.getvalue())
+        _exit_contract([cmd, "--implicit", text])
 
 
 def _uv_text(coeffs: dict) -> str:
@@ -614,19 +642,99 @@ _RANGE = st.sampled_from([("-1", "1"), ("0", "100"), ("-100", "100"), ("1/3", "5
 )
 @example(comps=("u^200", "v", "u"), grid=2, u_range=("-1", "100"), v_range=("-1", "1"))
 def test_mesh_param_exit_contract(comps, grid, u_range, v_range):
-    # any inline patch with small integer coefficients ends in a mesh (0) or
-    # a user error (2), as JSON, within budget; 100^200 has no float
-    out = io.StringIO()
+    # any inline patch with small integer coefficients; 100^200 has no float
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [
+        _exit_contract([
             "mesh", "--param", *comps, "--grid", str(grid),
             f"--u-min={u_range[0]}", f"--u-max={u_range[1]}",
             f"--v-min={v_range[0]}", f"--v-max={v_range[1]}",
             "--out", os.path.join(tmp, "m.obj"),
-        ]
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out):
-            code = main(argv)
-        assert time.perf_counter() - start < 10.0
-    assert code in (0, 2, 3), (argv, out.getvalue())
-    assert "schema" in json.loads(out.getvalue())
+        ])
+
+
+_S_POLY = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda coeffs: _poly_text(coeffs, "s"))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(parts=st.tuples(_S_POLY, _S_POLY, _S_POLY, _S_POLY))
+@example(parts=("1", "1", "s", "1"))
+def test_analyze_p2_rational_exit_contract(parts):
+    # a rational profile square, zero denominators and cylinders included
+    _exit_contract(["analyze", "--p2-rational", *parts])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    x=st.lists(st.integers(-5, 5), min_size=1, max_size=7).map(_poly_text),
+    z=st.lists(st.integers(-5, 5), min_size=1, max_size=5).map(_poly_text),
+)
+def test_p2_decompose_exit_contract(x, z):
+    _exit_contract(["p2", "decompose", "--x", x, "--z", z])
+
+
+def _paths(obj, prefix=()):
+    """The path of every value inside a JSON value, its own excluded."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+_WITNESSES = {
+    "real": lambda doc: (doc.get("real_verdict") or {}).get("witness"),
+    "complex": lambda doc: doc.get("complex_parametrization"),
+    "quadric": lambda doc: doc.get("witness"),
+}
+# every (report, witness, path) into a stored report's witness
+_SITES = [
+    (report.name, kind, path)
+    for report in sorted(REPORTS.glob("*.json"))
+    for kind, find in _WITNESSES.items()
+    for path in _paths(find(json.loads(report.read_text())) or {})
+]
+_RETYPED = [None, True, 0, -1, 1.5, "", "x", "1", [], ["1", "2"], {}, {"1": "1"}]
+
+
+def _negated(value):
+    """A string or an integer with its sign flipped; anything else as it is."""
+    if isinstance(value, str):
+        return value[1:] if value.startswith("-") else "-" + value
+    if type(value) is int:
+        return -value
+    return value
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    site=st.sampled_from(_SITES),
+    change=st.sampled_from(["delete", "retype", "negate", "negate_key"]),
+    retyped=st.sampled_from(_RETYPED),
+)
+@example(site=("one_sheet_sqrt2.json", "real", ("components", 1, "terms", 0, "coefficient", "1")),
+         change="negate_key", retyped=None)
+@example(site=("one_sheet_sqrt2.json", "real", ("components", 1, "terms", 0, "coefficient")),
+         change="retype", retyped="x")
+@example(site=("one_sheet_sqrt2.json", "real", ("tower", 0, "embedding")), change="retype", retyped=["1"])
+def test_mesh_report_exit_contract(site, change, retyped):
+    # a stored report with one field of its witness deleted, retyped, negated
+    # or, for an object key, given a minus sign
+    report, kind, path = site
+    doc = json.loads((REPORTS / report).read_text())
+    *head, last = path
+    obj = _WITNESSES[kind](doc)
+    for step in head:
+        obj = obj[step]
+    if change == "delete":
+        del obj[last]
+    elif change == "retype":
+        obj[last] = retyped
+    elif change == "negate":
+        obj[last] = _negated(obj[last])
+    elif isinstance(last, str):
+        obj["-" + last] = obj.pop(last)
+    with tempfile.TemporaryDirectory() as tmp:
+        report_path = os.path.join(tmp, "report.json")
+        with open(report_path, "w") as fh:
+            json.dump(doc, fh)
+        _exit_contract(["mesh", "--report", report_path, "--witness", kind, "--grid", "2",
+                        "--out", os.path.join(tmp, "m.obj")])

@@ -86,12 +86,19 @@ RANGES = [
 TOL = Fraction(1, 10 ** 9)
 
 
+def integer_form(value, scale=1):
+    """A FieldElement as a ``(keys, ints, den)`` triple: its power-basis keys
+    and integers over the common denominator of its coefficients times ``scale``."""
+    den = math.lcm(*(q.denominator for q in value.terms.values())) * scale
+    return tuple(value.terms), [q.numerator * (den // q.denominator) for q in value.terms.values()], den
+
+
 def reference_grid(s, n, u_range, v_range, tol, emb=None):
     """The per-vertex path: exact ``eval_at`` at every grid point, then
-    ``numeric_eval`` with one embedding (``emb``, else a fresh one),
-    row-major in u then v."""
+    ``numeric_eval`` of its integer form with one embedding (``emb``, else a
+    fresh one), row-major in u then v."""
     (u0, u1), (v0, v1) = [tuple(map(Fraction, r)) for r in (u_range, v_range)]
-    if emb is None and s.tower.height:
+    if emb is None:
         emb = default_real_embedding(s.tower)
     verts = []
     for iu in range(n):
@@ -99,7 +106,7 @@ def reference_grid(s, n, u_range, v_range, tol, emb=None):
         for iv in range(n):
             vq = v0 + (v1 - v0) * iv / (n - 1)
             point = {"u": uq, "v": vq}
-            verts.append(tuple(numeric_eval(c.eval_at(point), emb, tol).value for c in s.components))
+            verts.append(tuple(numeric_eval([integer_form(c.eval_at(point))], emb, tol)[0] for c in s.components))
     return verts
 
 
@@ -246,32 +253,22 @@ def test_monomial_range_is_the_fraction_interval_product(intervals):
     ]
 
 
-def integer_form(value, scale):
-    """A FieldElement as a ``(keys, ints, den)`` triple: its power-basis keys
-    and integers over the common denominator of its coefficients times ``scale``."""
-    den = math.lcm(*(q.denominator for q in value.terms.values())) * scale
-    return tuple(value.terms), [q.numerator * (den // q.denominator) for q in value.terms.values()], den
-
-
 @pytest.mark.parametrize("tower_name", ["sqrt2", "sqrt_third", "two_step"])
 def test_numeric_eval_matches_term_by_term_intervals(tower_name):
     tower = TOWERS[tower_name]
     rng = random.Random(20261019 + sorted(TOWERS).index(tower_name))
     emb, ref = default_real_embedding(tower), default_real_embedding(tower)
-    emb_int = default_real_embedding(tower)  # refined only by the integer form
     # negative coefficients on every monomial, then random signs
     values = [FieldElement(tower, {m: Fraction(-3, 2) for m in product(*(range(s.degree) for s in tower.steps))})]
     values += [random_element(rng, tower) for _ in range(20)]
     for value in values:
         triple = integer_form(value, rng.randint(1, 5))
         for tol in (Fraction(1, 10 ** 3), Fraction(1, 10 ** 12)):
-            got = numeric_eval(value, emb, tol)
-            [ints] = numeric_eval([triple], emb_int, tol)
+            [got] = numeric_eval([triple], emb, tol)
             mid, radius = term_by_term(value, ref, tol)
-            for cv in (got, ints):
-                assert cv.value == float(mid)
-                assert Fraction(cv.halfwidth) >= radius + abs(Fraction(cv.value) - mid)
-            assert emb.intervals == emb_int.intervals == ref.intervals
+            assert got == float(mid)
+            assert 2 * radius < tol
+            assert emb.intervals == ref.intervals
 
 
 @pytest.mark.parametrize("tower_name", ["sqrt2", "sqrt_third", "two_step"])
@@ -283,44 +280,66 @@ def test_batch_equals_consecutive_single_calls(tower_name):
     rng.shuffle(values)
     triples = [integer_form(value, rng.randint(1, 5)) for value in values]
     tol = Fraction(1, 10 ** 12)
-    batch_emb, single_emb, element_emb = (default_real_embedding(tower) for _ in range(3))
+    batch_emb, single_emb = default_real_embedding(tower), default_real_embedding(tower)
     batch = numeric_eval(triples, batch_emb, tol)
     singles = [numeric_eval([triple], single_emb, tol) for triple in triples]
-    elements = [numeric_eval(value, element_emb, tol) for value in values]
     assert all(len(one) == 1 for one in singles)
-    for got, [single], element in zip(batch, singles, elements):
-        assert got.value == single.value == element.value
-        assert got.halfwidth == single.halfwidth == element.halfwidth
-    assert batch_emb.intervals == single_emb.intervals == element_emb.intervals
+    assert batch == [single for [single] in singles]
+    assert batch_emb.intervals == single_emb.intervals
     assert batch_emb.intervals != default_real_embedding(tower).intervals
+
+
+@pytest.mark.parametrize("tower_name", ["sqrt2", "sqrt_third", "two_step"])
+def test_numeric_eval_within_tol_of_sympy(tower_name):
+    import sympy
+
+    tower = TOWERS[tower_name]
+    # the real value of each generator under the embedding its tower gets
+    gens = {
+        "sqrt2": [sympy.sqrt(2)],
+        "sqrt_third": [sympy.sqrt(sympy.Rational(1, 3))],  # the greatest root
+        "two_step": [-sympy.sqrt(2), sympy.cbrt(2)],
+    }[tower_name]
+    rng = random.Random(20261022 + sorted(TOWERS).index(tower_name))
+    values = [random_element(rng, tower) for _ in range(30)]
+    exact = [
+        sum(sympy.Rational(q.numerator, q.denominator) * sympy.Mul(*(g ** e for g, e in zip(gens, key)))
+            for key, q in value.terms.items())
+        for value in values
+    ]
+    emb = default_real_embedding(tower)
+    for tol in (Fraction(1, 10 ** 3), Fraction(1, 10 ** 9), Fraction(1, 10 ** 13)):
+        got = numeric_eval([integer_form(value, rng.randint(1, 5)) for value in values], emb, tol)
+        for x, truth in zip(got, exact):
+            error = abs(sympy.N(truth - sympy.Rational(*x.as_integer_ratio()), 50))
+            assert error <= sympy.Rational(tol.numerator, tol.denominator), (x, truth, tol)
+    assert emb.intervals != default_real_embedding(tower).intervals
 
 
 def test_rational_value_is_not_refined():
     emb = default_real_embedding(SQRT2)
     before = dict(emb.intervals)
     th = SQRT2.gen("th")
-    got = numeric_eval(th - th + Fraction(1, 3), emb, Fraction(1, 10 ** 30))
-    assert got.value == 1 / 3
-    # the integer form, with a zero irrational coefficient, over 6
-    [got] = numeric_eval([(((0,), (1,)), [2, 0], 6)], emb, Fraction(1, 10 ** 30))
-    assert got.value == 1 / 3
+    assert numeric_eval([integer_form(th - th + Fraction(1, 3))], emb, Fraction(1, 10 ** 30)) == [1 / 3]
+    # with a zero irrational coefficient, over 6
+    assert numeric_eval([(((0,), (1,)), [2, 0], 6)], emb, Fraction(1, 10 ** 30)) == [1 / 3]
     assert emb.intervals == before
 
 
 @pytest.mark.parametrize(
     "value",
     [
-        Fraction(10 ** 400, 3),
-        FieldElement(SQRT2, {(0,): Fraction(-(10 ** 400), 7), (1,): Fraction(1, 2)}),
-        FieldElement(SQRT2, {(0,): Fraction(10 ** 400)}),
+        (((0,),), [10 ** 400], 3),
+        integer_form(FieldElement(SQRT2, {(0,): Fraction(-(10 ** 400), 7), (1,): Fraction(1, 2)})),
+        integer_form(FieldElement(SQRT2, {(0,): Fraction(10 ** 400)})),
     ],
     ids=["fraction", "irrational", "rational_field_element"],
 )
 def test_value_outside_float_range_is_invalid_input(value):
     with pytest.raises(InvalidInput, match="outside the float range"):
-        numeric_eval(value, default_real_embedding(SQRT2))
+        numeric_eval([value], default_real_embedding(SQRT2), TOL)
 
 
 def test_integer_form_needs_an_embedding():
     with pytest.raises(InvalidInput, match="an embedding"):
-        numeric_eval([(((1,),), [1], 2)], None)
+        numeric_eval([(((1,),), [1], 2)], None, TOL)

@@ -30,7 +30,7 @@ from .errors import (
     RevolutioError,
     Unsupported,
 )
-from .jsonio import SCHEMA, json_to_param, param_to_json, poly_to_json
+from .jsonio import SCHEMA, dumps, json_to_param, param_to_json, poly_to_json, unique_members
 from .mesh import export_obj
 from .parsing import parse_poly
 from .poly import UniPoly
@@ -71,7 +71,7 @@ _STATUS_CODES = {
 
 def _emit(payload: dict) -> None:
     payload = {"schema": SCHEMA, **payload}
-    print(json.dumps(payload, indent=2))
+    print(dumps(payload))
 
 
 def _to_unipoly(text: str, var: str) -> UniPoly:
@@ -211,7 +211,7 @@ def cmd_mesh(args) -> int:
     if args.report is not None:
         try:
             with open(args.report) as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, object_pairs_hook=unique_members)
         except OSError as exc:
             raise InvalidInput(f"cannot read report: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -14,13 +14,22 @@ JSON integer; a step's name is a string and its embedding null or two
 rational strings. Anything else is InvalidInput. Decoding also reduces:
 each field element is brought to normal form by the tower's minimal
 polynomials (a key "5" over sqrt(2) becomes 4 * sqrt(2)), and each tower
-step is checked as ``ExtensionTower.extend`` checks it.
+step is checked as ``ExtensionTower.extend`` checks it. A field element
+with two keys for the same exponents, a polynomial with a repeated
+``exponents`` and a report object with a repeated member name
+(``unique_members``, the ``object_pairs_hook`` of ``json.load``) are
+InvalidInput too, where a plain decode would keep the last one.
+
+``dumps`` writes a report as ``json.dumps(payload, indent=2)`` does, byte
+for byte, in one recursive pass. With an indent CPython's ``json`` runs
+its pure-Python encoder; here only the string escape runs in C.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .complexparam import SurfaceParam
 from .errors import InvalidInput
@@ -31,6 +40,62 @@ SCHEMA = "revolutio/1"
 
 # int() would also read a sign, '_', spaces and any Unicode digit
 _EXPONENT_KEY = re.compile(r"[0-9]+(,[0-9]+)*")
+
+
+def dumps(payload) -> str:
+    """``json.dumps(payload, indent=2)`` for what reports hold: dicts with
+    str keys, lists, str, int, bool and None. Anything else is a TypeError."""
+    out: list = []
+    _write(payload, out, "\n")
+    return "".join(out)
+
+
+def _write(v, out: list, newline: str) -> None:
+    t = type(v)
+    if t is str:
+        out.append(_quote(v))
+    elif t is dict:
+        if not v:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in v.items():
+            if type(key) is not str:
+                raise TypeError(f"report keys are str, got {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif t is list:
+        if not v:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in v:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif v is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if v else "false")
+    elif t is int:
+        out.append(repr(v))
+    else:
+        raise TypeError(f"a report holds no {t.__name__}")
+
+
+def unique_members(pairs: list) -> dict:
+    """The ``object_pairs_hook`` that refuses a repeated member name."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        names = [k for k, _ in pairs]
+        name = next(k for k in names if names.count(k) > 1)
+        raise InvalidInput(f"the report repeats the member {name!r}")
+    return obj
 
 
 def str_to_fraction(s: str) -> Fraction:
@@ -61,6 +126,8 @@ def json_to_field(obj: dict, tower: ExtensionTower) -> FieldElement:
         exps = tuple(int(x) for x in key.split(",")) if key else ()
         if len(exps) != tower.height:
             raise InvalidInput("field element exponent arity does not match the tower")
+        if exps in terms:
+            raise InvalidInput(f"exponent key {key!r} repeats an earlier key's exponents")
         terms[exps] = str_to_fraction(val)
     return FieldElement(tower, terms)
 
@@ -114,6 +181,8 @@ def json_to_poly(obj: dict, tower: ExtensionTower = QQ) -> MultiPoly:
         # only JSON integers: int() would truncate 1.5 and read true as 1
         if not all(type(e) is int for e in key):
             raise InvalidInput(f"exponents must be JSON integers, got {item['exponents']!r}")
+        if key in terms:
+            raise InvalidInput(f"polynomial repeats the exponents {item['exponents']!r}")
         terms[key] = json_to_field(item["coefficient"], tower)
     return MultiPoly(vars_, terms, tower)
 

@@ -390,11 +390,13 @@ class TestMeshCmd:
 
 
 def _mutated_report(tmp_path, mutate):
-    """The one_sheet_sqrt2 report with its real witness changed by ``mutate``."""
+    """The one_sheet_sqrt2 report with its real witness changed by ``mutate``,
+    which may return an edit of the report's text as well."""
     doc = json.loads((REPORTS / "one_sheet_sqrt2.json").read_text())
-    mutate(doc["real_verdict"]["witness"])
+    edit = mutate(doc["real_verdict"]["witness"])
+    text = json.dumps(doc)
     path = tmp_path / "mutated.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(edit(text) if edit else text)
     return str(path)
 
 
@@ -406,6 +408,11 @@ def _set(path, value):
             obj = obj[step]
         obj[last] = value
     return mutate
+
+
+def _repeat_tower(witness):
+    # a second "tower" member, an empty tower, ahead of the witness's own
+    return lambda text: text.replace('"witness": {', '"witness": {"tower": [], ', 1)
 
 
 def _rekey(witness):
@@ -431,12 +438,16 @@ def _rekey(witness):
         (["--report"], _set(["components", 1, "terms", 0, "coefficient"], "3")),
         (["--report"], _set(["tower", 0, "embedding"], ["1"])),
         (["--report"], _set(["tower", 0, "name"], 5)),
+        (["--report"], _set(["components", 1, "terms", 0, "coefficient"], {"1": "1", "01": "2"})),
+        (["--report"], _set(["components", 0, "terms", 1, "exponents"], [0, 1])),
+        (["--report"], _repeat_tower),
     ],
     ids=["u_min_arabic_indic", "v_max_arabic_indic", "tol_fullwidth", "report_coefficient",
          "report_exponent_key", "report_embedding", "report_bool_coefficient", "report_float_coefficient",
          "report_float_exponent", "report_bool_exponent", "report_negative_exponent_key",
          "report_underscore_exponent_key", "report_coefficient_not_object", "report_one_ended_embedding",
-         "report_number_name"],
+         "report_number_name", "report_repeated_exponent_key", "report_repeated_exponents",
+         "report_repeated_member"],
 )
 def test_mesh_numbers_are_ascii_and_exponents_integers(capsys, tmp_path, flags, mutate):
     # Fraction(), float() and int() read any Unicode digit, Fraction() and
@@ -444,7 +455,8 @@ def test_mesh_numbers_are_ascii_and_exponents_integers(capsys, tmp_path, flags, 
     # 1.5: each of these meshed something at exit 0; int() also reads "0_0",
     # and a generator name 5 was taken as given. A negative exponent key, a
     # coefficient that is no JSON object and a one-ended embedding ended in
-    # tracebacks
+    # tracebacks. Two exponent keys "1" and "01", two terms with one
+    # exponents and two members with one name meshed the last of them
     if mutate is not None:
         flags = flags + [_mutated_report(tmp_path, mutate)]
     out = tmp_path / "x.obj"

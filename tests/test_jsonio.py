@@ -1,9 +1,16 @@
 """JSON schema round-trips: identical canonical forms after decode(encode)."""
 
+import json
+import operator
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revolutio import QQ, MultiPoly, UniPoly, cubic_example, sphere_witness
 from revolutio.jsonio import (
+    dumps,
     field_to_json,
     json_to_field,
     json_to_param,
@@ -61,8 +68,31 @@ def test_param_round_trip_cubic():
 
 
 def test_json_is_pure_data():
-    import json
-
     s = cubic_example()
     text = json.dumps(param_to_json(s))
     assert json_to_param(json.loads(text)).components == s.components
+
+
+# quotes, backslashes, control characters, non-ASCII, a lone surrogate and
+# astral text
+_CHARS = '"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600ab '
+_TEXT = st.text(st.sampled_from(_CHARS), max_size=6) | st.text(max_size=6)
+_BIG = st.integers(2 ** 64, 2 ** 200)
+_SCALARS = st.none() | st.booleans() | st.integers() | _BIG | _BIG.map(operator.neg) | _TEXT
+_REPORTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(value=_REPORTS)
+def test_dumps_is_json_dumps_indent_2(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1}, {1: "a"}, {"a": [{"b": 0.0}]}])
+def test_dumps_refuses_what_reports_do_not_hold(value):
+    with pytest.raises(TypeError):
+        dumps(value)

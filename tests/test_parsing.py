@@ -1,13 +1,17 @@
 """Expression parser: precedence, literals, errors with positions."""
 
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from revolutio import InvalidInput, MultiPoly, parse_poly
+from revolutio import InvalidInput, MultiPoly, UniPoly, parse_poly
 from revolutio.parsing import ALLOWED_VARIABLES, ParseError
 
 X = MultiPoly.variable("x", ("x", "y", "z"))
@@ -199,11 +203,35 @@ _EXPRESSIONS = st.lists(st.sampled_from(ALLOWED_VARIABLES), min_size=1, max_size
 )
 
 
+_T, _X, _Y = (MultiPoly.variable(v) for v in "txy")
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(pair=_EXPRESSIONS)
-@example(pair=("(x - x) + y", MultiPoly.variable("y")))
+@example(pair=("(x - x) + y", _Y))
+# a product and a power of multi-term operands run on the packed kernel
+@example(pair=("(t+1)^40*(t-1)^40", (_T + 1) ** 40 * (_T - 1) ** 40))
+@example(pair=("(1/3*x+2/7*y-5)^9", (Fraction(1, 3) * _X + Fraction(2, 7) * _Y - 5) ** 9))
+@example(pair=("(x+y)*(x-y)-x^2+y^2", MultiPoly.zero()))
+@example(pair=("(x-x)^3", MultiPoly.zero()))
+@example(pair=("(x-x)*(x+y)", MultiPoly.zero()))
+@example(pair=("0^0", MultiPoly.constant(1)))
 def test_parse_agrees_with_operators(pair):
     text, expected = pair
     got = parse_poly(text)
     assert got == expected
     assert got.vars == tuple(sorted(set(re.findall("[a-z]", text))))
+    assert (type(got) is UniPoly) == (len(got.vars) == 1)
+
+
+def test_syntax_is_checked_before_arithmetic():
+    # expanding (t+1)^100000000 would not end; the syntax pass refuses the
+    # dangling '+' first. A child process, so that a regression times out
+    code = (
+        "from revolutio.parsing import ParseError, parse_poly\n"
+        "try:\n    parse_poly('(t+1)^100000000 +')\n"
+        "except ParseError as exc:\n    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10, env=env)
+    assert proc.stdout == "unexpected 'end of input' (at position 17)\n"

@@ -28,8 +28,7 @@ print("parametrized     :", curve)
 d = decompose_paa(curve)
 print("normal form      : p =", d.p, "| a =", d.a, "| b =", d.b, "| degree invariant =", d.delta)
 
-T = tubularize(d)
-print("tubular companion:", T.implicit_poly(), "= 0")
+print("tubular companion:", tubularize(d), "= 0")
 
 witness = sor_complex_param(d)
 print("complex witness  :", witness)

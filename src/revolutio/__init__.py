@@ -8,16 +8,14 @@ arithmetic is exact, over Q extended by towers of algebraic generators.
 """
 
 from .complexparam import (
-    RootSpec,
     SurfaceParam,
-    choose_root_alpha,
+    adjoin_root,
     cylinder_case_param,
-    factor_h,
     rotate_curve,
     sor_complex_param,
     tower_sqrt,
+    tubular_base,
     tubular_lift,
-    tubular_polynomial_param,
 )
 from .errors import (
     DegenerateProfile,
@@ -53,10 +51,8 @@ from .poly import (
     substitute,
 )
 from .profile import (
-    AffineReparam,
     P2Decomposition,
     PlaneCurveParam,
-    TubularSurface,
     affine_equivalent,
     decompose_paa,
     implicit_to_p2,
@@ -67,10 +63,8 @@ from .profile import (
 )
 from .quadrics import QuadricReport, classify_quadric, quadric_param, quadric_report, quadric_verdict
 from .realparam import (
-    CanonicalQuadratic,
     ConjecturePredicate,
     RealVerdict,
-    canonicalize_quadratic,
     conjecture_predicate,
     cubic_example,
     dioph_identity_check,

@@ -13,16 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexparam import (
-    RootSpec,
-    choose_root_alpha,
+    adjoin_root,
     cylinder_case_param,
     ensure_imaginary_unit,
     rotate_curve,
     sor_complex_param,
-    tubular_polynomial_param,
+    tubular_base,
 )
 from .poly import MultiPoly, UniPoly, substitute
-from .profile import PlaneCurveParam, TubularSurface, decompose_paa
+from .profile import PlaneCurveParam, decompose_paa
 from .realparam import cubic_example, real_param_delta2, sphere_witness
 from .verify import rational_residual, verify_on_surface
 
@@ -61,8 +60,7 @@ def _sphere_entry() -> CatalogResult:
 
 def _tubular_entry(p: UniPoly) -> CatalogResult:
     x, y, z = _xyz()
-    T = TubularSurface(p.rename("z"))
-    s = tubular_polynomial_param(T, choose_root_alpha(p))
+    s = tubular_base(p)
     F = x * x + y * y - substitute(p, {p.var: z})
     return _on_surface_entry(f"tubular-param[p={p}]", s, F)
 
@@ -113,7 +111,7 @@ def _rotation_entry() -> CatalogResult:
     t = UniPoly.variable("t")
     x, y, z = _xyz()
     r = rotate_curve(t, UniPoly.zero("t"), t)
-    residual = rational_residual(x * x + y * y - z * z, r.components)
+    residual = rational_residual(x * x + y * y - z * z, r)
     ok = residual.is_zero()
     return CatalogResult(
         "rotation-formula[cone]", ok, "cleared-denominator residual " + ("0" if ok else repr(residual))
@@ -123,20 +121,19 @@ def _rotation_entry() -> CatalogResult:
 def _q_phi_entry(p: UniPoly) -> CatalogResult:
     """The rational tubular parametrization composed with [s,t] -> [v, uv+alpha]
     must agree with the polynomial tubular formula after clearing 2v."""
-    alpha = choose_root_alpha(p)
-    tower = ensure_imaginary_unit(alpha.value.tower)
-    alpha = RootSpec(alpha.value.lift_to(tower), alpha.source, alpha.minpoly)
-    T = TubularSurface(p.rename("z"))
-    poly_param = tubular_polynomial_param(T, alpha)
+    alpha, tower, _ = adjoin_root(p, p.tower, "alpha")
+    tower = ensure_imaginary_unit(tower)
+    poly_param = tubular_base(p)
     i = tower.gen("i")
     u = MultiPoly.variable("u", ("u", "v"), tower)
     v = MultiPoly.variable("v", ("u", "v"), tower)
-    p_at = substitute(p, {p.var: u * v + MultiPoly.constant(alpha.value, ("u", "v"), tower)})
+    z = u * v + MultiPoly.constant(alpha.lift_to(tower), ("u", "v"), tower)
+    p_at = substitute(p, {p.var: z})
     two_v = 2 * v
     pairs = (
         (i * (v * v - p_at), two_v),
         (v * v + p_at, two_v),
-        (u * v + MultiPoly.constant(alpha.value, ("u", "v"), tower), MultiPoly.constant(1, ("u", "v"), tower)),
+        (z, MultiPoly.constant(1, ("u", "v"), tower)),
     )
     ok = all(
         (num - den * comp).is_zero()

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .catalog import catalog_results
-from .complexparam import sor_complex_param
+from .complexparam import SurfaceParam, sor_complex_param
 from .errors import (
     DegenerateProfile,
     InternalInvariant,
@@ -121,7 +121,6 @@ def cmd_analyze(args) -> int:
     witness = sor_complex_param(d)
     if F is None:
         F = surface_implicit(d)
-    tub = tubularize(d)
     crep = verify_on_surface(witness, F)
     if not crep.on_surface or crep.jacobian_rank != 2:
         raise InternalInvariant("complex witness failed verification; refusing to emit")
@@ -165,8 +164,8 @@ def cmd_analyze(args) -> int:
             "input": echo,
             "p2_decomposition": _decomposition_block(d),
             "tubularization": {
-                "p": poly_to_json(tub.p),
-                "implicit": poly_to_json(tub.implicit_poly()),
+                "p": poly_to_json(d.p.rename("z")),
+                "implicit": poly_to_json(tubularize(d)),
             },
             "implicit_surface": poly_to_json(F),
             "complex_parametrization": {
@@ -230,8 +229,6 @@ def cmd_mesh(args) -> int:
             raise InvalidInput(f"malformed parametrization object: {exc}") from exc
     else:
         comps = [parse_poly(text, allowed_vars=("u", "v")) for text in args.param]
-        from .complexparam import SurfaceParam
-
         s = SurfaceParam.make(comps, provenance=("inline mesh input",))
     tol = _fraction_arg(args.tol)
     stats = export_obj(
@@ -279,17 +276,11 @@ def cmd_p2_equiv(args) -> int:
     f = PlaneCurveParam.polynomial(_to_unipoly(args.first[0], "t"), _to_unipoly(args.first[1], "t"))
     g = PlaneCurveParam.polynomial(_to_unipoly(args.second[0], "s"), _to_unipoly(args.second[1], "s"))
     try:
-        rep = affine_equivalent(f, g)
+        scale, shift = affine_equivalent(f, g)
     except NotEquivalent as exc:
         _emit({"equivalent": False, "reason": str(exc)})
         return 0
-    _emit(
-        {
-            "equivalent": True,
-            "scale": str(rep.scale.as_rational()),
-            "shift": str(rep.shift.as_rational()),
-        }
-    )
+    _emit({"equivalent": True, "scale": str(scale), "shift": str(shift)})
     return 0
 
 

@@ -2,9 +2,11 @@
 
 Every witness of a surface of revolution, here and in `realparam`, is a
 base (X, Y, Z) on a companion surface lifted by `tubular_lift` through
-[x, y, z] -> [a(z) x, a(z) y, b(z)]. Over C, a non-constant p gets the
-base on the tubular companion x^2 + y^2 - p(z) = 0: pick a root alpha of
-p, factor p(u v + alpha) = v * h(u, v), and take
+[x, y, z] -> [a(z) x, a(z) y, b(z)]. Every root the constructions need is
+adjoined by `adjoin_root`: a rational root when there is one, else a new
+generator for the square-free part. Over C, a non-constant p gets the
+base on the tubular companion x^2 + y^2 - p(z) = 0 (`tubular_base`): take
+a root alpha of p, factor p(u v + alpha) = v * h(u, v), and take
 
     [ (i/2)(v - h), (1/2)(v + h), u v + alpha ].
 
@@ -26,11 +28,11 @@ from .errors import (
     InconsistentRoot,
     InternalInvariant,
     InvalidInput,
-    NotDivisible,
     NotPolynomial,
 )
+from .numeric import isolate_real_roots
 from .poly import MultiPoly, UniPoly, exact_divide, rational_roots, squarefree_part, substitute
-from .profile import P2Decomposition, TubularSurface, tubularize
+from .profile import P2Decomposition
 from .tower import QQ, ExtensionTower, FieldElement, join_towers
 
 UV = ("u", "v")
@@ -84,32 +86,6 @@ class SurfaceParam:
         return f"SurfaceParam([{self.x}, {self.y}, {self.z}], properness={self.properness})"
 
 
-@dataclass(frozen=True)
-class RationalSurfaceParam:
-    """Components as numerator/denominator pairs; a comparison utility, never
-    claimed polynomial."""
-
-    components: tuple  # ((num, den), (num, den), (num, den)) MultiPoly pairs
-
-    def __repr__(self):
-        inner = ", ".join(f"({n})/({d})" for n, d in self.components)
-        return f"RationalSurfaceParam([{inner}])"
-
-
-@dataclass(frozen=True)
-class RootSpec:
-    """A chosen root of p: either a rational value or a fresh tower generator."""
-
-    value: FieldElement
-    source: str  # "rational-root" | "tower-extension"
-    minpoly: UniPoly | None = None
-
-    def __repr__(self):
-        if self.source == "rational-root":
-            return f"RootSpec({self.value}, rational)"
-        return f"RootSpec({self.value}, extension by {self.minpoly})"
-
-
 # -- tower utilities shared by the parametrization modules ---------------------
 
 
@@ -161,60 +137,45 @@ def tower_sqrt(tower: ExtensionTower, q: Fraction):
     return tower.gen(name), tower
 
 
-def pick_rational_root(p: UniPoly):
-    """Smallest-|value| rational root, ties resolved to the positive one."""
-    if not p.is_rational_poly():
-        return None
-    roots = set(rational_roots(p))
-    if not roots:
-        return None
-    return min(roots, key=lambda r: (abs(r), 0 if r > 0 else 1))
+def adjoin_root(f: UniPoly, tower: ExtensionTower, name: str, real: bool = False):
+    """(root, tower, m): a root of f, whose tower is a prefix of ``tower``.
+    A rational f with a rational root gets the one of smallest |value|, ties
+    resolved to the positive one; the tower stays and m is None. Otherwise
+    the tower is extended under a fresh ``name`` by f's monic square-free
+    part m; with ``real`` the generator is m's greatest real root, recorded
+    by its isolating interval, so m must have a real root."""
+    roots = set(rational_roots(f)) if f.is_rational_poly() else ()
+    if roots:
+        return tower.rational(min(roots, key=lambda r: (abs(r), r < 0))), tower, None
+    m = squarefree_part(f)
+    name = tower.fresh_name(name)
+    embedding = isolate_real_roots(m)[-1] if real else None
+    tower = tower.extend(name, [m.coeff(e) for e in range(m.degree + 1)], embedding=embedding)
+    root = tower.gen(name)
+    if not f.eval_at(root).is_zero():
+        raise InconsistentRoot("extension generator does not annihilate its polynomial")
+    return root, tower, m
 
 
 # -- operations -----------------------------------------------------------------
 
 
-def choose_root_alpha(p: UniPoly) -> RootSpec:
-    """A root of p: rational when available, otherwise a generator for the
-    quotient by p's monic square-free self."""
-    if p.is_constant():
-        raise InvalidInput("p is constant; the cylinder route handles this case")
-    r = pick_rational_root(p)
-    if r is not None:
-        return RootSpec(value=p.tower.rational(r), source="rational-root")
-    m = squarefree_part(p)
-    name = p.tower.fresh_name("alpha")
-    ext = p.tower.extend(name, [m.coeff(e) for e in range(m.degree + 1)])
-    spec = RootSpec(value=ext.gen(name), source="tower-extension", minpoly=m)
-    if not p.eval_at(spec.value).is_zero():
-        raise InconsistentRoot("extension generator does not annihilate p")
-    return spec
-
-
-def factor_h(p: UniPoly, alpha: RootSpec) -> MultiPoly:
-    """h with p(u v + alpha) = v * h(u, v)."""
-    t = join_towers(p.tower, alpha.value.tower)
-    shift = MultiPoly(UV, {(1, 1): t.one(), (0, 0): alpha.value}, t)
-    image = substitute(p, {p.var: shift})
-    try:
-        return exact_divide(image, _v(t))
-    except NotDivisible as exc:
-        raise InconsistentRoot("p(alpha) != 0: cannot factor out v") from exc
-
-
-def tubular_polynomial_param(T: TubularSurface, alpha: RootSpec) -> SurfaceParam:
-    """Polynomial parametrization of x^2 + y^2 - p(z) = 0 for nonconstant p."""
-    p = T.p
+def tubular_base(p: UniPoly) -> SurfaceParam:
+    """The base [(i/2)(v - h), (1/2)(v + h), u v + alpha] on the tubular
+    companion x^2 + y^2 - p(z) = 0 of a non-constant p, where alpha is a
+    root of p and p(u v + alpha) = v * h(u, v)."""
     if p.is_constant():
         raise InvalidInput("constant p: use the cylinder route")
-    tower = ensure_imaginary_unit(join_towers(p.tower, alpha.value.tower))
-    h = factor_h(p.with_tower(tower), RootSpec(alpha.value.lift_to(tower), alpha.source, alpha.minpoly))
-    i_half = tower.gen("i") * Fraction(1, 2)
+    alpha, tower, m = adjoin_root(p, p.tower, "alpha")
+    source = "rational-root" if m is None else "tower-extension"
+    tower = ensure_imaginary_unit(tower)
     v = _v(tower)
-    zc = MultiPoly(UV, {(1, 1): tower.one(), (0, 0): alpha.value.lift_to(tower)}, tower)
+    zc = MultiPoly(UV, {(1, 1): tower.one(), (0, 0): alpha.lift_to(tower)}, tower)
+    h = exact_divide(substitute(p.with_tower(tower), {p.var: zc}), v)
+    i_half = tower.gen("i") * Fraction(1, 2)
     return SurfaceParam.make(
         [i_half * (v - h), Fraction(1, 2) * (v + h), zc],
-        provenance=(f"root alpha = {alpha.value} ({alpha.source})", "tubular parametrization"),
+        provenance=(f"root alpha = {alpha} ({source})", "tubular parametrization"),
     )
 
 
@@ -245,8 +206,7 @@ def sor_complex_param(d: P2Decomposition) -> SurfaceParam:
                 "cylinder of revolution: the only polynomial curves on it are its rulings"
             )
         return cylinder_case_param(d)
-    alpha = choose_root_alpha(d.p)
-    return tubular_lift(tubular_polynomial_param(tubularize(d), alpha), d.a, d.b)
+    return tubular_lift(tubular_base(d.p), d.a, d.b)
 
 
 def cylinder_case_param(d: P2Decomposition) -> SurfaceParam:
@@ -257,22 +217,12 @@ def cylinder_case_param(d: P2Decomposition) -> SurfaceParam:
     c = d.p.constant_value().as_rational()
     if c == 0:
         raise InvalidInput("p = 0 does not define a surface")
-    scale, tower = tower_sqrt(d.p.tower, c)
-    a1 = d.a.with_tower(tower) * scale
-    if a1.is_constant():
+    if d.a.is_constant():
         raise NotPolynomial("cylinder of revolution (constant radius)")
-    r = pick_rational_root(d.a)
-    if r is not None:
-        root = tower.rational(r)
-        note = f"shift by rational root {r} of a"
-    else:
-        m = squarefree_part(d.a)
-        name = tower.fresh_name("beta")
-        tower = tower.extend(name, [m.coeff(e) for e in range(m.degree + 1)])
-        root = tower.gen(name)
-        a1 = a1.with_tower(tower)
-        note = f"shift by extension root of {m}"
-    base, A, B = root_shift_components(a1, d.b, root, tower)
+    scale, tower = tower_sqrt(d.p.tower, c)
+    root, tower, m = adjoin_root(d.a, tower, "beta")
+    note = f"shift by rational root {root} of a" if m is None else f"shift by extension root of {m}"
+    base, A, B = root_shift_components(d.a.with_tower(tower) * scale, d.b, root, tower)
     return tubular_lift(
         base, A, B,
         provenance=(f"constant p = {c} absorbed into a", note,
@@ -299,9 +249,10 @@ def root_shift_components(a: UniPoly, b: UniPoly, root: FieldElement, tower: Ext
     return cone_components(tower), atil, b.with_tower(tower).compose(lin)
 
 
-def rotate_curve(cx: UniPoly, cy: UniPoly, cz: UniPoly) -> RationalSurfaceParam:
-    """The rational surface swept by rotating a space curve about the z-axis
-    (denominator 1 + s^2); a comparison utility only."""
+def rotate_curve(cx: UniPoly, cy: UniPoly, cz: UniPoly) -> tuple:
+    """The rational surface swept by rotating a space curve about the z-axis,
+    as three (numerator, denominator) pairs in (s, t) with denominator
+    1 + s^2; a comparison utility only."""
     if cz.is_constant():
         raise DegenerateProfile("constant z-component cannot sweep a surface")
     var = cz.var
@@ -314,10 +265,8 @@ def rotate_curve(cx: UniPoly, cy: UniPoly, cz: UniPoly) -> RationalSurfaceParam:
     den = one + s * s
     t = MultiPoly.variable("t", st, tower)
     x_t, y_t, z_t = (substitute(c, {var: t}) for c in (cx, cy, cz))
-    return RationalSurfaceParam(
-        components=(
-            (x_t * two_s + y_t * one_minus, den),
-            (-x_t * one_minus + y_t * two_s, den),
-            (z_t, one),
-        )
+    return (
+        (x_t * two_s + y_t * one_minus, den),
+        (-x_t * one_minus + y_t * two_s, den),
+        (z_t, one),
     )

@@ -11,9 +11,10 @@ Decoding checks types and shapes: a field element is a JSON object whose
 keys are comma-separated runs of ASCII digits, one per generator, and
 whose values are ASCII rational strings; an exponent is a non-negative
 JSON integer; a step's name is a string and its embedding null or two
-rational strings. Anything else is InvalidInput. Decoding also reduces:
-each field element is brought to normal form by the tower's minimal
-polynomials (a key "5" over sqrt(2) becomes 4 * sqrt(2)), and each tower
+rational strings. Anything else is InvalidInput. Encoded field elements
+are reduced, so each generator exponent in a key must be below that
+generator's degree (a key "5" over sqrt(2) is InvalidInput, as are the
+minimal polynomials' coefficients over the steps below), and each tower
 step is checked as ``ExtensionTower.extend`` checks it. A field element
 with two keys for the same exponents, a polynomial with a repeated
 ``exponents`` and a report object with a repeated member name
@@ -126,6 +127,9 @@ def json_to_field(obj: dict, tower: ExtensionTower) -> FieldElement:
         exps = tuple(int(x) for x in key.split(",")) if key else ()
         if len(exps) != tower.height:
             raise InvalidInput("field element exponent arity does not match the tower")
+        # encoded elements are reduced; reducing a huge exponent costs a pass per degree
+        if any(e >= d for e, d in zip(exps, tower._degs)):
+            raise InvalidInput(f"exponent key {key!r} is not reduced: generator degrees {list(tower._degs)}")
         if exps in terms:
             raise InvalidInput(f"exponent key {key!r} repeats an earlier key's exponents")
         terms[exps] = str_to_fraction(val)

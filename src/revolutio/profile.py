@@ -32,7 +32,7 @@ from .poly import (
     squarefree_part,
     substitute,
 )
-from .tower import FieldElement, join_towers
+from .tower import join_towers
 
 
 class PlaneCurveParam:
@@ -113,36 +113,6 @@ class P2Decomposition:
 
     def __repr__(self):
         return f"P2Decomposition(p={self.p}, a={self.a}, b={self.b}, delta={self.delta})"
-
-
-@dataclass(frozen=True)
-class AffineReparam:
-    """t -> scale*t + shift with scale != 0, applied to a polynomial by
-    substitution; what `canonicalize_quadratic` and `affine_equivalent` return."""
-
-    scale: FieldElement
-    shift: FieldElement
-
-    def __post_init__(self):
-        if self.scale.is_zero():
-            raise InvalidInput("affine reparametrization needs a nonzero scale")
-
-    def apply_to_poly(self, f: UniPoly) -> UniPoly:
-        t = join_towers(join_towers(f.tower, self.scale.tower), self.shift.tower)
-        inner = UniPoly(f.var, {1: self.scale, 0: self.shift}, t)
-        return f.compose(inner)
-
-
-@dataclass(frozen=True)
-class TubularSurface:
-    """The companion surface x^2 + y^2 - p(z) = 0 with p square-free."""
-
-    p: UniPoly  # in the variable z
-
-    def implicit_poly(self) -> MultiPoly:
-        x = MultiPoly.variable("x", ("x", "y", "z"))
-        y = MultiPoly.variable("y", ("x", "y", "z"))
-        return x * x + y * y - self.p
 
 
 # -- operations ---------------------------------------------------------------
@@ -275,8 +245,9 @@ def _moebius_lift(f: UniPoly, r) -> UniPoly:
     return acc
 
 
-def affine_equivalent(f: PlaneCurveParam, g: PlaneCurveParam) -> AffineReparam:
-    """The unique reparametrization with g(s) = f(scale*s + shift), if any.
+def affine_equivalent(f: PlaneCurveParam, g: PlaneCurveParam) -> tuple:
+    """The rationals (scale, shift) of the unique reparametrization with
+    g(s) = f(scale*s + shift), if any; scale is nonzero.
 
     Both parametrizations must be polynomial with rational coefficients and
     proper (properness is a precondition, not checked).
@@ -301,14 +272,15 @@ def affine_equivalent(f: PlaneCurveParam, g: PlaneCurveParam) -> AffineReparam:
         a_d1 = fp.coeff(d - 1).as_rational() if d >= 1 else Fraction(0)
         b_d1 = gp.coeff(d - 1).as_rational() if d >= 1 else Fraction(0)
         beta = (b_d1 - a_d1 * alpha ** (d - 1)) / (d * a_d * alpha ** (d - 1))
-        rep = AffineReparam(fx.tower.rational(alpha), fx.tower.rational(beta))
-        if rep.apply_to_poly(fx) == gx.rename(fx.var) and rep.apply_to_poly(fz) == gz.rename(fz.var):
-            return rep
+        if all(a.compose(UniPoly(a.var, {1: alpha, 0: beta})) == b.rename(a.var) for a, b in pairs):
+            return alpha, beta
     raise NotEquivalent("leading-coefficient matching found no affine reparametrization")
 
 
-def tubularize(d: P2Decomposition) -> TubularSurface:
-    return TubularSurface(p=d.p.rename("z"))
+def tubularize(d: P2Decomposition) -> MultiPoly:
+    """The tubular companion surface x^2 + y^2 - p(z) = 0, as its implicit
+    polynomial."""
+    return _sum_of_squares() - d.p.rename("z")
 
 
 # -- implicit forms for verification ------------------------------------------

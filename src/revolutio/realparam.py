@@ -3,15 +3,17 @@
 Every real witness is a base on a canonical companion surface, lifted by
 `tubular_lift` through [x, y, z] -> [a(z) x, a(z) y, b(z)]; the affine
 change of variable that makes p canonical rides in the base's Z. Degree 1
-lifts the paraboloid base (u, v, (u^2 + v^2 - c0)/c1). Degree 2 brings p to
-+-z^2 + lambda, whose four sign cases are a hyperboloid base
-(`hyperboloid_components`, shared with the quadrics), a double-cover base,
-a compactness refusal, or an empty real locus. Degree 0 lifts the cone base
-at a real root of a or, when a has no real roots, the Pythagorean base
-(2AB, B^2 - A^2, C) on the one-sheeted hyperboloid. Degree 3 lifts one
-hard-coded base for p = t^3 + 1 by any (a, b); everything else is honestly
-`unresolved` with the root-count predicate as evidence. `real_verdict`
-checks once, for every real witness, that its tower embeds into R.
+lifts the paraboloid base (u, v, (u^2 + v^2 - c0)/c1). Degree 2 completes
+the square, bringing p to +-z^2 + lambda, whose four sign cases are a
+hyperboloid base (`hyperboloid_components`, shared with the quadrics), a
+double-cover base, a compactness refusal, or an empty real locus. Degree 0
+lifts the cone base at a real root of a (`adjoin_root` with ``real``, so
+an interval designates the root) or, when a has no real roots, the
+Pythagorean base (2AB, B^2 - A^2, C) on the one-sheeted hyperboloid.
+Degree 3 lifts one hard-coded base for p = t^3 + 1 by any (a, b);
+everything else is honestly `unresolved` with the root-count predicate as
+evidence. `real_verdict` checks once, for every real witness, that its
+tower embeds into R.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from fractions import Fraction
 
 from .complexparam import (
     SurfaceParam,
+    adjoin_root,
     ensure_imaginary_unit,
-    pick_rational_root,
     root_shift_components,
     tower_sqrt,
     tubular_lift,
 )
 from .errors import InternalInvariant, InvalidInput
-from .numeric import default_real_embedding, isolate_real_roots
+from .numeric import default_real_embedding
 from .poly import (
     MultiPoly,
     UniPoly,
@@ -39,22 +41,10 @@ from .poly import (
     sturm_real_root_count,
     substitute,
 )
-from .profile import AffineReparam, P2Decomposition
+from .profile import P2Decomposition
 from .tower import QQ, ExtensionTower
 
 UV = ("u", "v")
-
-
-@dataclass(frozen=True)
-class CanonicalQuadratic:
-    """p brought to sign*z^2 + lambda by an affine change of variable."""
-
-    sign: int
-    lam: Fraction
-    reparam: AffineReparam  # canonical variable -> original variable
-
-    def __repr__(self):
-        return f"CanonicalQuadratic(sign={self.sign:+d}, lambda={self.lam})"
 
 
 @dataclass(frozen=True)
@@ -151,30 +141,6 @@ def cubic_example() -> SurfaceParam:
     )
 
 
-# -- canonicalization --------------------------------------------------------------
-
-
-def canonicalize_quadratic(p: UniPoly) -> CanonicalQuadratic:
-    """Complete the square: an affine change making p into sign*z^2 + lambda."""
-    if p.degree != 2:
-        raise InvalidInput("canonicalization expects degree exactly 2")
-    c = p.rational_coeffs()
-    c2 = c[2]
-    c1 = c.get(1, Fraction(0))
-    c0 = c.get(0, Fraction(0))
-    shift = -c1 / (2 * c2)
-    lam = c0 - c1 * c1 / (4 * c2)
-    if lam == 0:
-        raise InvalidInput("lambda = 0 means p is a square (not square-free)")
-    sign = 1 if c2 > 0 else -1
-    root, tower = tower_sqrt(p.tower, abs(c2))
-    rep = AffineReparam(scale=root.inverse(), shift=tower.rational(shift))
-    expected = UniPoly(p.var, {2: tower.rational(sign), 0: tower.rational(lam)}, tower)
-    if not (rep.apply_to_poly(p.with_tower(tower)) - expected).is_zero():
-        raise InternalInvariant("square completion failed verification")
-    return CanonicalQuadratic(sign=sign, lam=lam, reparam=rep)
-
-
 # -- degree-by-degree verdicts -------------------------------------------------------
 
 
@@ -199,16 +165,23 @@ def real_param_delta2(d: P2Decomposition) -> RealVerdict:
     """Degree-2 p: the four-way sign split on the canonical +-z^2 + lambda."""
     if d.delta != 2:
         raise InvalidInput("expects deg p = 2")
-    cq = canonicalize_quadratic(d.p)
-    if cq.sign < 0 and cq.lam < 0:
+    # complete the square: p(t) = c2 (t - shift)^2 + lam, so t = z / sqrt|c2| + shift
+    # brings p to sign*z^2 + lam
+    c = d.p.rational_coeffs()
+    c2, c1, c0 = c[2], c.get(1, Fraction(0)), c.get(0, Fraction(0))
+    lam = c0 - c1 * c1 / (4 * c2)
+    if lam == 0:
+        raise InvalidInput("lambda = 0 means p is a square (not square-free)")
+    if c2 < 0 and lam < 0:
         return RealVerdict("empty-real-locus", "p < 0 everywhere: no real surface point")
-    if cq.sign < 0 and cq.lam > 0:
+    if c2 < 0 and lam > 0:
         return RealVerdict(
             "no-real-parametrization", "compact (sphere tubularization)"
         )
-    X, Y, Z = hyperboloid_components(cq.reparam.scale.tower, cq.lam)
+    root, tower = tower_sqrt(d.p.tower, abs(c2))
+    X, Y, Z = hyperboloid_components(tower, lam)
     tower = Z.tower
-    if cq.lam > 0:
+    if lam > 0:
         flag = "proper"
         status = "real-proper"
         note = "one-sheeted hyperboloid recipe scaled by sqrt(lambda)"
@@ -218,9 +191,9 @@ def real_param_delta2(d: P2Decomposition) -> RealVerdict:
         status = "real-nonproper-double-cover"
         note = "two-sheeted double-cover recipe scaled by sqrt(|lambda|)"
         reason = "deg p = 2, positive leading sign, lambda < 0: doubly covers one sheet"
-    shift = MultiPoly.constant(cq.reparam.shift.lift_to(tower), UV, tower)
+    shift = MultiPoly.constant(tower.rational(-c1 / (2 * c2)), UV, tower)
     witness = tubular_lift(
-        (X, Y, cq.reparam.scale.lift_to(tower) * Z + shift), d.a, d.b,
+        (X, Y, root.inverse().lift_to(tower) * Z + shift), d.a, d.b,
         provenance=("canonicalize p to sign*z^2 + lambda", note, "lift by (a, b)"),
         properness=flag,
     )
@@ -264,21 +237,12 @@ def real_param_delta0(d: P2Decomposition) -> RealVerdict:
 
 def _delta0_real_root_witness(d: P2Decomposition, c: Fraction) -> SurfaceParam:
     scale, tower = tower_sqrt(QQ, c)
-    a1 = d.a.with_tower(tower) * scale
-    r = pick_rational_root(d.a)
-    if r is not None:
-        root = tower.rational(r)
-        note = f"shift by rational root {r} of a"
+    root, tower, m = adjoin_root(d.a, tower, "beta", real=True)
+    if m is None:
+        note = f"shift by rational root {root} of a"
     else:
-        m = squarefree_part(d.a)
-        iv = isolate_real_roots(m)[-1]
-        tower = tower.extend(
-            "beta", [m.coeff(e) for e in range(m.degree + 1)], embedding=iv
-        )
-        root = tower.gen("beta")
-        a1 = a1.with_tower(tower)
         note = "shift by a designated real root of a (tower extension)"
-    base, A, B = root_shift_components(a1, d.b, root, tower)
+    base, A, B = root_shift_components(d.a.with_tower(tower) * scale, d.b, root, tower)
     return tubular_lift(
         base, A, B,
         provenance=(f"absorb sqrt({c}) into a", note,

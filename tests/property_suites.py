@@ -22,14 +22,13 @@ from revolutio import (
     MultiPoly,
     PlaneCurveParam,
     UniPoly,
-    choose_root_alpha,
     decompose_paa,
     exact_divide,
-    factor_h,
     gcd_unipoly,
     squarefree_decompose,
     sturm_real_root_count,
     substitute,
+    tubular_base,
 )
 
 CASES = 200
@@ -89,22 +88,18 @@ def run_decompose_suite(cases=CASES):
 
 
 def run_factor_h_suite(cases=CASES):
-    """v * h == p(u v + alpha) for the chosen root, over Q and extensions."""
+    """X^2 + Y^2 == p(Z) on the tubular base, over Q and extensions: the
+    identity v * h == p(u v + alpha) for the chosen root."""
     rng = random.Random(20260813)
-    u = MultiPoly.variable("u", ("u", "v"))
-    v = MultiPoly.variable("v", ("u", "v"))
     done = 0
     while done < cases:
         p = _random_factor(rng)
         for _ in range(rng.randrange(0, 2)):
             p = p * _random_factor(rng)
         if not gcd_unipoly(p, p.derivative()).is_constant():
-            continue  # factor_h requires p(alpha) = 0 with p square-free upstream
-        alpha = choose_root_alpha(p)
-        h = factor_h(p, alpha)
-        tower = alpha.value.tower
-        image = substitute(p, {"t": u * v + MultiPoly.constant(alpha.value, ("u", "v"), tower)})
-        assert (MultiPoly.variable("v", ("u", "v"), tower) * h - image).is_zero()
+            continue  # the base needs p(alpha) = 0 with p square-free upstream
+        s = tubular_base(p)
+        assert (s.x * s.x + s.y * s.y - substitute(p, {"t": s.z})).is_zero()
         done += 1
     return cases
 

@@ -561,6 +561,24 @@ def test_huge_constant_term_within_budget(p2):
     json.loads(proc.stdout)
 
 
+def test_mesh_huge_exponent_key_within_budget(tmp_path):
+    # a generator exponent was reduced one degree per pass: the key
+    # "1000000" over sqrt(2) took 30 s, one more digit stalled the call
+    report = _mutated_report(tmp_path, _set(["components", 1, "terms", 0, "coefficient"], {"1000000": "1"}))
+    out = tmp_path / "x.obj"
+    budget = 10.0  # seconds, interpreter start included
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "revolutio", "mesh", "--report", report, "--grid", "2", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=budget,
+    )
+    assert time.perf_counter() - start < budget
+    assert proc.returncode == 2 and json.loads(proc.stdout)["error"]["code"] == "INVALID_INPUT"
+    assert not out.exists()
+
+
 def _exit_contract(argv: list) -> None:
     """``main(argv)`` ends in a report (0), a user error (2) or a refusal
     (3), as JSON, within budget."""

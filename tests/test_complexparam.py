@@ -1,5 +1,5 @@
-"""The complex construction: root choice, h-factorization, tubular
-parametrization, lifting, the closed formula, and the cylinder route."""
+"""The complex construction: root adjunction, the tubular base,
+lifting, the closed formula, and the cylinder route."""
 
 import random
 from fractions import Fraction
@@ -15,20 +15,20 @@ from revolutio import (
     PlaneCurveParam,
     SurfaceParam,
     UniPoly,
-    choose_root_alpha,
+    adjoin_root,
     cylinder_case_param,
     decompose_paa,
-    factor_h,
     jacobian_generic_rank,
     rotate_curve,
     sor_complex_param,
     sphere_witness,
+    squarefree_part,
+    sturm_real_root_count,
     substitute,
     surface_implicit,
     tower_sqrt,
+    tubular_base,
     tubular_lift,
-    tubular_polynomial_param,
-    tubularize,
     verify_on_surface,
 )
 from revolutio.verify import rational_residual
@@ -47,29 +47,42 @@ def xyz():
 
 
 class TestChooseRoot:
+    """adjoin_root, the one way a root of a rational polynomial is adjoined."""
+
     def test_rational_root(self):
-        spec = choose_root_alpha(t ** 3 + 1)
-        assert spec.source == "rational-root" and spec.value == -1
+        root, tower, m = adjoin_root(t ** 3 + 1, QQ, "alpha")
+        assert root == -1 and tower == QQ and m is None
 
     def test_extension_for_i(self):
-        spec = choose_root_alpha(t ** 2 + 1)
-        assert spec.source == "tower-extension"
-        assert (spec.value * spec.value) == -1
+        root, tower, m = adjoin_root(t ** 2 + 1, QQ, "alpha")
+        assert [s.name for s in tower.steps] == ["alpha"] and m == t ** 2 + 1
+        assert root * root == -1
 
     def test_extension_for_sqrt2(self):
-        spec = choose_root_alpha(t ** 2 - 2)
-        assert spec.source == "tower-extension"
-        assert spec.value * spec.value == 2
+        root, _, m = adjoin_root(t ** 2 - 2, QQ, "alpha")
+        assert m == t ** 2 - 2
+        assert root * root == 2
 
     def test_smallest_abs_tie_positive(self):
-        spec = choose_root_alpha((t - 1) * (t + 1) * (t - 3))
-        assert spec.value == 1
-        spec = choose_root_alpha((t - 2) * (t + 1))
-        assert spec.value == -1
+        root, _, _ = adjoin_root((t - 1) * (t + 1) * (t - 3), QQ, "alpha")
+        assert root == 1
+        root, _, _ = adjoin_root((t - 2) * (t + 1), QQ, "alpha")
+        assert root == -1
 
     def test_constant_rejected(self):
         with pytest.raises(InvalidInput):
-            choose_root_alpha(UniPoly.constant("t", 1))
+            tubular_base(UniPoly.constant("t", 1))
+
+    def test_real_records_greatest_real_root(self):
+        # t^3 - 2 has one real root, 2^(1/3); (t^2 - 2)(t^2 - 3) has four, the greatest sqrt(3)
+        _, tower, m = adjoin_root(t ** 3 - 2, QQ, "beta", real=True)
+        lo, hi = tower.steps[-1].embedding
+        assert lo < hi and sturm_real_root_count(m, (lo, hi)) == 1
+        _, tower, m = adjoin_root((t ** 2 - 2) * (t ** 2 - 3), QQ, "beta", real=True)
+        lo, hi = tower.steps[-1].embedding
+        assert lo ** 2 > 2 and hi ** 2 > 3 and sturm_real_root_count(m, (lo, hi)) == 1
+        _, tower, _ = adjoin_root(t ** 3 - 2, QQ, "beta")
+        assert tower.steps[-1].embedding is None
 
     def test_postcondition_randomized(self):
         rng = random.Random(905)
@@ -77,22 +90,54 @@ class TestChooseRoot:
             f = t + rng.randint(-4, 4)
             for _ in range(rng.randrange(0, 2)):
                 f = f * (t ** 2 + rng.randrange(1, 5))
-            spec = choose_root_alpha(f)
-            assert f.eval_at(spec.value).is_zero()
+            root, _, _ = adjoin_root(f, QQ, "alpha")
+            assert f.eval_at(root).is_zero()
+
+    def test_property_derandomized(self):
+        # factors without rational roots, with and without real ones
+        real_free = [t ** 2 + 1, t ** 2 + t + 1, t ** 4 + 3]
+        with_real = [t ** 2 - 2, t ** 2 - 3, t ** 3 - 2, t ** 3 - 3 * t + 1]
+        _, base = tower_sqrt(QQ, Fraction(7))
+        base = base.extend("beta", [-5, 0, 1])
+        rng = random.Random(20261019)
+        for _ in range(60):
+            g = UniPoly.constant("t", rng.choice([-3, -1, 2, 5]))
+            for _ in range(rng.randrange(1, 3)):
+                g = g * rng.choice(real_free + with_real) ** rng.randrange(1, 3)
+            roots = [Fraction(rng.randint(-6, 6), rng.randrange(1, 4)) for _ in range(rng.randrange(0, 3))]
+            f = g
+            for r in roots:
+                f = f * (t - r)
+            root, tower, m = adjoin_root(f, base, "beta")
+            if roots:
+                assert root == min(roots, key=lambda r: (abs(r), r < 0))
+                assert tower == base and m is None
+                continue
+            assert f.eval_at(root).is_zero() and m == squarefree_part(f)
+            assert tower.steps[:-1] == base.steps and tower.steps[-1].name not in ("beta", "sqrt(7)")
+            f = f * rng.choice(with_real)
+            _, tower, m = adjoin_root(f, base, "beta", real=True)
+            lo, hi = tower.steps[-1].embedding
+            assert sturm_real_root_count(m, (lo, hi)) == 1
+            assert sturm_real_root_count(m, (hi, None)) == 0
+
+
+def tubular_h(s: SurfaceParam) -> MultiPoly:
+    """h of the tubular base, read off its second component (v + h) / 2."""
+    return 2 * s.y - v
 
 
 class TestFactorH:
+    """p(u v + alpha) = v * h(u, v) on the tubular base."""
+
     def test_linear(self):
-        h = factor_h(t, choose_root_alpha(t))
-        assert h == u
+        assert tubular_h(tubular_base(t)) == u
 
     def test_quadratic(self):
-        h = factor_h(t ** 2 - 1, choose_root_alpha(t ** 2 - 1))
-        assert h == u ** 2 * v + 2 * u
+        assert tubular_h(tubular_base(t ** 2 - 1)) == u ** 2 * v + 2 * u
 
     def test_cubic_expanded(self):
-        h = factor_h(t ** 3 + 1, choose_root_alpha(t ** 3 + 1))
-        assert h == u ** 3 * v ** 2 - 3 * u ** 2 * v + 3 * u
+        assert tubular_h(tubular_base(t ** 3 + 1)) == u ** 3 * v ** 2 - 3 * u ** 2 * v + 3 * u
 
     def test_identity_randomized(self):
         rng = random.Random(906)
@@ -100,32 +145,22 @@ class TestFactorH:
             f = (t - rng.randint(-3, 3)) * (t ** 2 + rng.randrange(1, 4) * t + rng.randint(-3, 5))
             if not factor_is_squarefree(f):
                 continue
-            alpha = choose_root_alpha(f)
-            h = factor_h(f, alpha)
-            image = substitute(
-                f, {"t": u * v + MultiPoly.constant(alpha.value, ("u", "v"), alpha.value.tower)}
-            )
-            assert (v * h - image).is_zero()
-
-
-def factor_is_squarefree(f):
-    from revolutio import gcd_unipoly
-
-    return gcd_unipoly(f, f.derivative()).is_constant()
+            s = tubular_base(f)
+            h = tubular_h(s)
+            assert (v * h - substitute(f, {"t": s.z})).is_zero()
+            assert s.x == s.tower.gen("i") * Fraction(1, 2) * (v - h)
 
 
 class TestTubularParam:
     def test_paraboloid(self):
         x, y, z = xyz()
-        T = tubularize(decompose_paa(PlaneCurveParam.polynomial(t, t)))
-        s = tubular_polynomial_param(T, choose_root_alpha(T.p))
+        s = tubular_base(decompose_paa(PlaneCurveParam.polynomial(t, t)).p)
         # x^2 + y^2 = uv = z
         assert (s.x ** 2 + s.y ** 2 - s.z).is_zero()
         assert verify_on_surface(s, x ** 2 + y ** 2 - z).on_surface
 
     def test_one_sheet_components(self):
-        T = tubularize(decompose_paa(PlaneCurveParam.polynomial(t ** 2 - 1, t)))
-        s = tubular_polynomial_param(T, choose_root_alpha(T.p))
+        s = tubular_base(decompose_paa(PlaneCurveParam.polynomial(t ** 2 - 1, t)).p)
         tower = s.tower
         i = tower.gen("i")
         half = Fraction(1, 2)
@@ -135,22 +170,30 @@ class TestTubularParam:
         assert s.z == u * v + 1
 
     def test_cubic_z_component(self):
-        T = tubularize(decompose_paa(PlaneCurveParam.polynomial(t ** 3 + 1, t)))
-        s = tubular_polynomial_param(T, choose_root_alpha(T.p))
+        s = tubular_base(decompose_paa(PlaneCurveParam.polynomial(t ** 3 + 1, t)).p)
         assert s.z == u * v - 1
+
+    def test_alpha_adjoined_before_i(self):
+        s = tubular_base(t ** 2 - 2)
+        assert [st.name for st in s.tower.steps] == ["alpha", "i"]
+        assert s.provenance == ("root alpha = alpha (tower-extension)", "tubular parametrization")
+
+
+def factor_is_squarefree(f):
+    from revolutio import gcd_unipoly
+
+    return gcd_unipoly(f, f.derivative()).is_constant()
 
 
 class TestLift:
     def test_identity_lift(self):
-        T = tubularize(decompose_paa(PlaneCurveParam.polynomial(t, t)))
-        s = tubular_polynomial_param(T, choose_root_alpha(T.p))
+        s = tubular_base(decompose_paa(PlaneCurveParam.polynomial(t, t)).p)
         lifted = tubular_lift(s, UniPoly.constant("t", 1), t)
         assert lifted.components == s.components
 
     def test_scaling_lift(self):
         x, y, z = xyz()
-        T = tubularize(decompose_paa(PlaneCurveParam.polynomial(t ** 3, t)))
-        s = tubular_polynomial_param(T, choose_root_alpha(T.p))
+        s = tubular_base(decompose_paa(PlaneCurveParam.polynomial(t ** 3, t)).p)
         lifted = tubular_lift(s, t, t)
         # [ (i/2) uv (v-u), (1/2) uv (v+u), uv ] against x^2 + y^2 - z^3
         tower = lifted.tower
@@ -164,15 +207,13 @@ class TestLift:
     def test_sphere_pipeline_lift_is_identity(self):
         x, y, z = xyz()
         d = decompose_paa(PlaneCurveParam.polynomial(1 - t ** 2, t))
-        T = tubularize(d)
-        s = tubular_polynomial_param(T, choose_root_alpha(T.p))
+        s = tubular_base(d.p)
         lifted = tubular_lift(s, d.a, d.b)
         assert lifted.components == s.components
         assert verify_on_surface(lifted, x ** 2 + y ** 2 + z ** 2 - 1).on_surface
 
     def test_constant_b_rejected(self):
-        T = tubularize(decompose_paa(PlaneCurveParam.polynomial(t, t)))
-        s = tubular_polynomial_param(T, choose_root_alpha(T.p))
+        s = tubular_base(decompose_paa(PlaneCurveParam.polynomial(t, t)).p)
         with pytest.raises(DegenerateProfile):
             tubular_lift(s, t, UniPoly.constant("t", 2))
         with pytest.raises(DegenerateProfile):
@@ -195,8 +236,7 @@ class TestLift:
 
     def test_rotational_structure_preserved(self):
         d = decompose_paa(PlaneCurveParam.polynomial((t ** 2 + 1) ** 2 * (t - 2), t + 5))
-        T = tubularize(d)
-        s = tubular_polynomial_param(T, choose_root_alpha(T.p))
+        s = tubular_base(d.p)
         lifted = tubular_lift(s, d.a, d.b)
         pa2 = d.p * d.a * d.a
         expected = substitute(pa2, {"t": s.z})
@@ -308,7 +348,7 @@ class TestRotateCurve:
         sv = MultiPoly.variable("s", st)
         tv = MultiPoly.variable("t", st)
         one = MultiPoly.constant(1, st)
-        (n1, d1), (n2, d2), (n3, d3) = r.components
+        (n1, d1), (n2, d2), (n3, d3) = r
         assert n1 == 2 * sv and d1 == 1 + sv ** 2
         assert n2 == -(1 - sv ** 2) and d2 == 1 + sv ** 2
         assert n3 == tv and d3 == one
@@ -316,7 +356,7 @@ class TestRotateCurve:
     def test_cone_residual(self):
         x, y, z = xyz()
         r = rotate_curve(t, UniPoly.zero("t"), t)
-        assert rational_residual(x ** 2 + y ** 2 - z ** 2, r.components).is_zero()
+        assert rational_residual(x ** 2 + y ** 2 - z ** 2, r).is_zero()
 
     def test_axis_flagged_degenerate(self):
         rotate_curve(UniPoly.zero("t"), UniPoly.zero("t"), t)

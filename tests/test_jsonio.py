@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revolutio import QQ, MultiPoly, UniPoly, cubic_example, sphere_witness
+from revolutio import QQ, InvalidInput, MultiPoly, UniPoly, cubic_example, sphere_witness
 from revolutio.jsonio import (
     dumps,
     field_to_json,
@@ -33,6 +33,21 @@ def test_tower_round_trip_with_embedding():
     back = json_to_tower(tower_to_json(tower))
     assert back == tower
     assert back.steps[0].embedding == (1, 2)
+
+
+def test_unreduced_exponent_keys_refused():
+    # encoded elements are reduced: a key "2" over sqrt(2) is no encoding,
+    # in a coefficient or in a later step's minimal polynomial
+    tower = QQ.extend("sqrt2", [-2, 0, 1])
+    assert json_to_field({"1": "3"}, tower) == 3 * tower.gen("sqrt2")
+    with pytest.raises(InvalidInput):
+        json_to_field({"2": "1"}, tower)
+    obj = tower_to_json(tower.extend("cbrt3", [-3, 0, 0, 1]))
+    two = json_to_tower(obj)
+    assert json_to_field({"0,2": "1"}, two) == two.gen("cbrt3") ** 2
+    obj[1]["minpoly"][0] = {"2": "-3"}
+    with pytest.raises(InvalidInput):
+        json_to_tower(obj)
 
 
 def test_poly_round_trip_rational():

@@ -4,8 +4,8 @@
 module and attribute; a refactor that renames or removes one loses that
 layer from the benchmark without failing anything else. This reads the
 tracer's tables (without installing it) and resolves each name, and runs
-the mesh-export workload once under the tracer: a traced function that
-mesh export no longer reaches through its module attribute (a kernel
+one seed-1 round of each workload under the tracer: a traced function
+that a workload no longer reaches through its module attribute (a kernel
 inlined or called under another name) is a layer lost there.
 """
 
@@ -46,20 +46,33 @@ def test_counted_attribute_resolves(module, cls, attr, metric):
     assert callable(fn)
 
 
-def test_mesh_export_round_calls_every_expected_layer(tmp_path):
+def _traced_round_misses(workload, tmp_path) -> list:
+    """Expected layers of the workload that one traced seed-1 round never calls."""
     import revolutio.cli as cli
 
-    cases = _load("workloads").build("mesh-export", 1)
+    cases = _load("workloads").build(workload, 1)
     tracer = _T.Tracer()
     tracer.install()
     try:
         for i, case in enumerate(cases):
             argv = list(case.argv)
-            argv[argv.index("--out") + 1] = str(tmp_path / f"{i}.obj")
-            with contextlib.redirect_stdout(io.StringIO()):
+            if "--out" in argv:
+                argv[argv.index("--out") + 1] = str(tmp_path / f"{i}.obj")
+            # argparse ends a malformed call with SystemExit, as the benchmark's runner allows
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+                    contextlib.suppress(SystemExit):
                 cli.main(argv)
     finally:
         tracer.uninstall()
     calls = tracer.layer_metrics()
     assert tracer.missing == []
-    assert [n for n in _T.EXPECTED_NONZERO["mesh-export"] if calls[n]["calls"] == 0] == []
+    return [n for n in _T.EXPECTED_NONZERO[workload] if calls[n]["calls"] == 0]
+
+
+def test_mesh_export_round_calls_every_expected_layer(tmp_path):
+    assert _traced_round_misses("mesh-export", tmp_path) == []
+
+
+@pytest.mark.parametrize("workload", ["verdict-mix", "elimination"])
+def test_round_calls_every_expected_layer(workload, tmp_path):
+    assert _traced_round_misses(workload, tmp_path) == []

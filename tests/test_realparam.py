@@ -13,7 +13,6 @@ from revolutio import (
     P2Decomposition,
     PlaneCurveParam,
     UniPoly,
-    canonicalize_quadratic,
     conjecture_predicate,
     cubic_example,
     decompose_paa,
@@ -23,6 +22,7 @@ from revolutio import (
     real_param_delta1,
     real_param_delta2,
     real_verdict,
+    substitute,
     surface_implicit,
     verify_on_surface,
 )
@@ -52,24 +52,33 @@ def decomp(x, b):
     return decompose_paa(PlaneCurveParam.polynomial(x, b))
 
 
+def tubular_identity_holds(verdict, p):
+    """X^2 + Y^2 = p(Z) for the witness of a verdict lifted by a = 1, b = t."""
+    w = verdict.witness
+    return (w.x ** 2 + w.y ** 2 - substitute(p, {"t": w.z})).is_zero()
+
+
 class TestCanonicalize:
+    """real_param_delta2 completes the square of p to sign*z^2 + lambda."""
+
     def test_already_canonical(self):
-        cq = canonicalize_quadratic(t ** 2 - 1)
-        assert cq.sign == 1 and cq.lam == -1
-        assert cq.reparam.scale == 1 and cq.reparam.shift == 0
+        verdict = real_param_delta2(decomp(t ** 2 - 1, t))
+        assert verdict.status == "real-nonproper-double-cover"
+        assert verdict.witness.tower == QQ
+        assert tubular_identity_holds(verdict, t ** 2 - 1)
 
     def test_complete_the_square_oracle(self):
-        # 4z^2 + 8z at the vertex z = -1 takes value -4; scale 1/2 maps
-        # z^2 - 4 back: 4(z/2 - 1)^2 + 8(z/2 - 1) = z^2 - 4
-        cq = canonicalize_quadratic(4 * t ** 2 + 8 * t)
-        assert cq.sign == 1 and cq.lam == -4
-        assert cq.reparam.scale == Fraction(1, 2) and cq.reparam.shift == -1
-        assert cq.reparam.apply_to_poly(4 * t ** 2 + 8 * t) == t ** 2 - 4
+        # 4z^2 + 8z = 4(z + 1)^2 - 4: sign +1, lambda = -4, scale 1/2, shift -1,
+        # and sqrt(4) and sqrt(|-4|) are rational
+        p = 4 * t ** 2 + 8 * t
+        verdict = real_param_delta2(decomp(p, t))
+        assert verdict.status == "real-nonproper-double-cover"
+        assert verdict.witness.tower == QQ
+        assert tubular_identity_holds(verdict, p)
 
     def test_negative_leading(self):
-        cq = canonicalize_quadratic(-9 * t ** 2 + 1)
-        assert cq.sign == -1 and cq.lam == 1
-        assert cq.reparam.scale == Fraction(1, 3)
+        verdict = real_param_delta2(decomp(-9 * t ** 2 + 1, t))
+        assert verdict.status == "no-real-parametrization" and verdict.witness is None
 
     def test_roundtrip_randomized(self):
         rng = random.Random(907)
@@ -79,14 +88,17 @@ class TestCanonicalize:
             p = UniPoly("t", {2: Fraction(c2), 1: Fraction(c1), 0: Fraction(c0)})
             if 4 * c2 * c0 == c1 * c1:  # not square-free
                 continue
-            cq = canonicalize_quadratic(p)
-            tower = cq.reparam.scale.tower
-            expected = UniPoly("t", {2: tower.rational(cq.sign), 0: tower.rational(cq.lam)}, tower)
-            assert (cq.reparam.apply_to_poly(p.with_tower(tower)) - expected).is_zero()
+            lam = Fraction(c0) - Fraction(c1 * c1, 4 * c2)
+            verdict = real_param_delta2(decomp(p, t))
+            if c2 < 0:
+                assert verdict.status == ("empty-real-locus" if lam < 0 else "no-real-parametrization")
+                continue
+            assert verdict.status == ("real-proper" if lam > 0 else "real-nonproper-double-cover")
+            assert tubular_identity_holds(verdict, p)
 
     def test_wrong_degree(self):
         with pytest.raises(InvalidInput):
-            canonicalize_quadratic(t + 1)
+            real_param_delta2(decomp(t + 1, t))
 
 
 class TestDelta1:

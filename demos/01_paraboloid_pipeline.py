@@ -22,18 +22,20 @@ print("surface          :", F, "= 0")
 G = implicit_to_p2(F)
 print("profile-square   :", G, "= 0   (w stands for x^2 + y^2)")
 
-curve = p2_param_from_graph(G)
-print("parametrized     :", curve)
+x, b = p2_param_from_graph(G)
+print("parametrized     :", f"[{x}, {b}]")
 
-d = decompose_paa(curve)
+d = decompose_paa(x, b)
 print("normal form      : p =", d.p, "| a =", d.a, "| b =", d.b, "| degree invariant =", d.delta)
 
 print("tubular companion:", tubularize(d), "= 0")
 
 witness = sor_complex_param(d)
 print("complex witness  :", witness)
-print("verification     :", verify_on_surface(witness, F))
+verify_on_surface(witness, F)  # raises unless the residual is 0 and the rank 2
+print("verified         : residual 0, jacobian rank 2")
 
 rv = real_verdict(d)
 print("real verdict     :", rv.status, "->", rv.witness)
-print("verification     :", verify_on_surface(rv.witness, F))
+verify_on_surface(rv.witness, F)
+print("verified         : residual 0, jacobian rank 2")

@@ -10,7 +10,6 @@ A^2 + B^2 = C^2 + 1 does the job.
 
 from revolutio import (
     NotPolynomial,
-    PlaneCurveParam,
     UniPoly,
     decompose_paa,
     parse_poly,
@@ -22,7 +21,7 @@ from revolutio import (
 t = UniPoly.variable("t")
 
 print("== cylinder x^2+y^2-1 = 0")
-d = decompose_paa(PlaneCurveParam.polynomial(UniPoly.constant("t", 1), t))
+d = decompose_paa(UniPoly.constant("t", 1), t)
 try:
     sor_complex_param(d)
 except NotPolynomial as exc:
@@ -31,16 +30,18 @@ print()
 
 print("== cone x^2+y^2-z^2 = 0 (profile [t, t], so the first coordinate is t^2)")
 F = parse_poly("x^2+y^2-z^2")
-d = decompose_paa(PlaneCurveParam.polynomial(t ** 2, t))
+d = decompose_paa(t ** 2, t)
 rv = real_verdict(d)
 print("   witness :", rv.witness)
-print("   residual zero:", verify_on_surface(rv.witness, F).on_surface)
+verify_on_surface(rv.witness, F)  # raises unless the residual is 0 and the rank 2
+print("   verified: residual 0, jacobian rank 2")
 print()
 
 print("== x^2+y^2 = (z^2+1)^2, radius (t^2+1) never vanishes on the reals")
 F = parse_poly("x^2+y^2-(z^2+1)^2")
-d = decompose_paa(PlaneCurveParam.polynomial((t ** 2 + 1) ** 2, t))
+d = decompose_paa((t ** 2 + 1) ** 2, t)
 rv = real_verdict(d)
 print("   verdict :", rv.status, "--", rv.reason)
 print("   witness :", rv.witness)
-print("   residual zero:", verify_on_surface(rv.witness, F).on_surface)
+verify_on_surface(rv.witness, F)  # raises unless the residual is 0 and the rank 2
+print("   verified: residual 0, jacobian rank 2")

@@ -15,7 +15,8 @@ print("surface :", F, "= 0")
 print("witness over", w.tower, ":")
 for name, comp in zip("xyz", w.components):
     print(f"   {name}(u,v) =", comp)
-print("residual zero:", verify_on_surface(w, F).on_surface)
+verify_on_surface(w, F)  # raises unless the residual is 0 and the rank 2
+print("verified: residual 0, jacobian rank 2")
 print("fiber at (1,1):", fiber_count(w, (1, 1)))
 
 out = Path(tempfile.gettempdir()) / "cubic_patch.obj"

@@ -2,7 +2,7 @@
 construct a verified witness wherever one exists.
 """
 
-from revolutio import NotPolynomial, Unsupported, parse_poly, quadric_param, quadric_report
+from revolutio import parse_poly, quadric_report, verify_on_surface
 
 GALLERY = [
     "x^2+y^2-z^2",
@@ -20,8 +20,8 @@ GALLERY = [
 
 for text in GALLERY:
     F = parse_poly(text)
-    rep = quadric_report(F)
-    over_r = rep.polynomial_over_R
-    print(f"{text:28s} {rep.quadric_class:24s} over C: {str(rep.polynomial_over_C):5s} over R: {over_r}")
-    if rep.witness is not None:
-        print(f"{'':28s} witness [{rep.witness.x}, {rep.witness.y}, {rep.witness.z}]")
+    cls, over_c, over_r, witness = quadric_report(F)
+    print(f"{text:28s} {cls:24s} over C: {str(over_c):5s} over R: {over_r}")
+    if witness is not None:
+        verify_on_surface(witness, F)  # raises unless the residual is 0 and the rank 2
+        print(f"{'':28s} witness [{witness.x}, {witness.y}, {witness.z}]")

@@ -52,7 +52,6 @@ from .poly import (
 )
 from .profile import (
     P2Decomposition,
-    PlaneCurveParam,
     affine_equivalent,
     decompose_paa,
     implicit_to_p2,
@@ -61,7 +60,7 @@ from .profile import (
     surface_implicit,
     tubularize,
 )
-from .quadrics import QuadricReport, classify_quadric, quadric_param, quadric_report, quadric_verdict
+from .quadrics import classify_quadric, quadric_param, quadric_report, quadric_verdict
 from .realparam import (
     ConjecturePredicate,
     RealVerdict,
@@ -75,13 +74,6 @@ from .realparam import (
     sphere_witness,
 )
 from .tower import QQ, ExtensionTower, FieldElement
-from .verify import (
-    INDETERMINATE,
-    VerificationReport,
-    fiber_count,
-    fiber_count_first_valid,
-    jacobian_generic_rank,
-    verify_on_surface,
-)
+from .verify import fiber_count, fiber_count_first_valid, jacobian_generic_rank, verify_on_surface
 
 __version__ = "0.1.0"

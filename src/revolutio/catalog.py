@@ -20,8 +20,9 @@ from .complexparam import (
     sor_complex_param,
     tubular_base,
 )
+from .errors import InternalInvariant
 from .poly import MultiPoly, UniPoly, substitute
-from .profile import PlaneCurveParam, decompose_paa
+from .profile import decompose_paa
 from .realparam import cubic_example, real_param_delta2, sphere_witness
 from .verify import rational_residual, verify_on_surface
 
@@ -47,10 +48,11 @@ class CatalogResult:
 
 
 def _on_surface_entry(name, witness, F) -> CatalogResult:
-    rep = verify_on_surface(witness, F)
-    ok = rep.on_surface and rep.jacobian_rank == 2
-    detail = f"residual {'0' if rep.on_surface else repr(rep.residual)}, jacobian rank {rep.jacobian_rank}"
-    return CatalogResult(name, ok, detail)
+    try:
+        verify_on_surface(witness, F)
+    except InternalInvariant as exc:
+        return CatalogResult(name, False, str(exc))
+    return CatalogResult(name, True, "residual 0, jacobian rank 2")
 
 
 def _sphere_entry() -> CatalogResult:
@@ -68,7 +70,7 @@ def _tubular_entry(p: UniPoly) -> CatalogResult:
 def _cone_entry() -> CatalogResult:
     t = UniPoly.variable("t")
     x, y, z = _xyz()
-    d = decompose_paa(PlaneCurveParam.polynomial(t ** 2, t))
+    d = decompose_paa(t ** 2, t)
     s = cylinder_case_param(d)
     return _on_surface_entry("cone-via-degree-two-substitution", s, x * x + y * y - z * z)
 
@@ -79,7 +81,7 @@ def _hyperboloid_entry(lam: int) -> CatalogResult:
     t = UniPoly.variable("t")
     x, y, z = _xyz()
     name = f"one-sheet[lambda={lam}]" if lam > 0 else "two-sheet-double-cover"
-    v = real_param_delta2(decompose_paa(PlaneCurveParam.polynomial(t ** 2 + lam, t)))
+    v = real_param_delta2(decompose_paa(t ** 2 + lam, t))
     if v.witness is None:
         return CatalogResult(name, False, f"no witness: {v.reason}")
     return _on_surface_entry(name, v.witness, x * x + y * y - z * z - lam)
@@ -93,7 +95,7 @@ def _cubic_entry() -> CatalogResult:
 def _closed_formula_entry() -> CatalogResult:
     t = UniPoly.variable("t")
     x, y, z = _xyz()
-    d = decompose_paa(PlaneCurveParam.polynomial(1 - t ** 2, t))
+    d = decompose_paa(1 - t ** 2, t)
     s = sor_complex_param(d)
     return _on_surface_entry("closed-formula[sphere]", s, x * x + y * y + z * z - 1)
 
@@ -102,7 +104,7 @@ def _closed_formula_lift_entry() -> CatalogResult:
     # nontrivial multiplier a = t: the lift is exercised, not just the base
     t = UniPoly.variable("t")
     x, y, z = _xyz()
-    d = decompose_paa(PlaneCurveParam.polynomial(t ** 3, t))
+    d = decompose_paa(t ** 3, t)
     s = sor_complex_param(d)
     return _on_surface_entry("closed-formula[x^2+y^2-z^3]", s, x * x + y * y - z ** 3)
 

@@ -19,7 +19,6 @@ from .catalog import catalog_results
 from .complexparam import SurfaceParam, sor_complex_param
 from .errors import (
     DegenerateProfile,
-    InternalInvariant,
     InvalidInput,
     NoRealEmbedding,
     NotAGraph,
@@ -35,7 +34,6 @@ from .mesh import export_obj
 from .parsing import parse_poly
 from .poly import UniPoly
 from .profile import (
-    PlaneCurveParam,
     affine_equivalent,
     decompose_paa,
     implicit_to_p2,
@@ -92,8 +90,9 @@ def _fraction_arg(text: str) -> Fraction:
             raise InvalidInput(f"bad number {text!r}") from exc
 
 
-def _verification_block(report) -> dict:
-    return {"on_surface": report.on_surface, "jacobian_rank": report.jacobian_rank}
+#: The verification block of every emitted witness: ``verify_on_surface``
+#: has passed it, or the command ends in INTERNAL before anything is written.
+VERIFIED = {"on_surface": True, "jacobian_rank": 2}
 
 
 def _decomposition_block(d) -> dict:
@@ -104,26 +103,23 @@ def cmd_analyze(args) -> int:
     F = None
     if args.implicit is not None:
         F = parse_poly(args.implicit, allowed_vars=XYZ)
-        curve = p2_param_from_graph(implicit_to_p2(F))
+        x, b = p2_param_from_graph(implicit_to_p2(F))
         echo = {"implicit": args.implicit}
     elif args.p2 is not None:
         x = _to_unipoly(args.p2[0], "t")
         b = _to_unipoly(args.p2[1], "t")
-        curve = PlaneCurveParam.polynomial(x, b)
         echo = {"p2": list(args.p2)}
     else:
         xn, xd, zn, zd = (_to_unipoly(s, "s") for s in args.p2_rational)
-        curve = polynomialize_rational(PlaneCurveParam(xn, xd, zn, zd))
+        x, b = polynomialize_rational(xn, xd, zn, zd)
         echo = {"p2_rational": list(args.p2_rational)}
-    d = decompose_paa(curve)
+    d = decompose_paa(x, b)
     # before surface_implicit: the witness refuses a cylinder (x(t) constant),
     # which the resultant there cannot take
     witness = sor_complex_param(d)
     if F is None:
         F = surface_implicit(d)
-    crep = verify_on_surface(witness, F)
-    if not crep.on_surface or crep.jacobian_rank != 2:
-        raise InternalInvariant("complex witness failed verification; refusing to emit")
+    verify_on_surface(witness, F)
     rv = real_verdict(d)
     real_block = {
         "status": rv.status,
@@ -136,27 +132,21 @@ def cmd_analyze(args) -> int:
     }
     if rv.witness is not None:
         # a real witness that is the complex one is not checked twice
-        same = rv.witness.components == witness.components
-        rrep = crep if same else verify_on_surface(rv.witness, F)
-        if not rrep.on_surface or rrep.jacobian_rank != 2:
-            raise InternalInvariant("real witness failed verification; refusing to emit")
+        if rv.witness.components != witness.components:
+            verify_on_surface(rv.witness, F)
         real_block["witness"] = param_to_json(rv.witness)
-        real_block["verification"] = _verification_block(rrep)
+        real_block["verification"] = VERIFIED
         if rv.status == "real-nonproper-double-cover":
             n, sample = fiber_count_first_valid(rv.witness)
-            real_block["fiber_count"] = n if isinstance(n, int) else None
+            real_block["fiber_count"] = n
             real_block["fiber_sample"] = [str(sample[0]), str(sample[1])] if sample else None
     cp = conjecture_predicate(d)
     quadric_block = None
     if F.total_degree == 2:
         cls = classify_quadric(F)
         try:
-            qrep = quadric_verdict(cls)
-            quadric_block = {
-                "class": qrep.quadric_class,
-                "polynomial_over_C": qrep.polynomial_over_C,
-                "polynomial_over_R": qrep.polynomial_over_R,
-            }
+            over_c, over_r = quadric_verdict(cls)
+            quadric_block = {"class": cls, "polynomial_over_C": over_c, "polynomial_over_R": over_r}
         except Unsupported:
             quadric_block = {"class": cls}
     _emit(
@@ -170,7 +160,7 @@ def cmd_analyze(args) -> int:
             "implicit_surface": poly_to_json(F),
             "complex_parametrization": {
                 **param_to_json(witness),
-                "verification": _verification_block(crep),
+                "verification": VERIFIED,
             },
             "real_verdict": real_block,
             "conjecture_predicate": {
@@ -187,21 +177,19 @@ def cmd_analyze(args) -> int:
 
 def cmd_quadric(args) -> int:
     F = parse_poly(args.implicit, allowed_vars=XYZ)
-    rep = quadric_report(F)
+    cls, over_c, over_r, witness = quadric_report(F)
     block = {
         "input": {"implicit": args.implicit},
-        "class": rep.quadric_class,
-        "polynomial_over_C": rep.polynomial_over_C,
-        "polynomial_over_R": rep.polynomial_over_R,
+        "class": cls,
+        "polynomial_over_C": over_c,
+        "polynomial_over_R": over_r,
         "witness": None,
         "verification": None,
     }
-    if rep.witness is not None:
-        vrep = verify_on_surface(rep.witness, F)
-        if not vrep.on_surface:
-            raise InternalInvariant("quadric witness failed verification; refusing to emit")
-        block["witness"] = param_to_json(rep.witness)
-        block["verification"] = _verification_block(vrep)
+    if witness is not None:
+        verify_on_surface(witness, F)
+        block["witness"] = param_to_json(witness)
+        block["verification"] = VERIFIED
     _emit(block)
     return 0
 
@@ -259,22 +247,21 @@ def cmd_verify_catalog(args) -> int:
 
 
 def cmd_p2_decompose(args) -> int:
-    curve = PlaneCurveParam.polynomial(_to_unipoly(args.x, "t"), _to_unipoly(args.z, "t"))
-    _emit({"p2_decomposition": _decomposition_block(decompose_paa(curve))})
+    d = decompose_paa(_to_unipoly(args.x, "t"), _to_unipoly(args.z, "t"))
+    _emit({"p2_decomposition": _decomposition_block(d)})
     return 0
 
 
 def cmd_p2_polynomialize(args) -> int:
     xn, xd, zn, zd = (_to_unipoly(s, "s") for s in (args.x_num, args.x_den, args.z_num, args.z_den))
-    out = polynomialize_rational(PlaneCurveParam(xn, xd, zn, zd))
-    x, z = out.poly_components()
+    x, z = polynomialize_rational(xn, xd, zn, zd)
     _emit({"polynomial_parametrization": {"x": poly_to_json(x), "z": poly_to_json(z)}})
     return 0
 
 
 def cmd_p2_equiv(args) -> int:
-    f = PlaneCurveParam.polynomial(_to_unipoly(args.first[0], "t"), _to_unipoly(args.first[1], "t"))
-    g = PlaneCurveParam.polynomial(_to_unipoly(args.second[0], "s"), _to_unipoly(args.second[1], "s"))
+    f = (_to_unipoly(args.first[0], "t"), _to_unipoly(args.first[1], "t"))
+    g = (_to_unipoly(args.second[0], "s"), _to_unipoly(args.second[1], "s"))
     try:
         scale, shift = affine_equivalent(f, g)
     except NotEquivalent as exc:

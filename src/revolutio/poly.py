@@ -678,23 +678,12 @@ def invert_mod(a: UniPoly, m: UniPoly, step_name: str) -> UniPoly:
     return s1 * r1.coeff(0).inverse()
 
 
-class SquareFreeDecomposition:
-    """Yun decomposition f = content * prod(factor_i ^ multiplicity_i)."""
-
-    def __init__(self, content: Fraction, factors: list):
-        self.content = content
-        self.factors = factors  # list of (monic UniPoly, multiplicity), mult increasing
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __repr__(self):
-        return f"SquareFreeDecomposition(content={self.content}, factors={self.factors})"
-
-
-def squarefree_decompose(f: UniPoly) -> SquareFreeDecomposition:
-    """Yun's algorithm (Yun 1976) on the primitive integer multiple of f;
-    multiplicities come out strictly increasing.
+def squarefree_decompose(f: UniPoly) -> tuple:
+    """(content, factors) with f = content * prod(factor ^ multiplicity):
+    content is f's leading coefficient, a Fraction, and factors a list of
+    (monic UniPoly, multiplicity) pairs, by Yun's algorithm (Yun 1976) on
+    the primitive integer multiple of f; multiplicities come out strictly
+    increasing.
 
     Every gcd is a primitive PRS gcd and every quotient an exact division
     in Z[t]: b and d always carry the same rational scale, so Yun's
@@ -708,7 +697,7 @@ def squarefree_decompose(f: UniPoly) -> SquareFreeDecomposition:
     content = f.lc().as_rational()
     factors = []
     if f.is_constant():
-        return SquareFreeDecomposition(content, factors)
+        return content, factors
     p = _primitive(_int_coeffs(f))[1]
     dp = _derivative_int(p)
     g = _gcd_int(p, dp)
@@ -723,7 +712,7 @@ def squarefree_decompose(f: UniPoly) -> SquareFreeDecomposition:
         b = _divexact(b, a)
         d = _sub_int(_divexact(d, a), _derivative_int(b))
         i += 1
-    return SquareFreeDecomposition(content, factors)
+    return content, factors
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:

@@ -5,7 +5,8 @@ The section of the surface with the plane y = 0, pushed through
 everything downstream. This module extracts that curve from an implicit
 equation, normalizes its parametrization into the (p, a, b) form with p
 square-free, and attaches the tubular companion surface
-x^2 + y^2 - p(z) = 0.
+x^2 + y^2 - p(z) = 0. A curve is the plain pair (x(t), b(t)) of UniPolys,
+and one with both components constant is refused wherever it enters.
 """
 
 from __future__ import annotations
@@ -35,54 +36,10 @@ from .poly import (
 from .tower import join_towers
 
 
-class PlaneCurveParam:
-    """A parametrized plane curve [x(t), z(t)], polynomial or rational.
-
-    Rational components are stored as coprime numerator/denominator pairs.
-    At least one component must be non-constant.
-    """
-
-    def __init__(self, x_num: UniPoly, x_den: UniPoly, z_num: UniPoly, z_den: UniPoly):
-        for d in (x_den, z_den):
-            if d.is_zero():
-                raise InvalidInput("zero denominator")
-        x_num, x_den = _reduce_fraction(x_num, x_den)
-        z_num, z_den = _reduce_fraction(z_num, z_den)
-        if _is_constant_ratio(x_num, x_den) and _is_constant_ratio(z_num, z_den):
-            raise InvalidInput("both components are constant")
-        self.x_num, self.x_den = x_num, x_den
-        self.z_num, self.z_den = z_num, z_den
-
-    @classmethod
-    def polynomial(cls, x: UniPoly, z: UniPoly) -> "PlaneCurveParam":
-        one = UniPoly.constant(x.var, 1)
-        return cls(x, one, z, one.rename(z.var))
-
-    @property
-    def kind(self) -> str:
-        if self.x_den.is_constant() and self.z_den.is_constant():
-            return "polynomial"
-        return "rational"
-
-    @property
-    def var(self) -> str:
-        return self.x_num.var if not self.x_num.is_zero() else self.z_num.var
-
-    def poly_components(self):
-        if self.kind != "polynomial":
-            raise InvalidInput("not a polynomial parametrization")
-        cx = self.x_den.constant_value().inverse()
-        cz = self.z_den.constant_value().inverse()
-        return self.x_num * cx, self.z_num * cz
-
-    def __repr__(self):
-        def frac(n, d):
-            return f"({n})/({d})" if not d == 1 else f"{n}"
-        return f"[{frac(self.x_num, self.x_den)}, {frac(self.z_num, self.z_den)}]"
-
-
-def _is_constant_ratio(n: UniPoly, d: UniPoly) -> bool:
-    return n.is_constant() and d.is_constant()
+def _refuse_constant(*polys: UniPoly) -> None:
+    """Refuse a point: every component (numerator and denominator) constant."""
+    if all(f.is_constant() for f in polys):
+        raise InvalidInput("both components are constant")
 
 
 def _reduce_fraction(n: UniPoly, d: UniPoly):
@@ -156,8 +113,8 @@ def _sum_of_squares() -> MultiPoly:
     return x * x + y * y
 
 
-def p2_param_from_graph(G: MultiPoly) -> PlaneCurveParam:
-    """Parametrize a w-linear profile-square curve c*w - g(z) as [g(t)/c, t]."""
+def p2_param_from_graph(G: MultiPoly) -> tuple:
+    """Parametrize a w-linear profile-square curve c*w - g(z) as (g(t)/c, t)."""
     if G.is_zero():
         raise InvalidInput("zero polynomial")
     if G.degree_in("w") != 1:
@@ -168,42 +125,50 @@ def p2_param_from_graph(G: MultiPoly) -> PlaneCurveParam:
         raise NotAGraph("leading coefficient in w depends on z")
     c = lead.constant_value()
     x = (-coeffs[0]).rename("t") * c.inverse()
-    return PlaneCurveParam.polynomial(x, UniPoly.variable("t", x.tower))
+    return x, UniPoly.variable("t", x.tower)
 
 
-def decompose_paa(c: PlaneCurveParam) -> P2Decomposition:
-    """Split the first coordinate as p * a^2 with p square-free.
+def decompose_paa(x: UniPoly, b: UniPoly) -> P2Decomposition:
+    """Split x of the curve (x(t), b(t)) as p * a^2 with p square-free.
 
-    The content (including sign) of the first coordinate goes into p and a
+    Both components constant is InvalidInput; a constant b or a zero x is a
+    DegenerateProfile. The content (including sign) of x goes into p and a
     is kept monic, so the sign of p is meaningful for the real analysis.
     """
-    x, b = c.poly_components()
+    _refuse_constant(x, b)
     if b.is_constant():
         raise DegenerateProfile("second coordinate is constant (plane perpendicular to the axis)")
     if x.is_zero():
         raise DegenerateProfile("first coordinate is identically zero (the axis)")
     if not x.is_rational_poly():
         raise InvalidInput("decomposition requires rational coefficients")
-    dec = squarefree_decompose(x)
+    content, factors = squarefree_decompose(x)
     var = x.var
-    p = UniPoly.constant(var, dec.content)
+    p = UniPoly.constant(var, content)
     a = UniPoly.constant(var, 1)
-    for f, m in dec.factors:
+    for f, m in factors:
         if m % 2 == 1:
             p = p * f
         a = a * f ** (m // 2)
     return P2Decomposition(p=p, a=a, b=b)
 
 
-def polynomialize_rational(c: PlaneCurveParam) -> PlaneCurveParam:
-    """Turn a proper rational parametrization into a polynomial one when the
-    curve is polynomial (single point at infinity), else NotPolynomialCurve.
+def polynomialize_rational(x_num: UniPoly, x_den: UniPoly, z_num: UniPoly, z_den: UniPoly) -> tuple:
+    """The polynomial pair (x, z) of the curve [x_num/x_den, z_num/z_den]
+    when it is polynomial (single point at infinity), else NotPolynomialCurve.
 
-    Properness of the input is assumed, not checked.
+    A zero denominator, then two constant reduced fractions, are InvalidInput.
+    Constant denominators are divided out; otherwise a Moebius map in t moves
+    the pole to infinity. Properness of the input is assumed, not checked.
     """
-    if c.kind == "polynomial":
-        return c
-    q = _lcm_poly(c.x_den, c.z_den)
+    if x_den.is_zero() or z_den.is_zero():
+        raise InvalidInput("zero denominator")
+    x_num, x_den = _reduce_fraction(x_num, x_den)
+    z_num, z_den = _reduce_fraction(z_num, z_den)
+    _refuse_constant(x_num, x_den, z_num, z_den)
+    if x_den.is_constant() and z_den.is_constant():
+        return x_num * x_den.constant_value().inverse(), z_num * z_den.constant_value().inverse()
+    q = _lcm_poly(x_den, z_den)
     s = squarefree_part(q)
     if s.degree != 1:
         raise NotPolynomialCurve(
@@ -211,7 +176,7 @@ def polynomialize_rational(c: PlaneCurveParam) -> PlaneCurveParam:
         )
     r = -(s.coeff(0) * s.coeff(1).inverse())
     new = []
-    for num, den in ((c.x_num, c.x_den), (c.z_num, c.z_den)):
+    for num, den in ((x_num, x_den), (z_num, z_den)):
         n_lift = _moebius_lift(num, r)
         if n_lift.is_zero():  # a zero numerator lifts to the zero polynomial
             new.append(n_lift)
@@ -226,7 +191,7 @@ def polynomialize_rational(c: PlaneCurveParam) -> PlaneCurveParam:
         if not d_lift.is_constant():
             raise NotPolynomialCurve("a pole survives the reparametrization")
         new.append(n_lift * d_lift.constant_value().inverse())
-    return PlaneCurveParam.polynomial(new[0], new[1])
+    return tuple(new)
 
 
 def _lcm_poly(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -245,15 +210,17 @@ def _moebius_lift(f: UniPoly, r) -> UniPoly:
     return acc
 
 
-def affine_equivalent(f: PlaneCurveParam, g: PlaneCurveParam) -> tuple:
+def affine_equivalent(f: tuple, g: tuple) -> tuple:
     """The rationals (scale, shift) of the unique reparametrization with
     g(s) = f(scale*s + shift), if any; scale is nonzero.
 
-    Both parametrizations must be polynomial with rational coefficients and
-    proper (properness is a precondition, not checked).
+    f and g are non-constant (x, z) pairs over Q, and proper (properness is
+    a precondition, not checked).
     """
-    fx, fz = f.poly_components()
-    gx, gz = g.poly_components()
+    fx, fz = f
+    gx, gz = g
+    _refuse_constant(fx, fz)
+    _refuse_constant(gx, gz)
     for a, b in ((fx, gx), (fz, gz)):
         if a.degree != b.degree:
             raise NotEquivalent("component degrees differ")

@@ -8,12 +8,12 @@ signatures from its sign changes by Descartes' rule (legitimate because
 symmetric matrices have real spectra). Witness construction is
 deliberately limited to diagonal quadratic parts, which covers every
 canonical representative at zero radical cost; verdicts need no witness
-and work for any quadric.
+and work for any quadric. A verdict is the pair (over C, over R) of the
+table below; ``quadric_report`` adds the class and an unverified witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -51,20 +51,6 @@ VERDICTS = {
     E_PARABOLOID: (True, "yes"),
     EMPTY: (False, "no-real-points"),
 }
-
-
-@dataclass
-class QuadricReport:
-    quadric_class: str
-    polynomial_over_C: bool
-    polynomial_over_R: str
-    witness: SurfaceParam | None = None
-
-    def __repr__(self):
-        return (
-            f"QuadricReport({self.quadric_class}: C={self.polynomial_over_C}, "
-            f"R={self.polynomial_over_R})"
-        )
 
 
 def _coefficient_data(F: MultiPoly):
@@ -164,12 +150,12 @@ def classify_quadric(F: MultiPoly) -> str:
     return P_CYLINDER
 
 
-def quadric_verdict(quadric_class: str) -> QuadricReport:
-    """Polynomiality verdicts per class (the nine-row table plus empty)."""
+def quadric_verdict(quadric_class: str) -> tuple:
+    """(polynomial over C, polynomial over R) per class: the nine-row table
+    plus empty."""
     if quadric_class == REDUCIBLE:
         raise Unsupported("reducible quadrics are out of scope")
-    over_c, over_r = VERDICTS[quadric_class]
-    return QuadricReport(quadric_class, over_c, over_r)
+    return VERDICTS[quadric_class]
 
 
 def quadric_param(F: MultiPoly, quadric_class: str | None = None) -> SurfaceParam:
@@ -180,8 +166,8 @@ def quadric_param(F: MultiPoly, quadric_class: str | None = None) -> SurfacePara
     verifies it (see verify.py).
     """
     cls = quadric_class or classify_quadric(F)
-    report = quadric_verdict(cls)
-    if not report.polynomial_over_C:
+    over_c, _ = quadric_verdict(cls)
+    if not over_c:
         raise NotPolynomial(f"refused: {cls} admits no polynomial parametrization")
     quad, lin, cross, const = _coefficient_data(F)
     if any(q != 0 for q in cross.values()):
@@ -276,13 +262,15 @@ def _central_witness(quad, d_const, cls):
     return comps
 
 
-def quadric_report(F: MultiPoly) -> QuadricReport:
-    """Classification, table verdict, and a witness when one is constructible."""
+def quadric_report(F: MultiPoly) -> tuple:
+    """(class, polynomial over C, polynomial over R, witness), the witness
+    None unless one is constructible."""
     cls = classify_quadric(F)
-    report = quadric_verdict(cls)
-    if report.polynomial_over_C:
+    over_c, over_r = quadric_verdict(cls)
+    witness = None
+    if over_c:
         try:
-            report.witness = quadric_param(F, cls)
+            witness = quadric_param(F, cls)
         except Unsupported:
-            report.witness = None
-    return report
+            pass
+    return cls, over_c, over_r, witness

@@ -1,15 +1,15 @@
 """Independent symbolic verification of parametrization claims.
 
+``verify_on_surface`` is the one gate a witness passes before it is
+emitted: it raises ``InternalInvariant`` unless the witness is on the
+surface, meaning the exact residual of substituting the components into
+the implicit equation is the zero polynomial, and dominant, meaning its
+Jacobian has generic rank 2 (some 2x2 minor is nonzero as a polynomial).
 Construction functions (`sor_complex_param`, `real_verdict`,
-`quadric_param`, ...) return witnesses without checking them. They are
-verified once, here, by the CLI and the catalog before anything is
-emitted. Nothing here trusts the construction modules: on-surface means
-the exact residual of substituting the components into the implicit
-equation is the zero polynomial, dominance means a 2x2 Jacobian minor is
-nonzero as a polynomial, and fiber cardinality is counted by resultant
-elimination plus gcd degrees over quotient towers (splitting on zero
-divisors, so the count is exact even when the eliminant does not factor
-over Q).
+`quadric_param`, ...) return witnesses without checking them, and nothing
+here trusts them. Fiber cardinality is counted by resultant elimination
+plus gcd degrees over quotient towers (splitting on zero divisors, so the
+count is exact even when the eliminant does not factor over Q).
 
 The residual F(X, Y, Z) of a surface of revolution is computed as
 G(X*X + Y*Y, Z), the same polynomial, once ``implicit_to_p2`` has proved
@@ -27,10 +27,9 @@ of the grid {1..d_u+1} x {1..d_v+1}, over any tower, reducible or not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInput, NotSurfaceOfRevolution, ZeroDivisor
+from .errors import InternalInvariant, InvalidInput, NotSurfaceOfRevolution, ZeroDivisor
 from .poly import (
     MultiPoly,
     _Kronecker,
@@ -44,18 +43,6 @@ from .profile import implicit_to_p2
 from .tower import FieldElement, join_towers
 
 
-class _Indeterminate:
-    """Sentinel: the chosen sample was non-generic; retry with another."""
-
-    def __repr__(self):
-        return "Indeterminate"
-
-    def __bool__(self):
-        return False
-
-
-INDETERMINATE = _Indeterminate()
-
 #: Deterministic retry samples for fiber counting, in order.
 FIBER_SAMPLES = (
     (Fraction(1), Fraction(1)),
@@ -66,26 +53,20 @@ FIBER_SAMPLES = (
 )
 
 
-@dataclass
-class VerificationReport:
-    residual: MultiPoly
-    on_surface: bool
-    jacobian_rank: int
+def verify_on_surface(s, F: MultiPoly) -> None:
+    """Return only if the witness s lies on F = 0 and is dominant.
 
-    def __repr__(self):
-        return f"VerificationReport(on_surface={self.on_surface}, jacobian_rank={self.jacobian_rank})"
-
-
-def verify_on_surface(s, F: MultiPoly) -> VerificationReport:
-    """Substitute the parametrization into F and reduce; on-surface iff the
-    residual is identically zero."""
+    Raises InternalInvariant naming the residual of substituting s into F
+    when it is nonzero. Otherwise the Jacobian's generic rank is computed,
+    and a rank other than 2 raises naming it.
+    """
     comps = s.components if hasattr(s, "components") else tuple(s)
     residual = _residual(comps, F)
-    return VerificationReport(
-        residual=residual,
-        on_surface=residual.is_zero(),
-        jacobian_rank=jacobian_generic_rank(s),
-    )
+    if not residual.is_zero():
+        raise InternalInvariant(f"witness is off the surface: residual {residual!r}")
+    rank = jacobian_generic_rank(s)
+    if rank != 2:
+        raise InternalInvariant(f"witness is not dominant: jacobian rank {rank}")
 
 
 def _residual(comps, F: MultiPoly) -> MultiPoly:
@@ -199,8 +180,9 @@ def jacobian_generic_rank(s) -> int:
     return 1 if any(any(key) for c in comps for key in c.terms) else 0
 
 
-def fiber_count(s, sample) -> object:
-    """Number of complex (u, v) with s(u, v) = s(sample), or INDETERMINATE.
+def fiber_count(s, sample) -> int | None:
+    """Number of complex (u, v) with s(u, v) = s(sample), or None when the
+    sample is not generic enough to tell.
 
     Eliminates v by pairwise resultants, takes the square-free part of the
     gcd of the eliminants, and counts distinct v-roots per u-root by gcd
@@ -222,7 +204,7 @@ def fiber_count(s, sample) -> object:
     with_v = [e for e in eqs if e.uses("v")]
     u_only = [e for e in eqs if not e.uses("v")]
     if not with_v:
-        return INDETERMINATE
+        return None
     candidates = [e.to_unipoly("u") for e in u_only]
     for i in range(len(with_v)):
         for j in range(i + 1, len(with_v)):
@@ -230,12 +212,12 @@ def fiber_count(s, sample) -> object:
             if not r.is_zero():
                 candidates.append(r)
     if not candidates:
-        return INDETERMINATE
+        return None
     g = candidates[0]
     for c in candidates[1:]:
         g = gcd_unipoly(g, c)
     if g.is_zero() or g.is_constant():
-        return 0 if g.is_constant() and not g.is_zero() else INDETERMINATE
+        return 0 if g.is_constant() and not g.is_zero() else None
     g = squarefree_part(g)
 
     total = 0
@@ -264,15 +246,15 @@ def fiber_count(s, sample) -> object:
                 stack.append(m.divmod(f)[0].monic())
                 continue
             raise
-        if nv is INDETERMINATE:
-            return INDETERMINATE
+        if nv is None:
+            return None
         total += deg_m * nv
     return total
 
 
-def _common_v_root_count(with_v, branch_tower, theta) -> object:
+def _common_v_root_count(with_v, branch_tower, theta) -> int | None:
     """Distinct common v-roots of the equations at the u-root theta, or
-    INDETERMINATE. theta None stands for the generator of ``branch_tower``'s
+    None. theta None stands for the generator of ``branch_tower``'s
     top step: a v-coefficient c(u) = sum c_e u^e over the tower below then
     takes the value sum c_e theta^e, written down unreduced (c_e at the
     generator's exponent e) and reduced once."""
@@ -290,7 +272,7 @@ def _common_v_root_count(with_v, branch_tower, theta) -> object:
         pe = MultiPoly._canonical(("v",), {(k,): x for k, x in values if not x.is_zero()}, branch_tower)
         g = pe if g is None else gcd_unipoly(g, pe)
     if g is None or g.is_zero():
-        return INDETERMINATE
+        return None
     if g.is_constant():
         return 0
     return squarefree_part(g).degree
@@ -298,15 +280,15 @@ def _common_v_root_count(with_v, branch_tower, theta) -> object:
 
 def fiber_count_first_valid(s, samples=FIBER_SAMPLES):
     """Walk the deterministic sample list; the first sample off the Jacobian
-    vanishing locus that yields a determinate count wins."""
+    vanishing locus that yields a count wins; (None, None) when none does."""
     for sample in samples:
         try:
             n = fiber_count(s, sample)
         except InvalidInput:
             continue
-        if n is not INDETERMINATE:
+        if n is not None:
             return n, sample
-    return INDETERMINATE, None
+    return None, None
 
 
 def rational_residual(F: MultiPoly, components) -> MultiPoly:

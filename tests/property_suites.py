@@ -20,7 +20,6 @@ import oracles
 
 from revolutio import (
     MultiPoly,
-    PlaneCurveParam,
     UniPoly,
     decompose_paa,
     exact_divide,
@@ -60,16 +59,16 @@ def run_yun_suite(cases=CASES):
     rng = random.Random(20260811)
     for _ in range(cases):
         f = _random_product(rng)
-        dec = squarefree_decompose(f)
-        recomposed = sympy.Poly(sympy.Rational(dec.content), x, domain="QQ")
-        for fi, m in dec.factors:
+        content, factors = squarefree_decompose(f)
+        recomposed = sympy.Poly(sympy.Rational(content), x, domain="QQ")
+        for fi, m in factors:
             recomposed *= oracles.sympy_unipoly(fi, x) ** m
         assert recomposed == oracles.sympy_unipoly(f, x)
-        mults = [m for _, m in dec.factors]
+        mults = [m for _, m in factors]
         assert mults == sorted(set(mults))
-        for i, (fi, _) in enumerate(dec.factors):
+        for i, (fi, _) in enumerate(factors):
             assert gcd_unipoly(fi, fi.derivative()).is_constant()
-            for fj, _ in dec.factors[i + 1:]:
+            for fj, _ in factors[i + 1:]:
                 assert gcd_unipoly(fi, fj).is_constant()
     return cases
 
@@ -80,7 +79,7 @@ def run_decompose_suite(cases=CASES):
     rng = random.Random(20260812)
     for _ in range(cases):
         f = _random_product(rng)
-        d = decompose_paa(PlaneCurveParam.polynomial(f, t + rng.randint(-3, 3)))
+        d = decompose_paa(f, t + rng.randint(-3, 3))
         assert d.p * d.a * d.a == f
         assert gcd_unipoly(d.p, d.p.derivative()).is_constant()
         assert d.a.is_constant() or d.a.lc() == 1

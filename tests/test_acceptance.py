@@ -14,7 +14,6 @@ from revolutio import (
     DegenerateProfile,
     MultiPoly,
     P2Decomposition,
-    PlaneCurveParam,
     UniPoly,
     conjecture_predicate,
     cubic_example,
@@ -97,7 +96,7 @@ def test_criterion_3_end_to_end_analyze(capsys):
 
 def test_criterion_4_real_verdicts():
     def verdict_for(x_poly):
-        return real_verdict(decompose_paa(PlaneCurveParam.polynomial(x_poly, t)))
+        return real_verdict(decompose_paa(x_poly, t))
 
     for x_poly in (t, t ** 3, (3 * t + 1) * (t ** 2 + 1) ** 2):
         assert verdict_for(x_poly).status == "real-proper"
@@ -144,8 +143,7 @@ def test_criterion_5_quadric_golden_table():
     rng = random.Random(20260820)  # documented seed for the conjugation suite
     for label, F in canonical.items():
         assert classify_quadric(F) == label
-        rep = quadric_verdict(label)
-        assert (rep.polynomial_over_C, rep.polynomial_over_R) == table[label]
+        assert quadric_verdict(label) == table[label]
         for _ in range(20):
             while True:
                 m = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
@@ -176,7 +174,7 @@ def test_criterion_6_property_suites():
 def test_criterion_7_jacobian_dominance():
     emitted = []
     for x_poly in (t, t ** 3, 1 - t ** 2, t ** 2 - 1, t ** 2 + 1, t ** 2, t ** 3 + 1):
-        d = decompose_paa(PlaneCurveParam.polynomial(x_poly, t))
+        d = decompose_paa(x_poly, t)
         emitted.append(sor_complex_param(d))
         rv = real_verdict(d)
         if rv.witness is not None:
@@ -191,8 +189,8 @@ def test_criterion_7_jacobian_dominance():
     for s in emitted:
         assert jacobian_generic_rank(s) == 2
     with pytest.raises(DegenerateProfile):
-        decompose_paa(PlaneCurveParam.polynomial(t, UniPoly.constant("t", 5)))
-    d = decompose_paa(PlaneCurveParam.polynomial(t, t))
+        decompose_paa(t, UniPoly.constant("t", 5))
+    d = decompose_paa(t, t)
     base = sor_complex_param(d)
     with pytest.raises(DegenerateProfile):
         tubular_lift(base, t, UniPoly.constant("t", 1))

@@ -195,6 +195,52 @@ class TestAnalyze:
         assert doc["error"]["code"] == "INVALID_INPUT"
 
 
+@pytest.mark.parametrize(
+    "argv, code, error, message",
+    [
+        (("analyze", "--p2", "1", "2"), 2, "INVALID_INPUT", "both components are constant"),
+        (("p2", "decompose", "--x", "1", "--z", "2"), 2, "INVALID_INPUT", "both components are constant"),
+        (("p2", "equiv", "--first", "1", "2", "--second", "s", "s"), 2, "INVALID_INPUT",
+         "both components are constant"),
+        (("p2", "equiv", "--first", "t", "t", "--second", "1", "2"), 2, "INVALID_INPUT",
+         "both components are constant"),
+        # two faults: both pairs are parsed before either is checked
+        (("p2", "equiv", "--first", "1", "2", "--second", "t", "t"), 2, "INVALID_INPUT",
+         "expression may only use s; found t"),
+        (("p2", "polynomialize", "--x-num", "1", "--x-den", "2", "--z-num", "3", "--z-den", "4"), 2,
+         "INVALID_INPUT", "both components are constant"),
+        (("analyze", "--p2-rational", "s", "0", "s", "1"), 2, "INVALID_INPUT", "zero denominator"),
+        (("analyze", "--p2", "0", "t"), 3, "DEGENERATE_PROFILE",
+         "first coordinate is identically zero (the axis)"),
+        (("analyze", "--p2", "t^2", "0"), 3, "DEGENERATE_PROFILE",
+         "second coordinate is constant (plane perpendicular to the axis)"),
+    ],
+)
+def test_curve_refusals_pinned(capsys, argv, code, error, message):
+    assert run_cli(capsys, *argv) == (code, {"schema": "revolutio/1", "error": {"code": error, "message": message}})
+
+
+def _uv():
+    from revolutio import MultiPoly
+
+    return MultiPoly.variable("u", ("u", "v")), MultiPoly.variable("v", ("u", "v"))
+
+
+def test_off_surface_complex_witness_refused(capsys, monkeypatch):
+    # the verification gate, reached through analyze: exit 4 and no witness
+    from revolutio import SurfaceParam, cli
+
+    u, v = _uv()
+    monkeypatch.setattr(cli, "sor_complex_param", lambda d: SurfaceParam.make([u, v, u + v]))
+    code = main(["analyze", "--p2", "t", "t"])
+    out = capsys.readouterr().out
+    assert code == 4
+    assert "complex_parametrization" not in out
+    error = json.loads(out)["error"]
+    assert error["code"] == "INTERNAL"
+    assert error["message"].startswith("witness is off the surface: residual ")
+
+
 def test_usage_errors_repeat_byte_identically(capsys):
     # main() reuses one parser: a usage error must leave nothing behind in it
     from revolutio.cli import build_parser
@@ -296,6 +342,20 @@ class TestQuadricCmd:
         code, doc = run_cli(capsys, "quadric", "--implicit", "x^2-y^2")
         assert code == 3
         assert doc["error"]["code"] == "UNSUPPORTED"
+
+    def test_witness_of_rank_one_refused(self, capsys, monkeypatch):
+        # [u, 0, u^2] lies on the paraboloid but is a curve, not a surface:
+        # the gate refuses it before anything is written
+        from revolutio import SurfaceParam, quadrics
+
+        u, _ = _uv()
+        monkeypatch.setattr(quadrics, "quadric_param", lambda F, cls=None: SurfaceParam.make([u, 0, u ** 2]))
+        code, doc = run_cli(capsys, "quadric", "--implicit", "x^2+y^2-z")
+        assert code == 4
+        assert doc == {
+            "schema": "revolutio/1",
+            "error": {"code": "INTERNAL", "message": "witness is not dominant: jacobian rank 1"},
+        }
 
 
 class TestMeshCmd:
@@ -513,16 +573,33 @@ class TestCatalogCmd:
         assert len(doc["catalog"]) >= 14
         assert captured.err.count("PASS") == len(doc["catalog"])
 
+    def test_corrupted_witness_fails(self, capsys, monkeypatch):
+        from revolutio import SurfaceParam, catalog
+
+        u, v = _uv()
+        monkeypatch.setattr(catalog, "sphere_witness", lambda: SurfaceParam.make([u, v, u * v]))
+        code = main(["verify-catalog"])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert code == 4
+        assert doc["all_passed"] is False
+        failed = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1
+        assert failed[0].startswith("FAIL sphere-witness: witness is off the surface: residual ")
+        assert [(e["name"], e["detail"]) for e in doc["catalog"] if not e["passed"]] == [
+            ("sphere-witness", failed[0].split(": ", 1)[1])
+        ]
+
 
 class TestReportRoundTrip:
     def test_witness_polynomials_reparse_identically(self, capsys):
         from revolutio.jsonio import json_to_param
-        from revolutio import PlaneCurveParam, UniPoly, decompose_paa, sor_complex_param
+        from revolutio import UniPoly, decompose_paa, sor_complex_param
 
         code, doc = run_cli(capsys, "analyze", "--implicit", "x^2+y^2+z^2-1")
         got = json_to_param(doc["complex_parametrization"])
         t = UniPoly.variable("t")
-        expected = sor_complex_param(decompose_paa(PlaneCurveParam.polynomial(1 - t ** 2, t)))
+        expected = sor_complex_param(decompose_paa(1 - t ** 2, t))
         assert got.components == expected.components
         assert got.tower == expected.tower
 

@@ -12,7 +12,6 @@ from revolutio import (
     InvalidInput,
     MultiPoly,
     NotPolynomial,
-    PlaneCurveParam,
     SurfaceParam,
     UniPoly,
     adjoin_root,
@@ -154,13 +153,13 @@ class TestFactorH:
 class TestTubularParam:
     def test_paraboloid(self):
         x, y, z = xyz()
-        s = tubular_base(decompose_paa(PlaneCurveParam.polynomial(t, t)).p)
+        s = tubular_base(decompose_paa(t, t).p)
         # x^2 + y^2 = uv = z
         assert (s.x ** 2 + s.y ** 2 - s.z).is_zero()
-        assert verify_on_surface(s, x ** 2 + y ** 2 - z).on_surface
+        verify_on_surface(s, x ** 2 + y ** 2 - z)
 
     def test_one_sheet_components(self):
-        s = tubular_base(decompose_paa(PlaneCurveParam.polynomial(t ** 2 - 1, t)).p)
+        s = tubular_base(decompose_paa(t ** 2 - 1, t).p)
         tower = s.tower
         i = tower.gen("i")
         half = Fraction(1, 2)
@@ -170,7 +169,7 @@ class TestTubularParam:
         assert s.z == u * v + 1
 
     def test_cubic_z_component(self):
-        s = tubular_base(decompose_paa(PlaneCurveParam.polynomial(t ** 3 + 1, t)).p)
+        s = tubular_base(decompose_paa(t ** 3 + 1, t).p)
         assert s.z == u * v - 1
 
     def test_alpha_adjoined_before_i(self):
@@ -187,13 +186,13 @@ def factor_is_squarefree(f):
 
 class TestLift:
     def test_identity_lift(self):
-        s = tubular_base(decompose_paa(PlaneCurveParam.polynomial(t, t)).p)
+        s = tubular_base(decompose_paa(t, t).p)
         lifted = tubular_lift(s, UniPoly.constant("t", 1), t)
         assert lifted.components == s.components
 
     def test_scaling_lift(self):
         x, y, z = xyz()
-        s = tubular_base(decompose_paa(PlaneCurveParam.polynomial(t ** 3, t)).p)
+        s = tubular_base(decompose_paa(t ** 3, t).p)
         lifted = tubular_lift(s, t, t)
         # [ (i/2) uv (v-u), (1/2) uv (v+u), uv ] against x^2 + y^2 - z^3
         tower = lifted.tower
@@ -202,18 +201,18 @@ class TestLift:
         assert lifted.x == i * half * u * v * (v - u)
         assert lifted.y == half * u * v * (v + u)
         assert lifted.z == u * v
-        assert verify_on_surface(lifted, x ** 2 + y ** 2 - z ** 3).on_surface
+        verify_on_surface(lifted, x ** 2 + y ** 2 - z ** 3)
 
     def test_sphere_pipeline_lift_is_identity(self):
         x, y, z = xyz()
-        d = decompose_paa(PlaneCurveParam.polynomial(1 - t ** 2, t))
+        d = decompose_paa(1 - t ** 2, t)
         s = tubular_base(d.p)
         lifted = tubular_lift(s, d.a, d.b)
         assert lifted.components == s.components
-        assert verify_on_surface(lifted, x ** 2 + y ** 2 + z ** 2 - 1).on_surface
+        verify_on_surface(lifted, x ** 2 + y ** 2 + z ** 2 - 1)
 
     def test_constant_b_rejected(self):
-        s = tubular_base(decompose_paa(PlaneCurveParam.polynomial(t, t)).p)
+        s = tubular_base(decompose_paa(t, t).p)
         with pytest.raises(DegenerateProfile):
             tubular_lift(s, t, UniPoly.constant("t", 2))
         with pytest.raises(DegenerateProfile):
@@ -228,14 +227,14 @@ class TestLift:
         assert lifted.components == ((w + 1) * u, (w + 1) * v, w * w)
         assert lifted.provenance == ("lift by a = t + 1, b = t^2",)
         assert lifted.properness == "unknown"
-        d = decompose_paa(PlaneCurveParam.polynomial(t * (t + 1) ** 2, t ** 2))
-        assert verify_on_surface(lifted, surface_implicit(d)).on_surface
+        d = decompose_paa(t * (t + 1) ** 2, t ** 2)
+        verify_on_surface(lifted, surface_implicit(d))
         flagged = tubular_lift((u, v, w), t + 1, t ** 2, provenance=("p",), properness="proper")
         assert flagged.components == lifted.components
         assert (flagged.provenance, flagged.properness) == (("p",), "proper")
 
     def test_rotational_structure_preserved(self):
-        d = decompose_paa(PlaneCurveParam.polynomial((t ** 2 + 1) ** 2 * (t - 2), t + 5))
+        d = decompose_paa((t ** 2 + 1) ** 2 * (t - 2), t + 5)
         s = tubular_base(d.p)
         lifted = tubular_lift(s, d.a, d.b)
         pa2 = d.p * d.a * d.a
@@ -246,70 +245,67 @@ class TestLift:
 class TestClosedFormula:
     def test_paraboloid(self):
         x, y, z = xyz()
-        d = decompose_paa(PlaneCurveParam.polynomial(t, t))
+        d = decompose_paa(t, t)
         s = sor_complex_param(d)
-        assert verify_on_surface(s, x ** 2 + y ** 2 - z).on_surface
+        verify_on_surface(s, x ** 2 + y ** 2 - z)
 
     def test_sphere_and_paper_witness(self):
         x, y, z = xyz()
         F = x ** 2 + y ** 2 + z ** 2 - 1
-        d = decompose_paa(PlaneCurveParam.polynomial(1 - t ** 2, t))
+        d = decompose_paa(1 - t ** 2, t)
         s = sor_complex_param(d)
-        rep = verify_on_surface(s, F)
-        assert rep.on_surface and rep.jacobian_rank == 2
+        verify_on_surface(s, F)
         # the published witness must independently pass
-        rep = verify_on_surface(sphere_witness(), F)
-        assert rep.on_surface and rep.jacobian_rank == 2
+        verify_on_surface(sphere_witness(), F)
 
     def test_cylinder_refusal(self):
-        d = decompose_paa(PlaneCurveParam.polynomial(UniPoly.constant("t", 1), t))
+        d = decompose_paa(UniPoly.constant("t", 1), t)
         with pytest.raises(NotPolynomial):
             sor_complex_param(d)
-        d = decompose_paa(PlaneCurveParam.polynomial(UniPoly.constant("t", 4), t))
+        d = decompose_paa(UniPoly.constant("t", 4), t)
         with pytest.raises(NotPolynomial):
             sor_complex_param(d)
 
     def test_verified_against_implicitization(self):
-        d = decompose_paa(PlaneCurveParam.polynomial((t ** 2 + 1) ** 2 * (t - 2), t + 5))
+        d = decompose_paa((t ** 2 + 1) ** 2 * (t - 2), t + 5)
         s = sor_complex_param(d)
-        assert verify_on_surface(s, surface_implicit(d)).on_surface
+        verify_on_surface(s, surface_implicit(d))
 
     def test_reducible_alpha_extension(self):
         # p = (t^2+2)(t^2+3): square-free, no rational roots; alpha generates
         # a reducible quotient and the whole pipeline must still verify
-        d = decompose_paa(PlaneCurveParam.polynomial(t ** 4 + 5 * t ** 2 + 6, t))
+        d = decompose_paa(t ** 4 + 5 * t ** 2 + 6, t)
         s = sor_complex_param(d)
-        rep = verify_on_surface(s, surface_implicit(d))
-        assert rep.on_surface and rep.jacobian_rank == 2
+        verify_on_surface(s, surface_implicit(d))
 
 
 class TestCylinderRoute:
     def test_cone(self):
         x, y, z = xyz()
-        d = decompose_paa(PlaneCurveParam.polynomial(t ** 2, t))
+        d = decompose_paa(t ** 2, t)
         s = cylinder_case_param(d)
         assert s.x == -2 * u * v and s.y == v ** 2 - u ** 2 and s.z == u ** 2 + v ** 2
-        assert verify_on_surface(s, x ** 2 + y ** 2 - z ** 2).on_surface
+        verify_on_surface(s, x ** 2 + y ** 2 - z ** 2)
 
     def test_a_squared(self):
         x, y, z = xyz()
-        d = decompose_paa(PlaneCurveParam.polynomial(t ** 4, t))
+        d = decompose_paa(t ** 4, t)
         s = cylinder_case_param(d)
         w = u ** 2 + v ** 2
         assert s.x == -2 * u * v * w and s.y == (v ** 2 - u ** 2) * w and s.z == w
-        assert verify_on_surface(s, x ** 2 + y ** 2 - z ** 4).on_surface
+        verify_on_surface(s, x ** 2 + y ** 2 - z ** 4)
 
     def test_constant_a_refused(self):
-        d = decompose_paa(PlaneCurveParam.polynomial(UniPoly.constant("t", 1), t))
+        d = decompose_paa(UniPoly.constant("t", 1), t)
         with pytest.raises(NotPolynomial):
             cylinder_case_param(d)
 
     def test_nonsquare_constant_and_irrational_shift(self):
         # p = 2, a = t^2 - 3: needs sqrt(2) and a root of t^2 - 3
         x, y, z = xyz()
-        d = decompose_paa(PlaneCurveParam.polynomial(2 * (t ** 2 - 3) ** 2, t))
+        d = decompose_paa(2 * (t ** 2 - 3) ** 2, t)
         s = cylinder_case_param(d)
-        assert verify_on_surface(s, surface_implicit(d)).on_surface
+        verify_on_surface(s, surface_implicit(d))
 
 
 class TestTowerSqrt:

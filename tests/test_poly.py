@@ -261,29 +261,27 @@ def _sympy_recompose(d):
     """content * prod(factor^multiplicity), multiplied out by sympy."""
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("t")
-    out = sympy.Poly(sympy.Rational(d.content), x, domain="QQ")
-    for f, m in d.factors:
+    content, factors = d
+    out = sympy.Poly(sympy.Rational(content), x, domain="QQ")
+    for f, m in factors:
         out *= oracles.sympy_unipoly(f, x) ** m
     return out
 
 
 class TestSquarefreeDecompose:
     def test_pure_power(self):
-        d = squarefree_decompose(t ** 3)
-        assert d.content == 1
-        assert d.factors == [(t, 3)]
+        assert squarefree_decompose(t ** 3) == (1, [(t, 3)])
 
     def test_expand_and_recompose(self):
         # oracle: build (t^2+1)^2 (t-2) densely, decompose, recompose in sympy
         dense = oracles.mul(oracles.power([1, 0, 1], 2), [-2, 1])
         f = from_dense(dense)
         d = squarefree_decompose(f)
-        assert d.factors == [(t - 2, 1), (t ** 2 + 1, 2)]
+        assert d[1] == [(t - 2, 1), (t ** 2 + 1, 2)]
         assert _sympy_recompose(d) == _sympy_of(f)
 
     def test_constant(self):
-        d = squarefree_decompose(UniPoly.constant("t", 5))
-        assert d.content == 5 and d.factors == []
+        assert squarefree_decompose(UniPoly.constant("t", 5)) == (5, [])
 
     def test_zero_rejected(self):
         with pytest.raises(InvalidInput):
@@ -291,7 +289,7 @@ class TestSquarefreeDecompose:
 
     def test_content_sign(self):
         d = squarefree_decompose(1 - t ** 2)
-        assert d.content == -1
+        assert d[0] == -1
         assert _sympy_recompose(d) == _sympy_of(1 - t ** 2)
 
     def test_against_sympy_sqf_list(self):
@@ -313,14 +311,15 @@ class TestSquarefreeDecompose:
             assert _sympy_recompose(d) == _sympy_of(f)
             sf = sympy.Poly(_sympy_poly(f, {"t": x}), x, domain="QQ")
             lc = sf.LC()
-            assert d.content == Fraction(int(lc.p), int(lc.q))
+            content, factors = d
+            assert content == Fraction(int(lc.p), int(lc.q))
             expected = [
                 ([Fraction(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs())], m)
                 for g, m in sf.sqf_list()[1]
             ]
-            got = [([fac.coeff(e).as_rational() for e in range(fac.degree + 1)], m) for fac, m in d.factors]
+            got = [([fac.coeff(e).as_rational() for e in range(fac.degree + 1)], m) for fac, m in factors]
             assert got == expected
-            mults.update(m for _, m in d.factors)
+            mults.update(m for _, m in factors)
         assert {1, 2, 3, 4, 5} <= mults
 
 

@@ -11,7 +11,6 @@ from revolutio import (
     InvalidInput,
     MultiPoly,
     P2Decomposition,
-    PlaneCurveParam,
     UniPoly,
     conjecture_predicate,
     cubic_example,
@@ -49,7 +48,7 @@ def xyz():
 
 
 def decomp(x, b):
-    return decompose_paa(PlaneCurveParam.polynomial(x, b))
+    return decompose_paa(x, b)
 
 
 def tubular_identity_holds(verdict, p):
@@ -112,20 +111,20 @@ class TestDelta1:
         verdict = real_param_delta1(decomp(t ** 3, t))
         w = u ** 2 + v ** 2
         assert verdict.witness.x == w * u and verdict.witness.y == w * v and verdict.witness.z == w
-        assert verify_on_surface(verdict.witness, x ** 2 + y ** 2 - z ** 3).on_surface
+        verify_on_surface(verdict.witness, x ** 2 + y ** 2 - z ** 3)
 
     def test_quartic_height(self):
         x, y, z = xyz()
         verdict = real_param_delta1(decomp(t, t ** 2))
         w = u ** 2 + v ** 2
         assert verdict.witness.components == (u, v, w * w)
-        assert verify_on_surface(verdict.witness, (x ** 2 + y ** 2) ** 2 - z).on_surface
+        verify_on_surface(verdict.witness, (x ** 2 + y ** 2) ** 2 - z)
 
     def test_general_linear_p(self):
         d = decomp((3 * t - 2) * (t ** 2 + 1) ** 2, 2 * t + 7)
         verdict = real_param_delta1(d)
         assert verdict.status == "real-proper"
-        assert verify_on_surface(verdict.witness, surface_implicit(d)).on_surface
+        verify_on_surface(verdict.witness, surface_implicit(d))
 
 
 class TestDelta2:
@@ -141,7 +140,7 @@ class TestDelta2:
         A, B, C = one_sheet_components()
         assert verdict.witness.components == (A, B, C)
         x, y, z = xyz()
-        assert verify_on_surface(verdict.witness, x ** 2 + y ** 2 - z ** 2 - 1).on_surface
+        verify_on_surface(verdict.witness, x ** 2 + y ** 2 - z ** 2 - 1)
 
     def test_one_sheet_before_lift_identity(self):
         # the unlifted scaled recipe satisfies x^2 + y^2 - z^2 = lambda
@@ -160,7 +159,7 @@ class TestDelta2:
         Q1, Q2, Q3 = two_sheet_components()
         assert verdict.witness.components == (Q1, Q2, Q3)
         x, y, z = xyz()
-        assert verify_on_surface(verdict.witness, x ** 2 + y ** 2 - z ** 2 + 1).on_surface
+        verify_on_surface(verdict.witness, x ** 2 + y ** 2 - z ** 2 + 1)
         n, sample = fiber_count_first_valid(verdict.witness)
         assert n == 2 and sample == (1, 1)
 
@@ -172,7 +171,7 @@ class TestDelta2:
         d = decomp((t ** 2 + 3) * (t ** 2 + 1) ** 2, t - 4)
         verdict = real_param_delta2(d)
         assert verdict.status == "real-proper"
-        assert verify_on_surface(verdict.witness, surface_implicit(d)).on_surface
+        verify_on_surface(verdict.witness, surface_implicit(d))
         # sqrt(3) generator carries a real embedding
         default_real_embedding(verdict.witness.tower)
 
@@ -228,7 +227,7 @@ class TestDelta0:
         A, B, C = one_sheet_components()
         assert verdict.witness.components == (2 * A * B, B * B - A * A, C)
         F = x ** 2 + y ** 2 - (z ** 2 + 1) ** 2
-        assert verify_on_surface(verdict.witness, F).on_surface
+        verify_on_surface(verdict.witness, F)
 
     def test_cylinder(self):
         verdict = real_param_delta0(decomp(UniPoly.constant("t", 1), t))
@@ -245,7 +244,7 @@ class TestDelta0:
         d = decomp(((t ** 2 + 1) * (t ** 2 + 4)) ** 2, t)
         verdict = real_param_delta0(d)
         assert verdict.status == "real-proper"
-        assert verify_on_surface(verdict.witness, surface_implicit(d)).on_surface
+        verify_on_surface(verdict.witness, surface_implicit(d))
 
     def test_unresolved_when_no_rational_quadratic_factor(self):
         # t^4 + 1 factors only through sqrt(2)
@@ -257,7 +256,7 @@ class TestDelta0:
         d = decomp((t ** 2 - 2) ** 2, t)
         verdict = real_param_delta0(d)
         assert verdict.status == "real-proper"
-        assert verify_on_surface(verdict.witness, surface_implicit(d)).on_surface
+        verify_on_surface(verdict.witness, surface_implicit(d))
         default_real_embedding(verdict.witness.tower)
 
 
@@ -309,7 +308,7 @@ class TestCubicExample:
     def test_residual_zero(self):
         x, y, z = xyz()
         w = cubic_example()
-        assert verify_on_surface(w, x ** 2 + y ** 2 - z ** 3 - 1).on_surface
+        verify_on_surface(w, x ** 2 + y ** 2 - z ** 3 - 1)
 
     def test_z_at_origin(self):
         w = cubic_example()

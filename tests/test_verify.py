@@ -7,6 +7,7 @@ import pytest
 
 from revolutio import (
     QQ,
+    InternalInvariant,
     InvalidInput,
     MultiPoly,
     SurfaceParam,
@@ -19,7 +20,7 @@ from revolutio import (
     substitute,
     verify_on_surface,
 )
-from revolutio.verify import FIBER_SAMPLES, _rotation_form, fiber_count_first_valid
+from revolutio.verify import FIBER_SAMPLES, _residual, _rotation_form, fiber_count_first_valid
 
 u = MultiPoly.variable("u", ("u", "v"))
 v = MultiPoly.variable("v", ("u", "v"))
@@ -40,26 +41,46 @@ def make(comps):
 class TestOnSurface:
     def test_sphere_witness(self):
         x, y, z = xyz()
-        rep = verify_on_surface(sphere_witness(), x ** 2 + y ** 2 + z ** 2 - 1)
-        assert rep.on_surface and rep.residual.is_zero()
+        F = x ** 2 + y ** 2 + z ** 2 - 1
+        assert verify_on_surface(sphere_witness(), F) is None
+        assert _residual(sphere_witness().components, F).is_zero()
 
     def test_paraboloid(self):
         x, y, z = xyz()
-        rep = verify_on_surface(make([u, v, u ** 2 + v ** 2]), x ** 2 + y ** 2 - z)
-        assert rep.on_surface
+        assert verify_on_surface(make([u, v, u ** 2 + v ** 2]), x ** 2 + y ** 2 - z) is None
 
     def test_off_surface_residual(self):
         x, y, z = xyz()
-        rep = verify_on_surface(make([u, v, u ** 2 + v ** 2]), x ** 2 + y ** 2 - z - 1)
-        assert not rep.on_surface
-        assert rep.residual == -1
+        s = make([u, v, u ** 2 + v ** 2])
+        F = x ** 2 + y ** 2 - z - 1
+        with pytest.raises(InternalInvariant, match="residual -1"):
+            verify_on_surface(s, F)
+        assert _residual(s.components, F) == -1
+
+    def test_rank_one_witness_on_the_surface_is_refused(self):
+        x, y, z = xyz()
+        s = make([u, 0, u ** 2])  # a parabola on the paraboloid
+        assert _residual(s.components, x ** 2 + y ** 2 - z).is_zero()
+        with pytest.raises(InternalInvariant, match="jacobian rank 1"):
+            verify_on_surface(s, x ** 2 + y ** 2 - z)
+
+    def test_rank_is_not_computed_off_the_surface(self, monkeypatch):
+        from revolutio import verify
+
+        def no_rank(s):
+            raise AssertionError("rank computed for an off-surface witness")
+
+        monkeypatch.setattr(verify, "jacobian_generic_rank", no_rank)
+        x, y, z = xyz()
+        with pytest.raises(InternalInvariant, match="residual"):
+            verify_on_surface(make([u, u, u]), x ** 2 + y ** 2 - z)
 
 
 def _profile_surface(x, b):
     """(F, complex witness) of the surface with profile square [x(t), b(t)]."""
-    from revolutio import PlaneCurveParam, decompose_paa, sor_complex_param, surface_implicit
+    from revolutio import decompose_paa, sor_complex_param, surface_implicit
 
-    d = decompose_paa(PlaneCurveParam.polynomial(x, b))
+    d = decompose_paa(x, b)
     return surface_implicit(d), sor_complex_param(d)
 
 
@@ -75,10 +96,14 @@ class TestResidualRoute:
         # the first two lie on F (it is symmetric in x and y), the rest do not
         cases = [(X, Y, Z), (Y, X, Z), (X + u * v, Y, Z), (X, Y - g * v, Z), (X, Y, Z + 1)]
         for n, comps in enumerate(cases):
-            rep = verify_on_surface(comps, F)
             direct = substitute(F, dict(zip(("x", "y", "z"), comps)))
-            assert rep.residual == direct
-            assert rep.on_surface == direct.is_zero() == (n < 2)
+            assert _residual(comps, F) == direct
+            assert direct.is_zero() == (n < 2)
+            if n < 2:
+                verify_on_surface(comps, F)
+            else:
+                with pytest.raises(InternalInvariant, match="residual"):
+                    verify_on_surface(comps, F)
 
     @pytest.mark.parametrize(
         "text, witness",
@@ -93,11 +118,11 @@ class TestResidualRoute:
         F = parse_poly(text, allowed_vars=("x", "y", "z"))
         assert _rotation_form(F) is None
         s = witness(F)
-        rep = verify_on_surface(s, F)
-        assert rep.on_surface and rep.jacobian_rank == 2
+        verify_on_surface(s, F)
         X, Y, Z = s.components
-        off = verify_on_surface((X, Y, Z + u), F)
-        assert not off.on_surface and off.residual == substitute(F, {"x": X, "y": Y, "z": Z + u})
+        assert _residual((X, Y, Z + u), F) == substitute(F, {"x": X, "y": Y, "z": Z + u})
+        with pytest.raises(InternalInvariant, match="residual"):
+            verify_on_surface((X, Y, Z + u), F)
 
 
 class TestJacobianRank:
@@ -281,12 +306,16 @@ class TestFiberCount:
         assert n == 2
         assert sample in FIBER_SAMPLES
 
+    def test_no_valid_sample_gives_none(self):
+        # rank 1: every sample lies on the Jacobian's vanishing locus
+        assert fiber_count_first_valid(make([u, u, u])) == (None, None)
+
     def test_fiber_at_least_one_on_surface(self):
-        from revolutio import PlaneCurveParam, decompose_paa, sor_complex_param
+        from revolutio import decompose_paa, sor_complex_param
 
         t = UniPoly.variable("t")
         for x_poly in (t, t ** 3, 1 - t ** 2):
-            d = decompose_paa(PlaneCurveParam.polynomial(x_poly, t))
+            d = decompose_paa(x_poly, t)
             s = sor_complex_param(d)
             n, _ = fiber_count_first_valid(s)
             assert isinstance(n, int) and n >= 1

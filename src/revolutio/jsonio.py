@@ -133,7 +133,7 @@ def json_to_field(obj: dict, tower: ExtensionTower) -> FieldElement:
         if exps in terms:
             raise InvalidInput(f"exponent key {key!r} repeats an earlier key's exponents")
         terms[exps] = str_to_fraction(val)
-    return FieldElement(tower, terms)
+    return FieldElement(tower, terms, reduce=False)
 
 
 def tower_to_json(t: ExtensionTower) -> list:

@@ -53,16 +53,18 @@ class _Tabulation:
             terms.append((exps.get("u", 0), exps.get("v", 0), fe))
         du = max((a for a, _, _ in terms), default=0)
         dv = max((b for _, b, _ in terms), default=0)
-        common = lcm(*(q.denominator for _, _, fe in terms for q in fe.terms.values()))
+        common = lcm(*(fe.den for _, _, fe in terms))
         self.den = common * du_den ** du * dv_den ** dv
         self.monos: dict = {}
         for a, b, fe in terms:
-            scale = common * du_den ** (du - a) * dv_den ** (dv - b)
-            for m, q in fe.terms.items():
-                by_v = self.monos.setdefault(m, [[0] * (du + 1) for _ in range(dv + 1)])
-                by_v[b][a] = q.numerator * (scale // q.denominator)
-        self.keys = tuple(self.monos)
-        self.rational = not any(map(any, self.keys))
+            scale = common * du_den ** (du - a) * dv_den ** (dv - b) // fe.den
+            for m, n in enumerate(fe.num):
+                if n:
+                    by_v = self.monos.setdefault(m, [[0] * (du + 1) for _ in range(dv + 1)])
+                    by_v[b][a] = n * scale
+        basis = c.tower.basis
+        self.keys = tuple(basis[m] for m in self.monos)
+        self.rational = not any(self.monos)
 
     def row(self, u: int, vs: list) -> list:
         """The values on grid row ``u`` at every ``v`` in ``vs``: per vertex,

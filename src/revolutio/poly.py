@@ -28,19 +28,22 @@ taller tower. The zero polynomial has degree -1.
 
 Products, powers and ``substitute`` run on one packed-integer kernel
 (Kronecker substitution, ``_Kronecker``); only a product with a one-term
-operand skips it and multiplies coefficient by coefficient. Denominators
-are cleared, and each tower coefficient is split into its power-basis
-components, so a polynomial becomes one integer coefficient list per basis
+operand skips it and multiplies coefficient by coefficient. A tower
+coefficient already is integer numerators over the power basis and one
+denominator (``FieldElement.num``, ``FieldElement.den``), so the kernel
+only scales each coefficient's numerators to the polynomial's common
+denominator: a polynomial becomes one integer coefficient list per basis
 monomial, laid out dense in its variables with widths from the result's
 degree bounds. Each list is packed into one Python int, whose products run
 in C; every product is reduced at once with the tower's basis products
-(``ExtensionTower.basis_products``), and only the final result is unpacked
-into FieldElements.
+(``ExtensionTower.basis_products``), and only the final result is unpacked,
+straight into numerators over the result's denominator.
 
 Resultants, rational roots and square-free decompositions run on dense lists
 of plain ints as well.
-``resultant_eliminate`` clears denominators and makes each tower generator
-one more variable of an integer polynomial; evaluation, Newton interpolation
+``resultant_eliminate`` puts each polynomial over one denominator and makes
+each tower generator one more variable of an integer polynomial, reading the
+coefficients' numerators as they are stored; evaluation, Newton interpolation
 and the subresultant PRS stay in Z, and only the result is reduced through
 the tower, so it is the Sylvester determinant over any tower.
 ``rational_roots`` isolates the real roots of the square-free part by integer
@@ -506,7 +509,7 @@ class _Kronecker:
         for i in range(1, len(degs)):
             self.strides[i] = self.strides[i - 1] * self.widths[i - 1]
         self.table = tower.basis_products()
-        self.size = len(self.table.basis)
+        self.size = tower._size
         self.nbytes = 0
 
     def run(self, leaves: list, program) -> "MultiPoly":
@@ -526,19 +529,20 @@ class _Kronecker:
         else:
             terms = leaf.terms
             strides = [self.strides[self.vars.index(v)] for v in leaf.vars]
-        radix = self.table.radix
-        flat = []
-        for key, c in terms.items():
-            slot = sum(map(operator.mul, key, strides))
-            for b, q in c.terms.items():
-                flat.append((sum(map(operator.mul, b, radix)), slot, q))
-        den = lcm(*[q.denominator for _, _, q in flat])
+        den = lcm(*[c.den for c in terms.values()])
         entries: dict = {}
         norm = 0
-        for i, slot, q in flat:
-            n = q.numerator * (den // q.denominator)
-            norm += abs(n)
-            entries.setdefault(i, []).append((slot, n))
+        for key, c in terms.items():
+            slot = sum(map(operator.mul, key, strides))
+            f = den // c.den
+            # a coefficient over a prefix of the tower: its basis number i is
+            # number i * step of the kernel's tower
+            step = self.size // len(c.num)
+            for i, n in enumerate(c.num):
+                if n:
+                    n *= f
+                    norm += abs(n)
+                    entries.setdefault(i * step, []).append((slot, n))
         return den, norm, entries
 
     def _pack(self, den: int, norm: int, entries: dict) -> _Packed:
@@ -599,7 +603,7 @@ class _Kronecker:
         width = self.nbytes
         half = 1 << (8 * width - 1)
         half_bytes = half.to_bytes(width, "little")
-        basis = self.table.basis
+        size = self.size
         place = list(zip(self.strides, self.widths))
         coeffs: dict = {}
         for i, x in enumerate(p.comps):
@@ -611,17 +615,20 @@ class _Kronecker:
             biased = x + bias
             nonzero = (biased ^ bias).to_bytes(n * width, "little")
             biased = biased.to_bytes(n * width, "little")
-            b = basis[i]
             done = 0
             for run in _NONZERO_BYTES.finditer(nonzero):
                 for s in range(max(run.start() // width, done), (run.end() - 1) // width + 1):
                     c = int.from_bytes(biased[s * width:(s + 1) * width], "little") - half
-                    key = tuple(s // stride % w for stride, w in place)
-                    coeffs.setdefault(key, {})[b] = Fraction(c, p.den)
+                    if c:
+                        key = tuple(s // stride % w for stride, w in place)
+                        num = coeffs.get(key)
+                        if num is None:
+                            num = coeffs[key] = [0] * size
+                        num[i] = c
                     done = s + 1
-        tower = self.tower
+        tower, den = self.tower, p.den
         return MultiPoly._canonical(
-            self.vars, {k: FieldElement(tower, t, reduce=False) for k, t in coeffs.items()}, tower
+            self.vars, {k: FieldElement.from_ints(tower, num, den) for k, num in coeffs.items()}, tower
         )
 
 
@@ -906,16 +913,18 @@ def resultant_eliminate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         raise InvalidInput(f"both polynomials must contain {var!r}")
     i = vars_.index(var)
     rest = vars_[:i] + vars_[i + 1:]
+    basis = t.basis
 
     def split(p: MultiPoly) -> tuple:
         # dense in ``var``; each coefficient is {exponents in rest, then of
         # the generators: integer numerator over the returned denominator}
-        den = lcm(*(q.denominator for c in p.terms.values() for q in c.terms.values()))
+        den = lcm(*(c.den for c in p.terms.values()))
         coeffs: list = [{} for _ in range(p.degree_in(var) + 1)]
         for k, c in p.terms.items():
-            entry, key = coeffs[k[i]], k[:i] + k[i + 1:]
-            for b, q in c.terms.items():
-                entry[key + b] = q.numerator * (den // q.denominator)
+            entry, key, f = coeffs[k[i]], k[:i] + k[i + 1:], den // c.den
+            for j, n in enumerate(c.num):
+                if n:
+                    entry[key + basis[j]] = n * f
         return coeffs, den
 
     (fc, df), (gc, dg) = split(fv), split(gv)
@@ -923,10 +932,10 @@ def resultant_eliminate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     nrest = len(rest)
     grouped: dict = {}
     for k, c in _resultant(fc, gc, nrest + t.height).items():
-        grouped.setdefault(k[:nrest], {})[k[nrest:]] = Fraction(c, scale)
+        grouped.setdefault(k[:nrest], {})[k[nrest:]] = c
     terms = {}
     for k, b in grouped.items():
-        c = FieldElement(t, b)
+        c = FieldElement(t, b, den=scale)
         if not c.is_zero():
             terms[k] = c
     return MultiPoly._canonical(rest, terms, t)

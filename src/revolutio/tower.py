@@ -8,27 +8,30 @@ exposes a proper factor of some minimal polynomial (raised as ZeroDivisor,
 the dynamic evaluation hook). Univariate polynomials over a tower, their
 division, gcd and square-free test live in ``poly`` alone.
 
-Elements are stored as multivariate polynomials in the generators with
-Fraction coefficients, reduced so the exponent of each generator stays
-below the degree of its minimal polynomial. Each tower instance fills in,
-on first use, the multiplication table of that power basis
-(``basis_products``), which the packed polynomial products of ``poly``
-reduce with.
+An element is stored as one tuple of integer numerators ``num`` over one
+positive integer denominator ``den``: ``num[i]`` is the coefficient of
+power-basis monomial number ``i`` (``ExtensionTower.basis``, the monomials
+whose exponent of each generator stays below the degree of its minimal
+polynomial, last generator fastest). The form is canonical, with
+``gcd(den, *num) == 1``, so equality is a tuple compare. Sums and lifts
+are integer operations; products go through the tower's multiplication
+table of that power basis (``basis_products``), the same table the packed
+polynomial products of ``poly`` reduce with, so a product over Q is one
+integer product and one gcd. ``FieldElement.terms`` is a read-only view
+``{exponent tuple: Fraction}`` for printing, JSON and hashing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
-from operator import mul
+from math import gcd, lcm, prod
+from operator import add, mul
 from typing import Sequence
 
 from .errors import InvalidInput, TowerMismatch
-
-Rat = Fraction
 
 
 def _as_fraction(x) -> Fraction:
@@ -47,11 +50,24 @@ def _strip_zeros(key: tuple) -> tuple:
     return key[:n]
 
 
+@lru_cache(maxsize=64)
+def _power_basis(degs: tuple) -> tuple:
+    """(basis, radix) for generator degrees ``degs``: the exponent tuples of
+    the power basis in number order, and the mixed radix that numbers them,
+    ``number(b) == sum(b[k] * radix[k])``."""
+    radix = tuple(prod(degs[k + 1:]) for k in range(len(degs)))
+    return tuple(product(*(range(d) for d in degs))), radix
+
+
 @dataclass(frozen=True)
 class TowerStep:
     """One extension step: a generator name, its monic minimal polynomial
     (dense coefficients over the tower below), and an optional isolating
-    interval designating a real root for numeric embeddings."""
+    interval designating a real root for numeric embeddings.
+
+    A step is made by ``ExtensionTower.extend`` over the tower its
+    coefficients live on, so the step fixes the whole tower it tops; the
+    tower's multiplication table is therefore built once per step."""
 
     name: str
     minpoly: tuple
@@ -70,16 +86,37 @@ class TowerStep:
         terms = {(e,): c for e, c in enumerate(self.minpoly) if not c.is_zero()}
         return MultiPoly._canonical((self.name,), terms, self.minpoly[0].tower)
 
+    @cached_property
+    def rewrite(self) -> tuple:
+        """``(lead, rule)`` with ``lead * g^d == sum(c * g_below^pe * g^j)``
+        over ``(j, pe, c)`` in ``rule``: the minimal polynomial times the
+        common denominator ``lead`` of its coefficients, in integers."""
+        low = self.minpoly[:-1]
+        lead = lcm(*(c.den for c in low))
+        basis = low[0].tower.basis
+        rule = [
+            (j, basis[p], -n * (lead // c.den))
+            for j, c in enumerate(low)
+            for p, n in enumerate(c.num)
+            if n
+        ]
+        return lead, rule
+
+    @cached_property
+    def products(self) -> "BasisProducts":
+        """The multiplication table of the tower this step tops."""
+        return BasisProducts(ExtensionTower(self.minpoly[0].tower.steps + (self,)))
+
 
 class ExtensionTower:
     """An ordered tuple of extension steps; the empty tower is Q."""
 
-    __slots__ = ("steps", "_degs", "_products")
+    __slots__ = ("steps", "_degs", "_size")
 
     def __init__(self, steps: tuple = ()):
         self.steps = tuple(steps)
         self._degs = tuple(s.degree for s in self.steps)
-        self._products = None
+        self._size = prod(self._degs)
 
     @property
     def height(self) -> int:
@@ -90,6 +127,11 @@ class ExtensionTower:
         if not self.steps:
             raise InvalidInput("the rational tower has no parent")
         return ExtensionTower(self.steps[:-1])
+
+    @property
+    def basis(self) -> tuple:
+        """The exponent tuples of the power basis, in number order."""
+        return _power_basis(self._degs)[0]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExtensionTower) and (
@@ -124,27 +166,24 @@ class ExtensionTower:
     # -- element constructors -------------------------------------------------
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, {}, reduce=False)
+        return _element(self, (0,) * self._size, 1)
 
     def one(self) -> "FieldElement":
         return self.rational(1)
 
     def rational(self, q) -> "FieldElement":
         q = _as_fraction(q)
-        if q == 0:
-            return FieldElement(self, {}, reduce=False)
-        return FieldElement(self, {(0,) * self.height: q}, reduce=False)
+        return _element(self, (q.numerator,) + (0,) * (self._size - 1), q.denominator)
 
     def gen(self, which) -> "FieldElement":
         k = which if isinstance(which, int) else self.step_index(which)
-        key = tuple(1 if i == k else 0 for i in range(self.height))
-        return FieldElement(self, {key: Fraction(1)})
+        num = [0] * self._size
+        num[_power_basis(self._degs)[1][k]] = 1
+        return _element(self, tuple(num), 1)
 
     def basis_products(self) -> "BasisProducts":
-        """How power-basis monomials multiply; computed once per tower instance."""
-        if self._products is None:
-            self._products = BasisProducts(self)
-        return self._products
+        """How power-basis monomials multiply; computed once per tower."""
+        return self.steps[-1].products if self.steps else _RATIONAL_PRODUCTS
 
     # -- construction ---------------------------------------------------------
 
@@ -194,69 +233,83 @@ def join_towers(a: ExtensionTower, b: ExtensionTower) -> ExtensionTower:
 
 
 class BasisProducts:
-    """Multiplication table of the power basis, for packed products.
+    """Multiplication table of the power basis, for products of elements
+    and packed products.
 
-    The basis is the monomials ``g^b`` with ``b[k] < deg m_k``. Monomial
-    ``b`` has number ``sum(b[k] * radix[k])`` (mixed radix, last generator
-    fastest), and ``basis`` lists the exponent tuples in that order. A
-    product ``g^b * g^c`` has the unreduced exponent ``s = b + c`` with
-    ``s[k] < 2 deg m_k - 1``; numbered the same way in that wider radix, the
-    product of basis monomials ``i`` and ``j`` is number ``lift[i] +
-    lift[j]``. ``rules[s]`` lists ``(i, c)`` with ``g^s == sum(c *
-    g^basis[i]) / den``: each ``g^s`` is reduced once, through
-    ``FieldElement``, and all are put over the one common denominator
+    The basis is the monomials ``g^b`` with ``b[k] < deg m_k``, numbered
+    ``sum(b[k] * radix[k])`` (mixed radix, last generator fastest;
+    ``ExtensionTower.basis`` lists them in that order). A product ``g^b *
+    g^c`` has the unreduced exponent ``s = b + c`` with ``s[k] < 2 deg m_k -
+    1``; numbered the same way in that wider radix, the product of basis
+    monomials ``i`` and ``j`` is number ``lift[i] + lift[j]``. ``rules[s]``
+    lists ``(i, c)`` with ``g^s == sum(c * g^basis[i]) / den``: each ``g^s``
+    is reduced once, and all are put over the one common denominator
     ``den``. ``cmax`` bounds ``sum(|c|)`` over any one rule.
     """
 
-    __slots__ = ("basis", "radix", "lift", "rules", "den", "cmax")
+    __slots__ = ("lift", "rules", "den", "cmax")
 
     def __init__(self, tower: ExtensionTower):
-        degs = tower._degs
-        wide = [2 * d - 1 for d in degs]
-        self.radix = [prod(degs[k + 1:]) for k in range(len(degs))]
-        wide_radix = [prod(wide[k + 1:]) for k in range(len(degs))]
-        self.basis = list(product(*(range(d) for d in degs)))
-        self.lift = [sum(map(mul, b, wide_radix)) for b in self.basis]
-        reduced = [FieldElement(tower, {s: Fraction(1)}).terms for s in product(*map(range, wide))]
-        self.den = lcm(*(q.denominator for terms in reduced for q in terms.values()))
+        wide = [2 * d - 1 for d in tower._degs]
+        wide_radix = [prod(wide[k + 1:]) for k in range(len(wide))]
+        self.lift = [sum(map(mul, b, wide_radix)) for b in tower.basis]
+        reduced = [_canonical(*_reduce_terms(tower, {s: 1}, 1)) for s in product(*map(range, wide))]
+        self.den = lcm(*(den for _, den in reduced))
         self.rules = [
-            [
-                (sum(map(mul, b, self.radix)), q.numerator * (self.den // q.denominator))
-                for b, q in terms.items()
-            ]
-            for terms in reduced
+            [(i, n * (self.den // den)) for i, n in enumerate(num) if n] for num, den in reduced
         ]
         self.cmax = max(sum(abs(c) for _, c in rule) for rule in self.rules)
 
 
 class FieldElement:
-    """An element of an extension tower, in reduced canonical form."""
+    """An element of an extension tower, in canonical form: integer
+    numerators ``num`` over the power basis and one ``den > 0`` with
+    ``gcd(den, *num) == 1``."""
 
-    __slots__ = ("tower", "terms")
+    __slots__ = ("tower", "num", "den")
 
-    def __init__(self, tower: ExtensionTower, terms: dict, reduce: bool = True):
-        self.tower = tower
+    def __init__(self, tower: ExtensionTower, terms: dict, reduce: bool = True, den: int = 1):
+        """The element ``sum(terms[e] * g^e) / den``; ``terms`` maps exponent
+        tuples to ints or Fractions. With ``reduce`` the exponents may be
+        any size and are reduced modulo the minimal polynomials; without
+        it they must already lie in the power basis."""
+        scale = lcm(*(q.denominator for q in terms.values()))
+        work = {e: q.numerator * (scale // q.denominator) for e, q in terms.items() if q}
         if reduce:
-            terms = _reduce_terms(tower, terms)
-        self.terms = terms
+            num, den = _reduce_terms(tower, work, den * scale)
+        else:
+            num, den = [0] * tower._size, den * scale
+            radix = _power_basis(tower._degs)[1]
+            for e, n in work.items():
+                num[sum(map(mul, e, radix))] = n
+        self.tower = tower
+        self.num, self.den = _canonical(num, den)
+
+    @staticmethod
+    def from_ints(tower: ExtensionTower, num, den: int) -> "FieldElement":
+        """The element ``sum(num[i] * g^basis[i]) / den``, ``den != 0``,
+        put in canonical form."""
+        return _element(tower, *_canonical(num, den))
+
+    @property
+    def terms(self) -> dict:
+        """A read-only view: ``{exponent tuple: Fraction}`` of the nonzero
+        coefficients, in basis order."""
+        basis, den = self.tower.basis, self.den
+        return {basis[i]: Fraction(n, den) for i, n in enumerate(self.num) if n}
 
     # -- structure ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        if not self.terms:
-            return True
-        zero_key = (0,) * self.tower.height
-        return len(self.terms) == 1 and zero_key in self.terms
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_rational():
             raise InvalidInput(f"{self} is not rational")
-        return next(iter(self.terms.values()))
+        return Fraction(self.num[0], self.den)
 
     def lift_to(self, tower: ExtensionTower) -> "FieldElement":
         """Reinterpret over a taller tower having this one as a prefix."""
@@ -264,36 +317,43 @@ class FieldElement:
             return self
         if not self.tower.is_prefix_of(tower):
             raise TowerMismatch("cannot lift: not a prefix")
-        pad = (0,) * (tower.height - self.tower.height)
-        return FieldElement(tower, {k + pad: v for k, v in self.terms.items()}, reduce=False)
+        # the new generators come last and run fastest: basis number i
+        # becomes i * (product of their degrees)
+        num = [0] * tower._size
+        num[:: tower._size // self.tower._size] = self.num
+        return _element(tower, tuple(num), self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.tower.rational(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        if self.tower != other.tower:
+        if self.tower is not other.tower and self.tower != other.tower:
             try:
                 t = join_towers(self.tower, other.tower)
             except TowerMismatch:
                 return False
-            return self.lift_to(t).terms == other.lift_to(t).terms
-        return self.terms == other.terms
+            self, other = self.lift_to(t), other.lift_to(t)
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
         # a rational element equals its number, so it hashes like it; equal
         # elements over different towers differ only by the zero exponents
         # ``lift_to`` pads at the end, so hash without those
         if self.is_rational():
-            return hash(self.as_rational())
-        return hash(frozenset((_strip_zeros(k), q) for k, q in self.terms.items()))
+            return hash(Fraction(self.num[0], self.den))
+        basis = self.tower.basis
+        return hash((self.den, frozenset((_strip_zeros(basis[i]), n) for i, n in enumerate(self.num) if n)))
 
     # -- ring operations ------------------------------------------------------
 
     def _coerced(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.tower.rational(other)
-        if not isinstance(other, FieldElement):
+        if isinstance(other, FieldElement):
+            if other.tower is self.tower:
+                return self, other
+        elif isinstance(other, (int, Fraction)):
+            return self, self.tower.rational(other)
+        else:
             return None, None
         t = join_towers(self.tower, other.tower)
         return self.lift_to(t), other.lift_to(t)
@@ -302,25 +362,18 @@ class FieldElement:
         a, b = self._coerced(other)
         if a is None:
             return NotImplemented
-        terms = dict(a.terms)
-        for k, v in b.terms.items():
-            s = terms.get(k, Fraction(0)) + v
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return FieldElement(a.tower, terms, reduce=False)
+        return _sum(a, b, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.tower, {k: -v for k, v in self.terms.items()}, reduce=False)
+        return _element(self.tower, tuple(-n for n in self.num), self.den)
 
     def __sub__(self, other):
         a, b = self._coerced(other)
         if a is None:
             return NotImplemented
-        return a + (-b)
+        return _sum(a, b, -1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -329,16 +382,27 @@ class FieldElement:
         a, b = self._coerced(other)
         if a is None:
             return NotImplemented
-        acc: dict = {}
-        for ka, va in a.terms.items():
-            for kb, vb in b.terms.items():
-                key = tuple(x + y for x, y in zip(ka, kb))
-                s = acc.get(key, Fraction(0)) + va * vb
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return FieldElement(a.tower, acc)
+        an, bn = a.num, b.num
+        if len(an) == 1:
+            n, d = an[0] * bn[0], a.den * b.den
+            g = gcd(n, d)
+            return _element(a.tower, (n // g,), d // g)
+        table = a.tower.basis_products()
+        lift = table.lift
+        sums: dict = {}
+        for i, x in enumerate(an):
+            if x:
+                li = lift[i]
+                for j, y in enumerate(bn):
+                    if y:
+                        s = li + lift[j]
+                        sums[s] = sums.get(s, 0) + x * y
+        num = [0] * len(an)
+        rules = table.rules
+        for s, t in sums.items():
+            for i, c in rules[s]:
+                num[i] += c * t
+        return _element(a.tower, *_canonical(num, a.den * b.den * table.den))
 
     __rmul__ = __mul__
 
@@ -370,23 +434,29 @@ class FieldElement:
             raise InvalidInput("inverse of zero")
         tower = self.tower
         if tower.height == 0:
-            return tower.rational(1 / self.as_rational())
+            n = self.num[0]
+            return _element(tower, (self.den if n > 0 else -self.den,), abs(n))
         from .poly import MultiPoly, invert_mod
 
-        # a polynomial in the top generator, with coefficients over the parent
+        # a polynomial in the top generator, with coefficients over the
+        # parent: the top exponent runs fastest, so coefficient e is every
+        # d-th numerator from e on
         step = tower.steps[-1]
         parent = tower.parent
-        buckets: dict = {}
-        for key, q in self.terms.items():
-            buckets.setdefault(key[-1], {})[key[:-1]] = q
-        a = MultiPoly._canonical(
-            (step.name,),
-            {(e,): FieldElement(parent, terms, reduce=False) for e, terms in buckets.items()},
-            parent,
-        )
+        d = step.degree
+        coeffs = {}
+        for e in range(d):
+            part = self.num[e::d]
+            if any(part):
+                coeffs[(e,)] = FieldElement.from_ints(parent, part, self.den)
+        a = MultiPoly._canonical((step.name,), coeffs, parent)
         inv = invert_mod(a, step.poly, step.name)
-        terms = {key + (e,): q for (e,), c in inv.terms.items() for key, q in c.terms.items()}
-        return FieldElement(tower, terms, reduce=False)
+        den = lcm(*(c.den for c in inv.terms.values()))
+        num = [0] * tower._size
+        for (e,), c in inv.terms.items():
+            f = den // c.den
+            num[e::d] = [n * f for n in c.num]
+        return FieldElement.from_ints(tower, num, den)
 
     def sign(self) -> int:
         """Exact sign; defined for rational values only."""
@@ -396,12 +466,13 @@ class FieldElement:
     # -- presentation ----------------------------------------------------------
 
     def __repr__(self) -> str:
-        if self.is_zero():
+        terms = self.terms
+        if not terms:
             return "0"
         names = [s.name for s in self.tower.steps]
         parts = []
-        for key in sorted(self.terms, reverse=True):
-            q = self.terms[key]
+        for key in sorted(terms, reverse=True):
+            q = terms[key]
             monos = [
                 n if e == 1 else f"{n}^{e}"
                 for n, e in zip(names, key)
@@ -421,42 +492,77 @@ class FieldElement:
         return out
 
 
+def _element(tower: ExtensionTower, num: tuple, den: int) -> FieldElement:
+    """Wrap a numerator tuple and denominator that are already canonical."""
+    e = object.__new__(FieldElement)
+    e.tower, e.num, e.den = tower, num, den
+    return e
+
+
+def _canonical(num, den: int) -> tuple:
+    """``(num, den)`` as a tuple over a positive denominator, with the
+    common factor of ``den`` and every numerator divided out."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(num), den
+    return tuple(n // g for n in num), den // g
+
+
+def _sum(a: FieldElement, b: FieldElement, sign: int) -> FieldElement:
+    """a + sign * b over their shared tower."""
+    ad, bd = a.den, b.den
+    if ad == bd:
+        num = [x + sign * y for x, y in zip(a.num, b.num)]
+    else:
+        num = [x * bd + sign * y * ad for x, y in zip(a.num, b.num)]
+        ad *= bd
+    return _element(a.tower, *_canonical(num, ad))
+
+
 # -- reduction ----------------------------------------------------------------
 
 
-def _reduce_terms(tower: ExtensionTower, terms: dict) -> dict:
+def _reduce_terms(tower: ExtensionTower, work: dict, den: int) -> tuple:
+    """``sum(work[e] * g^e) / den``, with integer values and exponents of
+    any size, reduced modulo the minimal polynomials: ``(num, den)`` over
+    the power basis, not yet canonical. ``work`` is consumed.
+
+    Generators are reduced from the top down, each by long division from
+    its highest exponent: ``lead * g^d`` is rewritten by the step's integer
+    rule, and when ``lead != 1`` every other entry is first scaled by
+    ``lead``, as is ``den``. Rewrites lower only the current exponent and
+    raise only exponents below it, so a reduced generator stays reduced."""
     degs = tower._degs
-    work = {k: v for k, v in terms.items() if v}
-    while True:
-        k_viol = None
-        for k in range(tower.height - 1, -1, -1):
-            if any(e[k] >= degs[k] for e in work):
-                k_viol = k
-                break
-        if k_viol is None:
-            return work
-        k = k_viol
+    for k in range(tower.height - 1, -1, -1):
         d = degs[k]
-        minpoly = tower.steps[k].minpoly  # coefficients over the prefix tower
-        hit = [e for e in work if e[k] >= d]
-        for e in hit:
-            # a previous rewrite in this pass may have cancelled this entry
-            q = work.pop(e, None)
-            if q is None:
+        lead, rule = tower.steps[k].rewrite
+        top = max((e[k] for e in work), default=0)
+        for x in range(top, d - 1, -1):
+            hits = [e for e in work if e[k] == x]
+            if not hits:
                 continue
-            # theta_k^d == -(c_0 + ... + c_{d-1} theta_k^{d-1})
-            for j in range(d):
-                cj = minpoly[j]
-                if cj.is_zero():
-                    continue
-                for pe, pq in cj.terms.items():
-                    key = tuple(
-                        (e[i] + pe[i]) if i < k else
-                        (e[k] - d + j if i == k else e[i])
-                        for i in range(len(e))
-                    )
-                    s = work.get(key, Fraction(0)) - q * pq
+            if lead != 1:
+                for e in work:
+                    if e[k] != x:
+                        work[e] *= lead
+                den *= lead
+            for e in hits:
+                w = work.pop(e)
+                head, tail = e[:k], e[k + 1:]
+                for j, pe, c in rule:
+                    key = tuple(map(add, head, pe)) + (x - d + j,) + tail
+                    s = work.get(key, 0) + w * c
                     if s:
                         work[key] = s
                     else:
                         work.pop(key, None)
+    num = [0] * tower._size
+    radix = _power_basis(degs)[1]
+    for e, n in work.items():
+        num[sum(map(mul, e, radix))] = n
+    return num, den
+
+
+_RATIONAL_PRODUCTS = BasisProducts(QQ)

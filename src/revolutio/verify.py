@@ -28,6 +28,7 @@ of the grid {1..d_u+1} x {1..d_v+1}, over any tower, reducible or not.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InternalInvariant, InvalidInput, NotSurfaceOfRevolution, ZeroDivisor
 from .poly import (
@@ -131,25 +132,25 @@ def _uv_components(s) -> tuple:
 def _gradient_at(c: MultiPoly, u0, v0) -> tuple:
     """(dc/du, dc/dv) at the rational point (u0, v0), as FieldElements over
     c's tower: each term adds e * u0^(e-1) * v0^f times its coefficient's
-    power-basis entries, and no partial derivative is formed."""
+    numerators, all in integers over the common denominator of the
+    coefficients times ``q^du * s^dv`` for ``u0 = p/q``, ``v0 = r/s``, and
+    no partial derivative is formed."""
     du, dv = c._degrees()
-    pu = [u0 ** k for k in range(du + 1)]
-    pv = [v0 ** k for k in range(dv + 1)]
-    gu: dict = {}
-    gv: dict = {}
+    (p, q), (r, s) = u0.as_integer_ratio(), v0.as_integer_ratio()
+    pp, qq = [p ** k for k in range(du + 1)], [q ** k for k in range(du + 1)]
+    rr, ss = [r ** k for k in range(dv + 1)], [s ** k for k in range(dv + 1)]
+    den = lcm(*(coeff.den for coeff in c.terms.values()))
+    gu = gv = [0] * c.tower._size
     for (a, b), coeff in c.terms.items():
+        f = den // coeff.den
         if a:
-            w = a * pu[a - 1] * pv[b]
-            for key, q in coeff.terms.items():
-                gu[key] = gu.get(key, 0) + w * q
+            w = a * pp[a - 1] * qq[du - a + 1] * rr[b] * ss[dv - b] * f
+            gu = [x + w * n for x, n in zip(gu, coeff.num)]
         if b:
-            w = b * pu[a] * pv[b - 1]
-            for key, q in coeff.terms.items():
-                gv[key] = gv.get(key, 0) + w * q
-    return tuple(
-        FieldElement(c.tower, {k: q for k, q in g.items() if q}, reduce=False)
-        for g in (gu, gv)
-    )
+            w = b * pp[a] * qq[du - a] * rr[b - 1] * ss[dv - b + 1] * f
+            gv = [x + w * n for x, n in zip(gv, coeff.num)]
+    den *= qq[du] * ss[dv]
+    return FieldElement.from_ints(c.tower, gu, den), FieldElement.from_ints(c.tower, gv, den)
 
 
 def _minors_vanish(grads) -> bool:
@@ -203,8 +204,6 @@ def fiber_count(s, sample) -> int | None:
             eqs.append(e)
     with_v = [e for e in eqs if e.uses("v")]
     u_only = [e for e in eqs if not e.uses("v")]
-    if not with_v:
-        return None
     candidates = [e.to_unipoly("u") for e in u_only]
     for i in range(len(with_v)):
         for j in range(i + 1, len(with_v)):
@@ -262,8 +261,17 @@ def _common_v_root_count(with_v, branch_tower, theta) -> int | None:
     def value(c: MultiPoly) -> FieldElement:
         if theta is not None:
             return c.eval_at({"u": theta})
+        basis = branch_tower.parent.basis
+        den = lcm(*(ce.den for ce in c.terms.values()))
         return FieldElement(
-            branch_tower, {key + (d,): q for (d,), ce in c.terms.items() for key, q in ce.terms.items()}
+            branch_tower,
+            {
+                basis[i] + (d,): n * (den // ce.den)
+                for (d,), ce in c.terms.items()
+                for i, n in enumerate(ce.num)
+                if n
+            },
+            den=den,
         )
 
     g = None

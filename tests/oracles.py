@@ -2,6 +2,8 @@
 
 Everything here is deliberately primitive: dense coefficient lists over
 Fraction, schoolbook algorithms, no sharing with the package under test.
+Tower elements are {exponent tuple: Fraction} dicts reduced a monomial at
+a time, and inverted by linear algebra.
 Oracle results get frozen into the tests next to the computation that
 produced them. ``sympy_unipoly`` hands a rational polynomial to sympy, for
 the tests whose oracle is sympy.
@@ -94,6 +96,94 @@ def from_roots(roots):
 def sign_variations(values):
     signs = [v for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+
+
+# -- elements of an extension tower, as {exponent tuple: Fraction} dicts ----
+#
+# A tower is a list of minimal polynomials, one per generator, bottom first.
+# Minimal polynomial k is monic and dense, constant term first; each of its
+# coefficients is an element dict over the first k generators.
+
+
+def tower_reduce(minpolys, terms):
+    """Rewrite g_k^d_k by its minimal polynomial, a monomial at a time,
+    until every exponent lies below its degree; zero entries dropped."""
+    work = {e: Fraction(c) for e, c in terms.items() if c}
+    while True:
+        hits = [
+            (k, e) for e in work for k in range(len(minpolys)) if e[k] >= len(minpolys[k]) - 1
+        ]
+        if not hits:
+            return work
+        k, e = max(hits)
+        d = len(minpolys[k]) - 1
+        c = work.pop(e)
+        for j, coeff in enumerate(minpolys[k][:-1]):
+            for pe, q in coeff.items():
+                key = list(e)
+                key[k] += j - d
+                for i, x in enumerate(pe):
+                    key[i] += x
+                key = tuple(key)
+                work[key] = work.get(key, Fraction(0)) - c * q
+                if not work[key]:
+                    del work[key]
+
+
+def tower_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+        if not out[e]:
+            del out[e]
+    return out
+
+
+def tower_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def tower_mul(minpolys, a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return tower_reduce(minpolys, out)
+
+
+def tower_basis(minpolys):
+    basis = [()]
+    for m in minpolys:
+        basis = [b + (x,) for b in basis for x in range(len(m) - 1)]
+    return basis
+
+
+def tower_inverse(minpolys, a):
+    """The inverse of ``a`` from the linear system ``a * y == 1`` in the
+    power basis, by Gauss-Jordan elimination; None when ``a`` is a zero
+    divisor (the system is singular)."""
+    basis = tower_basis(minpolys)
+    n = len(basis)
+    cols = [tower_mul(minpolys, a, {b: Fraction(1)}) for b in basis]
+    rows = [[cols[j].get(basis[i], Fraction(0)) for j in range(n)] + [Fraction(i == 0)] for i in range(n)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        lead = rows[c][c]
+        rows[c] = [x / lead for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return {basis[i]: rows[i][n] for i in range(n) if rows[i][n]}
+
+
+def tower_lift(a, extra):
+    """``a`` over a tower with ``extra`` more generators on top."""
+    return {e + (0,) * extra: c for e, c in a.items()}
 
 
 def sympy_unipoly(f, gen):

@@ -7,6 +7,7 @@ gate. Each suite runs a documented number of cases from its own fixed seed:
     substitution homomorphism             seed 20260814
     Sturm counts vs constructed roots     seed 20260815
     gcd divides both arguments            seed 20260816
+    tower arithmetic vs schoolbook oracle seed 20260817
 
 Inputs are generated small on purpose: the properties are structural and
 low-degree instances already exercise every code path (carries, towers,
@@ -15,10 +16,13 @@ content signs) without inflating runtime.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import oracles
 
 from revolutio import (
+    QQ,
+    FieldElement,
     MultiPoly,
     UniPoly,
     decompose_paa,
@@ -159,6 +163,107 @@ def run_gcd_suite(cases=CASES):
     return cases
 
 
+#: Extension steps the tower suite draws from: name -> (minimal polynomial,
+#: constant term first, with ``"-i"`` for minus the generator i). Any draw
+#: the suite allows is a field: "w" (w^2 = i) needs i below it, and w and s
+#: never share a tower, since w = (1 + i) / sqrt(2) would split x^2 - 2.
+TOWER_STEPS = {
+    "i": (1, 0, 1),
+    "s": (-2, 0, 1),
+    "r": (-3, 0, 1),
+    "c": (-3, Fraction(-1, 2), 0, 1),
+    "w": ("-i", 0, 1),
+}
+
+
+def _step_options(names):
+    return [
+        n for n in TOWER_STEPS
+        if n not in names and (n != "w" or "i" in names) and not {"s", "w"} <= {n, *names}
+    ]
+
+
+def _extend(rng, tower, names, minpolys):
+    """One more random step, on both the package tower and the oracle's."""
+    name = rng.choice(_step_options(names))
+    k = len(names)
+    coeffs, oracle = [], []
+    for c in TOWER_STEPS[name]:
+        if c == "-i":
+            coeffs.append(-tower.gen("i"))
+            oracle.append({tuple(int(n == "i") for n in names): Fraction(-1)})
+        else:
+            coeffs.append(c)
+            oracle.append({(0,) * k: Fraction(c)} if c else {})
+    return tower.extend(name, coeffs), names + [name], minpolys + [oracle]
+
+
+def _random_terms(rng, minpolys, spread=1):
+    """A random element dict; ``spread`` > 1 draws exponents up to that many
+    times the degrees, so the package must reduce them."""
+    degs = [len(m) - 1 for m in minpolys]
+    out = {}
+    for _ in range(rng.randrange(0, 2 * len(oracles.tower_basis(minpolys)) + 1)):
+        key = tuple(rng.randrange(spread * d) for d in degs)
+        out[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return out
+
+
+def _canonical(e, minpolys):
+    n = len(oracles.tower_basis(minpolys))
+    return len(e.num) == n and e.den > 0 and gcd(e.den, *e.num) == 1
+
+
+def run_tower_suite(cases=CASES):
+    """FieldElement arithmetic over random towers of height 0-3 (relative
+    step x^2 - i over Q(i) included) against the schoolbook reduction of
+    oracles.py: products, sums, differences, negation, inverses, the
+    reducing constructor and lifts to a taller tower; every result in
+    canonical form (den > 0, gcd(den, *num) == 1), and equal values equal
+    and hash-equal, over one tower and across towers."""
+    rng = random.Random(20260817)
+    for _ in range(cases):
+        tower, names, minpolys = QQ, [], []
+        for _ in range(rng.randrange(4)):
+            tower, names, minpolys = _extend(rng, tower, names, minpolys)
+        xt = oracles.tower_reduce(minpolys, _random_terms(rng, minpolys))
+        yt = oracles.tower_reduce(minpolys, _random_terms(rng, minpolys))
+        x, y = FieldElement(tower, xt), FieldElement(tower, yt)
+        results = [
+            (x * y, oracles.tower_mul(minpolys, xt, yt)),
+            (x + y, oracles.tower_add(xt, yt)),
+            (x - y, oracles.tower_add(xt, oracles.tower_neg(yt))),
+            (-x, oracles.tower_neg(xt)),
+        ]
+        unreduced = _random_terms(rng, minpolys, spread=3)
+        results.append((FieldElement(tower, unreduced), oracles.tower_reduce(minpolys, unreduced)))
+        if xt:
+            inv = oracles.tower_inverse(minpolys, xt)
+            assert inv is not None  # every drawn tower is a field
+            results.append((x.inverse(), inv))
+            one = x * x.inverse()
+            assert one == 1 and hash(one) == hash(1)
+        taller, _, tall_polys = _extend(rng, tower, names, minpolys)
+        zt = oracles.tower_reduce(tall_polys, _random_terms(rng, tall_polys))
+        z, xl = FieldElement(taller, zt), x.lift_to(taller)
+        results += [
+            (xl, oracles.tower_lift(xt, 1)),
+            (x * z, oracles.tower_mul(tall_polys, oracles.tower_lift(xt, 1), zt)),
+            (z + x, oracles.tower_add(zt, oracles.tower_lift(xt, 1))),
+        ]
+        for got, want in results:
+            assert got.terms == want
+            assert _canonical(got, tall_polys if got.tower == taller else minpolys)
+        assert x * y == y * x and hash(x * y) == hash(y * x)
+        assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+        assert xl == x and x == xl and hash(xl) == hash(x)
+        assert (xl == z) == (oracles.tower_lift(xt, 1) == zt)
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        assert tower.rational(q) == taller.rational(q) == q
+        assert len({tower.rational(q), taller.rational(q), q}) == 1
+    return cases
+
+
 ALL_SUITES = (
     ("yun-round-trip", run_yun_suite),
     ("decompose-reconstruction", run_decompose_suite),
@@ -166,4 +271,5 @@ ALL_SUITES = (
     ("substitute-homomorphism", run_substitute_suite),
     ("sturm-constructed-roots", run_sturm_suite),
     ("gcd-divides-both", run_gcd_suite),
+    ("tower-arithmetic", run_tower_suite),
 )

@@ -300,6 +300,11 @@ class TestFiberCount:
         with pytest.raises(InvalidInput):
             fiber_count(s, (0, 0))  # du column vanishes at u = 0
 
+    def test_v_free_witness_refused_at_the_jacobian_check(self):
+        # no component uses v, so every 2x2 minor vanishes at every sample
+        with pytest.raises(InvalidInput, match="Jacobian's vanishing locus"):
+            fiber_count(make([u, u ** 2, u ** 3]), (1, 1))
+
     def test_retry_sequence(self):
         s = make([u ** 2, v, u ** 4 + v])
         n, sample = fiber_count_first_valid(s)

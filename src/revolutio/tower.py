@@ -274,14 +274,14 @@ class FieldElement:
         any size and are reduced modulo the minimal polynomials; without
         it they must already lie in the power basis."""
         scale = lcm(*(q.denominator for q in terms.values()))
-        work = {e: q.numerator * (scale // q.denominator) for e, q in terms.items() if q}
         if reduce:
+            work = {e: q.numerator * (scale // q.denominator) for e, q in terms.items() if q}
             num, den = _reduce_terms(tower, work, den * scale)
         else:
             num, den = [0] * tower._size, den * scale
             radix = _power_basis(tower._degs)[1]
-            for e, n in work.items():
-                num[sum(map(mul, e, radix))] = n
+            for e, q in terms.items():
+                num[sum(map(mul, e, radix))] = q.numerator * (scale // q.denominator)
         self.tower = tower
         self.num, self.den = _canonical(num, den)
 

@@ -618,13 +618,11 @@ class _Kronecker:
             done = 0
             for run in _NONZERO_BYTES.finditer(nonzero):
                 for s in range(max(run.start() // width, done), (run.end() - 1) // width + 1):
-                    c = int.from_bytes(biased[s * width:(s + 1) * width], "little") - half
-                    if c:
-                        key = tuple(s // stride % w for stride, w in place)
-                        num = coeffs.get(key)
-                        if num is None:
-                            num = coeffs[key] = [0] * size
-                        num[i] = c
+                    key = tuple(s // stride % w for stride, w in place)
+                    num = coeffs.get(key)
+                    if num is None:
+                        num = coeffs[key] = [0] * size
+                    num[i] = int.from_bytes(biased[s * width:(s + 1) * width], "little") - half
                     done = s + 1
         tower, den = self.tower, p.den
         return MultiPoly._canonical(

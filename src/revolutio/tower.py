@@ -532,8 +532,9 @@ def _reduce_terms(tower: ExtensionTower, work: dict, den: int) -> tuple:
     Generators are reduced from the top down, each by long division from
     its highest exponent: ``lead * g^d`` is rewritten by the step's integer
     rule, and when ``lead != 1`` every other entry is first scaled by
-    ``lead``, as is ``den``. Rewrites lower only the current exponent and
-    raise only exponents below it, so a reduced generator stays reduced."""
+    ``lead``, as is ``den``. A rewrite lowers the current generator's
+    exponent and raises only those of the generators below it, so a
+    reduced generator stays reduced."""
     degs = tower._degs
     for k in range(tower.height - 1, -1, -1):
         d = degs[k]

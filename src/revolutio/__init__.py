@@ -66,7 +66,6 @@ from .realparam import (
     RealVerdict,
     conjecture_predicate,
     cubic_example,
-    dioph_identity_check,
     real_param_delta0,
     real_param_delta1,
     real_param_delta2,

@@ -1,19 +1,19 @@
 """Sparse exact polynomials over extension towers.
 
 There is one polynomial arithmetic. MultiPoly holds up to four variables
-(three for geometry, four for the Diophantine-identity check); it keeps no
-zero coefficients and canonicalizes on construction, so structural
-equality is semantic equality. UniPoly is a MultiPoly in exactly one
-variable that adds only degree, leading coefficient, division with
-remainder and composition. Every arithmetic result with exactly one
-variable is a UniPoly, so the profile polynomials p, a and b enter
-bivariate witnesses with no conversion. The univariate toolkit (gcd,
-inversion modulo a polynomial, square-free test, Yun decomposition,
-rational roots, Sturm counts on one integer chain) together with
-substitution, exact division and resultants by evaluation and
+(the pipeline itself needs at most three: x, y, z, or u, v, or a curve
+parameter with w and z); it keeps no zero coefficients and canonicalizes on
+construction, so structural equality is semantic equality. UniPoly is a
+MultiPoly in exactly one variable that adds only degree, leading
+coefficient, division with remainder and composition. Every arithmetic
+result with exactly one variable is a UniPoly, so the profile polynomials
+p, a and b enter bivariate witnesses with no conversion. The univariate
+toolkit (gcd, inversion modulo a polynomial, square-free test, Yun
+decomposition, rational roots, Sturm counts on one integer chain) together
+with substitution, exact division and resultants by evaluation and
 interpolation is everything the parametrization pipeline needs; there is
-deliberately no general factorization. Tower inversion and the
-square-free check on minimal polynomials run through it too.
+deliberately no general factorization. Tower inversion and the square-free
+check on minimal polynomials run through it too.
 
 There is one way to build a polynomial inside the package.
 ``MultiPoly(vars, terms, tower)`` (and ``UniPoly(var, coeffs, tower)``,
@@ -37,7 +37,12 @@ monomial, laid out dense in its variables with widths from the result's
 degree bounds. Each list is packed into one Python int, whose products run
 in C; every product is reduced at once with the tower's basis products
 (``ExtensionTower.basis_products``), and only the final result is unpacked,
-straight into numerators over the result's denominator.
+straight into numerators over the result's denominator. A substitution
+groups its terms by their exponent of the first image and combines the
+groups in Horner order in that image (``_packed_sum``), so it pays one
+full-size product per distinct exponent, not one per term; every power,
+the gaps between exponents included, comes from one list of repeated
+squares per image.
 
 Resultants, rational roots and square-free decompositions run on dense lists
 of plain ints as well.
@@ -45,7 +50,10 @@ of plain ints as well.
 each tower generator one more variable of an integer polynomial, reading the
 coefficients' numerators as they are stored; evaluation, Newton interpolation
 and the subresultant PRS stay in Z, and only the result is reduced through
-the tower, so it is the Sylvester determinant over any tower.
+the tower, so it is the Sylvester determinant over any tower. When either
+polynomial has degree 1 in the eliminated variable the determinant has a
+closed form, (-1)^n sum_j f_j (-g0)^j g1^(n-j) for g = g1*x + g0 and
+n = deg f, taken in one packed run with no evaluation points.
 ``rational_roots`` isolates the real roots of the square-free part by integer
 bisection on one Sturm chain, so its cost does not grow with the divisors of
 the coefficients.
@@ -842,21 +850,36 @@ def substitute(f, bindings: Mapping[str, object]) -> MultiPoly:
 
 def _packed_sum(k: _Kronecker, keys: list, pos: Sequence[int], images: list, coeffs: list) -> _Packed:
     """The sum over ``keys`` of ``coeffs[j] * prod(images[n]^keys[j][pos[n]])``
-    in ``k``'s packed ring: the body of a substitution, each power of an
-    image computed once by repeated squaring."""
+    in ``k``'s packed ring: the body of a substitution.
+
+    The terms are grouped by their exponent of the first image, each group
+    summed term by term, and the groups combined in Horner order in that
+    image, so a sum with n distinct first exponents pays n products of the
+    growing sum instead of one full-size product per term. Each power of
+    an image, a gap between first exponents included, is computed once
+    from that image's shared repeated squares."""
     squares = [[x] for x in images]  # per image: image^(2^j)
     powers: dict = {}
-    acc = None
+
+    def power(n: int, e: int) -> _Packed:
+        if (n, e) not in powers:
+            powers[n, e] = k.power(squares[n], e)
+        return powers[n, e]
+
+    groups: dict = {}
     for key, c in zip(keys, coeffs):
         term = c
-        for n, (p, sq) in enumerate(zip(pos, squares)):
-            e = key[p]
+        for n in range(1, len(pos)):
+            e = key[pos[n]]
             if e:
-                if (n, e) not in powers:
-                    powers[n, e] = k.power(sq, e)
-                term = k.mul(term, powers[n, e])
-        acc = term if acc is None else k.add(acc, term)
-    return acc
+                term = k.mul(term, power(n, e))
+        e = key[pos[0]] if pos else 0
+        groups[e] = k.add(groups[e], term) if e in groups else term
+    acc = last = None
+    for e in sorted(groups, reverse=True):
+        acc = groups[e] if acc is None else k.add(k.mul(acc, power(0, last - e)), groups[e])
+        last = e
+    return k.mul(acc, power(0, last)) if last else acc
 
 
 def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -901,6 +924,9 @@ def resultant_eliminate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     modulo the minimal polynomials is a ring homomorphism that keeps the
     leading coefficients nonzero, so the result is the Sylvester
     determinant over the tower even when the tower is reducible.
+
+    When either polynomial has degree 1 in ``var`` the determinant has a
+    closed form (``_linear_resultant``), taken in one packed run instead.
     """
     vars_ = tuple(sorted(set(f.vars) | set(g.vars)))
     if var not in vars_:
@@ -911,6 +937,8 @@ def resultant_eliminate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         raise InvalidInput(f"both polynomials must contain {var!r}")
     i = vars_.index(var)
     rest = vars_[:i] + vars_[i + 1:]
+    if fv.degree_in(var) == 1 or gv.degree_in(var) == 1:
+        return _linear_resultant(fv.as_unipoly_in(var), gv.as_unipoly_in(var), rest, t)
     basis = t.basis
 
     def split(p: MultiPoly) -> tuple:
@@ -937,6 +965,36 @@ def resultant_eliminate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         if not c.is_zero():
             terms[k] = c
     return MultiPoly._canonical(rest, terms, t)
+
+
+def _linear_resultant(fc: list, gc: list, rest: tuple, tower: ExtensionTower) -> MultiPoly:
+    """The Sylvester determinant Res(f, g) from the dense coefficient lists
+    of f and g in the eliminated variable, one of them of length 2, as
+    polynomials in ``rest``.
+
+    For g = g1*x + g0 and n = deg f it is (-1)^n g1^n f(-g0 / g1) = (-1)^n
+    sum_j f_j (-g0)^j g1^(n-j). That is an identity between polynomials in
+    the coefficients, so it holds over any tower, zero divisors included;
+    with the linear operand first the determinant changes by (-1)^(n*1).
+    The sum is one packed run of ``_packed_sum``, Horner in -g0."""
+    if len(gc) == 2:
+        sign = (-1) ** (len(fc) - 1)
+    else:
+        fc, gc, sign = gc, fc, 1  # the swap's sign cancels (-1)^n
+    n = len(fc) - 1
+    h, g1 = -gc[0], gc[1]
+    keys = [(j, n - j) for j in range(n + 1) if not fc[j].is_zero()]
+    coeffs = [fc[j] if sign > 0 else -fc[j] for j, _ in keys]
+    # every term, and every leaf, fits the degree bound in each variable
+    dh, d1 = h._degrees(), g1._degrees()
+    dc = [c._degrees() for c in coeffs]
+    degs = [
+        max([dh[v], d1[v]] + [d[v] + j * dh[v] + m * d1[v] for d, (j, m) in zip(dc, keys)])
+        for v in range(len(rest))
+    ]
+    return _Kronecker(rest, degs, tower).run(
+        [h, g1] + coeffs, lambda k, packed: _packed_sum(k, keys, (0, 1), packed[:2], packed[2:])
+    )
 
 
 def _resultant(fc: list, gc: list, nvars: int) -> dict:

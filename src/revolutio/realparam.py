@@ -88,19 +88,6 @@ def dioph_point(q1, q2, q3, q4):
     return x, y, z
 
 
-def dioph_identity_check(q1, q2, q3, q4) -> MultiPoly:
-    """Residual of the four-square identity; identically zero for any inputs."""
-    vals = []
-    for q in (q1, q2, q3, q4):
-        if not isinstance(q, MultiPoly):
-            q = MultiPoly.constant(q)
-        vals.append(q)
-    q1, q2, q3, q4 = vals
-    x, y, z = dioph_point(q1, q2, q3, q4)
-    d = q1 * q4 - q2 * q3
-    return x * x + y * y - z * z + d * d
-
-
 def two_sheet_components(tower: ExtensionTower = QQ):
     """The double-cover parametrization of x^2 + y^2 - z^2 = -1, built by
     pushing a polynomial section of q1 q4 - q2 q3 = 1 through dioph_point."""

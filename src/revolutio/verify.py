@@ -9,7 +9,11 @@ Construction functions (`sor_complex_param`, `real_verdict`,
 `quadric_param`, ...) return witnesses without checking them, and nothing
 here trusts them. Fiber cardinality is counted by resultant elimination
 plus gcd degrees over quotient towers (splitting on zero divisors, so the
-count is exact even when the eliminant does not factor over Q).
+count is exact even when the eliminant does not factor over Q). v is
+eliminated against one pivot equation, the one of least v-degree, rather
+than from every pair: the gcd of the pivot resultants may have more roots
+than that of all pair resultants, but every common u-root of the fiber is
+among them, and each extra root has no common v-root, so it counts 0.
 
 The residual F(X, Y, Z) of a surface of revolution is computed as
 G(X*X + Y*Y, Z), the same polynomial, once ``implicit_to_p2`` has proved
@@ -28,6 +32,7 @@ of the grid {1..d_u+1} x {1..d_v+1}, over any tower, reducible or not.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from .errors import InternalInvariant, InvalidInput, NotSurfaceOfRevolution, ZeroDivisor
@@ -185,10 +190,18 @@ def fiber_count(s, sample) -> int | None:
     """Number of complex (u, v) with s(u, v) = s(sample), or None when the
     sample is not generic enough to tell.
 
-    Eliminates v by pairwise resultants, takes the square-free part of the
+    Eliminates v by the resultants of the pivot, the equation of least
+    v-degree, with each other equation, takes the square-free part of the
     gcd of the eliminants, and counts distinct v-roots per u-root by gcd
     degree over the quotient tower, splitting moduli on zero divisors.
     Distinct solutions only; multiplicity is not counted.
+
+    The count is the one all pair resultants give. A u-root where the
+    equations have a common v-root, or all vanish, makes every pair
+    resultant vanish, so it is a root of the pivot resultants too. A root
+    of their gcd that all pair resultants do not share has no common
+    v-root and adds 0. Only when every pivot resultant is identically zero
+    are the pairs without the pivot eliminated instead.
     """
     u0, v0 = (Fraction(sample[0]), Fraction(sample[1]))
     comps = _uv_components(s)
@@ -203,18 +216,10 @@ def fiber_count(s, sample) -> int | None:
         if not e.is_zero():  # over (u, v) and ``tower`` already
             eqs.append(e)
     with_v = [e for e in eqs if e.uses("v")]
-    u_only = [e for e in eqs if not e.uses("v")]
-    candidates = [e.to_unipoly("u") for e in u_only]
-    for i in range(len(with_v)):
-        for j in range(i + 1, len(with_v)):
-            r = resultant_eliminate(with_v[i], with_v[j], "v")  # a UniPoly in u
-            if not r.is_zero():
-                candidates.append(r)
-    if not candidates:
+    # with_v is not empty: the Jacobian check above needs some dc/dv != 0
+    g = _u_eliminant(with_v, [e for e in eqs if not e.uses("v")])
+    if g is None:
         return None
-    g = candidates[0]
-    for c in candidates[1:]:
-        g = gcd_unipoly(g, c)
     if g.is_zero() or g.is_constant():
         return 0 if g.is_constant() and not g.is_zero() else None
     g = squarefree_part(g)
@@ -249,6 +254,25 @@ def fiber_count(s, sample) -> int | None:
             return None
         total += deg_m * nv
     return total
+
+
+def _u_eliminant(with_v, u_only):
+    """The gcd of the u-only equations and of the nonzero resultants in v
+    of the pivot, the first equation of least v-degree in ``with_v``, with
+    each other one; the resultants of the pairs without the pivot instead
+    when every pivot resultant is identically zero. None when there is
+    nothing to take the gcd of."""
+    pivot, *others = sorted(with_v, key=lambda e: e.degree_in("v"))
+    resultants = [resultant_eliminate(pivot, e, "v") for e in others]  # UniPolys in u
+    if all(r.is_zero() for r in resultants):
+        resultants = [resultant_eliminate(a, b, "v") for a, b in combinations(others, 2)]
+    candidates = [e.to_unipoly("u") for e in u_only] + [r for r in resultants if not r.is_zero()]
+    if not candidates:
+        return None
+    g = candidates[0]
+    for c in candidates[1:]:
+        g = gcd_unipoly(g, c)
+    return g
 
 
 def _common_v_root_count(with_v, branch_tower, theta) -> int | None:

@@ -4,12 +4,19 @@ Everything here is deliberately primitive: dense coefficient lists over
 Fraction, schoolbook algorithms, no sharing with the package under test.
 Tower elements are {exponent tuple: Fraction} dicts reduced a monomial at
 a time, and inverted by linear algebra.
+Polynomials over a tower are {exponent tuple: element dict} dicts,
+multiplied term by term.
 Oracle results get frozen into the tests next to the computation that
 produced them. ``sympy_unipoly`` hands a rational polynomial to sympy, for
-the tests whose oracle is sympy.
+the tests whose oracle is sympy. ``dioph_identity_check`` is the one helper
+here built on the package: it puts the package's ``dioph_point`` into the
+four-square identity.
 """
 
 from fractions import Fraction
+
+from revolutio import MultiPoly
+from revolutio.realparam import dioph_point
 
 
 def trim(p):
@@ -184,6 +191,53 @@ def tower_inverse(minpolys, a):
 def tower_lift(a, extra):
     """``a`` over a tower with ``extra`` more generators on top."""
     return {e + (0,) * extra: c for e, c in a.items()}
+
+
+# -- polynomials over a tower, as {exponent tuple: element dict} dicts -------
+
+
+def poly_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = tower_add(out.get(k, {}), c)
+        if not out[k]:
+            del out[k]
+    return out
+
+
+def poly_mul(minpolys, a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out = poly_add(out, {k: tower_mul(minpolys, ca, cb)})
+    return out
+
+
+def poly_substitute(minpolys, f, images):
+    """f with its variable j replaced by the polynomial ``images[j]``; every
+    image in the same variables. Each term is expanded on its own, every
+    power by repeated multiplication."""
+    nvars = len(next(iter(images[0])))
+    total = {}
+    for key, c in f.items():
+        term = {(0,) * nvars: c}
+        for image, e in zip(images, key):
+            for _ in range(e):
+                term = poly_mul(minpolys, term, image)
+        total = poly_add(total, term)
+    return total
+
+
+def dioph_identity_check(q1, q2, q3, q4):
+    """Residual of the four-square identity x^2 + y^2 - z^2 = -(q1 q4 -
+    q2 q3)^2 at ``dioph_point(q1, q2, q3, q4)``, as a MultiPoly;
+    identically zero for any inputs."""
+    qs = (q if isinstance(q, MultiPoly) else MultiPoly.constant(q) for q in (q1, q2, q3, q4))
+    q1, q2, q3, q4 = qs
+    x, y, z = dioph_point(q1, q2, q3, q4)
+    d = q1 * q4 - q2 * q3
+    return x * x + y * y - z * z + d * d
 
 
 def sympy_unipoly(f, gen):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 import property_suites
 
 from revolutio import (
@@ -18,7 +19,6 @@ from revolutio import (
     conjecture_predicate,
     cubic_example,
     decompose_paa,
-    dioph_identity_check,
     jacobian_generic_rank,
     quadric_param,
     quadric_verdict,
@@ -55,7 +55,7 @@ def test_criterion_1_paper_formula_catalog():
 def test_criterion_2_diophantine_identity():
     names = ("q1", "q2", "q3", "q4")
     qs = [MultiPoly.variable(n, names) for n in names]
-    residual = dioph_identity_check(*qs)
+    residual = oracles.dioph_identity_check(*qs)
     assert residual.is_zero(), "four-square identity must vanish on indeterminates"
     # the published section substituted into the identity reproduces the
     # double-cover components coefficient for coefficient

@@ -651,6 +651,26 @@ class TestResultant:
         r = self.check_against_sylvester(ww - tt ** 2, zz - tt ** 3, "t")
         assert (r.degree_in("w"), r.degree_in("z")) == (3, 2)
 
+    # an operand of degree 1 takes the closed form; the linear operand on
+    # either side, with a constant or a polynomial coefficient of the variable
+    @pytest.mark.parametrize("linear_first", [False, True])
+    def test_linear_operand(self, linear_first):
+        uvw, twz = ("u", "v", "w"), ("t", "w", "z")
+        uu, vv, ww = (MultiPoly.variable(n, uvw) for n in uvw)
+        tt, w2, zz = (MultiPoly.variable(n, twz) for n in twz)
+        v1 = MultiPoly.variable("v", ("v",))
+        for linear, other, var in (
+            (u * v - 1, v ** 3 - u, "v"),
+            (Fraction(2, 3) * v - u ** 2 + 5, u * v ** 4 - Fraction(1, 2) * v + u, "v"),
+            (2 * v + 3, 5 * v - u, "v"),
+            ((uu - ww) * vv + uu * ww, vv ** 3 - uu ** 2 * vv + ww, "v"),
+            (3 * vv - uu ** 2, ww * vv ** 2 + uu * vv, "v"),
+            (v1 - 3, v1 ** 2 + 1, "v"),
+            (zz - tt, w2 - tt ** 7 + 2 * tt, "t"),
+        ):
+            f, g = (linear, other) if linear_first else (other, linear)
+            self.check_against_sylvester(f, g, var)
+
     # Over a tower, against sympy's Sylvester determinant of the polynomials in
     # the generators, reduced by ``rem`` modulo the minimal polynomials, top
     # generator first (``TestPackedProducts._check``).
@@ -744,6 +764,23 @@ class TestResultant:
         f1 = (a * a - a) * v1 ** 2 + v1 - i
         g1 = (i * a + i) * v1 ** 3 + a
         self.check_reduced_sylvester(f1, g1, "v", "alpha_i")
+
+
+    @pytest.mark.parametrize("name", ["alpha_i", "split"])
+    def test_linear_operand_over_towers(self, name):
+        # over the reducible tower, lc_v(g) = b - 1 is a zero divisor
+        tower, minpolys = _towers()[name]
+        a, b = tower.gen(minpolys[0][0]), tower.gen(minpolys[-1][0])
+        uu, vv = (MultiPoly.variable(n, ("u", "v"), tower) for n in "uv")
+        v1 = MultiPoly.variable("v", ("v",), tower)
+        for linear, other in (
+            (a * vv + b, vv ** 3 - a * uu * vv + 2),
+            ((a * uu - b) * vv - 1, vv ** 3 - uu),
+            ((b - 1) * vv + uu, a * vv ** 2 + b),
+            ((a + b) * v1 - a * b, b * v1 ** 2 + a),
+        ):
+            self.check_reduced_sylvester(linear, other, "v", name)
+            self.check_reduced_sylvester(other, linear, "v", name)
 
 
 def _towers():
@@ -850,6 +887,43 @@ class TestPackedProducts:
                 lambda value: value(f, {n: value(images[n]) for n in xyz}),
                 name, uv,
             )
+
+    def test_substitute_against_the_schoolbook_oracle(self):
+        # w appears only as w^0 and w^3: the Horner step in w spans the gap
+        # 3 from w's repeated squares
+        import random
+
+        rng = random.Random(7300)
+        tower = _towers()["alpha_i"][0]
+        minpolys = [
+            [{(): Fraction(-3)}, {(): Fraction(-1, 2)}, {}, {(): Fraction(1)}],  # a^3 - a/2 - 3
+            [{(0,): Fraction(1)}, {}, {(0,): Fraction(1)}],  # i^2 + 1
+        ]
+        uv = ("u", "v")
+
+        def terms(p):
+            return {k: c.terms for k, c in p.terms.items()}
+
+        for trial in range(3):
+            keys = [(3, 2), (3, 0), (0, 1), (0, 0), (3, 1)][: 2 + trial]
+            f = MultiPoly(("w", "z"), {k: self._element(rng, tower) for k in keys}, tower)
+            images = [self._poly(rng, tower, uv, 2, 3) for _ in "wz"]
+            got = substitute(f, dict(zip("wz", images)))
+            assert got.vars == uv and got.tower == tower
+            assert terms(got) == oracles.poly_substitute(minpolys, terms(f), [terms(p) for p in images])
+
+    def test_lone_high_power_costs_one_power(self, monkeypatch):
+        # t^200 into 3 u v^2 takes the squares image^(2^j), j <= 7, their 2
+        # combining products and the one product with the coefficient, in
+        # each of the kernel's two passes
+        from revolutio import poly
+
+        f, image, calls = 5 * t ** 200, 3 * u * v ** 2, []
+        mul = poly._Kronecker.mul
+        monkeypatch.setattr(poly._Kronecker, "mul", lambda k, a, b: calls.append(1) or mul(k, a, b))
+        got = substitute(f, {"t": image})
+        assert got.vars == ("u", "v") and got.terms == {(200, 400): QQ.rational(5 * 3 ** 200)}
+        assert len(calls) == 2 * (7 + 2 + 1)
 
     def test_huge_coefficients_of_both_signs(self):
         big = 2 ** 100 + 12345

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from revolutio import (
     QQ,
@@ -13,13 +16,18 @@ from revolutio import (
     SurfaceParam,
     UniPoly,
     fiber_count,
+    gcd_unipoly,
     jacobian_generic_rank,
     parse_poly,
     quadric_param,
+    resultant_eliminate,
     sphere_witness,
     substitute,
+    tubular_lift,
     verify_on_surface,
 )
+from revolutio import verify
+from revolutio.realparam import two_sheet_components
 from revolutio.verify import FIBER_SAMPLES, _residual, _rotation_form, fiber_count_first_valid
 
 u = MultiPoly.variable("u", ("u", "v"))
@@ -330,3 +338,69 @@ class TestFiberCount:
 
         n, sample = fiber_count_first_valid(cubic_example())
         assert n == 1 and sample == (1, 1)
+
+
+def _all_pairs_eliminant(with_v, u_only):
+    """The reference eliminant: the gcd of the u-only equations and of the
+    resultant in v of every pair of equations, the earlier double loop."""
+    candidates = [e.to_unipoly("u") for e in u_only]
+    for i in range(len(with_v)):
+        for j in range(i + 1, len(with_v)):
+            r = resultant_eliminate(with_v[i], with_v[j], "v")
+            if not r.is_zero():
+                candidates.append(r)
+    if not candidates:
+        return None
+    g = candidates[0]
+    for c in candidates[1:]:
+        g = gcd_unipoly(g, c)
+    return g
+
+
+def _count(s, sample, eliminant=None):
+    """fiber_count, "invalid" for a sample on the Jacobian's vanishing
+    locus; with ``eliminant`` in place of the pivot elimination."""
+    with mock.patch.object(verify, "_u_eliminant", eliminant or verify._u_eliminant):
+        try:
+            return fiber_count(s, sample)
+        except InvalidInput:
+            return "invalid"
+
+
+_COEFF = st.tuples(st.integers(-3, 3), st.booleans())  # (n, times sqrt 2)
+
+
+class TestPivotElimination:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        over_sqrt2=st.booleans(),
+        a=st.lists(_COEFF, min_size=1, max_size=2),
+        b=st.lists(_COEFF, min_size=2, max_size=3),
+        sample=st.sampled_from(FIBER_SAMPLES),
+    )
+    def test_same_count_as_all_pairs(self, over_sqrt2, a, b, sample):
+        # two-sheet bases lifted by random (a, b): the pivot's larger gcd
+        # must give the count, or None, that every pair gives
+        tower = QQ.extend("s", [-2, 0, 1]) if over_sqrt2 else QQ
+        root = tower.gen("s") if over_sqrt2 else 1
+
+        def poly(coeffs):
+            return UniPoly("t", {e: n * (root if r else 1) for e, (n, r) in enumerate(coeffs)}, tower)
+
+        a, b = poly(a), poly(b)
+        assume(not a.is_zero() and not b.is_constant())
+        s = tubular_lift(two_sheet_components(tower), a, b)
+        assert _count(s, sample) == _count(s, sample, _all_pairs_eliminant)
+
+    def test_pivot_resultants_vanish_identically(self):
+        # the pivot, the first of the two equations of v-degree 2, shares the
+        # factor v - u with the second and v + u - 2 with the third, so only
+        # the pair without it eliminates v. The fiber of (1, 1) is (1, 1),
+        # (0, 0) and (-1, -1) on v = u, and the two roots of 2u^2 - u + 1 on
+        # v = 2 - u
+        h1, h2 = v - u, v + u - 2
+        s = make([h1 * h2, h1 * (v + 2 * u ** 2 - 1), h2 * (v ** 2 + u)])
+        e = s.components
+        assert resultant_eliminate(e[0], e[1], "v").is_zero()
+        assert resultant_eliminate(e[0], e[2], "v").is_zero()
+        assert _count(s, (1, 1)) == _count(s, (1, 1), _all_pairs_eliminant) == 5

@@ -1,10 +1,18 @@
 """Digest of the benchmark corpus's outputs, for byte-identity checks.
 
 Runs every distinct invocation of ``perfbench/workloads.py`` at the given
-seeds (default 1 and 7) once through ``revolutio.cli.main``, in one
-process, and prints one line per call:
+seeds (default 1 and 7), then the fixed ``EXTRAS``, once each through
+``revolutio.cli.main``, in one process, and prints one line per call:
 
     exit=<code> out=<sha256 of stdout> err=<sha256 of stderr> obj=<sha256 of the OBJ file or -> <argv>
+
+``EXTRAS`` reach code paths the benchmark corpus misses:
+
+- double covers whose witness lives over a tower, where the fiber count
+  runs on tower coefficients: ``analyze --p2 "t^2-2" "t^2+t"`` and
+  ``analyze --p2 "2*t^2-1" "t^3+t"``;
+- a linear first coordinate, whose implicit equation is a resultant with
+  the linear operand first: ``analyze --p2 t t^3``.
 
 The tree's own path is replaced by ``<ROOT>`` in the argv, stdout and
 stderr, so two checkouts of different commits give the same digest exactly
@@ -30,18 +38,28 @@ from pathlib import Path
 
 PLACEHOLDER = "<ROOT>"
 
+#: Invocations outside the benchmark corpus, run after it (see above).
+EXTRAS = (
+    ("analyze", "--p2", "t^2-2", "t^2+t"),
+    ("analyze", "--p2", "2*t^2-1", "t^3+t"),
+    ("analyze", "--p2", "t", "t^3"),
+)
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def invocations(workloads, seeds) -> list:
-    """Distinct argv tuples over every workload and seed, in first-seen order."""
+    """Distinct argv tuples over every workload and seed, then ``EXTRAS``,
+    in first-seen order."""
     seen = {}
     for seed in seeds:
         for name in workloads.WORKLOADS:
             for case in workloads.build(name, seed):
                 seen.setdefault(tuple(case.argv), None)
+    for argv in EXTRAS:
+        seen.setdefault(argv, None)
     return list(seen)
 
 

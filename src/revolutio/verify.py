@@ -220,8 +220,8 @@ def fiber_count(s, sample) -> int | None:
     g = _u_eliminant(with_v, [e for e in eqs if not e.uses("v")])
     if g is None:
         return None
-    if g.is_zero() or g.is_constant():
-        return 0 if g.is_constant() and not g.is_zero() else None
+    if g.is_constant():  # a gcd of nonzero polynomials is not zero
+        return 0
     g = squarefree_part(g)
 
     total = 0

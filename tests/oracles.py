@@ -210,8 +210,8 @@ def poly_mul(minpolys, a, b):
     for ka, ca in a.items():
         for kb, cb in b.items():
             k = tuple(x + y for x, y in zip(ka, kb))
-            out = poly_add(out, {k: tower_mul(minpolys, ca, cb)})
-    return out
+            out[k] = tower_add(out.get(k, {}), tower_mul(minpolys, ca, cb))
+    return {k: c for k, c in out.items() if c}
 
 
 def poly_substitute(minpolys, f, images):

@@ -9,22 +9,26 @@ so that with grid coordinates written as integers over ``Du`` and ``Dv``
 (each grid side computed in integers over its least common denominator)
 every vertex value is an integer over the one denominator
 ``L * Du^du * Dv^dv``. Each grid row takes one Horner pass in ``u`` per
-monomial, then one in ``v`` per monomial over the whole row at once; rows
-are streamed. The integers go straight to floats, with no Fraction or
-FieldElement per vertex: a component with only the unit monomial (every
-component over QQ) is one correctly rounded division per vertex, and the
-row's values of the other components go to ``numeric_eval`` in one call,
-as ``(keys, ints, den)`` triples in vertex order, then component order,
-each component's monomial keys in one fixed order; the floats it returns
-are sliced back per component. Parametrizations over towers without a
-full real embedding are refused (NoRealEmbedding from
-``default_real_embedding``); a vertex beyond the float range, and an
-output path that cannot be written, are InvalidInput.
+monomial, then one in ``v`` per monomial over the whole row at once, which
+gives one integer column per monomial; rows are streamed. The columns go
+straight to floats, with no Fraction, FieldElement or per-vertex tuple: a
+component with only the unit monomial (every component over QQ) is its one
+column divided by the denominator, one correctly rounded division per
+vertex, and the row's other components go to ``numeric_eval`` in one call,
+in column form ``(keys, den, columns)``, which returns one float list per
+component. ``export_obj`` formats the file in one pass, one ``%``
+operation over the flattened vertex floats and one over the quad corners,
+and writes it in one call. A grid side takes at most ``MAX_GRID`` points.
+Parametrizations over towers without a full real embedding are refused
+(NoRealEmbedding from ``default_real_embedding``); a grid side out of
+range, a vertex beyond the float range, and an output path that cannot be
+written, are InvalidInput.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import InvalidInput
@@ -62,15 +66,16 @@ class _Tabulation:
                 if n:
                     by_v = self.monos.setdefault(m, [[0] * (du + 1) for _ in range(dv + 1)])
                     by_v[b][a] = n * scale
+        if not self.monos:  # the zero component: one zero unit column
+            self.monos[0] = [[0]]
         basis = c.tower.basis
         self.keys = tuple(basis[m] for m in self.monos)
         self.rational = not any(self.monos)
 
     def row(self, u: int, vs: list) -> list:
-        """The values on grid row ``u`` at every ``v`` in ``vs``: per vertex,
-        a tuple of integers in ``keys`` order."""
-        cols = [_horner_at([_horner_int(cs, u) for cs in by_v], vs) for by_v in self.monos.values()]
-        return list(zip(*cols)) if cols else [()] * len(vs)
+        """The values on grid row ``u`` at every ``v`` in ``vs``: one integer
+        column per monomial, in ``keys`` order."""
+        return [_horner_at([_horner_int(cs, u) for cs in by_v], vs) for by_v in self.monos.values()]
 
 
 def _horner_at(p: list, xs: list) -> list:
@@ -93,10 +98,17 @@ def _grid(lo: Fraction, hi: Fraction, n: int) -> tuple:
     return [(a + k * i) // g for i in range(n)], den // g
 
 
+#: The most points per side ``sample_grid`` takes: work and memory grow as
+#: n^2, and the OBJ text is built whole before its one write.
+MAX_GRID = 512
+
+
 def sample_grid(s, n: int, u_range, v_range, tol=Fraction(1, 10 ** 9)) -> list:
     """n*n certified vertex triples, row-major in u then v."""
     if n < 2:
         raise InvalidInput("grid needs at least 2 points per side")
+    if n > MAX_GRID:
+        raise InvalidInput(f"grid has at most {MAX_GRID} points per side")
     (u0, u1), (v0, v1) = u_range, v_range
     u0, u1, v0, v1 = (Fraction(q) for q in (u0, u1, v0, v1))
     if u0 >= u1 or v0 >= v1:
@@ -106,39 +118,36 @@ def sample_grid(s, n: int, u_range, v_range, tol=Fraction(1, 10 ** 9)) -> list:
     vs, dv_den = _grid(v0, v1, n)
     tabs = [_Tabulation(c, du_den, dv_den) for c in s.components]
     tol = _tolerance(tol)
-    irrational = [tab for tab in tabs if not tab.rational]
     verts = []
     for u in us:
         rows = [tab.row(u, vs) for tab in tabs]
-        # the row's irrational values, vertex by vertex, then component by component
-        batch = [(tab.keys, row[j], tab.den) for j in range(n)
-                 for tab, row in zip(tabs, rows) if not tab.rational]
-        values = numeric_eval(batch, embedding, tol) if batch else []
-        coords = [
-            [_as_float(sum(ints), tab.den) for ints in row] if tab.rational
-            else values[irrational.index(tab)::len(irrational)]
-            for tab, row in zip(tabs, rows)
-        ]
+        irrational = [(tab.keys, tab.den, cols) for tab, cols in zip(tabs, rows) if not tab.rational]
+        values = iter(numeric_eval(irrational, embedding, tol) if irrational else ())
+        coords = [_divide(cols[0], tab.den) if tab.rational else next(values) for tab, cols in zip(tabs, rows)]
         verts += zip(*coords)
     return verts
+
+
+def _divide(col: list, den: int) -> list:
+    """The floats nearest ``x / den`` for ``x`` in ``col``."""
+    try:
+        return [x / den for x in col]
+    except OverflowError:
+        return [_as_float(x, den) for x in col]  # raises for the first value beyond the float range
 
 
 def export_obj(s, n: int, u_range, v_range, path: str, tol=Fraction(1, 10 ** 9)) -> dict:
     """Write an OBJ quad mesh; returns {'vertices': n*n, 'faces': (n-1)^2}."""
     verts = sample_grid(s, n, u_range, v_range, tol)
-    lines = ["# revolutio parametric patch", f"# grid {n}x{n}"]
-    for x, y, z in verts:
-        lines.append(f"v {x:.12g} {y:.12g} {z:.12g}")
-    for iu in range(n - 1):
-        for iv in range(n - 1):
-            a = iu * n + iv + 1
-            b = a + 1
-            c = a + n + 1
-            d = a + n
-            lines.append(f"f {a} {b} {c} {d}")
+    corners = [a + k for a in range(1, n * (n - 1)) if a % n for k in (0, 1, n + 1, n)]
+    text = (
+        f"# revolutio parametric patch\n# grid {n}x{n}\n"
+        + "v %.12g %.12g %.12g\n" * len(verts) % tuple(chain.from_iterable(verts))
+        + "f %d %d %d %d\n" * (len(corners) // 4) % tuple(corners)
+    )
     try:
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise InvalidInput(f"cannot write mesh: {exc}") from exc
     return {"vertices": n * n, "faces": (n - 1) * (n - 1)}

@@ -14,23 +14,27 @@ the generator's own denominator, and between refinements, for each tuple
 of power-basis keys it is asked about, the exact ranges of those monomials
 as integer lists over one common denominator (integer interval products,
 so the same ranges as multiplying out the Fraction intervals).
-``numeric_eval`` takes elements in integer form, ``(keys, ints, den)``
-triples (mesh export passes one grid row of tabulated integers), and
-returns one float each. An element's enclosure is two integer dot
-products: its integers with the ranges' ``lo + hi`` for the midpoint and,
-in absolute value, with their ``hi - lo`` for the width, the same
-enclosure as multiplying out the generator intervals term by term. The
-batch is certified in order in one loop that refines the one embedding
-whenever a value is still too wide, exactly as consecutive single calls
-would. Each float is the correctly rounded midpoint (one integer
-division), InvalidInput beyond the float range; a rational value has a
-zero-width enclosure and is never refined.
+``numeric_eval`` takes one grid row in column form, ``(keys, den,
+columns)`` per component, and returns one float list per component. A
+value's enclosure is two integer dot products: its integers with the
+ranges' ``lo + hi`` for the midpoint and, in absolute value, with their
+``hi - lo`` for the width, the same enclosure as multiplying out the
+generator intervals term by term. When a bound on the whole row (per
+component, each column's largest absolute entry times its key's width,
+summed) is under the tolerance, no value is due a refinement and the
+midpoints are taken column by column; otherwise the row is certified in
+order, refining the one embedding whenever a value is still too wide,
+exactly as consecutive one-vertex calls would. Each float is the
+correctly rounded midpoint (one integer division), InvalidInput beyond
+the float range; a rational value has a zero-width enclosure and is never
+refined.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 
 from .errors import InvalidInput, NoRealEmbedding
@@ -201,40 +205,71 @@ def _tolerance(tol) -> Fraction:
 _MAX_REFINEMENTS = 400
 
 
-def numeric_eval(batch: list, embedding: RealEmbedding, tol) -> list:
-    """One float per ``(keys, ints, den)`` triple in ``batch``: the float
-    nearest the midpoint of an exact enclosure of the element narrower than
-    ``tol``.
+def numeric_eval(row: list, embedding: RealEmbedding, tol) -> list:
+    """One float list per component of ``row``: at each vertex, the float
+    nearest the midpoint of an exact enclosure of the component's value
+    narrower than ``tol``.
 
-    ``keys`` are distinct power-basis keys and ``ints`` the matching
-    integers, whose dot product with the monomials is the element times the
-    positive int ``den``. The triples are certified in order against the one
-    ``embedding``, which is refined whenever the current value is not yet
-    narrower than ``tol`` (at most ``_MAX_REFINEMENTS`` times per value):
-    the enclosure is the integers' dot products with the embedding's
-    monomial ranges (``lo + hi`` for twice the midpoint, in absolute value
-    ``hi - lo`` for the width). A rational value has a zero-width
-    enclosure, so it is never refined.
+    ``row`` holds ``(keys, den, columns)`` per component: distinct
+    power-basis keys, a positive int ``den`` and one integer column per key,
+    all of one length, one entry per vertex; at vertex ``j`` the dot product
+    of the entries ``columns[m][j]`` with the monomials ``keys[m]`` is the
+    value times ``den``. The enclosure is the integers' dot products with
+    the embedding's monomial ranges (``lo + hi`` for twice the midpoint, in
+    absolute value ``hi - lo`` for the width). When the whole row's bound,
+    per component the sum over keys of the column's largest ``|entry|``
+    times the key's width, is under ``tol`` for every component, no value
+    is due a refinement and the midpoints are taken column by column.
+    Otherwise the values are certified in order, vertex by vertex, then
+    component by component, against the one ``embedding``, which is refined
+    whenever the current value is not yet narrower than ``tol`` (at most
+    ``_MAX_REFINEMENTS`` times per value), exactly as consecutive one-vertex
+    calls would. A rational value has a zero-width enclosure, so it is never
+    refined.
     """
     tol = _tolerance(tol)
     if embedding is None:
         raise InvalidInput("numeric_eval needs an embedding")
     tn, td = tol.numerator, tol.denominator
-    ranges, eden = embedding._ranges, embedding.den  # refine_all clears the dict in place
-    out = []
-    for keys, ints, den in batch:
-        refinements = 0
-        while True:
-            mids, widths = ranges.get(keys) or embedding.ranges(keys)
-            d = den * eden
-            # the value's hi - lo over d: the sum of |n| * (hi - lo)
-            width = sum(map(mul, map(abs, ints), widths))
-            if width * td < tn * d:
-                break
-            embedding.refine_all()
-            eden = embedding.den
-            refinements += 1
-            if refinements == _MAX_REFINEMENTS:
-                raise InvalidInput("interval refinement did not converge (tolerance too small?)")
-        out.append(_as_float(sum(map(mul, ints, mids)), 2 * d))
+    eden = embedding.den
+    spans = [embedding.ranges(keys) for keys, _, _ in row]
+    if all(sum([max(map(abs, col)) * w for col, w in zip(cols, widths) if w]) * td < tn * den * eden
+           for (_, den, cols), (_, widths) in zip(row, spans)):
+        try:
+            return [_midpoints(cols, mids, 2 * den * eden) for (_, den, cols), (mids, _) in zip(row, spans)]
+        except OverflowError:
+            pass  # the scan raises for the first value beyond the float range, in order
+    return _scan(row, embedding, tn, td)
+
+
+def _midpoints(cols: list, mids: list, d: int) -> list:
+    """The floats nearest ``sum_m mids[m] * cols[m][j] / d``, column by column;
+    the last column's pass also divides."""
+    acc = repeat(0)
+    for m, col in zip(mids[:-1], cols):
+        acc = [a + m * x for a, x in zip(acc, col)]
+    m = mids[-1]
+    return [(a + m * x) / d for a, x in zip(acc, cols[-1])]
+
+
+def _scan(row: list, embedding: RealEmbedding, tn: int, td: int) -> list:
+    """``numeric_eval`` value by value, refining where a value is too wide."""
+    out = [[] for _ in row]
+    by_vertex = [list(zip(*cols)) for _, _, cols in row]
+    for j in range(len(row[0][2][0])):
+        for (keys, den, _), vertices, floats in zip(row, by_vertex, out):
+            ints = vertices[j]
+            refinements = 0
+            while True:
+                mids, widths = embedding.ranges(keys)
+                d = den * embedding.den
+                # the value's hi - lo over d: the sum of |n| * (hi - lo)
+                width = sum(map(mul, map(abs, ints), widths))
+                if width * td < tn * d:
+                    break
+                embedding.refine_all()
+                refinements += 1
+                if refinements == _MAX_REFINEMENTS:
+                    raise InvalidInput("interval refinement did not converge (tolerance too small?)")
+            floats.append(_as_float(sum(map(mul, ints, mids)), 2 * d))
     return out

@@ -10,7 +10,8 @@ Oracle results get frozen into the tests next to the computation that
 produced them. ``sympy_unipoly`` hands a rational polynomial to sympy, for
 the tests whose oracle is sympy. ``dioph_identity_check`` is the one helper
 here built on the package: it puts the package's ``dioph_point`` into the
-four-square identity.
+four-square identity. ``obj_text`` is the OBJ writer mesh export used
+to have, one f-string a line, kept as the reference for its file bytes.
 """
 
 from fractions import Fraction
@@ -227,6 +228,22 @@ def poly_substitute(minpolys, f, images):
                 term = poly_mul(minpolys, term, image)
         total = poly_add(total, term)
     return total
+
+
+def obj_text(verts, n):
+    """The OBJ text of the n*n vertex triples ``verts`` (row-major in u then
+    v) and the quads between them, written a line at a time."""
+    lines = ["# revolutio parametric patch", f"# grid {n}x{n}"]
+    for x, y, z in verts:
+        lines.append(f"v {x:.12g} {y:.12g} {z:.12g}")
+    for iu in range(n - 1):
+        for iv in range(n - 1):
+            a = iu * n + iv + 1
+            b = a + 1
+            c = a + n + 1
+            d = a + n
+            lines.append(f"f {a} {b} {c} {d}")
+    return "\n".join(lines) + "\n"
 
 
 def dioph_identity_check(q1, q2, q3, q4):

@@ -17,6 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revolutio.cli import main
+from revolutio.mesh import MAX_GRID
+from revolutio.numeric import default_real_embedding
 from revolutio.profile import surface_implicit
 from revolutio.verify import verify_on_surface
 
@@ -447,6 +449,21 @@ class TestMeshCmd:
         code, doc = run_cli(capsys, "mesh", *source, "--tol", tol, "--out", str(out))
         assert code == 2 and doc["error"]["code"] == "INVALID_INPUT"
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("grid", [str(MAX_GRID + 1), "100000000"])
+    def test_grid_over_budget_refused_before_any_work(self, capsys, monkeypatch, tmp_path, grid):
+        embeddings = _count_calls(monkeypatch, default_real_embedding)
+        out = tmp_path / "x.obj"
+        start = time.perf_counter()
+        code, doc = run_cli(
+            capsys, "mesh", "--report", str(REPORTS / "one_sheet_sqrt2.json"), "--grid", grid,
+            "--out", str(out),
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2 and doc["error"]["code"] == "INVALID_INPUT"
+        assert str(MAX_GRID) in doc["error"]["message"]
+        assert embeddings == [] and not out.exists()
 
 
 def _mutated_report(tmp_path, mutate):

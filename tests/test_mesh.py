@@ -1,5 +1,6 @@
-"""OBJ export: counts, numeric residuals, determinism, refusals, and the
-integer tabulation and interval dot product against the per-vertex path."""
+"""OBJ export: counts, numeric residuals, determinism, refusals, the file
+bytes against the line-by-line writer, and the integer tabulation and the
+row certification in column form against the per-vertex path."""
 
 import math
 import random
@@ -13,6 +14,8 @@ from revolutio import mesh
 from revolutio.mesh import export_obj, sample_grid
 from revolutio.numeric import RealEmbedding, default_real_embedding, numeric_eval
 from revolutio.tower import FieldElement
+
+from oracles import obj_text
 
 u = MultiPoly.variable("u", ("u", "v"))
 v = MultiPoly.variable("v", ("u", "v"))
@@ -86,17 +89,42 @@ RANGES = [
 TOL = Fraction(1, 10 ** 9)
 
 
-def integer_form(value, scale=1):
-    """A FieldElement as a ``(keys, ints, den)`` triple: its power-basis keys
-    and integers over the common denominator of its coefficients times ``scale``."""
-    den = math.lcm(*(q.denominator for q in value.terms.values())) * scale
-    return tuple(value.terms), [q.numerator * (den // q.denominator) for q in value.terms.values()], den
+def column_form(values, scale=1):
+    """Tower elements as one component of a row in column form, ``(keys,
+    den, columns)``: the union of their power-basis keys (the unit key when
+    all are zero) and one integer column per key, one entry per element,
+    over their common denominator times ``scale``."""
+    tower = values[0].tower
+    keys = tuple(sorted({key for value in values for key in value.terms})) or ((0,) * tower.height,)
+    den = math.lcm(*(q.denominator for value in values for q in value.terms.values())) * scale
+    zero = Fraction(0)
+    columns = [[value.terms.get(key, zero) * den for value in values] for key in keys]
+    return keys, den, [[int(q) for q in col] for col in columns]
+
+
+def certify_one(value, emb, tol, scale=1):
+    """``numeric_eval`` of one tower element as a one-vertex row."""
+    [[got]] = numeric_eval([column_form([value], scale)], emb, tol)
+    return got
+
+
+def one_vertex_calls(row, emb, tol):
+    """``numeric_eval`` of each value of ``row`` as a one-vertex row against
+    ``emb``, in the row's order: vertex by vertex, then component by component."""
+    return [numeric_eval([(keys, den, [[col[j]] for col in cols])], emb, tol)
+            for j in range(len(row[0][2][0])) for keys, den, cols in row]
+
+
+def in_vertex_order(floats):
+    """``numeric_eval``'s float lists, one per component, read vertex by
+    vertex, then component by component."""
+    return [x for vertex in zip(*floats) for x in vertex]
 
 
 def reference_grid(s, n, u_range, v_range, tol, emb=None):
     """The per-vertex path: exact ``eval_at`` at every grid point, then
-    ``numeric_eval`` of its integer form with one embedding (``emb``, else a
-    fresh one), row-major in u then v."""
+    ``numeric_eval`` of each value as a one-vertex row with one embedding
+    (``emb``, else a fresh one), row-major in u then v."""
     (u0, u1), (v0, v1) = [tuple(map(Fraction, r)) for r in (u_range, v_range)]
     if emb is None:
         emb = default_real_embedding(s.tower)
@@ -106,7 +134,7 @@ def reference_grid(s, n, u_range, v_range, tol, emb=None):
         for iv in range(n):
             vq = v0 + (v1 - v0) * iv / (n - 1)
             point = {"u": uq, "v": vq}
-            verts.append(tuple(numeric_eval([integer_form(c.eval_at(point))], emb, tol)[0] for c in s.components))
+            verts.append(tuple(certify_one(c.eval_at(point), emb, tol) for c in s.components))
     return verts
 
 
@@ -168,6 +196,22 @@ def test_sample_grid_refines_as_the_per_vertex_path(monkeypatch, tower_name, tol
     assert sample_grid(s, 7, *RANGES[0], tol) == reference_grid(s, 7, *RANGES[0], tol, ref)
     [emb] = used
     assert emb.intervals == ref.intervals != default_real_embedding(tower).intervals
+
+
+@pytest.mark.parametrize("tower_name", sorted(TOWERS))
+@pytest.mark.parametrize("n", range(2, 9))
+def test_obj_bytes_match_the_line_by_line_writer(tmp_path, tower_name, n):
+    tower = TOWERS[tower_name]
+    rng = random.Random(20261027 + 10 * sorted(TOWERS).index(tower_name) + n)
+    comps = [random_component(rng, tower) for _ in range(3)]
+    # vertices printed in exponent form: below 1e-4 and from 1e12 on
+    tiny, huge = Fraction(1, 100000) * u, 10 ** 13 * u + v ** 5
+    out = tmp_path / "m.obj"
+    for trio in (comps, [tiny, comps[0], huge]):
+        s = SurfaceParam.make(trio)
+        for u_range, v_range in RANGES:
+            export_obj(s, n, u_range, v_range, str(out), TOL)
+            assert out.read_bytes() == obj_text(sample_grid(s, n, u_range, v_range, TOL), n).encode()
 
 
 def test_components_in_fewer_variables():
@@ -262,9 +306,9 @@ def test_numeric_eval_matches_term_by_term_intervals(tower_name):
     values = [FieldElement(tower, {m: Fraction(-3, 2) for m in product(*(range(s.degree) for s in tower.steps))})]
     values += [random_element(rng, tower) for _ in range(20)]
     for value in values:
-        triple = integer_form(value, rng.randint(1, 5))
+        scale = rng.randint(1, 5)
         for tol in (Fraction(1, 10 ** 3), Fraction(1, 10 ** 12)):
-            [got] = numeric_eval([triple], emb, tol)
+            got = certify_one(value, emb, tol, scale)
             mid, radius = term_by_term(value, ref, tol)
             assert got == float(mid)
             assert 2 * radius < tol
@@ -273,20 +317,75 @@ def test_numeric_eval_matches_term_by_term_intervals(tower_name):
 
 @pytest.mark.parametrize("tower_name", ["sqrt2", "sqrt_third", "two_step"])
 def test_batch_equals_consecutive_single_calls(tower_name):
+    # a row of three components of 14 vertices each, certified in one call,
+    # against one-vertex rows in vertex order, then component order
     tower = TOWERS[tower_name]
     rng = random.Random(20261021 + sorted(TOWERS).index(tower_name))
     values = [random_element(rng, tower) for _ in range(40)]
     values += [FieldElement(tower, {}), tower.rational(Fraction(-5, 3))]  # zero and rational
     rng.shuffle(values)
-    triples = [integer_form(value, rng.randint(1, 5)) for value in values]
+    row = [column_form(values[c::3], rng.randint(1, 5)) for c in range(3)]
     tol = Fraction(1, 10 ** 12)
     batch_emb, single_emb = default_real_embedding(tower), default_real_embedding(tower)
-    batch = numeric_eval(triples, batch_emb, tol)
-    singles = [numeric_eval([triple], single_emb, tol) for triple in triples]
-    assert all(len(one) == 1 for one in singles)
-    assert batch == [single for [single] in singles]
+    batch = numeric_eval(row, batch_emb, tol)
+    singles = one_vertex_calls(row, single_emb, tol)
+    assert all(len(one) == 1 and len(one[0]) == 1 for one in singles)
+    assert in_vertex_order(batch) == [single for [[single]] in singles]
     assert batch_emb.intervals == single_emb.intervals
     assert batch_emb.intervals != default_real_embedding(tower).intervals
+
+
+def test_row_over_its_bound_with_every_value_under_tol_refines_nothing():
+    # two vertices, each wide in a different monomial: the whole-row bound
+    # adds both widths and reaches tol, each value alone stays under it
+    keys = ((1, 0), (0, 1))
+    batch_emb, single_emb = default_real_embedding(TWO_STEP), default_real_embedding(TWO_STEP)
+    for emb in (batch_emb, single_emb):
+        for _ in range(30):
+            emb.refine_all()
+    before = dict(batch_emb.intervals)
+    _, (w0, w1) = batch_emb.ranges(keys)
+    assert w0 and w1
+    k = 7
+    tol = Fraction(k * (w0 + w1), batch_emb.den)
+    row = [(keys, 1, [[k, 0], [0, k]]), (((0, 0), (1, 1)), 3, [[1, -2], [1, 1]])]
+    got = numeric_eval(row, batch_emb, tol)
+    assert in_vertex_order(got) == [x for [[x]] in one_vertex_calls(row, single_emb, tol)]
+    assert batch_emb.intervals == single_emb.intervals == before
+
+
+def test_only_the_last_value_refines_where_single_calls_do(monkeypatch):
+    # every value is under tol at the current ranges but the last one of the
+    # last component, which is 1000 times wider
+    keys = ((0,), (1,))
+    batch_emb, single_emb = default_real_embedding(SQRT2), default_real_embedding(SQRT2)
+    before = dict(batch_emb.intervals)
+    _, (_, w) = batch_emb.ranges(keys)
+    tol = Fraction(2 * w, batch_emb.den)
+    row = [
+        (keys, 5, [[1, 2, 3, 4], [1, -1, 1, -1]]),
+        (keys, 2, [[0, 7, -7, 1], [-1, 1, 1, 1000]]),
+    ]
+    singles = []
+    steps = {"batch": [], "single": []}  # per refinement, the single calls made before it
+
+    def recording(emb, name):
+        refine_all = emb.refine_all
+
+        def refine():
+            steps[name].append(len(singles))
+            refine_all()
+        monkeypatch.setattr(emb, "refine_all", refine)
+
+    recording(batch_emb, "batch")
+    recording(single_emb, "single")
+    got = numeric_eval(row, batch_emb, tol)
+    for j in range(4):
+        for keys_, den, cols in row:
+            singles += numeric_eval([(keys_, den, [[col[j]] for col in cols])], single_emb, tol)
+    assert in_vertex_order(got) == [x for [x] in singles]
+    assert batch_emb.intervals == single_emb.intervals != before
+    assert len(steps["batch"]) == len(steps["single"]) and set(steps["single"]) == {7}
 
 
 @pytest.mark.parametrize("tower_name", ["sqrt2", "sqrt_third", "two_step"])
@@ -309,8 +408,8 @@ def test_numeric_eval_within_tol_of_sympy(tower_name):
     ]
     emb = default_real_embedding(tower)
     for tol in (Fraction(1, 10 ** 3), Fraction(1, 10 ** 9), Fraction(1, 10 ** 13)):
-        got = numeric_eval([integer_form(value, rng.randint(1, 5)) for value in values], emb, tol)
-        for x, truth in zip(got, exact):
+        got = numeric_eval([column_form([value], rng.randint(1, 5)) for value in values], emb, tol)
+        for [x], truth in zip(got, exact):
             error = abs(sympy.N(truth - sympy.Rational(*x.as_integer_ratio()), 50))
             assert error <= sympy.Rational(tol.numerator, tol.denominator), (x, truth, tol)
     assert emb.intervals != default_real_embedding(tower).intervals
@@ -320,18 +419,18 @@ def test_rational_value_is_not_refined():
     emb = default_real_embedding(SQRT2)
     before = dict(emb.intervals)
     th = SQRT2.gen("th")
-    assert numeric_eval([integer_form(th - th + Fraction(1, 3))], emb, Fraction(1, 10 ** 30)) == [1 / 3]
+    assert certify_one(th - th + Fraction(1, 3), emb, Fraction(1, 10 ** 30)) == 1 / 3
     # with a zero irrational coefficient, over 6
-    assert numeric_eval([(((0,), (1,)), [2, 0], 6)], emb, Fraction(1, 10 ** 30)) == [1 / 3]
+    assert numeric_eval([(((0,), (1,)), 6, [[2], [0]])], emb, Fraction(1, 10 ** 30)) == [[1 / 3]]
     assert emb.intervals == before
 
 
 @pytest.mark.parametrize(
     "value",
     [
-        (((0,),), [10 ** 400], 3),
-        integer_form(FieldElement(SQRT2, {(0,): Fraction(-(10 ** 400), 7), (1,): Fraction(1, 2)})),
-        integer_form(FieldElement(SQRT2, {(0,): Fraction(10 ** 400)})),
+        (((0,),), 3, [[10 ** 400]]),
+        column_form([FieldElement(SQRT2, {(0,): Fraction(-(10 ** 400), 7), (1,): Fraction(1, 2)})]),
+        column_form([FieldElement(SQRT2, {(0,): Fraction(10 ** 400)})]),
     ],
     ids=["fraction", "irrational", "rational_field_element"],
 )
@@ -342,4 +441,4 @@ def test_value_outside_float_range_is_invalid_input(value):
 
 def test_integer_form_needs_an_embedding():
     with pytest.raises(InvalidInput, match="an embedding"):
-        numeric_eval([(((1,),), [1], 2)], None, TOL)
+        numeric_eval([(((1,),), 2, [[1]])], None, TOL)

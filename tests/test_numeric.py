@@ -4,18 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from revolutio import QQ, InvalidInput, NoRealEmbedding, UniPoly, isolate_real_roots, numeric_eval
+from revolutio import QQ, InvalidInput, NoRealEmbedding, UniPoly, isolate_real_roots
 from revolutio.numeric import default_real_embedding
-from test_mesh import integer_form
+from test_mesh import certify_one
 
 t = UniPoly.variable("t")
 
 
 def certify(value, tol=Fraction(1, 10 ** 12)):
-    """``numeric_eval`` of one tower element, in integer form, against its
-    tower's default embedding."""
-    [got] = numeric_eval([integer_form(value)], default_real_embedding(value.tower), tol)
-    return got
+    """``numeric_eval`` of one tower element, as a one-vertex row, against
+    its tower's default embedding."""
+    return certify_one(value, default_real_embedding(value.tower), tol)
 
 
 def test_sqrt2_positive_embedding():

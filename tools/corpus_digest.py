@@ -1,18 +1,30 @@
 """Digest of the benchmark corpus's outputs, for byte-identity checks.
 
 Runs every distinct invocation of ``perfbench/workloads.py`` at the given
-seeds (default 1 and 7), then the fixed ``EXTRAS``, once each through
+seeds (default 1 and 7), then the fixed ``extras``, once each through
 ``revolutio.cli.main``, in one process, and prints one line per call:
 
     exit=<code> out=<sha256 of stdout> err=<sha256 of stderr> obj=<sha256 of the OBJ file or -> <argv>
 
-``EXTRAS`` reach code paths the benchmark corpus misses:
+``extras`` reach code paths the benchmark corpus misses:
 
 - double covers whose witness lives over a tower, where the fiber count
   runs on tower coefficients: ``analyze --p2 "t^2-2" "t^2+t"`` and
   ``analyze --p2 "2*t^2-1" "t^3+t"``;
 - a linear first coordinate, whose implicit equation is a resultant with
-  the linear operand first: ``analyze --p2 t t^3``.
+  the linear operand first: ``analyze --p2 t t^3``;
+- mesh rows due a refinement after the first, which take the in-order
+  scan of ``numeric_eval``: ``one_sheet_sqrt2.json`` at ``--tol 1e-15``
+  over ``u`` in [0, 8], where |u| grows row by row (6 of its 8 rows);
+- the smallest grid: ``cone_beta.json`` at ``--grid 2``;
+- a rational grid end with a tight tolerance: the quadric witness of
+  ``quadric_sqrt13.json`` with ``--u-min=-1/3 --tol 1e-14``;
+- vertices printed in exponent form: ``mesh --param "1/100000*u" v
+  "10^13*u+v^5"``.
+
+The mesh calls read their reports from ``workloads.REPORTS`` and write to
+``workloads.OUT`` of the checkout run, so their paths take the ``<ROOT>``
+placeholder like the corpus's.
 
 The tree's own path is replaced by ``<ROOT>`` in the argv, stdout and
 stderr, so two checkouts of different commits give the same digest exactly
@@ -38,12 +50,22 @@ from pathlib import Path
 
 PLACEHOLDER = "<ROOT>"
 
-#: Invocations outside the benchmark corpus, run after it (see above).
-EXTRAS = (
-    ("analyze", "--p2", "t^2-2", "t^2+t"),
-    ("analyze", "--p2", "2*t^2-1", "t^3+t"),
-    ("analyze", "--p2", "t", "t^3"),
-)
+
+def extras(workloads) -> tuple:
+    """Invocations outside the benchmark corpus, run after it (see above)."""
+    reports, out = workloads.REPORTS, workloads.OUT
+    return (
+        ("analyze", "--p2", "t^2-2", "t^2+t"),
+        ("analyze", "--p2", "2*t^2-1", "t^3+t"),
+        ("analyze", "--p2", "t", "t^3"),
+        ("mesh", "--report", str(reports / "one_sheet_sqrt2.json"), "--tol", "1e-15",
+         "--u-min", "0", "--u-max", "8", "--out", str(out / "extra-one_sheet_sqrt2-tol.obj")),
+        ("mesh", "--report", str(reports / "cone_beta.json"), "--grid", "2",
+         "--out", str(out / "extra-cone_beta-2.obj")),
+        ("mesh", "--report", str(reports / "quadric_sqrt13.json"), "--witness", "quadric",
+         "--u-min=-1/3", "--tol", "1e-14", "--out", str(out / "extra-quadric_sqrt13-tol.obj")),
+        ("mesh", "--param", "1/100000*u", "v", "10^13*u+v^5", "--out", str(out / "extra-exponent-form.obj")),
+    )
 
 
 def _sha(data: bytes) -> str:
@@ -51,14 +73,14 @@ def _sha(data: bytes) -> str:
 
 
 def invocations(workloads, seeds) -> list:
-    """Distinct argv tuples over every workload and seed, then ``EXTRAS``,
+    """Distinct argv tuples over every workload and seed, then ``extras``,
     in first-seen order."""
     seen = {}
     for seed in seeds:
         for name in workloads.WORKLOADS:
             for case in workloads.build(name, seed):
                 seen.setdefault(tuple(case.argv), None)
-    for argv in EXTRAS:
+    for argv in extras(workloads):
         seen.setdefault(argv, None)
     return list(seen)
 

@@ -16,9 +16,11 @@ component with only the unit monomial (every component over QQ) is its one
 column divided by the denominator, one correctly rounded division per
 vertex, and the row's other components go to ``numeric_eval`` in one call,
 in column form ``(keys, den, columns)``, which returns one float list per
-component. ``export_obj`` formats the file in one pass, one ``%``
-operation over the flattened vertex floats and one over the quad corners,
-and writes it in one call. A grid side takes at most ``MAX_GRID`` points.
+component. ``export_obj`` formats and writes the file ``BLOCK_ROWS`` grid
+rows at a time, one ``%`` operation over a block's flattened vertex floats
+and one over its quad corners, so beyond the vertex list its memory grows
+with a block, not with the grid; a grid of up to ``BLOCK_ROWS`` points per
+side is one block. A grid side takes at most ``MAX_GRID`` points.
 Parametrizations over towers without a full real embedding are refused
 (NoRealEmbedding from ``default_real_embedding``); a grid side out of
 range, a vertex beyond the float range, and an output path that cannot be
@@ -99,8 +101,11 @@ def _grid(lo: Fraction, hi: Fraction, n: int) -> tuple:
 
 
 #: The most points per side ``sample_grid`` takes: work and memory grow as
-#: n^2, and the OBJ text is built whole before its one write.
+#: n^2.
 MAX_GRID = 512
+
+#: Grid rows that ``export_obj`` formats and writes at a time.
+BLOCK_ROWS = 64
 
 
 def sample_grid(s, n: int, u_range, v_range, tol=Fraction(1, 10 ** 9)) -> list:
@@ -139,15 +144,19 @@ def _divide(col: list, den: int) -> list:
 def export_obj(s, n: int, u_range, v_range, path: str, tol=Fraction(1, 10 ** 9)) -> dict:
     """Write an OBJ quad mesh; returns {'vertices': n*n, 'faces': (n-1)^2}."""
     verts = sample_grid(s, n, u_range, v_range, tol)
-    corners = [a + k for a in range(1, n * (n - 1)) if a % n for k in (0, 1, n + 1, n)]
-    text = (
-        f"# revolutio parametric patch\n# grid {n}x{n}\n"
-        + "v %.12g %.12g %.12g\n" * len(verts) % tuple(chain.from_iterable(verts))
-        + "f %d %d %d %d\n" * (len(corners) // 4) % tuple(corners)
-    )
+    step = BLOCK_ROWS * n
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.write(f"# revolutio parametric patch\n# grid {n}x{n}\n")
+            for start in range(0, n * n, step):
+                block = verts[start:start + step]
+                fh.write("v %.12g %.12g %.12g\n" * len(block) % tuple(chain.from_iterable(block)))
+            # the quad of grid row iu and column iv starts at vertex a = iu*n + iv + 1
+            for start in range(0, n * (n - 1), step):
+                corners = [
+                    a + k for a in range(start + 1, min(start + step, n * (n - 1))) if a % n for k in (0, 1, n + 1, n)
+                ]
+                fh.write("f %d %d %d %d\n" * (len(corners) // 4) % tuple(corners))
     except OSError as exc:
         raise InvalidInput(f"cannot write mesh: {exc}") from exc
     return {"vertices": n * n, "faces": (n - 1) * (n - 1)}

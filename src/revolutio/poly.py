@@ -33,16 +33,24 @@ coefficient already is integer numerators over the power basis and one
 denominator (``FieldElement.num``, ``FieldElement.den``), so the kernel
 only scales each coefficient's numerators to the polynomial's common
 denominator: a polynomial becomes one integer coefficient list per basis
-monomial, laid out dense in its variables with widths from the result's
-degree bounds. Each list is packed into one Python int, whose products run
-in C; every product is reduced at once with the tower's basis products
+monomial. Each list is packed into one Python int, whose products run in
+C; every product is reduced at once with the tower's basis products
 (``ExtensionTower.basis_products``), and only the final result is unpacked,
-straight into numerators over the result's denominator. A substitution
-groups its terms by their exponent of the first image and combines the
-groups in Horner order in that image (``_packed_sum``), so it pays one
-full-size product per distinct exponent, not one per term; every power,
-the gaps between exponents included, comes from one list of repeated
-squares per image.
+straight into numerators over the result's denominator. The lists are
+laid out by one slot formula with a 0/1 grade chosen per run: grade 0 is
+dense over the box of the result's degree bounds; grade 1 makes the top
+coordinate the total degree, so a homogeneous polynomial fills one row of
+the other variables' widths, and each value is stored from its lowest row
+on. A run takes grade 1 exactly when its widest value under it, one row
+per total degree the value spans, is smaller than the box. The layout is
+a linear bijection of the exponents fixed before any product, so the
+choice is exact: the witnesses of the ``t^k`` families, homogeneous in
+``(u, v)``, are checked on rows of ``k + 1`` slots rather than boxes of
+``(k + 1)^2``. A substitution groups its terms by their exponent of the
+first image and combines the groups in Horner order in that image
+(``_packed_sum``), so it pays one full-size product per distinct exponent,
+not one per term; every power, the gaps between exponents included, comes
+from one list of repeated squares per image.
 
 Resultants, rational roots and square-free decompositions run on dense lists
 of plain ints as well.
@@ -487,27 +495,51 @@ def _poly_str(terms: Mapping[tuple, FieldElement], vars_: tuple) -> str:
 class _Packed:
     """A polynomial over a tower as packed integers: ``comps[i]`` is the
     Kronecker image of the numerators of power-basis monomial ``i``, all over
-    the common denominator ``den``; ``norm`` bounds the sum of the absolute
-    values of all numerators. ``comps`` is None while only bounds are taken."""
+    the common denominator ``den``, and every term has total degree at least
+    ``lo``. In the graded layout the image is stored without its ``row * lo``
+    lowest slots, which are empty. While only bounds are taken, ``comps`` is
+    None, every total degree is at most ``hi`` too, and ``norm`` bounds the
+    sum of the absolute values of all numerators."""
 
-    __slots__ = ("comps", "den", "norm")
+    __slots__ = ("comps", "den", "lo", "hi", "norm")
 
-    def __init__(self, comps, den: int, norm: int):
-        self.comps, self.den, self.norm = comps, den, norm
+    def __init__(self, comps, den: int, lo: int, hi: int = 0, norm: int = 0):
+        self.comps, self.den, self.lo, self.hi, self.norm = comps, den, lo, hi, norm
 
 
 class _Kronecker:
     """One packed computation over ``tower`` (von zur Gathen & Gerhard,
     *Modern Computer Algebra* §8.4; Fateman 2005).
 
-    Monomial ``prod(x_i^e_i)`` of ``vars_`` goes to slot ``sum(e_i *
-    stride_i)``, dense, with widths ``degs[i] + 1`` from the result's degree
-    bounds, so no product inside the computation wraps. A coefficient list is
-    packed into one int by evaluating it at ``2^bits``; that map is a ring
-    homomorphism, so products, sums and the tower reduction all run on the
-    ints, and only the final result must have every numerator below
-    ``2^(bits-1)`` for the signed unpacking. ``run`` therefore evaluates its
-    program twice: on bounds, to fix ``bits``, then on packed values.
+    Monomial ``prod(x_i^e_i)`` of the n ``vars_`` goes to slot
+
+        sum_{i<n-1} e_i * stride_i + row * (e_{n-1} + grade * sum_{i<n-1} e_i)
+
+    where the first n-1 variables have widths ``degs[i] + 1`` from the
+    result's degree bounds, ``stride_i`` is the product of the widths before
+    ``i`` and ``row`` the product of all n-1 of them. With ``grade = 0`` this
+    is the dense box of the degree bounds; with ``grade = 1`` the top
+    coordinate is the total degree, so a homogeneous polynomial fills one
+    row. The first n-1 exponents stay below their widths and the top
+    coordinate is unbounded, so no product inside the computation wraps in
+    either layout. A graded value is stored from its lowest row on: its
+    offset is ``row * lo`` slots, a product's offset is the sum of its
+    factors' and a sum shifts the higher operand onto the lower offset, so
+    a product of rows never multiplies the zero rows below them.
+
+    A coefficient list is packed into one int by evaluating it at
+    ``2^bits``; that map is a ring homomorphism, so products, sums and the
+    tower reduction all run on the ints, and only the final result must have
+    every numerator below ``2^(bits-1)`` for the signed unpacking. ``run``
+    therefore evaluates its program twice: on bounds, to fix ``bits`` and
+    the grade, then on packed values. The bound pass carries each value's
+    lowest and highest total degree, and the graded layout is taken exactly
+    when its widest value, ``row * (span + 1)`` slots for the largest span
+    ``hi - lo`` of any value, is below the box, ``row * (degs[n-1] + 1)``
+    slots. The choice is exact either way: each layout is a linear bijection
+    of the exponents within the bounds onto slots, fixed before any product,
+    so it changes the cost of a run and never its result. With one variable
+    the two layouts coincide.
     """
 
     def __init__(self, vars_: tuple, degs: Sequence[int], tower: ExtensionTower):
@@ -516,28 +548,44 @@ class _Kronecker:
         self.strides = [1] * len(degs)
         for i in range(1, len(degs)):
             self.strides[i] = self.strides[i - 1] * self.widths[i - 1]
+        self.row = self.strides[-1] if degs else 1
+        # (stride, width) of the first n-1 variables; the top coordinate is unbounded
+        self.lead = list(zip(self.strides, self.widths))[:-1]
         self.table = tower.basis_products()
         self.size = tower._size
-        self.nbytes = 0
+        self.nbytes = self.grade = self.span = self.row_bits = 0
 
     def run(self, leaves: list, program) -> "MultiPoly":
         """``program(self, packed leaves)`` as a MultiPoly over the kernel's
         variables; each leaf is a MultiPoly or a FieldElement."""
         prepared = [self._prepare(x) for x in leaves]
-        bound = program(self, [_Packed(None, den, norm) for den, norm, _ in prepared])
-        top = max([bound.norm] + [norm for _, norm, _ in prepared])
+        bound = program(self, [_Packed(None, den, lo, hi, norm) for den, norm, lo, hi, _ in prepared])
+        top = max([bound.norm] + [norm for _, norm, _, _, _ in prepared])
         self.nbytes = top.bit_length() // 8 + 1
-        result = program(self, [self._pack(den, norm, entries) for den, norm, entries in prepared])
+        if len(self.vars) > 1 and self.span + 1 < self.widths[-1]:
+            self.grade, self.row_bits = 1, self.row * 8 * self.nbytes
+            # a constant leaf keeps slot 0
+            prepared = [(den, norm, lo, hi, self._graded(e, lo) if hi else e) for den, norm, lo, hi, e in prepared]
+        result = program(self, [_Packed(self._pack(entries), den, lo) for den, _, lo, _, entries in prepared])
         return self._unpack(result)
 
     def _prepare(self, leaf) -> tuple:
-        """(den, norm, {basis index: [(slot, numerator)]}) of a leaf."""
+        """(den, norm, lo, hi, {basis index: [(slot, numerator)]}) of a leaf,
+        its slots in the box layout; lo and hi are its lowest and highest
+        total degree (0 with fewer than two variables)."""
         if isinstance(leaf, FieldElement):
-            terms, strides = {(): leaf}, ()
+            terms, strides, lo, hi = {(): leaf}, (), 0, 0
         else:
-            terms = leaf.terms
-            strides = [self.strides[self.vars.index(v)] for v in leaf.vars]
+            terms, strides, lo, hi = leaf.terms, self.strides, 0, 0
+            if leaf.vars != self.vars:
+                strides = [strides[self.vars.index(v)] for v in leaf.vars]
+            if len(self.vars) > 1 and terms:
+                degrees = list(map(sum, terms))
+                lo, hi = min(degrees), max(degrees)
+                if hi - lo > self.span:
+                    self.span = hi - lo
         den = lcm(*[c.den for c in terms.values()])
+        size = self.size
         entries: dict = {}
         norm = 0
         for key, c in terms.items():
@@ -545,19 +593,33 @@ class _Kronecker:
             f = den // c.den
             # a coefficient over a prefix of the tower: its basis number i is
             # number i * step of the kernel's tower
-            step = self.size // len(c.num)
+            step = size // len(c.num)
             for i, n in enumerate(c.num):
                 if n:
                     n *= f
                     norm += abs(n)
                     entries.setdefault(i * step, []).append((slot, n))
-        return den, norm, entries
+        return den, norm, lo, hi, entries
 
-    def _pack(self, den: int, norm: int, entries: dict) -> _Packed:
+    def _graded(self, entries: dict, lo: int) -> dict:
+        """A leaf's box slots moved to the graded layout and counted from its
+        offset ``row * lo``: a slot gains ``row`` times the sum of its first
+        n-1 exponents."""
+        row, lead = self.row, self.lead
+        return {
+            i: [(s + row * (sum(s // stride % w for stride, w in lead) - lo), c) for s, c in slots]
+            for i, slots in entries.items()
+        }
+
+    def _pack(self, entries: dict) -> list:
         width = self.nbytes
         comps = [0] * self.size
         for i, slots in entries.items():
-            n = (max(s for s, _ in slots) + 1) * width
+            if len(slots) == 1:  # a constant leaf, say: its int is the one numerator at its slot
+                ((s, c),) = slots
+                comps[i] = c << 8 * width * s
+                continue
+            n = (max(slots)[0] + 1) * width
             pos, neg = bytearray(n), bytearray(n)
             for s, c in slots:
                 if c > 0:
@@ -565,14 +627,17 @@ class _Kronecker:
                 else:
                     neg[s * width:(s + 1) * width] = (-c).to_bytes(width, "little")
             comps[i] = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-        return _Packed(comps, den, norm)
+        return comps
 
     def mul(self, a: _Packed, b: _Packed) -> _Packed:
         """Product, reduced right away by the tower's basis products."""
         table = self.table
-        den, norm = a.den * b.den * table.den, a.norm * b.norm * table.cmax
+        den, lo = a.den * b.den * table.den, a.lo + b.lo
         if a.comps is None:
-            return _Packed(None, den, norm)
+            hi = a.hi + b.hi
+            if hi - lo > self.span:
+                self.span = hi - lo
+            return _Packed(None, den, lo, hi, a.norm * b.norm * table.cmax)
         lift = table.lift
         sums: dict = {}
         for i, x in enumerate(a.comps):
@@ -585,15 +650,21 @@ class _Kronecker:
         for s, t in sums.items():
             for i, c in table.rules[s]:
                 comps[i] += c * t
-        return _Packed(comps, den, norm)
+        return _Packed(comps, den, lo)
 
     def add(self, a: _Packed, b: _Packed) -> _Packed:
+        if a.lo > b.lo:
+            a, b = b, a
         den = lcm(a.den, b.den)
         fa, fb = den // a.den, den // b.den
-        norm = a.norm * fa + b.norm * fb
         if a.comps is None:
-            return _Packed(None, den, norm)
-        return _Packed([x * fa + y * fb for x, y in zip(a.comps, b.comps)], den, norm)
+            hi = a.hi if a.hi > b.hi else b.hi
+            if hi - a.lo > self.span:
+                self.span = hi - a.lo
+            return _Packed(None, den, a.lo, hi, a.norm * fa + b.norm * fb)
+        # b starts (b.lo - a.lo) rows higher; in the box layout row_bits is 0
+        shift = (b.lo - a.lo) * self.row_bits
+        return _Packed([x * fa + (y * fb << shift) for x, y in zip(a.comps, b.comps)], den, a.lo)
 
     def power(self, squares: list, n: int) -> _Packed:
         """a^n for n >= 1 by repeated squaring, where ``squares[j]`` is
@@ -611,8 +682,8 @@ class _Kronecker:
         width = self.nbytes
         half = 1 << (8 * width - 1)
         half_bytes = half.to_bytes(width, "little")
-        size = self.size
-        place = list(zip(self.strides, self.widths))
+        size, row, grade, lead, nvars = self.size, self.row, self.grade, self.lead, len(self.vars)
+        offset = grade * row * p.lo
         coeffs: dict = {}
         for i, x in enumerate(p.comps):
             if not x:
@@ -626,7 +697,10 @@ class _Kronecker:
             done = 0
             for run in _NONZERO_BYTES.finditer(nonzero):
                 for s in range(max(run.start() // width, done), (run.end() - 1) // width + 1):
-                    key = tuple(s // stride % w for stride, w in place)
+                    slot = s + offset
+                    # the first n-1 exponents; the last is what the top coordinate leaves
+                    head = [slot // stride % w for stride, w in lead]
+                    key = (*head, slot // row - grade * sum(head)) if nvars else ()
                     num = coeffs.get(key)
                     if num is None:
                         num = coeffs[key] = [0] * size

@@ -655,6 +655,32 @@ def test_huge_constant_term_within_budget(p2):
     json.loads(proc.stdout)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # unshifted t^k families: every witness component is homogeneous in
+        # (u, v), so each packed run takes the graded layout; in the dense
+        # box, t^300 alone took 42 s
+        ("--p2", "t^400", "t"),
+        ("--implicit", "x^2+y^2-z^400"),
+    ],
+    ids=["p2_t400", "implicit_z400"],
+)
+def test_high_degree_homogeneous_witness_within_budget(args):
+    budget = 10.0  # seconds, interpreter start included
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "revolutio", "analyze", *args],
+        capture_output=True,
+        text=True,
+        timeout=budget,
+    )
+    assert time.perf_counter() - start < budget
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["real_verdict"]["status"] == "real-proper"
+
+
 def test_mesh_huge_exponent_key_within_budget(tmp_path):
     # a generator exponent was reduced one degree per pass: the key
     # "1000000" over sqrt(2) took 30 s, one more digit stalled the call

@@ -214,6 +214,45 @@ def test_obj_bytes_match_the_line_by_line_writer(tmp_path, tower_name, n):
             assert out.read_bytes() == obj_text(sample_grid(s, n, u_range, v_range, TOL), n).encode()
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_obj_bytes_do_not_depend_on_the_block(tmp_path, monkeypatch, block, n):
+    monkeypatch.setattr(mesh, "BLOCK_ROWS", block)
+    rng = random.Random(20261028 + n)
+    s = SurfaceParam.make([random_component(rng, TOWERS["sqrt2"]) for _ in range(3)])
+    out = tmp_path / "m.obj"
+    export_obj(s, n, *RANGES[0], str(out), TOL)
+    assert out.read_bytes() == obj_text(sample_grid(s, n, *RANGES[0], TOL), n).encode()
+
+
+def test_a_grid_beyond_one_block_is_written_a_block_at_a_time(tmp_path, monkeypatch):
+    # 130 rows: vertex blocks of 64, 64 and 2 rows, quad blocks of 64, 64
+    # and 1 row, after the two header lines
+    n, writes = 130, []
+    real_open = open
+
+    class Recorder:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            writes.append(text.count("\n"))
+            return self.fh.write(text)
+
+    monkeypatch.setattr("builtins.open", lambda *a, **k: Recorder(real_open(*a, **k)))
+    out = tmp_path / "p.obj"
+    export_obj(paraboloid(), n, (-1, 1), (-1, 1), str(out))
+    monkeypatch.undo()
+    assert writes == [2, 64 * n, 64 * n, 2 * n, 64 * (n - 1), 64 * (n - 1), n - 1]
+    assert out.read_bytes() == obj_text(sample_grid(paraboloid(), n, (-1, 1), (-1, 1)), n).encode()
+
+
 def test_components_in_fewer_variables():
     # components keyed by (u,), (v,) and () directly, not reindexed onto (u, v)
     th = SQRT2.gen("th")

@@ -3,6 +3,7 @@ exact division, resultants. Expected values for derived cases were computed
 with the dense reference implementations in oracles.py (or, where noted,
 an explicit formula) and then frozen."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -1048,6 +1049,150 @@ class TestPackedProducts:
         # two variables, or none, stay MultiPoly
         assert type(f * inner) is MultiPoly and type(s_ * t_) is MultiPoly
         assert type(MultiPoly.constant(2) * 3) is MultiPoly
+
+    # the graded layout: the top coordinate is the total degree, and a value
+    # is stored from its lowest row on
+
+    @staticmethod
+    def _grades(monkeypatch) -> list:
+        """The grade of every kernel run from now on, in order."""
+        from revolutio import poly
+
+        grades, unpack = [], poly._Kronecker._unpack
+        monkeypatch.setattr(poly._Kronecker, "_unpack", lambda k, p: grades.append(k.grade) or unpack(k, p))
+        return grades
+
+    def _graded(self, rng, tower, names, degrees, terms, huge=False):
+        """A sum of homogeneous parts, one of each total degree in
+        ``degrees``, each with at least its two pure powers."""
+        keys = set()
+        for d in degrees:
+            keys |= {(0,) * (len(names) - 1) + (d,), (d,) + (0,) * (len(names) - 1)}
+            for _ in range(terms):
+                head = []
+                for _ in names[1:]:
+                    head.append(rng.randint(0, d - sum(head)))
+                rng.shuffle(head)
+                keys.add(tuple(head) + (d - sum(head),))
+        return MultiPoly(names, {k: self._element(rng, tower, huge) for k in keys}, tower)
+
+    @pytest.mark.parametrize("name", ["QQ", "sqrt2", "sqrt1/3", "alpha_i", "split"])
+    def test_graded_products_and_powers(self, name, monkeypatch):
+        import random
+
+        rng = random.Random(7600 + len(name))
+        tower = _towers()[name][0]
+        grades = self._grades(monkeypatch)
+        for names in (("u", "v"), ("u", "v", "w")):
+            for trial in range(3):
+                huge = trial % 2 == 1
+                # homogeneous operands: one row each, stored without the
+                # empty rows below
+                f = self._graded(rng, tower, names, [rng.randint(3, 5)], 3, huge)
+                g = self._graded(rng, tower, names, [rng.randint(2, 4)], 2, huge=trial == 2)
+                del grades[:]
+                self._check(f * g, lambda value: value(f) * value(g), name, names)
+                self._check(g ** 3, lambda value: value(g) ** 3, name, names)
+                assert grades == [1, 1]
+                # parts of different total degrees: each value spans several rows
+                f = self._graded(rng, tower, names, [2, 5], 2, huge)
+                g = self._graded(rng, tower, names, [1, 3, 4], 1)
+                self._check(f * g, lambda value: value(f) * value(g), name, names)
+                self._check(f ** 2, lambda value: value(f) ** 2, name, names)
+
+    @pytest.mark.parametrize("name", ["QQ", "sqrt2", "sqrt1/3", "alpha_i", "split"])
+    def test_graded_substitute(self, name, monkeypatch):
+        # homogeneous images of different degrees: every term of f lands in
+        # its own rows, and the Horner sums add values at different offsets
+        import random
+
+        rng = random.Random(7700 + len(name))
+        tower = _towers()[name][0]
+        grades = self._grades(monkeypatch)
+        xyz, uv = ("x", "y", "z"), ("u", "v")
+        for trial in range(3):
+            f = self._poly(rng, QQ if trial % 2 else tower, xyz, 2, 6, huge=trial == 1)
+            images = {n: self._graded(rng, tower, uv, [d], 2, huge=trial == 2) for n, d in zip(xyz, (2, 3, 1))}
+            del grades[:]
+            self._check(
+                substitute(f, images),
+                lambda value: value(f, {n: value(images[n]) for n in xyz}),
+                name, uv,
+            )
+            # the widest value, f's span times the images' degrees, is below
+            # the box exactly when grade 1 was chosen
+            degs = [sum(k[i] * d for i, d in enumerate((2, 3, 1))) for k in f.terms]
+            assert grades == [int(max(degs) - min(degs) + 1 < max(degs) + 1)]
+
+    @pytest.mark.parametrize("name", ["QQ", "sqrt2", "sqrt1/3", "alpha_i", "split"])
+    def test_box_shaped_operands(self, name, monkeypatch):
+        import random
+
+        rng = random.Random(7800 + len(name))
+        tower = _towers()[name][0]
+        grades = self._grades(monkeypatch)
+        uv = ("u", "v")
+        for trial in range(3):
+            d = rng.randint(3, 6)
+            keys = [(0, 0), (d, 0), (0, d), (d, d)] + [(rng.randint(0, d), rng.randint(0, d)) for _ in range(3)]
+            f = MultiPoly(uv, {k: self._element(rng, tower, trial == 1) for k in keys}, tower)
+            g = self._poly(rng, tower, uv, d, 4, huge=trial == 2) + f
+            del grades[:]
+            self._check(f * g, lambda value: value(f) * value(g), name, uv)
+            self._check(f ** 2, lambda value: value(f) ** 2, name, uv)
+            assert grades == [0, 0]
+
+    def test_grade_of_a_homogeneous_and_a_box_shaped_run(self, monkeypatch):
+        h = u + 2 * v
+        f, g = 1 + u ** 5 * v ** 5, 1 - u ** 5 * v ** 5
+        x = MultiPoly.variable("x", ("x",))
+        one_plus_x10, u10v10 = 1 + x ** 10, u ** 10 * v ** 10
+        grades = self._grades(monkeypatch)
+        # a homogeneous power and product: each value is one row, the 61
+        # terms of h^60 in 61 slots instead of a 61 x 61 box
+        h30 = h ** 30
+        assert (h30 * h30).terms[(30, 30)].as_rational() == math.comb(60, 30) * 2 ** 30
+        assert grades == [1, 1]
+        # u^5 v^5 against 1: the product spans total degrees 0 to 20, wider
+        # than the box's 11 rows of v
+        assert f * g == 1 - u10v10
+        assert grades == [1, 1, 0]
+        # narrow leaves, wide result: each leaf spans at most 2 total
+        # degrees, the result 20, so only the largest span of any value
+        # shows that the box is narrower
+        del grades[:]
+        assert ((1 + u * v) ** 10).terms[(5, 5)].as_rational() == 252
+        assert substitute(one_plus_x10, {"x": u * v}) == 1 + u10v10
+        assert grades == [0, 0]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_graded_huge_coefficients_of_both_signs(self, sign):
+        big = 2 ** 100 + 12345
+        f = sign * big * u ** 3 - (big + 2) * u * v ** 2 + Fraction(-big, 3) * v ** 3
+        g = -big * u ** 2 + Fraction(big, 7) * v ** 2 + sign * (big + 4) * u * v
+        got = f * g
+        assert all(sum(k) == 5 for k in got.terms)
+        assert got.terms[(5, 0)].as_rational() == -sign * big * big
+        self._check(got, lambda value: value(f) * value(g), "QQ", ("u", "v"))
+        self._check(f ** 4 - g ** 6, lambda value: value(f) ** 4 - value(g) ** 6, "QQ", ("u", "v"))
+
+    def test_graded_exact_cancellation_to_zero(self, monkeypatch):
+        split = QQ.extend("g", [-1, 0, 1])
+        g = split.gen("g")
+        uu, vv = (MultiPoly.variable(n, ("u", "v"), split) for n in "uv")
+        f, h = (g + 1) * (uu ** 3 - 2 ** 120 * uu * vv ** 2), (g - 1) * (vv ** 4 + 3 * uu ** 2 * vv ** 2)
+        # x^2 + y^2 - z^2 on x + i y = u^2, x - i y = v^2, z = u v
+        qi = QQ.extend("i", [1, 0, 1])
+        i = qi.gen("i")
+        uu, vv = (MultiPoly.variable(n, ("u", "v"), qi) for n in "uv")
+        x, y, z = (MultiPoly.variable(n, ("x", "y", "z")) for n in "xyz")
+        F = x ** 2 + y ** 2 - z ** 2
+        images = {"x": (uu ** 2 + vv ** 2) * Fraction(1, 2), "y": (vv ** 2 - uu ** 2) * (i / 2), "z": uu * vv}
+        grades = self._grades(monkeypatch)
+        product = f * h
+        assert product.is_zero() and product.vars == ("u", "v") and product.tower == split
+        assert substitute(F, images).is_zero()
+        assert grades == [1, 1]
 
 
 class TestEvalAt:

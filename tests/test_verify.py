@@ -113,6 +113,24 @@ class TestResidualRoute:
                 with pytest.raises(InternalInvariant, match="residual"):
                     verify_on_surface(comps, F)
 
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_one_changed_coefficient_of_a_homogeneous_witness_is_refused(self, which):
+        # x^2 + y^2 = z^30: every component of the lifted witness is
+        # homogeneous in (u, v), so its residual runs in the graded layout
+        t = UniPoly.variable("t")
+        F, w = _profile_surface(t ** 30, t)
+        comps = w.components
+        assert all(len({sum(k) for k in c.terms}) == 1 for c in comps)
+        verify_on_surface(w, F)
+        rng = random.Random(30 + which)
+        c = comps[which]
+        key = rng.choice(sorted(c.terms))
+        changed = MultiPoly(c.vars, {**c.terms, key: c.terms[key] + rng.choice((-1, 1))}, c.tower)
+        bad = comps[:which] + (changed,) + comps[which + 1:]
+        assert _residual(bad, F) == substitute(F, dict(zip(("x", "y", "z"), bad)))
+        with pytest.raises(InternalInvariant, match="residual"):
+            verify_on_surface(bad, F)
+
     @pytest.mark.parametrize(
         "text, witness",
         [

@@ -13,6 +13,14 @@ seeds (default 1 and 7), then the fixed ``extras``, once each through
   ``analyze --p2 "2*t^2-1" "t^3+t"``;
 - a linear first coordinate, whose implicit equation is a resultant with
   the linear operand first: ``analyze --p2 t t^3``;
+- homogeneous witnesses above the corpus's degrees, whose packed runs take
+  the graded layout: ``analyze --p2 t^60 t`` (the corpus stops at
+  ``t^19``) and ``analyze --implicit "x^2+y^2-z^61"``, the delta-1
+  paraboloid base past ``z^30``;
+- a graded run that adds values of different total degrees, so that their
+  rows are aligned before the sum: ``analyze --p2 t^2+t^4 t``. These three
+  finish within a second in the dense box layout too, so a byte-identity
+  check can run them on a base commit without the graded one;
 - mesh rows due a refinement after the first, which take the in-order
   scan of ``numeric_eval``: ``one_sheet_sqrt2.json`` at ``--tol 1e-15``
   over ``u`` in [0, 8], where |u| grows row by row (6 of its 8 rows);
@@ -58,6 +66,9 @@ def extras(workloads) -> tuple:
         ("analyze", "--p2", "t^2-2", "t^2+t"),
         ("analyze", "--p2", "2*t^2-1", "t^3+t"),
         ("analyze", "--p2", "t", "t^3"),
+        ("analyze", "--p2", "t^60", "t"),
+        ("analyze", "--implicit", "x^2+y^2-z^61"),
+        ("analyze", "--p2", "t^2+t^4", "t"),
         ("mesh", "--report", str(reports / "one_sheet_sqrt2.json"), "--tol", "1e-15",
          "--u-min", "0", "--u-max", "8", "--out", str(out / "extra-one_sheet_sqrt2-tol.obj")),
         ("mesh", "--report", str(reports / "cone_beta.json"), "--grid", "2",

@@ -21,6 +21,12 @@ with two keys for the same exponents, a polynomial with a repeated
 (``unique_members``, the ``object_pairs_hook`` of ``json.load``) are
 InvalidInput too, where a plain decode would keep the last one.
 
+A field element is decoded straight to the numerator tuple over one
+denominator that ``FieldElement`` keeps: a value ``-?digits(/digits)?``
+with a nonzero denominator is read by ``int`` alone, anything else by
+``str_to_fraction``, so what ``Fraction`` reads is read the same way and
+every refusal keeps its message.
+
 ``dumps`` writes a report as ``json.dumps(payload, indent=2)`` does, byte
 for byte, in one recursive pass. With an indent CPython's ``json`` runs
 its pure-Python encoder; here only the string escape runs in C.
@@ -31,16 +37,19 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
+from operator import ge, mul
 
 from .complexparam import SurfaceParam
 from .errors import InvalidInput
 from .poly import MultiPoly
-from .tower import QQ, ExtensionTower, FieldElement
+from .tower import QQ, ExtensionTower, FieldElement, _power_basis
 
 SCHEMA = "revolutio/1"
 
 # int() would also read a sign, '_', spaces and any Unicode digit
 _EXPONENT_KEY = re.compile(r"[0-9]+(,[0-9]+)*")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def dumps(payload) -> str:
@@ -117,23 +126,45 @@ def field_to_json(e: FieldElement) -> dict:
     }
 
 
+def _ratio(s) -> tuple:
+    """``str_to_fraction(s)`` as ``(numerator, positive denominator)``: a
+    literal ``-?digits(/digits)?`` is read by ``int`` alone, as ``Fraction``
+    reads it, anything else by ``str_to_fraction``."""
+    m = _RATIONAL.fullmatch(s) if type(s) is str else None
+    if m:
+        try:
+            p, q = int(m[1]), int(m[2] or 1)
+        except ValueError:  # beyond int()'s digit limit, as in Fraction()
+            pass
+        else:
+            if q:
+                return p, q
+    return str_to_fraction(s).as_integer_ratio()
+
+
 def json_to_field(obj: dict, tower: ExtensionTower) -> FieldElement:
     if not isinstance(obj, dict):
         raise InvalidInput(f"a field element is a JSON object, got {obj!r}")
-    terms = {}
+    radix = _power_basis(tower._degs)[1]
+    num, den, seen = [0] * tower._size, 1, set()
     for key, val in obj.items():
         if key and not _EXPONENT_KEY.fullmatch(key):
             raise InvalidInput(f"bad exponent key {key!r}")
-        exps = tuple(int(x) for x in key.split(",")) if key else ()
+        exps = tuple(map(int, key.split(","))) if key else ()
         if len(exps) != tower.height:
             raise InvalidInput("field element exponent arity does not match the tower")
         # encoded elements are reduced; reducing a huge exponent costs a pass per degree
-        if any(e >= d for e, d in zip(exps, tower._degs)):
+        if any(map(ge, exps, tower._degs)):
             raise InvalidInput(f"exponent key {key!r} is not reduced: generator degrees {list(tower._degs)}")
-        if exps in terms:
+        if exps in seen:
             raise InvalidInput(f"exponent key {key!r} repeats an earlier key's exponents")
-        terms[exps] = str_to_fraction(val)
-    return FieldElement(tower, terms, reduce=False)
+        seen.add(exps)
+        p, q = _ratio(val)
+        if den % q:
+            scale = q // gcd(den, q)
+            num, den = [n * scale for n in num], den * scale
+        num[sum(map(mul, exps, radix))] = p * (den // q)
+    return FieldElement.from_ints(tower, num, den)
 
 
 def tower_to_json(t: ExtensionTower) -> list:

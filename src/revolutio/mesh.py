@@ -9,22 +9,30 @@ so that with grid coordinates written as integers over ``Du`` and ``Dv``
 (each grid side computed in integers over its least common denominator)
 every vertex value is an integer over the one denominator
 ``L * Du^du * Dv^dv``. Each grid row takes one Horner pass in ``u`` per
-monomial, then one in ``v`` per monomial over the whole row at once, which
-gives one integer column per monomial; rows are streamed. The columns go
-straight to floats, with no Fraction, FieldElement or per-vertex tuple: a
-component with only the unit monomial (every component over QQ) is its one
-column divided by the denominator, one correctly rounded division per
-vertex, and the row's other components go to ``numeric_eval`` in one call,
-in column form ``(keys, den, columns)``, which returns one float list per
-component. ``export_obj`` formats and writes the file ``BLOCK_ROWS`` grid
-rows at a time, one ``%`` operation over a block's flattened vertex floats
-and one over its quad corners, so beyond the vertex list its memory grows
-with a block, not with the grid; a grid of up to ``BLOCK_ROWS`` points per
-side is one block. A grid side takes at most ``MAX_GRID`` points.
-Parametrizations over towers without a full real embedding are refused
-(NoRealEmbedding from ``default_real_embedding``); a grid side out of
-range, a vertex beyond the float range, and an output path that cannot be
-written, are InvalidInput.
+monomial, which gives the monomial's coefficients in ``v`` on that row;
+rows are streamed. A component with only the unit monomial (every
+component over QQ) then takes one Horner pass in ``v`` over the whole row,
+whose last step is one correctly rounded division per vertex
+(``_horner_div``). The row's other components
+are bounded first: a value's width is at most the sum over monomials of
+the monomial's width times ``sum_b |c_b| * top^b``, its coefficients in
+``v`` against the largest ``|v|`` of the grid. When that bound is under
+the tolerance for every component, no value is due a refinement, and each
+component takes one such pass in ``v`` of the weighted polynomial
+``sum_m mids[m] * c_m``, the monomials' coefficients weighted by their
+midpoints: by linearity the same integers, and so the same floats, as
+the monomial by monomial enclosures. Otherwise the row goes to
+``numeric_eval`` in column form ``(keys, den, columns)``, one Horner pass
+in ``v`` per monomial, which certifies it in order. No Fraction,
+FieldElement or per-vertex tuple is built. ``export_obj`` formats and
+writes the file ``BLOCK_ROWS`` grid rows at a time, one ``%`` operation
+over a block's flattened vertex floats and one over its quad corners, so
+beyond the vertex list its memory grows with a block, not with the grid; a
+grid of up to ``BLOCK_ROWS`` points per side is one block. A grid side
+takes at most ``MAX_GRID`` points. Parametrizations over towers without a
+full real embedding are refused (NoRealEmbedding from
+``default_real_embedding``); a grid side out of range, a vertex beyond the
+float range, and an output path that cannot be written, are InvalidInput.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InvalidInput
 from .numeric import _as_float, _tolerance, default_real_embedding, numeric_eval
@@ -42,11 +51,11 @@ class _Tabulation:
     """One component's values at the grid points ``u = U/du_den``,
     ``v = V/dv_den`` with integer ``U`` and ``V``.
 
-    ``monos[m][b][a]`` is the coefficient of ``u^a v^b`` in power-basis
-    monomial ``m``, times ``common * du_den^(du-a) * dv_den^(dv-b)``, where
-    ``common`` is the common denominator of all the component's
-    coefficients; every value is then an integer over ``den = common *
-    du_den^du * dv_den^dv``.
+    ``monos[m][b][a]`` is the coefficient of ``u^a v^b`` in the ``m``-th
+    power-basis monomial of ``keys``, times ``common * du_den^(du-a) *
+    dv_den^(dv-b)``, where ``common`` is the common denominator of all the
+    component's coefficients; every value is then an integer over ``den =
+    common * du_den^du * dv_den^dv``.
     """
 
     def __init__(self, c, du_den: int, dv_den: int):
@@ -61,23 +70,24 @@ class _Tabulation:
         dv = max((b for _, b, _ in terms), default=0)
         common = lcm(*(fe.den for _, _, fe in terms))
         self.den = common * du_den ** du * dv_den ** dv
-        self.monos: dict = {}
+        monos: dict = {}  # by power-basis number
         for a, b, fe in terms:
             scale = common * du_den ** (du - a) * dv_den ** (dv - b) // fe.den
             for m, n in enumerate(fe.num):
                 if n:
-                    by_v = self.monos.setdefault(m, [[0] * (du + 1) for _ in range(dv + 1)])
+                    by_v = monos.setdefault(m, [[0] * (du + 1) for _ in range(dv + 1)])
                     by_v[b][a] = n * scale
-        if not self.monos:  # the zero component: one zero unit column
-            self.monos[0] = [[0]]
+        if not monos:  # the zero component: one zero unit column
+            monos[0] = [[0]]
         basis = c.tower.basis
-        self.keys = tuple(basis[m] for m in self.monos)
-        self.rational = not any(self.monos)
+        self.keys = tuple(basis[m] for m in monos)
+        self.rational = not any(monos)  # the unit monomial, number 0, only
+        self.monos = list(monos.values())
 
-    def row(self, u: int, vs: list) -> list:
-        """The values on grid row ``u`` at every ``v`` in ``vs``: one integer
-        column per monomial, in ``keys`` order."""
-        return [_horner_at([_horner_int(cs, u) for cs in by_v], vs) for by_v in self.monos.values()]
+    def at_u(self, u: int) -> list:
+        """Per monomial, in ``keys`` order, its coefficients in ``v`` on grid
+        row ``u``: one Horner pass in ``u`` each."""
+        return [[_horner_int(cs, u) for cs in by_v] for by_v in self.monos]
 
 
 def _horner_at(p: list, xs: list) -> list:
@@ -86,6 +96,16 @@ def _horner_at(p: list, xs: list) -> list:
     for c in reversed(p[:-1]):
         acc = [a * x + c for a, x in zip(acc, xs)]
     return acc
+
+
+def _horner_div(p: list, xs: list, den: int) -> list:
+    """The floats nearest ``p(x) / den`` for every x in ``xs``: Horner's rule
+    in integers, its last step fused with the division; OverflowError for
+    a value beyond the float range."""
+    c = p[0]
+    if len(p) == 1:
+        return [c / den] * len(xs)
+    return [(a * x + c) / den for a, x in zip(_horner_at(p[1:], xs), xs)]
 
 
 def _grid(lo: Fraction, hi: Fraction, n: int) -> tuple:
@@ -123,22 +143,54 @@ def sample_grid(s, n: int, u_range, v_range, tol=Fraction(1, 10 ** 9)) -> list:
     vs, dv_den = _grid(v0, v1, n)
     tabs = [_Tabulation(c, du_den, dv_den) for c in s.components]
     tol = _tolerance(tol)
+    top = max(abs(vs[0]), abs(vs[-1]))
+    top_powers = [top ** b for b in range(max(len(tab.monos[0]) for tab in tabs))]
     verts = []
     for u in us:
-        rows = [tab.row(u, vs) for tab in tabs]
-        irrational = [(tab.keys, tab.den, cols) for tab, cols in zip(tabs, rows) if not tab.rational]
-        values = iter(numeric_eval(irrational, embedding, tol) if irrational else ())
-        coords = [_divide(cols[0], tab.den) if tab.rational else next(values) for tab, cols in zip(tabs, rows)]
+        at_u = [tab.at_u(u) for tab in tabs]
+        irrational = [(tab, cs) for tab, cs in zip(tabs, at_u) if not tab.rational]
+        values = iter(_weighted(irrational, embedding, tol, vs, top_powers) if irrational else ())
+        coords = [_divide(cs[0], vs, tab.den) if tab.rational else next(values) for tab, cs in zip(tabs, at_u)]
         verts += zip(*coords)
     return verts
 
 
-def _divide(col: list, den: int) -> list:
-    """The floats nearest ``x / den`` for ``x`` in ``col``."""
+def _weighted(row: list, embedding, tol: Fraction, vs: list, top_powers: list) -> list:
+    """One float list per ``(tabulation, coefficients in v)`` of ``row``, the
+    irrational components of one grid row, as ``numeric_eval`` gives them.
+
+    A component's value at ``v`` has the width ``sum_m widths[m] *
+    |sum_b c[m][b] v^b|``, at most ``sum_m widths[m] * sum_b |c[m][b]| *
+    top^b`` with ``top`` the largest ``|v|``. When that bound is under
+    ``tol`` for every component, no value is due a refinement, and the
+    midpoints are one Horner pass in ``v`` of the weighted polynomial
+    ``sum_m mids[m] * c[m]``: by linearity, the integers ``numeric_eval``
+    takes from the columns. Otherwise, or for a value beyond the float
+    range, the row goes to ``numeric_eval`` in column form.
+    """
+    tn, td = tol.numerator, tol.denominator
+    eden = embedding.den
+    spans = [embedding.ranges(tab.keys) for tab, _ in row]
+    if all(sum([w * sum(map(mul, map(abs, cs), top_powers)) for cs, w in zip(by_m, widths) if w]) * td
+           < tn * tab.den * eden for (tab, by_m), (_, widths) in zip(row, spans)):
+        out = []
+        try:
+            for (tab, by_m), (mids, _) in zip(row, spans):
+                weighted = [sum(map(mul, mids, cs)) for cs in zip(*by_m)]
+                out.append(_horner_div(weighted, vs, 2 * tab.den * eden))
+            return out
+        except OverflowError:
+            pass  # numeric_eval raises for the first value beyond the float range, in order
+    columns = [(tab.keys, tab.den, [_horner_at(cs, vs) for cs in by_m]) for tab, by_m in row]
+    return numeric_eval(columns, embedding, tol)
+
+
+def _divide(p: list, xs: list, den: int) -> list:
+    """The floats nearest ``p(x) / den`` for every x in ``xs``."""
     try:
-        return [x / den for x in col]
+        return _horner_div(p, xs, den)
     except OverflowError:
-        return [_as_float(x, den) for x in col]  # raises for the first value beyond the float range
+        return [_as_float(x, den) for x in _horner_at(p, xs)]  # raises for the first value beyond the float range
 
 
 def export_obj(s, n: int, u_range, v_range, path: str, tol=Fraction(1, 10 ** 9)) -> dict:

@@ -3,30 +3,31 @@
 No floating-point root finding happens here: every generator carries an
 exact rational isolating interval that is bisected against its minimal
 polynomial until the requested output tolerance is certified. Each minimal
-polynomial is kept as an integer list, so a bisection step is integer sign
-tests at the interval's ends and midpoint (``poly._hsign``); isolation
-counts roots with one integer Sturm chain per polynomial. Generators
-without a real root have no real embedding and are rejected, which is
-exactly what mesh export needs.
+polynomial is kept as an integer list, so a bisection step is one integer
+sign test at the interval's midpoint (``poly._hsign``), the sign at its
+low end carried from the step before; isolation counts roots with one
+integer Sturm chain per polynomial. Generators without a real root have no
+real embedding and are rejected, which is exactly what mesh export needs.
 
-The embedding keeps each generator's interval as two integer ends over
-the generator's own denominator, and between refinements, for each tuple
-of power-basis keys it is asked about, the exact ranges of those monomials
-as integer lists over one common denominator (integer interval products,
-so the same ranges as multiplying out the Fraction intervals).
-``numeric_eval`` takes one grid row in column form, ``(keys, den,
-columns)`` per component, and returns one float list per component. A
-value's enclosure is two integer dot products: its integers with the
-ranges' ``lo + hi`` for the midpoint and, in absolute value, with their
-``hi - lo`` for the width, the same enclosure as multiplying out the
-generator intervals term by term. When a bound on the whole row (per
-component, each column's largest absolute entry times its key's width,
-summed) is under the tolerance, no value is due a refinement and the
-midpoints are taken column by column; otherwise the row is certified in
-order, refining the one embedding whenever a value is still too wide,
-exactly as consecutive one-vertex calls would. Each float is the
-correctly rounded midpoint (one integer division), InvalidInput beyond
-the float range; a rational value has a zero-width enclosure and is never
+The embedding keeps each generator's interval as two integer ends over a
+denominator of its own that doubles at each refinement, and between
+refinements, for each tuple of power-basis keys it is asked about, the
+exact ranges of those monomials as integer lists over one common
+denominator (integer interval products, so the same ranges as multiplying
+out the Fraction intervals). ``numeric_eval`` takes one grid row in column
+form, ``(keys, den, columns)`` per component, and returns one float list
+per component. A value's enclosure is two integer dot products: its
+integers with the ranges' ``lo + hi`` for the midpoint and, in absolute
+value, with their ``hi - lo`` for the width, the same enclosure as
+multiplying out the generator intervals term by term. The row is certified
+in order, refining the one embedding at each value still too wide, exactly
+as consecutive one-vertex calls would. A refinement only narrows the
+ranges, so the widths are checked column by column, once for the row and
+again after each value that refined, and the values between two
+refinements get their midpoints column by column. Each float is the
+correctly rounded midpoint (one integer division); a value beyond the
+float range is InvalidInput, before any refinement when its whole
+enclosure is. A rational value has a zero-width enclosure and is never
 refined.
 """
 
@@ -35,14 +36,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import repeat
-from operator import mul
 
 from .errors import InvalidInput, NoRealEmbedding
 from .poly import UniPoly, _hsign, _int_coeffs, _squarefree_chain, _sturm_count, sturm_real_root_count
 from .tower import ExtensionTower
-
-Iv = tuple  # (lo, hi) with Fraction endpoints, lo <= hi
-
 
 def isolate_real_roots(f: UniPoly) -> list:
     """Disjoint rational intervals, one distinct real root each, sorted.
@@ -76,58 +73,66 @@ def isolate_real_roots(f: UniPoly) -> list:
     return sorted(out, key=lambda iv: iv[0] + iv[1])
 
 
-def _refine_once(p: list, iv: Iv) -> Iv:
-    """Half of the isolating interval ``iv`` of a root of the integer
-    polynomial ``p``, by the signs of ``p`` at its ends and midpoint."""
-    lo, hi = iv
-    if lo == hi:
-        return iv
-    mid = (lo + hi) / 2
-    sm = _hsign(p, *mid.as_integer_ratio())
-    if not sm:
-        return (mid, mid)
-    if _hsign(p, *lo.as_integer_ratio()) * sm < 0:
-        return (lo, mid)
-    return (mid, hi)
-
-
 class RealEmbedding:
     """A designated real root (isolating interval) for each tower generator.
 
-    ``intervals`` holds the Fraction intervals. For the current intervals
-    the embedding also keeps each generator's interval as two integer ends
-    over the generator's own denominator, and, for each tuple of
-    power-basis keys it is asked about, the exact ranges of those monomials
-    as integer lists over the one common denominator ``den``. The lists are
-    built on first use and dropped by ``refine_all``.
+    Each generator's interval is kept as two integer ends ``a <= b`` over a
+    denominator ``d`` of its own, which doubles at each refinement, with
+    the sign of the minimal polynomial at ``a / d`` carried from step to
+    step; ``intervals`` is a read-only Fraction view of them. For each
+    tuple of power-basis keys it is asked about, the embedding also keeps
+    the exact ranges of those monomials as integer lists over the one
+    common denominator ``den``, built on first use and dropped by
+    ``refine_all``.
     """
 
     def __init__(self, tower: ExtensionTower, intervals: dict, minpolys: dict):
         """``minpolys`` maps each step name to its minimal polynomial's
         integer coefficients (``_int_coeffs``), lowest degree first."""
         self.tower = tower
-        self.intervals = dict(intervals)
-        self._minpolys = minpolys
-        self._ranges = {}
-        self._reset_ranges()
-
-    def _reset_ranges(self):
-        # a reduced monomial has exponent below deg m_k in generator k, so
-        # den_k^(deg m_k - 1) clears every denominator its range can have
+        # per step: (a, b, d, deg m_k - 1); a reduced monomial has exponent
+        # below deg m_k in generator k, so d^(deg m_k - 1) clears every
+        # denominator its range can have
         self._ends = []
-        self.den = 1
-        for step in self.tower.steps:
-            lo, hi = self.intervals[step.name]
+        for step in tower.steps:
+            lo, hi = intervals[step.name]
             d = math.lcm(lo.denominator, hi.denominator)
-            top = step.degree - 1
-            self._ends.append((lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d, top))
-            self.den *= d ** top
+            a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+            self._ends.append((a, b, d, step.degree - 1))
+        self._polys = [minpolys.get(step.name) for step in tower.steps]
+        self._low_signs = [None] * len(self._ends)  # of m_k at a / d, taken at the first refinement
+        self._ranges = {}
+        self._new_ranges()
+
+    @property
+    def intervals(self) -> dict:
+        """``{step name: (lo, hi)}`` with Fraction ends, a fresh dict."""
+        return {step.name: (Fraction(a, d), Fraction(b, d))
+                for step, (a, b, d, _) in zip(self.tower.steps, self._ends)}
+
+    def _new_ranges(self):
+        self.den = math.prod([d ** top for _, _, d, top in self._ends])
         self._ranges.clear()
 
     def refine_all(self):
-        for name, iv in self.intervals.items():
-            self.intervals[name] = _refine_once(self._minpolys[name], iv)
-        self._reset_ranges()
+        """Halve every generator's interval by one sign of its minimal
+        polynomial, at the midpoint ``(a + b) / 2d``."""
+        ends, signs = self._ends, self._low_signs
+        for k, (p, (a, b, d, top)) in enumerate(zip(self._polys, ends)):
+            if a == b:
+                continue
+            if signs[k] is None:
+                signs[k] = _hsign(p, a, d)
+            m, d = a + b, 2 * d
+            sm = _hsign(p, m, d)
+            if not sm:
+                ends[k] = (m, m, d, top)
+            elif signs[k] * sm < 0:
+                ends[k] = (2 * a, m, d, top)
+            else:
+                ends[k] = (m, 2 * b, d, top)
+                signs[k] = sm
+        self._new_ranges()
 
     def monomial_range(self, key: tuple) -> tuple:
         """Exact range ``(lo, hi)`` of the monomial with exponents ``key``
@@ -137,17 +142,33 @@ class RealEmbedding:
         for e, (a, b, d, top) in zip(key, self._ends):
             scale = d ** (top - e)
             if not e:
-                pa = pb = scale
+                lo, hi = lo * scale, hi * scale
+                continue
+            pa, pb = a ** e, b ** e
+            if e % 2 == 0 and a < 0 < b:
+                pa, pb = 0, max(pa, pb)
+            elif pa > pb:
+                pa, pb = pb, pa
+            pa, pb = pa * scale, pb * scale
+            if lo >= 0 <= pa:
+                lo, hi = lo * pa, hi * pb
             else:
-                pa, pb = a ** e, b ** e
-                if e % 2 == 0 and a < 0 < b:
-                    pa, pb = 0, max(pa, pb)
-                elif pa > pb:
-                    pa, pb = pb, pa
-                pa, pb = pa * scale, pb * scale
-            products = (lo * pa, lo * pb, hi * pa, hi * pb)
-            lo, hi = min(products), max(products)
+                products = (lo * pa, lo * pb, hi * pa, hi * pb)
+                lo, hi = min(products), max(products)
         return lo, hi
+
+    def enclosure(self, keys: tuple, ints: list) -> tuple:
+        """``(s, w)`` such that the value ``sum(ints[m] * keys[m])`` lies
+        between ``(s - w) / 2den`` and ``(s + w) / 2den``: the dot products
+        of ``ints`` with the monomials' ``lo + hi`` and, in absolute value,
+        with their ``hi - lo``, built for this one value."""
+        s = w = 0
+        for key, n in zip(keys, ints):
+            if n:
+                lo, hi = self.monomial_range(key)
+                s += n * (lo + hi)
+                w += abs(n) * (hi - lo)
+        return s, w
 
     def ranges(self, keys: tuple) -> tuple:
         """The ranges of the monomials ``keys`` as two integer lists over
@@ -216,60 +237,105 @@ def numeric_eval(row: list, embedding: RealEmbedding, tol) -> list:
     of the entries ``columns[m][j]`` with the monomials ``keys[m]`` is the
     value times ``den``. The enclosure is the integers' dot products with
     the embedding's monomial ranges (``lo + hi`` for twice the midpoint, in
-    absolute value ``hi - lo`` for the width). When the whole row's bound,
-    per component the sum over keys of the column's largest ``|entry|``
-    times the key's width, is under ``tol`` for every component, no value
-    is due a refinement and the midpoints are taken column by column.
-    Otherwise the values are certified in order, vertex by vertex, then
-    component by component, against the one ``embedding``, which is refined
-    whenever the current value is not yet narrower than ``tol`` (at most
-    ``_MAX_REFINEMENTS`` times per value), exactly as consecutive one-vertex
-    calls would. A rational value has a zero-width enclosure, so it is never
-    refined.
+    absolute value ``hi - lo`` for the width). The values are certified in
+    order, vertex by vertex, then component by component, against the one
+    ``embedding``, which is refined whenever the current value is not yet
+    narrower than ``tol`` (at most ``_MAX_REFINEMENTS`` times per value),
+    exactly as consecutive one-vertex calls would. A refinement only
+    narrows the monomial ranges, so the values due one are among those too
+    wide before it: the widths are checked column by column for the whole
+    row, then again for the values still due after each value that
+    refined, and the values in between get their midpoints column by
+    column. A value whose whole enclosure rounds beyond the float range is
+    refused before it is refined; a rational value has a zero-width
+    enclosure, so it is never refined.
     """
     tol = _tolerance(tol)
     if embedding is None:
         raise InvalidInput("numeric_eval needs an embedding")
     tn, td = tol.numerator, tol.denominator
-    eden = embedding.den
-    spans = [embedding.ranges(keys) for keys, _, _ in row]
-    if all(sum([max(map(abs, col)) * w for col, w in zip(cols, widths) if w]) * td < tn * den * eden
-           for (_, den, cols), (_, widths) in zip(row, spans)):
-        try:
-            return [_midpoints(cols, mids, 2 * den * eden) for (_, den, cols), (mids, _) in zip(row, spans)]
-        except OverflowError:
-            pass  # the scan raises for the first value beyond the float range, in order
-    return _scan(row, embedding, tn, td)
-
-
-def _midpoints(cols: list, mids: list, d: int) -> list:
-    """The floats nearest ``sum_m mids[m] * cols[m][j] / d``, column by column;
-    the last column's pass also divides."""
-    acc = repeat(0)
-    for m, col in zip(mids[:-1], cols):
-        acc = [a + m * x for a, x in zip(acc, col)]
-    m = mids[-1]
-    return [(a + m * x) / d for a, x in zip(acc, cols[-1])]
-
-
-def _scan(row: list, embedding: RealEmbedding, tn: int, td: int) -> list:
-    """``numeric_eval`` value by value, refining where a value is too wide."""
+    size, stride = len(row[0][2][0]), len(row)
+    # positions in certification order: vertex j, component c at j * stride + c
+    due = _too_wide(row, embedding, tn, td, range(size * stride))
     out = [[] for _ in row]
-    by_vertex = [list(zip(*cols)) for _, _, cols in row]
-    for j in range(len(row[0][2][0])):
-        for (keys, den, _), vertices, floats in zip(row, by_vertex, out):
-            ints = vertices[j]
-            refinements = 0
-            while True:
-                mids, widths = embedding.ranges(keys)
-                d = den * embedding.den
-                # the value's hi - lo over d: the sum of |n| * (hi - lo)
-                width = sum(map(mul, map(abs, ints), widths))
-                if width * td < tn * d:
-                    break
-                embedding.refine_all()
-                refinements += 1
-                if refinements == _MAX_REFINEMENTS:
-                    raise InvalidInput("interval refinement did not converge (tolerance too small?)")
-            floats.append(_as_float(sum(map(mul, ints, mids)), 2 * d))
+    start = 0
+    while due:
+        p = due[0]
+        _midpoints(row, embedding, start, p, out)
+        j, c = divmod(p, stride)
+        keys, den, cols = row[c]
+        out[c].append(_certify(keys, den, [col[j] for col in cols], embedding, tn, td))
+        start = p + 1
+        # the embedding was refined: the values still too wide at its new ranges
+        due = _too_wide(row, embedding, tn, td, due[1:])
+    _midpoints(row, embedding, start, size * stride, out)
     return out
+
+
+def _too_wide(row: list, embedding: RealEmbedding, tn: int, td: int, positions) -> list:
+    """The ``positions`` of ``numeric_eval``, in increasing order, whose
+    values are not narrower than ``tn / td`` at the current ranges, taken
+    column by column."""
+    stride, due = len(row), []
+    for c, (keys, den, cols) in enumerate(row):
+        _, widths = embedding.ranges(keys)
+        js = [p // stride for p in positions if p % stride == c]
+        acc = None
+        for col, w in zip(cols, widths):
+            if w:
+                xs = [col[j] for j in js]
+                acc = [abs(x) * w for x in xs] if acc is None else [a + abs(x) * w for a, x in zip(acc, xs)]
+        if acc is not None:
+            limit = tn * den * embedding.den
+            due += [j * stride + c for j, x in zip(js, acc) if x * td >= limit]
+    due.sort()
+    return due
+
+
+def _midpoints(row: list, embedding: RealEmbedding, start: int, stop: int, out: list) -> None:
+    """Append to ``out`` the floats nearest the midpoints of the values at
+    the positions ``start`` to ``stop`` (not included) of ``numeric_eval``,
+    column by column, at the current ranges; InvalidInput for the first
+    value, in order, beyond the float range."""
+    if start >= stop:
+        return
+    stride, eden = len(row), embedding.den
+    runs = []
+    for c, (keys, den, cols) in enumerate(row):
+        mids, _ = embedding.ranges(keys)
+        first, last = -((c - start) // stride), -((c - stop) // stride)
+        acc = repeat(0)
+        for m, col in zip(mids, cols):
+            acc = [a + m * x for a, x in zip(acc, col[first:last])]
+        runs.append((acc, 2 * den * eden, first))
+    try:
+        runs = [[a / d for a in acc] for acc, d, _ in runs]
+    except OverflowError:
+        for p in range(start, stop):
+            j, c = divmod(p, stride)
+            acc, d, first = runs[c]
+            _as_float(acc[j - first], d)
+        raise
+    for floats, run in zip(out, runs):
+        floats += run
+
+
+def _certify(keys: tuple, den: int, ints: list, embedding: RealEmbedding, tn: int, td: int) -> float:
+    """One value of ``numeric_eval``, ``ints`` against the monomials
+    ``keys`` over ``den``, refining ``embedding`` until it is narrower than
+    ``tn / td``."""
+    refinements = 0
+    while True:
+        s, w = embedding.enclosure(keys, ints)
+        d = den * embedding.den
+        if w * td < tn * d:
+            return _as_float(s, 2 * d)
+        # the end nearer zero beyond the float range: so is every refinement
+        try:
+            (s - w if s > w else s + w if s < -w else 0) / (2 * d)
+        except OverflowError:
+            _as_float(s, 2 * d)
+        embedding.refine_all()
+        refinements += 1
+        if refinements == _MAX_REFINEMENTS:
+            raise InvalidInput("interval refinement did not converge (tolerance too small?)")

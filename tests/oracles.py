@@ -12,6 +12,9 @@ the tests whose oracle is sympy. ``dioph_identity_check`` is the one helper
 here built on the package: it puts the package's ``dioph_point`` into the
 four-square identity. ``obj_text`` is the OBJ writer mesh export used
 to have, one f-string a line, kept as the reference for its file bytes.
+``FractionEmbedding`` and ``certify_in_order`` are the isolating-interval
+bisection over Fractions and the value-by-value certification mesh export
+used to run, kept as the reference for its floats and refinements.
 """
 
 from fractions import Fraction
@@ -244,6 +247,102 @@ def obj_text(verts, n):
             d = a + n
             lines.append(f"f {a} {b} {c} {d}")
     return "\n".join(lines) + "\n"
+
+
+# -- certified evaluation, a value at a time, over Fraction intervals ----------
+
+
+class NotConverged(Exception):
+    """``certify_in_order`` gave up on a value after its refinement cap."""
+
+
+def power_range(iv, e):
+    """Exact range of x^e for x in the interval iv."""
+    lo, hi = iv[0] ** e, iv[1] ** e
+    if e and e % 2 == 0 and iv[0] < 0 < iv[1]:
+        return Fraction(0), max(lo, hi)
+    return min(lo, hi), max(lo, hi)
+
+
+def fraction_range(intervals, names, key):
+    """Range of the monomial ``key`` by Fraction interval products."""
+    lo = hi = Fraction(1)
+    for name, e in zip(names, key):
+        plo, phi = power_range(intervals[name], e)
+        products = (lo * plo, lo * phi, hi * plo, hi * phi)
+        lo, hi = min(products), max(products)
+    return lo, hi
+
+
+class FractionEmbedding:
+    """Isolating intervals with Fraction ends, each halved by the signs of
+    its minimal polynomial (a Fraction list, lowest degree first) at its
+    low end and at its midpoint: the bisection mesh export used to run.
+    ``refined_at`` logs, per refinement, the ``at`` passed to
+    ``refine_all``."""
+
+    def __init__(self, names, intervals, minpolys):
+        self.names = list(names)
+        self.intervals = {name: tuple(map(Fraction, intervals[name])) for name in self.names}
+        self.minpolys = minpolys
+        self.refined_at = []
+
+    def refine_all(self, at=None):
+        self.refined_at.append(at)
+        for name, (lo, hi) in self.intervals.items():
+            if lo == hi:
+                continue
+            p = self.minpolys[name]
+            mid = (lo + hi) / 2
+            at_mid = eval_at(p, mid)
+            if at_mid == 0:
+                self.intervals[name] = (mid, mid)
+            elif eval_at(p, lo) * at_mid < 0:
+                self.intervals[name] = (lo, mid)
+            else:
+                self.intervals[name] = (mid, hi)
+
+    def enclosure(self, value):
+        """``(lo, hi)`` of ``value``, a ``{key: Fraction}`` dict, summed term
+        by term from the monomials' interval products."""
+        lo = hi = Fraction(0)
+        for key, q in value.items():
+            mlo, mhi = fraction_range(self.intervals, self.names, key)
+            tlo, thi = sorted((q * mlo, q * mhi))
+            lo, hi = lo + tlo, hi + thi
+        return lo, hi
+
+
+def _overflows(x):
+    try:
+        float(x)
+    except OverflowError:
+        return True
+    return False
+
+
+def certify_in_order(values, emb, tol, cap=400):
+    """The float nearest the midpoint of each value's enclosure, in order,
+    refining ``emb`` while the current value is not narrower than ``tol``:
+    the per-vertex scan of mesh export. A value whose whole enclosure
+    rounds beyond the float range, before a refinement or after the last
+    one, is OverflowError; a value still too wide after ``cap``
+    refinements is NotConverged."""
+    out = []
+    for i, value in enumerate(values):
+        refinements = 0
+        while True:
+            lo, hi = emb.enclosure(value)
+            if hi - lo < tol:
+                break
+            if (lo > 0 and _overflows(lo)) or (hi < 0 and _overflows(hi)):
+                raise OverflowError(i)
+            emb.refine_all(i)
+            refinements += 1
+            if refinements == cap:
+                raise NotConverged(i)
+        out.append(float((lo + hi) / 2))
+    return out
 
 
 def dioph_identity_check(q1, q2, q3, q4):

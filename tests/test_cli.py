@@ -435,6 +435,20 @@ class TestMeshCmd:
         assert code == 2 and doc["error"]["code"] == "INVALID_INPUT"
         assert "float range" in doc["error"]["message"]
 
+    def test_vertex_beyond_float_range_over_a_tower_is_user_error(self, capsys, tmp_path):
+        # u = -10^200 puts the cone's vertices near 10^800, beyond any float,
+        # and 400 halvings of beta's interval cannot narrow them to 1e-9: they
+        # are refused as outside the float range, as rational ones are, not
+        # as a refinement that did not converge
+        out = tmp_path / "x.obj"
+        code, doc = run_cli(
+            capsys, "mesh", "--report", str(REPORTS / "cone_beta.json"), "--grid", "3", "--u-min=-1e200",
+            "--out", str(out),
+        )
+        assert code == 2 and doc["error"]["code"] == "INVALID_INPUT"
+        assert "outside the float range" in doc["error"]["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "source, tol",
         [

@@ -2,6 +2,7 @@
 
 import json
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,10 @@ from revolutio.jsonio import (
     json_to_tower,
     param_to_json,
     poly_to_json,
+    str_to_fraction,
     tower_to_json,
 )
+from revolutio.tower import FieldElement
 
 
 def test_field_round_trip():
@@ -111,3 +114,66 @@ def test_dumps_is_json_dumps_indent_2(value):
 def test_dumps_refuses_what_reports_do_not_hold(value):
     with pytest.raises(TypeError):
         dumps(value)
+
+
+# -- field elements read straight to numerators, against str_to_fraction ------
+
+TWO_GENERATORS = QQ.extend("sqrt2", [-2, 0, 1]).extend("cbrt3", [-3, 0, 0, 1])
+KEYS = [f"{a},{b}" for a in range(2) for b in range(3)]
+
+
+def random_literal(rng):
+    """A rational literal: an optional minus, digits with leading zeros now
+    and then, an optional nonzero denominator; or one of the spellings
+    that only ``Fraction`` reads."""
+    if rng.random() < 0.1:
+        return rng.choice(["+3", " 3", "3 ", "1.5", "-0.25", "1_000", "1e3", "-0", "0/7", "007/010"])
+    digits = "0" * rng.randint(0, 2) + str(rng.randint(0, 10 ** rng.randint(1, 60)))
+    literal = rng.choice(["", "-"]) + digits
+    if rng.random() < 0.6:
+        literal += "/" + "0" * rng.randint(0, 1) + str(rng.randint(1, 10 ** rng.randint(1, 30)))
+    return literal
+
+
+def test_field_literals_decode_as_str_to_fraction_reads_them():
+    rng = random.Random(20261103)
+    for _ in range(400):
+        obj = {key: random_literal(rng) for key in rng.sample(KEYS, rng.randint(1, len(KEYS)))}
+        terms = {tuple(map(int, key.split(","))): str_to_fraction(val) for key, val in obj.items()}
+        want = FieldElement(TWO_GENERATORS, terms, reduce=False)
+        got = json_to_field(obj, TWO_GENERATORS)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize(
+    "value", ["1/0", "1/00", "1.5", "+3", " 3", "3/-4", "٣", "0x1", "-", "", "1/2/3", "1" * 5000,
+              True, 1.5, 3, None],
+)
+def test_field_literal_outcomes_are_those_of_str_to_fraction(value):
+    # a refusal keeps its message; what Fraction reads ("1.5", "+3", " 3")
+    # is read as before
+    obj = {"1,0": "1/2", "0,2": value}
+    try:
+        q = str_to_fraction(value)
+    except InvalidInput as exc:
+        with pytest.raises(InvalidInput) as got:
+            json_to_field(obj, TWO_GENERATORS)
+        assert str(got.value) == str(exc)
+    else:
+        want = FieldElement(TWO_GENERATORS, {(1, 0): Fraction(1, 2), (0, 2): q}, reduce=False)
+        assert json_to_field(obj, TWO_GENERATORS) == want
+
+
+def test_field_decoding_keeps_its_checks_in_order():
+    # per member: the key's form, its arity, reducedness, repeats, then the value
+    cases = [
+        ({"1,0": "1", "x": "1/0"}, "bad exponent key 'x'"),
+        ({"1,0": "1/0", "x": "1"}, "bad rational literal '1/0'"),
+        ({"1": "1"}, "arity"),
+        ({"2,0": "1"}, "is not reduced"),
+        ({"1,0": "1", "01,0": "1/0"}, "repeats"),
+        ({"1,0": "1", "01,00": "2"}, "repeats"),
+    ]
+    for obj, message in cases:
+        with pytest.raises(InvalidInput, match=message):
+            json_to_field(obj, TWO_GENERATORS)

@@ -15,7 +15,7 @@ from revolutio.mesh import export_obj, sample_grid
 from revolutio.numeric import RealEmbedding, default_real_embedding, numeric_eval
 from revolutio.tower import FieldElement
 
-from oracles import obj_text
+from oracles import FractionEmbedding, NotConverged, certify_in_order, fraction_range, obj_text, power_range
 
 u = MultiPoly.variable("u", ("u", "v"))
 v = MultiPoly.variable("v", ("u", "v"))
@@ -271,14 +271,6 @@ def test_component_in_another_variable_refused():
         sample_grid(s, 3, (0, 1), (0, 1))
 
 
-def power_range(iv, e):
-    """Exact range of x^e for x in the interval iv."""
-    lo, hi = iv[0] ** e, iv[1] ** e
-    if e and e % 2 == 0 and iv[0] < 0 < iv[1]:
-        return Fraction(0), max(lo, hi)
-    return min(lo, hi), max(lo, hi)
-
-
 def term_by_term(value, emb, tol):
     """Enclosure of a tower element by interval products term by term, the
     generator intervals bisected until narrower than tol: (mid, radius)."""
@@ -296,16 +288,6 @@ def term_by_term(value, emb, tol):
             return (lo + hi) / 2, (hi - lo) / 2
         emb.refine_all()
     raise AssertionError("the term-by-term enclosure did not converge")
-
-
-def fraction_range(intervals, names, key):
-    """Range of the monomial ``key`` by Fraction interval products."""
-    lo = hi = Fraction(1)
-    for name, e in zip(names, key):
-        plo, phi = power_range(intervals[name], e)
-        products = (lo * plo, lo * phi, hi * plo, hi * phi)
-        lo, hi = min(products), max(products)
-    return lo, hi
 
 
 @pytest.mark.parametrize(
@@ -481,3 +463,159 @@ def test_value_outside_float_range_is_invalid_input(value):
 def test_integer_form_needs_an_embedding():
     with pytest.raises(InvalidInput, match="an embedding"):
         numeric_eval([(((1,),), 2, [[1]])], None, TOL)
+
+
+# -- the row passes against the value-by-value Fraction oracle ------------------
+
+# a recorded embedding with ends that are not dyadic
+NON_DYADIC = QQ.extend("r", [Fraction(-1, 3), 0, 1], embedding=(Fraction(1, 3), Fraction(7, 5)))
+# x^3 - 2x: the low end 0 is another root, sqrt(2) is the one in (0, 2]
+ROOT_AT_END = QQ.extend("g", [0, -2, 0, 1], embedding=(Fraction(0), Fraction(2)))
+# (x - 3/2)(x^2 + 1): the first midpoint is the root, then an exact root (r, r)
+ROOT_AT_MID = QQ.extend("h", [Fraction(-3, 2), 1, Fraction(-3, 2), 1], embedding=(Fraction(1), Fraction(2)))
+EXACT_ROOT = QQ.extend("h", [Fraction(-3, 2), 1, Fraction(-3, 2), 1], embedding=(Fraction(3, 2), Fraction(3, 2)))
+ORACLE_TOWERS = {
+    "sqrt2": SQRT2, "sqrt_third": SQRT_THIRD, "two_step": TWO_STEP, "non_dyadic": NON_DYADIC,
+    "root_at_end": ROOT_AT_END, "root_at_mid": ROOT_AT_MID, "exact_root": EXACT_ROOT,
+}
+
+
+def fraction_embedding(tower):
+    """The oracle's embedding from the intervals the package starts from."""
+    minpolys = {step.name: [c.as_rational() for c in step.minpoly] for step in tower.steps}
+    return FractionEmbedding([step.name for step in tower.steps], default_real_embedding(tower).intervals, minpolys)
+
+
+def grid_values(s, n, u_range, v_range):
+    """The exact values at the grid points as ``{key: Fraction}`` dicts, row
+    by row, vertex by vertex, then component by component."""
+    (u0, u1), (v0, v1) = [tuple(map(Fraction, r)) for r in (u_range, v_range)]
+    return [c.eval_at({"u": u0 + (u1 - u0) * iu / (n - 1), "v": v0 + (v1 - v0) * iv / (n - 1)}).terms
+            for iu in range(n) for iv in range(n) for c in s.components]
+
+
+@pytest.mark.parametrize("tower_name", sorted(ORACLE_TOWERS))
+@pytest.mark.parametrize("n, tol", [(7, TOL), (23, Fraction(1, 10 ** 12)), (40, Fraction(1, 10 ** 15))])
+def test_sample_grid_matches_the_in_order_oracle(monkeypatch, tower_name, n, tol):
+    tower = ORACLE_TOWERS[tower_name]
+    rng = random.Random(20261101 + 10 * sorted(ORACLE_TOWERS).index(tower_name) + n)
+    s = SurfaceParam.make([random_component(rng, tower) for _ in range(2)] + special_components(tower)[3:])
+    ranges = ((0, 8), (Fraction(-1, 3), 3))  # |u| grows row by row
+    used, rows = [], []
+
+    def recording(t):
+        used.append(default_real_embedding(t))
+        return used[-1]
+
+    def counting(row, emb, tol_):
+        rows.append(len(row))
+        return numeric_eval(row, emb, tol_)
+
+    monkeypatch.setattr(mesh, "default_real_embedding", recording)
+    monkeypatch.setattr(mesh, "numeric_eval", counting)
+    got = sample_grid(s, n, *ranges, tol)
+    ref = fraction_embedding(tower)
+    want = certify_in_order(grid_values(s, n, *ranges), ref, tol)
+    assert got == list(zip(*[iter(want)] * 3))
+    [emb] = used
+    assert emb.intervals == ref.intervals
+    if tower_name == "exact_root":
+        assert ref.refined_at == [] and rows == []
+    if n == 40:
+        # (row, column) of the vertices refined at: later rows refine past
+        # their first vertex, and rows that need no refinement fail the
+        # a-priori bound too (the first row always does)
+        refined = {divmod(i // 3, n) for i in ref.refined_at}
+        if tower_name in ("root_at_end", "sqrt2", "two_step"):
+            assert any(iu and iv for iu, iv in refined)
+        if tower_name in ("root_at_end", "sqrt2"):
+            assert len({iu for iu, _ in refined}) < len(rows) < n
+
+
+def row_of(values, stride):
+    """``values`` in certification order as a row of ``stride`` components:
+    value ``i`` is vertex ``i // stride`` of component ``i % stride``."""
+    return [column_form(values[c::stride]) for c in range(stride)]
+
+
+@pytest.mark.parametrize("tower_name", sorted(ORACLE_TOWERS))
+@pytest.mark.parametrize("stride", [1, 3])
+def test_numeric_eval_matches_the_in_order_oracle(tower_name, stride):
+    tower = ORACLE_TOWERS[tower_name]
+    rng = random.Random(20261102 + sorted(ORACLE_TOWERS).index(tower_name))
+    # values that grow along the row, so that later ones are due refinements
+    values = [random_element(rng, tower) * rng.randint(1, 2 ** (i // 2)) for i in range(36 * stride)]
+    emb, ref = default_real_embedding(tower), fraction_embedding(tower)
+    for tol in (Fraction(1, 10 ** 6), Fraction(1, 10 ** 15)):
+        got = numeric_eval(row_of(values, stride), emb, tol)
+        assert in_vertex_order(got) == certify_in_order([v.terms for v in values], ref, tol)
+        assert emb.intervals == ref.intervals
+
+
+CAP_VALUES = {
+    "fine": {(1,): Fraction(1, 3)},
+    "slow": {(1,): Fraction(10 ** 300)},  # in the float range, too wide after 400 refinements
+    "huge": {(1,): Fraction(10 ** 400)},  # beyond the float range at both ends from the start
+    # straddles 0 until the fourth refinement, then lies beyond the float range
+    "late": {(0,): Fraction(-3, 2) * 10 ** 400, (1,): Fraction(10 ** 400)},
+}
+
+
+def outcome(call):
+    """What ``call`` raises, by kind: the package's InvalidInput or the oracle's errors."""
+    try:
+        call()
+    except (InvalidInput, NotConverged, OverflowError) as exc:
+        if isinstance(exc, NotConverged) or "did not converge" in str(exc):
+            return "not converged"
+        assert isinstance(exc, OverflowError) or "outside the float range" in str(exc)
+        return "outside the float range"
+    return "certified"
+
+
+@pytest.mark.parametrize(
+    "names, expected",
+    [
+        (("fine", "slow", "huge"), "not converged"),
+        (("fine", "huge", "slow"), "outside the float range"),
+        (("late", "slow"), "outside the float range"),
+        (("slow", "late"), "not converged"),
+        (("fine", "late", "fine"), "outside the float range"),
+    ],
+)
+@pytest.mark.parametrize("stride", [1, 2])
+def test_refinement_cap_and_refusal_order_match_the_oracle(names, expected, stride):
+    # the first value in order that fails decides, after as many refinements as the oracle's
+    values = [FieldElement(SQRT2, CAP_VALUES[name]) for name in names]
+    values += [FieldElement(SQRT2, CAP_VALUES["fine"])] * (-len(values) % stride)
+    emb, ref = default_real_embedding(SQRT2), fraction_embedding(SQRT2)
+    assert outcome(lambda: numeric_eval(row_of(values, stride), emb, TOL)) == expected
+    assert outcome(lambda: certify_in_order([v.terms for v in values], ref, TOL)) == expected
+    assert emb.intervals == ref.intervals
+    if expected == "not converged":
+        assert ref.refined_at.count(names.index("slow")) == 400
+    if names[0] == "late":
+        assert ref.refined_at == [0] * 4
+
+
+def test_a_value_beyond_the_float_range_is_refused_before_its_refinement_cap():
+    # 10^400 sqrt(2) has no float, and 400 halvings of (1, 2) cannot narrow
+    # it to 1e-9: it is refused as outside the float range, unrefined
+    emb = default_real_embedding(SQRT2)
+    before = emb.intervals
+    with pytest.raises(InvalidInput, match="outside the float range"):
+        certify_one(FieldElement(SQRT2, CAP_VALUES["huge"]), emb, TOL)
+    assert emb.intervals == before
+
+
+def test_the_first_value_in_order_beyond_the_float_range_is_refused():
+    # zero-width values, never refined: vertex 0 of component 1 comes before
+    # vertex 1 of component 0, so 10^500 is named, not 10^400
+    def message(row):
+        with pytest.raises(InvalidInput, match="outside the float range") as exc:
+            numeric_eval(row, default_real_embedding(SQRT2), TOL)
+        return str(exc.value)
+
+    unit = ((0,), (1,))
+    both = [(unit, 1, [[1, 10 ** 400], [0, 0]]), (unit, 1, [[10 ** 500, 1], [0, 0]])]
+    assert message(both) == message([(unit, 1, [[10 ** 500], [0]])]) != message([(unit, 1, [[10 ** 400], [0]])])

@@ -28,11 +28,16 @@ seeds (default 1 and 7), then the fixed ``extras``, once each through
 - a rational grid end with a tight tolerance: the quadric witness of
   ``quadric_sqrt13.json`` with ``--u-min=-1/3 --tol 1e-14``;
 - vertices printed in exponent form: ``mesh --param "1/100000*u" v
-  "10^13*u+v^5"``.
+  "10^13*u+v^5"``;
+- witnesses the corpus never meshes: a height-2 real tower, Q(sqrt(2),
+  beta), from ``analyze --p2 "2*(t^2-3)^2" t``, and a cubic generator,
+  beta^3 = 2, from ``analyze --p2 "(t^3-2)^2" t``. Each report is written
+  to ``workloads.OUT`` as its call's stdout (``extra_reports``), then
+  meshed at ``--grid 20``, and at ``--tol 1e-15`` over ``u`` in [0, 8].
 
-The mesh calls read their reports from ``workloads.REPORTS`` and write to
-``workloads.OUT`` of the checkout run, so their paths take the ``<ROOT>``
-placeholder like the corpus's.
+The mesh calls read their reports from ``workloads.REPORTS`` or
+``workloads.OUT`` and write to ``workloads.OUT`` of the checkout run, so
+their paths take the ``<ROOT>`` placeholder like the corpus's.
 
 The tree's own path is replaced by ``<ROOT>`` in the argv, stdout and
 stderr, so two checkouts of different commits give the same digest exactly
@@ -59,9 +64,27 @@ from pathlib import Path
 PLACEHOLDER = "<ROOT>"
 
 
+def extra_reports(workloads) -> dict:
+    """The reports that ``extras`` mesh, by their path under
+    ``workloads.OUT``: each is the stdout of the call it maps to."""
+    out = workloads.OUT
+    return {
+        out / "extra-sqrt2_beta.json": ("analyze", "--p2", "2*(t^2-3)^2", "t"),
+        out / "extra-beta_cubed_2.json": ("analyze", "--p2", "(t^3-2)^2", "t"),
+    }
+
+
 def extras(workloads) -> tuple:
     """Invocations outside the benchmark corpus, run after it (see above)."""
     reports, out = workloads.REPORTS, workloads.OUT
+    meshed = []
+    for path, argv in extra_reports(workloads).items():
+        meshed += [
+            argv,
+            ("mesh", "--report", str(path), "--grid", "20", "--out", str(out / f"{path.stem}-20.obj")),
+            ("mesh", "--report", str(path), "--tol", "1e-15", "--u-min", "0", "--u-max", "8",
+             "--out", str(out / f"{path.stem}-tol.obj")),
+        ]
     return (
         ("analyze", "--p2", "t^2-2", "t^2+t"),
         ("analyze", "--p2", "2*t^2-1", "t^3+t"),
@@ -76,6 +99,7 @@ def extras(workloads) -> tuple:
         ("mesh", "--report", str(reports / "quadric_sqrt13.json"), "--witness", "quadric",
          "--u-min=-1/3", "--tol", "1e-14", "--out", str(out / "extra-quadric_sqrt13-tol.obj")),
         ("mesh", "--param", "1/100000*u", "v", "10^13*u+v^5", "--out", str(out / "extra-exponent-form.obj")),
+        *meshed,
     )
 
 
@@ -96,7 +120,9 @@ def invocations(workloads, seeds) -> list:
     return list(seen)
 
 
-def digest_line(cli, argv: tuple, root: str) -> str:
+def digest_line(cli, argv: tuple, root: str, report=None) -> str:
+    """The digest line of one call; with ``report``, its stdout is also
+    written to that path."""
     out_path = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
     if out_path is not None:
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -109,6 +135,9 @@ def digest_line(cli, argv: tuple, root: str) -> str:
             code = exc.code
         except Exception as exc:  # a traceback is an output too
             code = f"{type(exc).__name__}: {exc}".replace(root, PLACEHOLDER)
+    if report is not None:
+        report.parent.mkdir(parents=True, exist_ok=True)
+        report.write_text(out.getvalue())
     obj = _sha(out_path.read_bytes()) if out_path is not None and out_path.exists() else "-"
     label = " ".join(repr(a) for a in argv).replace(root, PLACEHOLDER)
     return (
@@ -129,8 +158,9 @@ def main(argv=None) -> int:
 
     import revolutio.cli as cli
 
+    reports = {argv: path for path, argv in extra_reports(workloads).items()}
     for call in invocations(workloads, args.seeds):
-        print(digest_line(cli, call, root), flush=True)
+        print(digest_line(cli, call, root, reports.get(call)), flush=True)
     return 0
 
 

@@ -1,24 +1,26 @@
 """JSON encoding of towers, polynomials, and parametrizations (schema revolutio/1).
 
-Rationals are decimal strings ("-3/4") so arbitrary precision survives the
-trip. A field element is a map from comma-joined generator exponents to
-rationals ("" for the rational tower, "1,0" for g1^1). Polynomials carry
-their variable list and a term array; parametrizations embed their tower
-as an ordered list of steps (name, dense minimal polynomial over the
-prefix tower, optional real-root isolating interval). Encoded data is
-canonical, so round-tripping reproduces structurally identical values.
-Decoding checks types and shapes: a field element is a JSON object whose
-keys are comma-separated runs of ASCII digits, one per generator, and
-whose values are ASCII rational strings; an exponent is a non-negative
-JSON integer; a step's name is a string and its embedding null or two
-rational strings. Anything else is InvalidInput. Encoded field elements
-are reduced, so each generator exponent in a key must be below that
-generator's degree (a key "5" over sqrt(2) is InvalidInput, as are the
-minimal polynomials' coefficients over the steps below), and each tower
-step is checked as ``ExtensionTower.extend`` checks it. A field element
-with two keys for the same exponents, a polynomial with a repeated
-``exponents`` and a report object with a repeated member name
-(``unique_members``, the ``object_pairs_hook`` of ``json.load``) are
+Rationals are written as strings ("-3/4") so arbitrary precision survives
+the trip; decoding reads any ASCII string that ``Fraction()`` reads, so
+"1.5", "+3", " 3", "1e3" and "1_000" are read too. A field element is a
+map from comma-joined generator exponents to rationals ("" for the
+rational tower, "1,0" for g1^1). Polynomials carry their variable list and
+a term array; parametrizations embed their tower as an ordered list of
+steps (name, dense minimal polynomial over the prefix tower, optional
+real-root isolating interval). Encoded data is canonical, so
+round-tripping reproduces structurally identical values. Decoding checks
+types and shapes: a field element is a JSON object whose keys are
+comma-separated runs of ASCII digits, one per generator, and whose values
+are rational strings as above (ASCII, read by ``Fraction()``); an exponent
+is a non-negative JSON integer; a step's name is a string and its
+embedding null or two rational strings. Anything else is InvalidInput.
+Encoded field elements are reduced, so each generator exponent in a key
+must be below that generator's degree (a key "5" over sqrt(2) is
+InvalidInput, as are the minimal polynomials' coefficients over the steps
+below), and each tower step is checked as ``ExtensionTower.extend`` checks
+it. A field element with two keys for the same exponents, a polynomial
+with a repeated ``exponents`` and a report object with a repeated member
+name (``unique_members``, the ``object_pairs_hook`` of ``json.load``) are
 InvalidInput too, where a plain decode would keep the last one.
 
 A field element is decoded straight to the numerator tuple over one

@@ -16,26 +16,24 @@ exact ranges of those monomials as integer lists over one common
 denominator (integer interval products, so the same ranges as multiplying
 out the Fraction intervals). ``numeric_eval`` takes one grid row in column
 form, ``(keys, den, columns)`` per component, and returns one float list
-per component. A value's enclosure is two integer dot products: its
-integers with the ranges' ``lo + hi`` for the midpoint and, in absolute
-value, with their ``hi - lo`` for the width, the same enclosure as
-multiplying out the generator intervals term by term. The row is certified
-in order, refining the one embedding at each value still too wide, exactly
-as consecutive one-vertex calls would. A refinement only narrows the
-ranges, so the widths are checked column by column, once for the row and
-again after each value that refined, and the values between two
-refinements get their midpoints column by column. Each float is the
-correctly rounded midpoint (one integer division); a value beyond the
-float range is InvalidInput, before any refinement when its whole
-enclosure is. A rational value has a zero-width enclosure and is never
-refined.
+per component. The values are certified one at a time, in order (vertex
+by vertex, then component by component), refining the one embedding while
+the current value is too wide, exactly as consecutive one-vertex calls
+would. A value's enclosure is two integer dot products with the cached
+ranges: its integers, in absolute value, with their ``hi - lo`` for the
+width, then, once the width is under the tolerance, with their ``lo + hi``
+for the midpoint, the same enclosure as multiplying out the generator
+intervals term by term. Each float is the correctly rounded midpoint
+(one integer division); a value beyond the float range is InvalidInput,
+before any refinement when its whole enclosure is. A rational value has a
+zero-width enclosure and is never refined.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from operator import mul
 
 from .errors import InvalidInput, NoRealEmbedding
 from .poly import UniPoly, _hsign, _int_coeffs, _squarefree_chain, _sturm_count, sturm_real_root_count
@@ -157,19 +155,6 @@ class RealEmbedding:
                 lo, hi = min(products), max(products)
         return lo, hi
 
-    def enclosure(self, keys: tuple, ints: list) -> tuple:
-        """``(s, w)`` such that the value ``sum(ints[m] * keys[m])`` lies
-        between ``(s - w) / 2den`` and ``(s + w) / 2den``: the dot products
-        of ``ints`` with the monomials' ``lo + hi`` and, in absolute value,
-        with their ``hi - lo``, built for this one value."""
-        s = w = 0
-        for key, n in zip(keys, ints):
-            if n:
-                lo, hi = self.monomial_range(key)
-                s += n * (lo + hi)
-                w += abs(n) * (hi - lo)
-        return s, w
-
     def ranges(self, keys: tuple) -> tuple:
         """The ranges of the monomials ``keys`` as two integer lists over
         ``den``, in the order of ``keys``: ``lo + hi`` and ``hi - lo`` of each."""
@@ -237,105 +222,40 @@ def numeric_eval(row: list, embedding: RealEmbedding, tol) -> list:
     of the entries ``columns[m][j]`` with the monomials ``keys[m]`` is the
     value times ``den``. The enclosure is the integers' dot products with
     the embedding's monomial ranges (``lo + hi`` for twice the midpoint, in
-    absolute value ``hi - lo`` for the width). The values are certified in
-    order, vertex by vertex, then component by component, against the one
-    ``embedding``, which is refined whenever the current value is not yet
-    narrower than ``tol`` (at most ``_MAX_REFINEMENTS`` times per value),
-    exactly as consecutive one-vertex calls would. A refinement only
-    narrows the monomial ranges, so the values due one are among those too
-    wide before it: the widths are checked column by column for the whole
-    row, then again for the values still due after each value that
-    refined, and the values in between get their midpoints column by
-    column. A value whose whole enclosure rounds beyond the float range is
-    refused before it is refined; a rational value has a zero-width
-    enclosure, so it is never refined.
+    absolute value ``hi - lo`` for the width). The values are certified one
+    at a time, in order, vertex by vertex, then component by component,
+    against the one ``embedding``, which is refined whenever the current
+    value is not yet narrower than ``tol`` (at most ``_MAX_REFINEMENTS``
+    times per value), exactly as consecutive one-vertex calls would. A
+    value whose whole enclosure rounds beyond the float range is refused
+    before it is refined; a rational value has a zero-width enclosure, so
+    it is never refined.
     """
     tol = _tolerance(tol)
     if embedding is None:
         raise InvalidInput("numeric_eval needs an embedding")
     tn, td = tol.numerator, tol.denominator
-    size, stride = len(row[0][2][0]), len(row)
-    # positions in certification order: vertex j, component c at j * stride + c
-    due = _too_wide(row, embedding, tn, td, range(size * stride))
     out = [[] for _ in row]
-    start = 0
-    while due:
-        p = due[0]
-        _midpoints(row, embedding, start, p, out)
-        j, c = divmod(p, stride)
-        keys, den, cols = row[c]
-        out[c].append(_certify(keys, den, [col[j] for col in cols], embedding, tn, td))
-        start = p + 1
-        # the embedding was refined: the values still too wide at its new ranges
-        due = _too_wide(row, embedding, tn, td, due[1:])
-    _midpoints(row, embedding, start, size * stride, out)
+    for vertex in zip(*[zip(*cols) for _, _, cols in row]):
+        for (keys, den, _), floats, ints in zip(row, out, vertex):
+            floats.append(_certify(keys, den, ints, embedding, tn, td))
     return out
 
 
-def _too_wide(row: list, embedding: RealEmbedding, tn: int, td: int, positions) -> list:
-    """The ``positions`` of ``numeric_eval``, in increasing order, whose
-    values are not narrower than ``tn / td`` at the current ranges, taken
-    column by column."""
-    stride, due = len(row), []
-    for c, (keys, den, cols) in enumerate(row):
-        _, widths = embedding.ranges(keys)
-        js = [p // stride for p in positions if p % stride == c]
-        acc = None
-        for col, w in zip(cols, widths):
-            if w:
-                xs = [col[j] for j in js]
-                acc = [abs(x) * w for x in xs] if acc is None else [a + abs(x) * w for a, x in zip(acc, xs)]
-        if acc is not None:
-            limit = tn * den * embedding.den
-            due += [j * stride + c for j, x in zip(js, acc) if x * td >= limit]
-    due.sort()
-    return due
-
-
-def _midpoints(row: list, embedding: RealEmbedding, start: int, stop: int, out: list) -> None:
-    """Append to ``out`` the floats nearest the midpoints of the values at
-    the positions ``start`` to ``stop`` (not included) of ``numeric_eval``,
-    column by column, at the current ranges; InvalidInput for the first
-    value, in order, beyond the float range."""
-    if start >= stop:
-        return
-    stride, eden = len(row), embedding.den
-    runs = []
-    for c, (keys, den, cols) in enumerate(row):
-        mids, _ = embedding.ranges(keys)
-        first, last = -((c - start) // stride), -((c - stop) // stride)
-        acc = repeat(0)
-        for m, col in zip(mids, cols):
-            acc = [a + m * x for a, x in zip(acc, col[first:last])]
-        runs.append((acc, 2 * den * eden, first))
-    try:
-        runs = [[a / d for a in acc] for acc, d, _ in runs]
-    except OverflowError:
-        for p in range(start, stop):
-            j, c = divmod(p, stride)
-            acc, d, first = runs[c]
-            _as_float(acc[j - first], d)
-        raise
-    for floats, run in zip(out, runs):
-        floats += run
-
-
-def _certify(keys: tuple, den: int, ints: list, embedding: RealEmbedding, tn: int, td: int) -> float:
+def _certify(keys: tuple, den: int, ints: tuple, embedding: RealEmbedding, tn: int, td: int) -> float:
     """One value of ``numeric_eval``, ``ints`` against the monomials
     ``keys`` over ``den``, refining ``embedding`` until it is narrower than
-    ``tn / td``."""
-    refinements = 0
-    while True:
-        s, w = embedding.enclosure(keys, ints)
-        d = den * embedding.den
+    ``tn / td``: its width first, its midpoint once the width is under."""
+    for _ in range(_MAX_REFINEMENTS):
+        mids, widths = embedding.ranges(keys)
+        w, d = sum(map(mul, map(abs, ints), widths)), den * embedding.den
         if w * td < tn * d:
-            return _as_float(s, 2 * d)
+            return _as_float(sum(map(mul, ints, mids)), 2 * d)
+        s = sum(map(mul, ints, mids))
         # the end nearer zero beyond the float range: so is every refinement
         try:
             (s - w if s > w else s + w if s < -w else 0) / (2 * d)
         except OverflowError:
             _as_float(s, 2 * d)
         embedding.refine_all()
-        refinements += 1
-        if refinements == _MAX_REFINEMENTS:
-            raise InvalidInput("interval refinement did not converge (tolerance too small?)")
+    raise InvalidInput("interval refinement did not converge (tolerance too small?)")

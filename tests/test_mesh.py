@@ -443,6 +443,8 @@ def test_rational_value_is_not_refined():
     assert certify_one(th - th + Fraction(1, 3), emb, Fraction(1, 10 ** 30)) == 1 / 3
     # with a zero irrational coefficient, over 6
     assert numeric_eval([(((0,), (1,)), 6, [[2], [0]])], emb, Fraction(1, 10 ** 30)) == [[1 / 3]]
+    # a row without components has no values
+    assert numeric_eval([], emb, Fraction(1, 10 ** 30)) == []
     assert emb.intervals == before
 
 

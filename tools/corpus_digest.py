@@ -21,9 +21,11 @@ seeds (default 1 and 7), then the fixed ``extras``, once each through
   rows are aligned before the sum: ``analyze --p2 t^2+t^4 t``. These three
   finish within a second in the dense box layout too, so a byte-identity
   check can run them on a base commit without the graded one;
-- mesh rows due a refinement after the first, which take the in-order
-  scan of ``numeric_eval``: ``one_sheet_sqrt2.json`` at ``--tol 1e-15``
-  over ``u`` in [0, 8], where |u| grows row by row (6 of its 8 rows);
+- mesh rows that fail the row bound, so that ``numeric_eval`` certifies
+  them one value at a time, refining after the first value:
+  ``one_sheet_sqrt2.json`` at ``--tol 1e-15`` over ``u`` in [0, 8], where
+  |u| grows row by row (6 of its 8 rows fail the bound, and 5 of those
+  refine after their first value);
 - the smallest grid: ``cone_beta.json`` at ``--grid 2``;
 - a rational grid end with a tight tolerance: the quadric witness of
   ``quadric_sqrt13.json`` with ``--u-min=-1/3 --tol 1e-14``;

@@ -229,11 +229,16 @@ def numeric_eval(row: list, embedding: RealEmbedding, tol) -> list:
     times per value), exactly as consecutive one-vertex calls would. A
     value whose whole enclosure rounds beyond the float range is refused
     before it is refined; a rational value has a zero-width enclosure, so
-    it is never refined.
+    it is never refined. A row of another shape, a component without keys
+    included, is refused before any refinement.
     """
     tol = _tolerance(tol)
     if embedding is None:
         raise InvalidInput("numeric_eval needs an embedding")
+    if any(not keys or len(cols) != len(keys) for keys, _, cols in row):
+        raise InvalidInput("numeric_eval needs one column per key and at least one key per component")
+    if len({len(col) for _, _, cols in row for col in cols}) > 1:
+        raise InvalidInput("numeric_eval needs columns of one length, one entry per vertex")
     tn, td = tol.numerator, tol.denominator
     out = [[] for _ in row]
     for vertex in zip(*[zip(*cols) for _, _, cols in row]):

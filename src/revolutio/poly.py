@@ -35,22 +35,25 @@ only scales each coefficient's numerators to the polynomial's common
 denominator: a polynomial becomes one integer coefficient list per basis
 monomial. Each list is packed into one Python int, whose products run in
 C; every product is reduced at once with the tower's basis products
-(``ExtensionTower.basis_products``), and only the final result is unpacked,
-straight into numerators over the result's denominator. The lists are
-laid out by one slot formula with a 0/1 grade chosen per run: grade 0 is
-dense over the box of the result's degree bounds; grade 1 makes the top
-coordinate the total degree, so a homogeneous polynomial fills one row of
-the other variables' widths, and each value is stored from its lowest row
-on. A run takes grade 1 exactly when its widest value under it, one row
-per total degree the value spans, is smaller than the box. The layout is
-a linear bijection of the exponents fixed before any product, so the
-choice is exact: the witnesses of the ``t^k`` families, homogeneous in
-``(u, v)``, are checked on rows of ``k + 1`` slots rather than boxes of
-``(k + 1)^2``. A substitution groups its terms by their exponent of the
-first image and combines the groups in Horner order in that image
-(``_packed_sum``), so it pays one full-size product per distinct exponent,
-not one per term; every power, the gaps between exponents included, comes
-from one list of repeated squares per image.
+(``BasisProducts.product``, as for one element), and only the final result
+is unpacked, straight into numerators over the result's denominator. The
+kernel sizes its own layout: callers pass no bounds, and a first pass over
+the run's program on bounds gives the largest degree in each variable and
+the largest span of total degrees of any value. The lists are laid out by
+one slot formula with a 0/1 grade chosen per run: grade 0 is dense over
+the box of those degrees; grade 1 makes the top coordinate the total
+degree, so a homogeneous polynomial fills one row of the other variables'
+widths, and each value is stored from its lowest row on. A run takes grade
+1 exactly when its widest value under it, one row per total degree the
+value spans, is smaller than the box. The layout is a linear bijection of
+the exponents fixed before any product, so the choice is exact: the
+witnesses of the ``t^k`` families, homogeneous in ``(u, v)``, are checked
+on rows of ``k + 1`` slots rather than boxes of ``(k + 1)^2``. A
+substitution groups its terms by their exponent of the first image and
+combines the groups in Horner order in that image (``_packed_sum``), so it
+pays one full-size product per distinct exponent, not one per term; every
+power, the gaps between exponents included, comes from one list of
+repeated squares per image.
 
 Resultants, rational roots and square-free decompositions run on dense lists
 of plain ints as well.
@@ -291,8 +294,7 @@ class MultiPoly:
                 if not p.is_zero():
                     terms[tuple(map(operator.add, k, kb))] = p
             return MultiPoly._canonical(a.vars, terms, a.tower)
-        degs = [x + y for x, y in zip(a._degrees(), b._degrees())]
-        return _Kronecker(a.vars, degs, a.tower).run([a, b], lambda k, ab: k.mul(*ab))
+        return _Kronecker(a.vars, a.tower).run([a, b], lambda k, ab: k.mul(*ab))
 
     __rmul__ = __mul__
 
@@ -303,9 +305,7 @@ class MultiPoly:
             return MultiPoly._canonical(self.vars, {(0,) * len(self.vars): self.tower.one()}, self.tower)
         if self.is_zero():
             return self
-        degs = [n * d for d in self._degrees()]
-        kernel = _Kronecker(self.vars, degs, self.tower)
-        return kernel.run([self], lambda k, leaves: k.power([leaves[0]], n))
+        return _Kronecker(self.vars, self.tower).run([self], lambda k, leaves: k.power([leaves[0]], n))
 
     def _degrees(self) -> list:
         """Degree in each variable; 0 for the zero polynomial."""
@@ -498,13 +498,14 @@ class _Packed:
     the common denominator ``den``, and every term has total degree at least
     ``lo``. In the graded layout the image is stored without its ``row * lo``
     lowest slots, which are empty. While only bounds are taken, ``comps`` is
-    None, every total degree is at most ``hi`` too, and ``norm`` bounds the
-    sum of the absolute values of all numerators."""
+    None, every total degree is at most ``hi`` too, ``degs`` bounds the
+    degree in each of the kernel's variables, and ``norm`` bounds the sum of
+    the absolute values of all numerators."""
 
-    __slots__ = ("comps", "den", "lo", "hi", "norm")
+    __slots__ = ("comps", "den", "lo", "hi", "norm", "degs")
 
-    def __init__(self, comps, den: int, lo: int, hi: int = 0, norm: int = 0):
-        self.comps, self.den, self.lo, self.hi, self.norm = comps, den, lo, hi, norm
+    def __init__(self, comps, den: int, lo: int, hi: int = 0, norm: int = 0, degs=None):
+        self.comps, self.den, self.lo, self.hi, self.norm, self.degs = comps, den, lo, hi, norm, degs
 
 
 class _Kronecker:
@@ -515,81 +516,96 @@ class _Kronecker:
 
         sum_{i<n-1} e_i * stride_i + row * (e_{n-1} + grade * sum_{i<n-1} e_i)
 
-    where the first n-1 variables have widths ``degs[i] + 1`` from the
-    result's degree bounds, ``stride_i`` is the product of the widths before
-    ``i`` and ``row`` the product of all n-1 of them. With ``grade = 0`` this
-    is the dense box of the degree bounds; with ``grade = 1`` the top
-    coordinate is the total degree, so a homogeneous polynomial fills one
-    row. The first n-1 exponents stay below their widths and the top
-    coordinate is unbounded, so no product inside the computation wraps in
-    either layout. A graded value is stored from its lowest row on: its
-    offset is ``row * lo`` slots, a product's offset is the sum of its
-    factors' and a sum shifts the higher operand onto the lower offset, so
-    a product of rows never multiplies the zero rows below them.
+    where the first n-1 variables have widths ``degs[i] + 1``, ``stride_i``
+    is the product of the widths before ``i`` and ``row`` the product of all
+    n-1 of them. With ``grade = 0`` this is the dense box of the degree
+    bounds; with ``grade = 1`` the top coordinate is the total degree, so a
+    homogeneous polynomial fills one row. A graded value is stored from its
+    lowest row on: its offset is ``row * lo`` slots, a product's offset is
+    the sum of its factors' and a sum shifts the higher operand onto the
+    lower offset, so a product of rows never multiplies the zero rows below
+    them.
 
     A coefficient list is packed into one int by evaluating it at
     ``2^bits``; that map is a ring homomorphism, so products, sums and the
     tower reduction all run on the ints, and only the final result must have
     every numerator below ``2^(bits-1)`` for the signed unpacking. ``run``
-    therefore evaluates its program twice: on bounds, to fix ``bits`` and
-    the grade, then on packed values. The bound pass carries each value's
-    lowest and highest total degree, and the graded layout is taken exactly
-    when its widest value, ``row * (span + 1)`` slots for the largest span
-    ``hi - lo`` of any value, is below the box, ``row * (degs[n-1] + 1)``
-    slots. The choice is exact either way: each layout is a linear bijection
-    of the exponents within the bounds onto slots, fixed before any product,
-    so it changes the cost of a run and never its result. With one variable
-    the two layouts coincide.
+    therefore evaluates its program twice. The first pass runs on bounds of
+    each value: its degree in each variable, its lowest and highest total
+    degree, and its norm. The kernel keeps the largest of these over every
+    value, leaves included: ``degs``, the elementwise maximum of the
+    degrees, and ``span``, the largest ``hi - lo``; callers pass no bounds.
+    So the first n-1 exponents of every value stay below their widths and
+    the top coordinate is unbounded: no product inside the computation wraps
+    in either layout. From the bounds ``run`` fixes ``bits``, the widths and
+    the grade, taking the graded layout exactly when its widest value, ``row
+    * (span + 1)`` slots, is below the box, ``row * (degs[n-1] + 1)``
+    slots; only then is each leaf laid out, once, and the program run on
+    packed values. The choice is exact either way: each layout is a linear
+    bijection of the exponents within the bounds onto slots, fixed before
+    any product, so it changes the cost of a run and never its result. With
+    one variable the two layouts coincide.
     """
 
-    def __init__(self, vars_: tuple, degs: Sequence[int], tower: ExtensionTower):
+    def __init__(self, vars_: tuple, tower: ExtensionTower):
         self.vars, self.tower = vars_, tower
-        self.widths = [d + 1 for d in degs]
-        self.strides = [1] * len(degs)
-        for i in range(1, len(degs)):
-            self.strides[i] = self.strides[i - 1] * self.widths[i - 1]
-        self.row = self.strides[-1] if degs else 1
-        # (stride, width) of the first n-1 variables; the top coordinate is unbounded
-        self.lead = list(zip(self.strides, self.widths))[:-1]
         self.table = tower.basis_products()
         self.size = tower._size
-        self.nbytes = self.grade = self.span = self.row_bits = 0
+        self.degs = [0] * len(vars_)
+        self.nbytes = self.grade = self.row_bits = 0
 
     def run(self, leaves: list, program) -> "MultiPoly":
         """``program(self, packed leaves)`` as a MultiPoly over the kernel's
         variables; each leaf is a MultiPoly or a FieldElement."""
         prepared = [self._prepare(x) for x in leaves]
-        bound = program(self, [_Packed(None, den, lo, hi, norm) for den, norm, lo, hi, _ in prepared])
-        top = max([bound.norm] + [norm for _, norm, _, _, _ in prepared])
-        self.nbytes = top.bit_length() // 8 + 1
-        if len(self.vars) > 1 and self.span + 1 < self.widths[-1]:
-            self.grade, self.row_bits = 1, self.row * 8 * self.nbytes
-            # a constant leaf keeps slot 0
-            prepared = [(den, norm, lo, hi, self._graded(e, lo) if hi else e) for den, norm, lo, hi, e in prepared]
-        result = program(self, [_Packed(self._pack(entries), den, lo) for den, _, lo, _, entries in prepared])
-        return self._unpack(result)
+        bounds = [b for b, _, _ in prepared]
+        # the leaves' degrees and spans; mul and add take in every other value's
+        self.degs = list(map(max, self.degs, *[b.degs for b in bounds]))
+        self.span = max([b.hi - b.lo for b in bounds])
+        bound = program(self, bounds)
+        self.nbytes = max([bound.norm] + [b.norm for b in bounds]).bit_length() // 8 + 1
+        # (stride, width) of the first n-1 variables; the top coordinate is unbounded
+        lead, row = [], 1
+        for d in self.degs[:-1]:
+            lead.append((row, d + 1))
+            row *= d + 1
+        self.lead, self.row = lead, row
+        if lead and self.span < self.degs[-1]:
+            self.grade, self.row_bits = 1, row * 8 * self.nbytes
+        # the slot formula, one factor per exponent
+        self.scale = [s + self.grade * row for s, _ in lead] + [row]
+        packed = [
+            _Packed(comps if layout is None else self._pack(b.lo, *layout), b.den, b.lo)
+            for b, comps, layout in prepared
+        ]
+        return self._unpack(program(self, packed))
 
     def _prepare(self, leaf) -> tuple:
-        """(den, norm, lo, hi, {basis index: [(slot, numerator)]}) of a leaf,
-        its slots in the box layout; lo and hi are its lowest and highest
-        total degree (0 with fewer than two variables)."""
+        """``(bound, comps, layout)`` of a leaf: its bound value, and either
+        its packed ints, for a constant, whose one slot is 0 in every layout,
+        or ``(places, keys, entries)`` for ``_pack``: the kernel positions of
+        its variables (None when they are the kernel's), its exponent tuples
+        and ``{basis index: [(term number, numerator)]}``. lo and hi are 0
+        with fewer than two variables."""
         if isinstance(leaf, FieldElement):
-            terms, strides, lo, hi = {(): leaf}, (), 0, 0
-        else:
-            terms, strides, lo, hi = leaf.terms, self.strides, 0, 0
-            if leaf.vars != self.vars:
-                strides = [strides[self.vars.index(v)] for v in leaf.vars]
-            if len(self.vars) > 1 and terms:
-                degrees = list(map(sum, terms))
-                lo, hi = min(degrees), max(degrees)
-                if hi - lo > self.span:
-                    self.span = hi - lo
+            comps = [0] * self.size
+            comps[:: self.size // len(leaf.num)] = leaf.num
+            return _Packed(None, leaf.den, 0, 0, sum(map(abs, leaf.num)), [0] * len(self.vars)), comps, None
+        terms, places, degs = leaf.terms, None, leaf._degrees()
+        if leaf.vars != self.vars:
+            places, own = [self.vars.index(v) for v in leaf.vars], degs
+            degs = [0] * len(self.vars)
+            for p, d in zip(places, own):
+                degs[p] = d
+        lo = hi = 0
+        if len(self.vars) > 1 and terms:
+            degrees = list(map(sum, terms))
+            lo, hi = min(degrees), max(degrees)
         den = lcm(*[c.den for c in terms.values()])
         size = self.size
         entries: dict = {}
         norm = 0
-        for key, c in terms.items():
-            slot = sum(map(operator.mul, key, strides))
+        for t, c in enumerate(terms.values()):
             f = den // c.den
             # a coefficient over a prefix of the tower: its basis number i is
             # number i * step of the kernel's tower
@@ -598,34 +614,31 @@ class _Kronecker:
                 if n:
                     n *= f
                     norm += abs(n)
-                    entries.setdefault(i * step, []).append((slot, n))
-        return den, norm, lo, hi, entries
+                    entries.setdefault(i * step, []).append((t, n))
+        return _Packed(None, den, lo, hi, norm, degs), None, (places, terms, entries)
 
-    def _graded(self, entries: dict, lo: int) -> dict:
-        """A leaf's box slots moved to the graded layout and counted from its
-        offset ``row * lo``: a slot gains ``row`` times the sum of its first
-        n-1 exponents."""
-        row, lead = self.row, self.lead
-        return {
-            i: [(s + row * (sum(s // stride % w for stride, w in lead) - lo), c) for s, c in slots]
-            for i, slots in entries.items()
-        }
-
-    def _pack(self, entries: dict) -> list:
-        width = self.nbytes
+    def _pack(self, lo: int, places, keys, entries: dict) -> list:
+        """A prepared leaf's packed ints, each term at its slot counted from
+        the leaf's offset ``grade * row * lo``."""
+        width, mul = self.nbytes, operator.mul
+        scale = self.scale if places is None else [self.scale[p] for p in places]
+        offset = self.grade * self.row * lo
+        # each term's first byte
+        starts = [(sum(map(mul, key, scale)) - offset) * width for key in keys]
+        n = max(starts, default=0) + width
         comps = [0] * self.size
-        for i, slots in entries.items():
-            if len(slots) == 1:  # a constant leaf, say: its int is the one numerator at its slot
-                ((s, c),) = slots
-                comps[i] = c << 8 * width * s
+        for i, column in entries.items():
+            if len(column) == 1:  # a one-term leaf, say: its int is the one numerator at its slot
+                ((t, c),) = column
+                comps[i] = c << 8 * starts[t]
                 continue
-            n = (max(slots)[0] + 1) * width
             pos, neg = bytearray(n), bytearray(n)
-            for s, c in slots:
+            for t, c in column:
+                s = starts[t]
                 if c > 0:
-                    pos[s * width:(s + 1) * width] = c.to_bytes(width, "little")
+                    pos[s:s + width] = c.to_bytes(width, "little")
                 else:
-                    neg[s * width:(s + 1) * width] = (-c).to_bytes(width, "little")
+                    neg[s:s + width] = (-c).to_bytes(width, "little")
             comps[i] = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
         return comps
 
@@ -634,23 +647,12 @@ class _Kronecker:
         table = self.table
         den, lo = a.den * b.den * table.den, a.lo + b.lo
         if a.comps is None:
-            hi = a.hi + b.hi
+            hi, degs = a.hi + b.hi, list(map(operator.add, a.degs, b.degs))
             if hi - lo > self.span:
                 self.span = hi - lo
-            return _Packed(None, den, lo, hi, a.norm * b.norm * table.cmax)
-        lift = table.lift
-        sums: dict = {}
-        for i, x in enumerate(a.comps):
-            if x:
-                for j, y in enumerate(b.comps):
-                    if y:
-                        s = lift[i] + lift[j]
-                        sums[s] = sums.get(s, 0) + x * y
-        comps = [0] * self.size
-        for s, t in sums.items():
-            for i, c in table.rules[s]:
-                comps[i] += c * t
-        return _Packed(comps, den, lo)
+            self.degs = list(map(max, self.degs, degs))
+            return _Packed(None, den, lo, hi, a.norm * b.norm * table.cmax, degs)
+        return _Packed(table.product(a.comps, b.comps), den, lo)
 
     def add(self, a: _Packed, b: _Packed) -> _Packed:
         if a.lo > b.lo:
@@ -661,7 +663,8 @@ class _Kronecker:
             hi = a.hi if a.hi > b.hi else b.hi
             if hi - a.lo > self.span:
                 self.span = hi - a.lo
-            return _Packed(None, den, a.lo, hi, a.norm * fa + b.norm * fb)
+            # a sum's degrees are its operands' largest, which the kernel has already
+            return _Packed(None, den, a.lo, hi, a.norm * fa + b.norm * fb, list(map(max, a.degs, b.degs)))
         # b starts (b.lo - a.lo) rows higher; in the box layout row_bits is 0
         shift = (b.lo - a.lo) * self.row_bits
         return _Packed([x * fa + (y * fb << shift) for x, y in zip(a.comps, b.comps)], den, a.lo)
@@ -891,8 +894,9 @@ def substitute(f, bindings: Mapping[str, object]) -> MultiPoly:
         raise InvalidInput("substitute expects a polynomial")
     images = {}
     t = f.tower
+    order = [v for v in f.vars if f.uses(v)]  # only their images are leaves of the packed run
     for v in f.vars:
-        if f.uses(v) or v in bindings:
+        if v in order or v in bindings:
             if v not in bindings:
                 raise InvalidInput(f"unbound variable {v!r}")
             img = bindings[v]
@@ -903,21 +907,11 @@ def substitute(f, bindings: Mapping[str, object]) -> MultiPoly:
     out_vars = tuple(sorted(set().union(*(m.vars for m in images.values())) if images else ()))
     if f.is_zero():
         return MultiPoly._canonical(out_vars, {}, t)
-    order = [v for v in f.vars if v in images]
     pos = [f.vars.index(v) for v in order]
-    # the result's degree in each variable is at most that of its largest term
-    img_degs = []
-    for v in order:
-        d = dict(zip(images[v].vars, images[v]._degrees()))
-        img_degs.append([d.get(w, 0) for w in out_vars])
-    degs = [
-        max(sum(key[p] * d[i] for p, d in zip(pos, img_degs)) for key in f.terms)
-        for i in range(len(out_vars))
-    ]
     keys = list(f.terms)
     n = len(order)
     leaves = [images[v] for v in order] + [f.terms[key] for key in keys]
-    return _Kronecker(out_vars, degs, t).run(
+    return _Kronecker(out_vars, t).run(
         leaves, lambda k, packed: _packed_sum(k, keys, pos, packed[:n], packed[n:])
     )
 
@@ -1059,14 +1053,7 @@ def _linear_resultant(fc: list, gc: list, rest: tuple, tower: ExtensionTower) ->
     h, g1 = -gc[0], gc[1]
     keys = [(j, n - j) for j in range(n + 1) if not fc[j].is_zero()]
     coeffs = [fc[j] if sign > 0 else -fc[j] for j, _ in keys]
-    # every term, and every leaf, fits the degree bound in each variable
-    dh, d1 = h._degrees(), g1._degrees()
-    dc = [c._degrees() for c in coeffs]
-    degs = [
-        max([dh[v], d1[v]] + [d[v] + j * dh[v] + m * d1[v] for d, (j, m) in zip(dc, keys)])
-        for v in range(len(rest))
-    ]
-    return _Kronecker(rest, degs, tower).run(
+    return _Kronecker(rest, tower).run(
         [h, g1] + coeffs, lambda k, packed: _packed_sum(k, keys, (0, 1), packed[:2], packed[2:])
     )
 

@@ -15,10 +15,11 @@ whose exponent of each generator stays below the degree of its minimal
 polynomial, last generator fastest). The form is canonical, with
 ``gcd(den, *num) == 1``, so equality is a tuple compare. Sums and lifts
 are integer operations; products go through the tower's multiplication
-table of that power basis (``basis_products``), the same table the packed
-polynomial products of ``poly`` reduce with, so a product over Q is one
-integer product and one gcd. ``FieldElement.terms`` is a read-only view
-``{exponent tuple: Fraction}`` for printing, JSON and hashing.
+table of that power basis (``basis_products``) by one routine,
+``BasisProducts.product``, which the packed polynomial products of
+``poly`` call too, so a product over Q is one integer product and one
+gcd. ``FieldElement.terms`` is a read-only view ``{exponent tuple:
+Fraction}`` for printing, JSON and hashing.
 """
 
 from __future__ import annotations
@@ -260,6 +261,27 @@ class BasisProducts:
         ]
         self.cmax = max(sum(abs(c) for _, c in rule) for rule in self.rules)
 
+    def product(self, a, b) -> list:
+        """The product of the elements with numerators ``a`` and ``b`` over
+        the power basis, as numerators over ``den``; each unreduced monomial
+        is reduced once. The numerators may be any ints, packed polynomials
+        included."""
+        lift = self.lift
+        sums: dict = {}
+        for i, x in enumerate(a):
+            if x:
+                li = lift[i]
+                for j, y in enumerate(b):
+                    if y:
+                        s = li + lift[j]
+                        sums[s] = sums.get(s, 0) + x * y
+        num = [0] * len(a)
+        rules = self.rules
+        for s, t in sums.items():
+            for i, c in rules[s]:
+                num[i] += c * t
+        return num
+
 
 class FieldElement:
     """An element of an extension tower, in canonical form: integer
@@ -268,20 +290,13 @@ class FieldElement:
 
     __slots__ = ("tower", "num", "den")
 
-    def __init__(self, tower: ExtensionTower, terms: dict, reduce: bool = True, den: int = 1):
+    def __init__(self, tower: ExtensionTower, terms: dict, den: int = 1):
         """The element ``sum(terms[e] * g^e) / den``; ``terms`` maps exponent
-        tuples to ints or Fractions. With ``reduce`` the exponents may be
-        any size and are reduced modulo the minimal polynomials; without
-        it they must already lie in the power basis."""
+        tuples of any size to ints or Fractions, and the exponents are
+        reduced modulo the minimal polynomials."""
         scale = lcm(*(q.denominator for q in terms.values()))
-        if reduce:
-            work = {e: q.numerator * (scale // q.denominator) for e, q in terms.items() if q}
-            num, den = _reduce_terms(tower, work, den * scale)
-        else:
-            num, den = [0] * tower._size, den * scale
-            radix = _power_basis(tower._degs)[1]
-            for e, q in terms.items():
-                num[sum(map(mul, e, radix))] = q.numerator * (scale // q.denominator)
+        work = {e: q.numerator * (scale // q.denominator) for e, q in terms.items() if q}
+        num, den = _reduce_terms(tower, work, den * scale)
         self.tower = tower
         self.num, self.den = _canonical(num, den)
 
@@ -388,21 +403,7 @@ class FieldElement:
             g = gcd(n, d)
             return _element(a.tower, (n // g,), d // g)
         table = a.tower.basis_products()
-        lift = table.lift
-        sums: dict = {}
-        for i, x in enumerate(an):
-            if x:
-                li = lift[i]
-                for j, y in enumerate(bn):
-                    if y:
-                        s = li + lift[j]
-                        sums[s] = sums.get(s, 0) + x * y
-        num = [0] * len(an)
-        rules = table.rules
-        for s, t in sums.items():
-            for i, c in rules[s]:
-                num[i] += c * t
-        return _element(a.tower, *_canonical(num, a.den * b.den * table.den))
+        return _element(a.tower, *_canonical(table.product(an, bn), a.den * b.den * table.den))
 
     __rmul__ = __mul__
 
@@ -457,11 +458,6 @@ class FieldElement:
             f = den // c.den
             num[e::d] = [n * f for n in c.num]
         return FieldElement.from_ints(tower, num, den)
-
-    def sign(self) -> int:
-        """Exact sign; defined for rational values only."""
-        q = self.as_rational()
-        return (q > 0) - (q < 0)
 
     # -- presentation ----------------------------------------------------------
 

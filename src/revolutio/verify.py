@@ -94,13 +94,6 @@ def _residual(comps, F: MultiPoly) -> MultiPoly:
     tower = G.tower
     for c in (X, Y, Z):
         tower = join_towers(tower, c.tower)
-    # per output variable: the degrees of X, Y, Z and W = X*X + Y*Y bound
-    # those of the result, and the widths cover every leaf too
-    degs = []
-    for v in out_vars:
-        dx, dy, dz = (dict(zip(c.vars, c._degrees())).get(v, 0) for c in (X, Y, Z))
-        dw = 2 * max(dx, dy)
-        degs.append(max([n * dw + k * dz for n, k in G.terms] + [dx, dy, dz]))
     keys = list(G.terms)
 
     def program(k, leaves):
@@ -108,7 +101,7 @@ def _residual(comps, F: MultiPoly) -> MultiPoly:
         w = k.add(k.mul(x, x), k.mul(y, y))
         return _packed_sum(k, keys, (0, 1), [w, z], leaves[3:])
 
-    return _Kronecker(out_vars, degs, tower).run([X, Y, Z] + [G.terms[k] for k in keys], program)
+    return _Kronecker(out_vars, tower).run([X, Y, Z] + [G.terms[k] for k in keys], program)
 
 
 def _rotation_form(F: MultiPoly):

@@ -140,7 +140,7 @@ def test_field_literals_decode_as_str_to_fraction_reads_them():
     for _ in range(400):
         obj = {key: random_literal(rng) for key in rng.sample(KEYS, rng.randint(1, len(KEYS)))}
         terms = {tuple(map(int, key.split(","))): str_to_fraction(val) for key, val in obj.items()}
-        want = FieldElement(TWO_GENERATORS, terms, reduce=False)
+        want = FieldElement(TWO_GENERATORS, terms)
         got = json_to_field(obj, TWO_GENERATORS)
         assert (got.num, got.den) == (want.num, want.den)
 
@@ -160,7 +160,7 @@ def test_field_literal_outcomes_are_those_of_str_to_fraction(value):
             json_to_field(obj, TWO_GENERATORS)
         assert str(got.value) == str(exc)
     else:
-        want = FieldElement(TWO_GENERATORS, {(1, 0): Fraction(1, 2), (0, 2): q}, reduce=False)
+        want = FieldElement(TWO_GENERATORS, {(1, 0): Fraction(1, 2), (0, 2): q})
         assert json_to_field(obj, TWO_GENERATORS) == want
 
 

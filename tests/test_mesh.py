@@ -449,6 +449,24 @@ def test_rational_value_is_not_refined():
 
 
 @pytest.mark.parametrize(
+    "row, message",
+    [
+        ([(((1,),), 1, [[1, 2]]), ((), 1, [])], "at least one key"),
+        ([(((0,), (1,)), 1, [[1, 2]])], "one column per key"),
+        ([(((1,),), 1, [[1, 2]]), (((0,),), 1, [[5]])], "one entry per vertex"),
+        ([(((0,), (1,)), 1, [[1, 2], [3]])], "one entry per vertex"),
+    ],
+    ids=["no_keys", "missing_column", "short_component", "short_column"],
+)
+def test_numeric_eval_refuses_a_row_of_another_shape(row, message):
+    emb = default_real_embedding(SQRT2)
+    before = dict(emb.intervals)
+    with pytest.raises(InvalidInput, match=message):
+        numeric_eval(row, emb, Fraction(1, 10 ** 30))
+    assert emb.intervals == before
+
+
+@pytest.mark.parametrize(
     "value",
     [
         (((0,),), 3, [[10 ** 400]]),

@@ -1123,6 +1123,25 @@ class TestPackedProducts:
             # the box exactly when grade 1 was chosen
             degs = [sum(k[i] * d for i, d in enumerate((2, 3, 1))) for k in f.terms]
             assert grades == [int(max(degs) - min(degs) + 1 < max(degs) + 1)]
+        # images in u alone, in v alone and in both: leaves in fewer
+        # variables than the run. With no constant term the widest value
+        # spans total degrees 2 to 8, under the 9 rows of the box in v
+        # (from y^2); the constant term widens it to 0 to 8
+        images = {
+            "x": self._graded(rng, tower, ("u",), [2, 3], 1),
+            "y": self._graded(rng, tower, ("v",), [3, 4], 1, huge=True),
+            "z": self._graded(rng, tower, uv, [1], 2),
+        }
+        keys = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
+        f = MultiPoly(xyz, {k: self._element(rng, tower) for k in keys}, tower)
+        for g, grade in ((f, 1), (f + 1, 0)):
+            del grades[:]
+            self._check(
+                substitute(g, images),
+                lambda value: value(g, {n: value(images[n]) for n in xyz}),
+                name, uv,
+            )
+            assert grades == [grade]
 
     @pytest.mark.parametrize("name", ["QQ", "sqrt2", "sqrt1/3", "alpha_i", "split"])
     def test_box_shaped_operands(self, name, monkeypatch):

@@ -78,16 +78,13 @@ def _to_unipoly(text: str, var: str) -> UniPoly:
 
 
 def _fraction_arg(text: str) -> Fraction:
-    # Fraction() and float() read any Unicode digit; a number here is ASCII
+    # Fraction() reads any Unicode digit; a number here is ASCII
     if not text.isascii():
         raise InvalidInput(f"bad number {text!r}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        try:
-            return Fraction(float(text))
-        except (ValueError, OverflowError) as exc:
-            raise InvalidInput(f"bad number {text!r}") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"bad number {text!r}") from exc
 
 
 #: The verification block of every emitted witness: ``verify_on_surface``

@@ -24,18 +24,18 @@ class ZeroDivisor(RevolutioError):
     given as a dense coefficient tuple over the tower below that step.
     """
 
-    def __init__(self, step_name: str, factor: tuple, message: str = ""):
+    def __init__(self, step_name: str, factor: tuple):
         self.step_name = step_name
         self.factor = factor
-        super().__init__(message or f"zero divisor at tower step {step_name!r}")
+        super().__init__(f"zero divisor at tower step {step_name!r}")
 
 
 class NotDivisible(RevolutioError):
     """Exact division failed; ``remainder`` holds the leftover."""
 
-    def __init__(self, remainder, message: str = "exact division failed"):
+    def __init__(self, remainder):
         self.remainder = remainder
-        super().__init__(message)
+        super().__init__("exact division failed")
 
 
 class NoRealEmbedding(RevolutioError):

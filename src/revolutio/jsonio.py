@@ -2,7 +2,8 @@
 
 Rationals are written as strings ("-3/4") so arbitrary precision survives
 the trip; decoding reads any ASCII string that ``Fraction()`` reads, so
-"1.5", "+3", " 3", "1e3" and "1_000" are read too. A field element is a
+"1.5", "+3", " 3" and "1e3" are read too, and "1_000" from Python 3.11
+on, where ``Fraction()`` reads underscores. A field element is a
 map from comma-joined generator exponents to rationals ("" for the
 rational tower, "1,0" for g1^1). Polynomials carry their variable list and
 a term array; parametrizations embed their tower as an ordered list of

@@ -167,10 +167,11 @@ class RealEmbedding:
 
 def default_real_embedding(tower: ExtensionTower) -> RealEmbedding:
     """Embedding from each step's recorded hint, falling back to the greatest
-    real root; NoRealEmbedding if some generator has no real root."""
+    real root of its minimal polynomial (``TowerStep.poly``, built once per
+    step); NoRealEmbedding if some generator has no real root."""
     intervals, minpolys = {}, {}
     for step in tower.steps:
-        mp = UniPoly.from_dense("x", [c for c in step.minpoly])
+        mp = step.poly
         if not mp.is_rational_poly():
             raise InvalidInput(
                 f"step {step.name!r} has non-rational minimal polynomial coefficients"

@@ -16,10 +16,10 @@ deliberately no general factorization. Tower inversion and the square-free
 check on minimal polynomials run through it too.
 
 There is one way to build a polynomial inside the package.
-``MultiPoly(vars, terms, tower)`` (and ``UniPoly(var, coeffs, tower)``,
-``UniPoly.from_dense``) is the validating constructor, for scalars and input
-from outside the package: it sorts the variables, checks the exponents and
-coerces every coefficient onto one tower. Everything else is built by
+``MultiPoly(vars, terms, tower)`` (and ``UniPoly(var, coeffs, tower)``)
+is the validating constructor, for scalars and input from outside the
+package: it sorts the variables, checks the exponents and coerces every
+coefficient onto one tower. Everything else is built by
 ``MultiPoly._canonical``, which trusts nonzero FieldElements over the given
 tower keyed by the sorted variables: arithmetic results, ``zero``,
 ``constant`` and ``variable`` of both classes, and ``with_vars``, the one
@@ -28,7 +28,8 @@ taller tower. The zero polynomial has degree -1.
 
 Products, powers and ``substitute`` run on one packed-integer kernel
 (Kronecker substitution, ``_Kronecker``); only a product with a one-term
-operand skips it and multiplies coefficient by coefficient. A tower
+operand skips it and multiplies coefficient by coefficient, and a
+``substitute`` of a constant returns it over the images' variables. A tower
 coefficient already is integer numerators over the power basis and one
 denominator (``FieldElement.num``, ``FieldElement.den``), so the kernel
 only scales each coefficient's numerators to the polynomial's common
@@ -88,7 +89,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InvalidInput, NotDivisible, ZeroDivisor
-from .tower import QQ, ExtensionTower, FieldElement, join_towers
+from .tower import QQ, ExtensionTower, FieldElement, _format_terms, join_towers
 
 Scalar = Union[int, Fraction, FieldElement]
 
@@ -357,7 +358,8 @@ class MultiPoly:
         return self.with_vars((var,))
 
     def __repr__(self) -> str:
-        return _poly_str(self.terms, self.vars)
+        keys = sorted(self.terms, key=lambda k: (sum(k), k), reverse=True)
+        return _format_terms([(repr(self.terms[k]), k) for k in keys], self.vars)
 
 
 class UniPoly(MultiPoly):
@@ -371,10 +373,6 @@ class UniPoly(MultiPoly):
 
     def __init__(self, var: str, coeffs: Mapping[int, Scalar], tower: ExtensionTower = QQ):
         super().__init__((var,), {(e,): c for e, c in coeffs.items()}, tower)
-
-    @classmethod
-    def from_dense(cls, var: str, dense: Sequence[Scalar], tower: ExtensionTower = QQ) -> "UniPoly":
-        return cls(var, {i: c for i, c in enumerate(dense)}, tower)
 
     @classmethod
     def zero(cls, var: str, tower: ExtensionTower = QQ) -> "UniPoly":
@@ -463,30 +461,6 @@ class UniPoly(MultiPoly):
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """self(inner(t)); the result lives in inner's variable."""
         return substitute(self, {self.var: inner})
-
-
-def _poly_str(terms: Mapping[tuple, FieldElement], vars_: tuple) -> str:
-    if not terms:
-        return "0"
-    parts = []
-    for key in sorted(terms, key=lambda k: (sum(k), k), reverse=True):
-        c = terms[key]
-        monos = [v if e == 1 else f"{v}^{e}" for v, e in zip(vars_, key) if e]
-        cs = repr(c)
-        if " + " in cs or " - " in cs or (cs.startswith("-") and cs.count("-") > 1):
-            cs = f"({cs})"
-        if not monos:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append("*".join(monos))
-        elif cs == "-1":
-            parts.append("-" + "*".join(monos))
-        else:
-            parts.append(cs + "*" + "*".join(monos))
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") and not p.startswith("-(") else " + " + p
-    return out
 
 
 # -- packed integer products (Kronecker substitution) ------------------------------
@@ -905,8 +879,9 @@ def substitute(f, bindings: Mapping[str, object]) -> MultiPoly:
             images[v] = img
             t = join_towers(t, img.tower)
     out_vars = tuple(sorted(set().union(*(m.vars for m in images.values())) if images else ()))
-    if f.is_zero():
-        return MultiPoly._canonical(out_vars, {}, t)
+    if not order:  # a constant, zero included, needs no packed run
+        terms = {(0,) * len(out_vars): c.lift_to(t) for c in f.terms.values()}
+        return MultiPoly._canonical(out_vars, terms, t)
     pos = [f.vars.index(v) for v in order]
     keys = list(f.terms)
     n = len(order)

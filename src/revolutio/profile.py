@@ -200,14 +200,12 @@ def _lcm_poly(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def _moebius_lift(f: UniPoly, r) -> UniPoly:
-    """X^deg(f) * f(r + 1/X), a polynomial in the fresh variable t."""
-    t = join_towers(f.tower, r.tower)
+    """X^deg(f) * f(r + 1/X), a polynomial in the fresh variable t: the
+    Taylor shift g(t) = f(t + r), its coefficients reversed to degree
+    deg(f), since X^d * g(1/X) is the sum of g_e * X^(d - e)."""
+    g = f.compose(UniPoly("t", {1: 1, 0: r}, join_towers(f.tower, r.tower)))
     d = max(f.degree, 0)
-    lin = UniPoly("t", {1: r, 0: 1}, t)  # r*X + 1
-    acc = UniPoly.zero("t", t)
-    for (e,), coeff in f.terms.items():
-        acc = acc + UniPoly.constant("t", coeff, t) * lin ** e * UniPoly("t", {d - e: 1}, t)
-    return acc
+    return MultiPoly._canonical(("t",), {(d - e,): c for (e,), c in g.terms.items()}, g.tower)
 
 
 def affine_equivalent(f: tuple, g: tuple) -> tuple:

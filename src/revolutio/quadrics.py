@@ -181,7 +181,7 @@ def quadric_param(F: MultiPoly, quadric_class: str | None = None) -> SurfacePara
             d_const -= lin[v] * lin[v] / (4 * quad[v])
             lin2[v] = Fraction(0)
     if cls in (E_PARABOLOID, H_PARABOLOID, P_CYLINDER):
-        comps = _solved_linear_witness(quad, lin2, d_const, cls)
+        comps = _solved_linear_witness(quad, lin2, d_const)
     else:
         comps = _central_witness(quad, d_const, cls)
     comps = {v: comps[v] - shifts[v] for v in XYZ}
@@ -203,7 +203,7 @@ _WITNESS_FLAGS = {
 }
 
 
-def _solved_linear_witness(quad, lin, d_const, cls):
+def _solved_linear_witness(quad, lin, d_const):
     """Graph-style witness: solve the surface for one linear variable."""
     solved = next(v for v in XYZ if quad[v] == 0 and lin[v] != 0)
     params = iter(

@@ -19,7 +19,8 @@ table of that power basis (``basis_products``) by one routine,
 ``BasisProducts.product``, which the packed polynomial products of
 ``poly`` call too, so a product over Q is one integer product and one
 gcd. ``FieldElement.terms`` is a read-only view ``{exponent tuple:
-Fraction}`` for printing, JSON and hashing.
+Fraction}`` for printing, JSON and hashing. One term printer,
+``_format_terms``, prints elements and ``poly.MultiPoly`` alike.
 """
 
 from __future__ import annotations
@@ -462,30 +463,35 @@ class FieldElement:
     # -- presentation ----------------------------------------------------------
 
     def __repr__(self) -> str:
-        terms = self.terms
-        if not terms:
-            return "0"
         names = [s.name for s in self.tower.steps]
-        parts = []
-        for key in sorted(terms, reverse=True):
-            q = terms[key]
-            monos = [
-                n if e == 1 else f"{n}^{e}"
-                for n, e in zip(names, key)
-                if e
-            ]
-            if not monos:
-                parts.append(str(q))
-            elif q == 1:
-                parts.append("*".join(monos))
-            elif q == -1:
-                parts.append("-" + "*".join(monos))
-            else:
-                parts.append(f"{q}*" + "*".join(monos))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _format_terms([(str(q), key) for key, q in reversed(self.terms.items())], names)
+
+
+def _format_terms(pairs, names) -> str:
+    """A sum as text: ``pairs`` are ``(coefficient text, exponent tuple)`` in
+    print order, ``names`` the variables of the exponents. A monomial prints
+    as ``g^e``, a coefficient 1 or -1 before one is dropped, ``*`` joins the
+    factors, a compound coefficient is parenthesized, and a negative term
+    after the first is printed as a difference."""
+    parts = []
+    for cs, key in pairs:
+        monos = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, key) if e]
+        if " + " in cs or " - " in cs or (cs.startswith("-") and cs.count("-") > 1):
+            cs = f"({cs})"
+        if not monos:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append("*".join(monos))
+        elif cs == "-1":
+            parts.append("-" + "*".join(monos))
+        else:
+            parts.append(cs + "*" + "*".join(monos))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") and not p.startswith("-(") else " + " + p
+    return out
 
 
 def _element(tower: ExtensionTower, num: tuple, den: int) -> FieldElement:

@@ -60,14 +60,14 @@ FIBER_SAMPLES = (
 
 
 def verify_on_surface(s, F: MultiPoly) -> None:
-    """Return only if the witness s lies on F = 0 and is dominant.
+    """Return only if the witness s, a ``SurfaceParam``, lies on F = 0 and
+    is dominant.
 
     Raises InternalInvariant naming the residual of substituting s into F
     when it is nonzero. Otherwise the Jacobian's generic rank is computed,
     and a rank other than 2 raises naming it.
     """
-    comps = s.components if hasattr(s, "components") else tuple(s)
-    residual = _residual(comps, F)
+    residual = _residual(s.components, F)
     if not residual.is_zero():
         raise InternalInvariant(f"witness is off the surface: residual {residual!r}")
     rank = jacobian_generic_rank(s)
@@ -76,7 +76,8 @@ def verify_on_surface(s, F: MultiPoly) -> None:
 
 
 def _residual(comps, F: MultiPoly) -> MultiPoly:
-    """F(X, Y, Z) for the components (X, Y, Z).
+    """F(X, Y, Z) for the components (X, Y, Z), polynomials in (u, v) over
+    one tower as ``SurfaceParam.make`` builds them.
 
     When ``implicit_to_p2`` proves F = G(x^2 + y^2, z), as it does for every
     surface of revolution, the residual is G(X*X + Y*Y, Z): one packed run
@@ -89,11 +90,7 @@ def _residual(comps, F: MultiPoly) -> MultiPoly:
     if G is None:
         bindings = dict(zip(("x", "y", "z"), comps))
         return substitute(F, {v: bindings[v] for v in F.vars if v in bindings})
-    X, Y, Z = (c if isinstance(c, MultiPoly) else MultiPoly.constant(c) for c in comps)
-    out_vars = tuple(sorted(set(X.vars) | set(Y.vars) | set(Z.vars)))
-    tower = G.tower
-    for c in (X, Y, Z):
-        tower = join_towers(tower, c.tower)
+    X = comps[0]
     keys = list(G.terms)
 
     def program(k, leaves):
@@ -101,7 +98,7 @@ def _residual(comps, F: MultiPoly) -> MultiPoly:
         w = k.add(k.mul(x, x), k.mul(y, y))
         return _packed_sum(k, keys, (0, 1), [w, z], leaves[3:])
 
-    return _Kronecker(out_vars, tower).run([X, Y, Z] + [G.terms[k] for k in keys], program)
+    return _Kronecker(X.vars, join_towers(G.tower, X.tower)).run(list(comps) + [G.terms[k] for k in keys], program)
 
 
 def _rotation_form(F: MultiPoly):
@@ -116,15 +113,8 @@ def _rotation_form(F: MultiPoly):
         return None
 
 
-UV = ("u", "v")
-
 #: The index pairs of the three 2x2 minors of the 3x2 Jacobian.
 _MINORS = ((0, 1), (0, 2), (1, 2))
-
-
-def _uv_components(s) -> tuple:
-    comps = s.components if hasattr(s, "components") else tuple(s)
-    return tuple(c if c.vars == UV else c.with_vars(UV) for c in comps)
 
 
 def _gradient_at(c: MultiPoly, u0, v0) -> tuple:
@@ -160,15 +150,15 @@ def _minors_vanish(grads) -> bool:
 
 
 def jacobian_generic_rank(s) -> int:
-    """2 if some 2x2 minor is nonzero, 1 if the Jacobian is nonzero with all
-    minors zero, 0 for a constant map.
+    """2 if some 2x2 minor of the ``SurfaceParam`` s is nonzero, 1 if the
+    Jacobian is nonzero with all minors zero, 0 for a constant map.
 
     The minors are evaluated on the grid {1..d_u+1} x {1..d_v+1} (u = 0 is
     often singular for these witnesses); when they vanish on all of it
     they are zero polynomials, and a partial derivative is nonzero exactly
     when some term has a positive exponent in its variable.
     """
-    comps = _uv_components(s)
+    comps = s.components
     degs = [c._degrees() for c in comps]
     d_u = 2 * max(d[0] for d in degs) - 1
     d_v = 2 * max(d[1] for d in degs) - 1
@@ -180,8 +170,9 @@ def jacobian_generic_rank(s) -> int:
 
 
 def fiber_count(s, sample) -> int | None:
-    """Number of complex (u, v) with s(u, v) = s(sample), or None when the
-    sample is not generic enough to tell.
+    """Number of complex (u, v) with s(u, v) = s(sample) for the
+    ``SurfaceParam`` s, or None when the sample is not generic enough to
+    tell.
 
     Eliminates v by the resultants of the pivot, the equation of least
     v-degree, with each other equation, takes the square-free part of the
@@ -197,10 +188,7 @@ def fiber_count(s, sample) -> int | None:
     are the pairs without the pivot eliminated instead.
     """
     u0, v0 = (Fraction(sample[0]), Fraction(sample[1]))
-    comps = _uv_components(s)
-    tower = comps[0].tower
-    for c in comps[1:]:
-        tower = join_towers(tower, c.tower)
+    comps, tower = s.components, s.tower
     if _minors_vanish([_gradient_at(c, u0, v0) for c in comps]):
         raise InvalidInput("sample lies on the Jacobian's vanishing locus")
     eqs = []
@@ -303,10 +291,10 @@ def _common_v_root_count(with_v, branch_tower, theta) -> int | None:
     return squarefree_part(g).degree
 
 
-def fiber_count_first_valid(s, samples=FIBER_SAMPLES):
-    """Walk the deterministic sample list; the first sample off the Jacobian
+def fiber_count_first_valid(s):
+    """Walk ``FIBER_SAMPLES`` in order; the first sample off the Jacobian
     vanishing locus that yields a count wins; (None, None) when none does."""
-    for sample in samples:
+    for sample in FIBER_SAMPLES:
         try:
             n = fiber_count(s, sample)
         except InvalidInput:

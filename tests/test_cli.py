@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -464,6 +465,19 @@ class TestMeshCmd:
         assert code == 2 and doc["error"]["code"] == "INVALID_INPUT"
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol, exact", [("0.1_0", "1/10"), ("1_0e-10", "1/1000000000")])
+    def test_tolerance_is_read_exactly_or_refused(self, capsys, tmp_path, tol, exact):
+        # Fraction() reads underscores from Python 3.11 on; where it does not,
+        # the flag is refused, never read through a float
+        out = tmp_path / "x.obj"
+        code, doc = run_cli(capsys, "mesh", "--param", "u", "v", "u", "--grid", "2", "--tol", tol, "--out", str(out))
+        try:
+            Fraction(tol)
+        except ValueError:
+            assert code == 2 and doc["error"] == {"code": "INVALID_INPUT", "message": f"bad number {tol!r}"}
+            assert not out.exists()
+        else:
+            assert code == 0 and doc["mesh"]["tolerance"] == exact
 
     @pytest.mark.parametrize("grid", [str(MAX_GRID + 1), "100000000"])
     def test_grid_over_budget_refused_before_any_work(self, capsys, monkeypatch, tmp_path, grid):

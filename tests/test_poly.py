@@ -451,6 +451,15 @@ class TestSubstitute:
                 assert (got.vars, got.terms, got.tower) == (want.vars, want.terms, want.tower)
                 assert type(got) is MultiPoly
 
+    def test_constant_makes_no_packed_run(self, monkeypatch):
+        from revolutio import poly
+
+        runs, run = [], poly._Kronecker.run
+        monkeypatch.setattr(poly._Kronecker, "run", lambda k, *a: runs.append(1) or run(k, *a))
+        got = substitute(UniPoly.constant("t", 3), {"t": MultiPoly.variable("z", ("x", "y", "z"))})
+        assert runs == []
+        assert got.vars == ("x", "y", "z") and got == 3
+
     def test_paraboloid(self):
         x = MultiPoly.variable("x", ("x", "y", "z"))
         y = MultiPoly.variable("y", ("x", "y", "z"))
@@ -1324,6 +1333,24 @@ class TestWithVars:
             assert type(p) is UniPoly, p
         assert type(t.with_vars(("t", "u"))) is MultiPoly
         assert type(MultiPoly.constant(2)) is MultiPoly
+
+
+class TestRepr:
+    def test_term_rules(self):
+        # terms by descending total degree; a compound coefficient is
+        # parenthesized, and a negative term after the first is a difference
+        tower = QQ.extend("r", [-2, 0, 1]).extend("i", [1, 0, 1])
+        r, i = tower.gen("r"), tower.gen("i")
+        x = MultiPoly.variable("x", ("x", "y"), tower)
+        y = MultiPoly.variable("y", ("x", "y"), tower)
+        cases = [
+            ((-r - 1) * x ** 2 - x * y + (r + 1) * y + 2, "(-r - 1)*x^2 - x*y + (r + 1)*y + 2"),
+            (Fraction(1, 3) * y ** 2 - x - 1, "1/3*y^2 - x - 1"),
+            ((r * i - 1) * x ** 3 - y, "(r*i - 1)*x^3 - y"),
+            (MultiPoly.zero(("x", "y"), tower), "0"),
+        ]
+        for f, text in cases:
+            assert repr(f) == text
 
 
 class TestHash:

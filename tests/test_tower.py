@@ -130,6 +130,19 @@ def test_equality_and_repr(qi):
     assert i + 1 == 1 + i
     assert repr(qi.rational(Fraction(1, 2)) * i) == "1/2*i"
     assert repr(qi.zero()) == "0"
+    # a coefficient 1 or -1 before a monomial is dropped, a negative term
+    # after the first is a difference, a rational stands alone
+    t = QQ.extend("r", [-2, 0, 1]).extend("i", [1, 0, 1])
+    r, i = t.gen("r"), t.gen("i")
+    cases = [
+        (Fraction(-1, 2) * r * i + 3, "-1/2*r*i + 3"),
+        (-r - 1, "-r - 1"),
+        (-r * i + i, "-r*i + i"),
+        (t.rational(-1), "-1"),
+        (t.zero(), "0"),
+    ]
+    for e, text in cases:
+        assert repr(e) == text
 
 
 def test_hash_agrees_with_equality_across_towers(qi):

@@ -108,10 +108,10 @@ class TestResidualRoute:
             assert _residual(comps, F) == direct
             assert direct.is_zero() == (n < 2)
             if n < 2:
-                verify_on_surface(comps, F)
+                verify_on_surface(make(comps), F)
             else:
                 with pytest.raises(InternalInvariant, match="residual"):
-                    verify_on_surface(comps, F)
+                    verify_on_surface(make(comps), F)
 
     @pytest.mark.parametrize("which", [0, 1, 2])
     def test_one_changed_coefficient_of_a_homogeneous_witness_is_refused(self, which):
@@ -129,7 +129,7 @@ class TestResidualRoute:
         bad = comps[:which] + (changed,) + comps[which + 1:]
         assert _residual(bad, F) == substitute(F, dict(zip(("x", "y", "z"), bad)))
         with pytest.raises(InternalInvariant, match="residual"):
-            verify_on_surface(bad, F)
+            verify_on_surface(make(bad), F)
 
     @pytest.mark.parametrize(
         "text, witness",
@@ -148,7 +148,7 @@ class TestResidualRoute:
         X, Y, Z = s.components
         assert _residual((X, Y, Z + u), F) == substitute(F, {"x": X, "y": Y, "z": Z + u})
         with pytest.raises(InternalInvariant, match="residual"):
-            verify_on_surface((X, Y, Z + u), F)
+            verify_on_surface(make((X, Y, Z + u)), F)
 
 
 class TestJacobianRank:

@@ -37,6 +37,7 @@ from .profile import (
     affine_equivalent,
     decompose_paa,
     implicit_to_p2,
+    p2_implicit,
     p2_param_from_graph,
     polynomialize_rational,
     surface_implicit,
@@ -100,7 +101,8 @@ def cmd_analyze(args) -> int:
     F = None
     if args.implicit is not None:
         F = parse_poly(args.implicit, allowed_vars=XYZ)
-        x, b = p2_param_from_graph(implicit_to_p2(F))
+        G = implicit_to_p2(F)
+        x, b = p2_param_from_graph(G)
         echo = {"implicit": args.implicit}
     elif args.p2 is not None:
         x = _to_unipoly(args.p2[0], "t")
@@ -111,12 +113,14 @@ def cmd_analyze(args) -> int:
         x, b = polynomialize_rational(xn, xd, zn, zd)
         echo = {"p2_rational": list(args.p2_rational)}
     d = decompose_paa(x, b)
-    # before surface_implicit: the witness refuses a cylinder (x(t) constant),
+    # before p2_implicit: the witness refuses a cylinder (x(t) constant),
     # which the resultant there cannot take
     witness = sor_complex_param(d)
     if F is None:
-        F = surface_implicit(d)
-    verify_on_surface(witness, F)
+        G = p2_implicit(x, b)
+        F = surface_implicit(G)
+    # F = G(x^2 + y^2, z): proved by implicit_to_p2, or built from G
+    verify_on_surface(witness, G)
     rv = real_verdict(d)
     real_block = {
         "status": rv.status,
@@ -130,7 +134,7 @@ def cmd_analyze(args) -> int:
     if rv.witness is not None:
         # a real witness that is the complex one is not checked twice
         if rv.witness.components != witness.components:
-            verify_on_surface(rv.witness, F)
+            verify_on_surface(rv.witness, G)
         real_block["witness"] = param_to_json(rv.witness)
         real_block["verification"] = VERIFIED
         if rv.status == "real-nonproper-double-cover":
@@ -141,11 +145,8 @@ def cmd_analyze(args) -> int:
     quadric_block = None
     if F.total_degree == 2:
         cls = classify_quadric(F)
-        try:
-            over_c, over_r = quadric_verdict(cls)
-            quadric_block = {"class": cls, "polynomial_over_C": over_c, "polynomial_over_R": over_r}
-        except Unsupported:
-            quadric_block = {"class": cls}
+        over_c, over_r = quadric_verdict(cls)
+        quadric_block = {"class": cls, "polynomial_over_C": over_c, "polynomial_over_R": over_r}
     _emit(
         {
             "input": echo,
@@ -200,10 +201,13 @@ def cmd_mesh(args) -> int:
             raise InvalidInput(f"cannot read report: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InvalidInput(f"report is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise InvalidInput("the report is not a JSON object")
         if args.witness == "complex":
             obj = doc.get("complex_parametrization")
         elif args.witness == "real":
-            obj = (doc.get("real_verdict") or {}).get("witness")
+            real = doc.get("real_verdict")
+            obj = real.get("witness") if isinstance(real, dict) else None
         else:
             obj = doc.get("witness")
         if not obj:

@@ -65,9 +65,6 @@ class P2Decomposition:
     def delta(self) -> int:
         return max(self.p.degree, 0)
 
-    def first_coordinate(self) -> UniPoly:
-        return self.p * self.a * self.a
-
     def __repr__(self):
         return f"P2Decomposition(p={self.p}, a={self.a}, b={self.b}, delta={self.delta})"
 
@@ -263,10 +260,9 @@ def p2_implicit(x: UniPoly, b: UniPoly) -> MultiPoly:
     return resultant_eliminate(w - x, z - b, tvar)
 
 
-def surface_implicit(d: P2Decomposition) -> MultiPoly:
-    """Implicit form F(x, y, z) of the surface of revolution with the given
-    profile-square decomposition."""
-    G = p2_implicit(d.first_coordinate(), d.b)
+def surface_implicit(G: MultiPoly) -> MultiPoly:
+    """The implicit equation F(x, y, z) = G(x^2 + y^2, z) of the surface of
+    revolution whose profile-square curve is G(w, z) = 0."""
     return substitute(
         G,
         {"w": _sum_of_squares(), "z": MultiPoly.variable("z", ("x", "y", "z"))},

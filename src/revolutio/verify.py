@@ -15,10 +15,10 @@ than from every pair: the gcd of the pivot resultants may have more roots
 than that of all pair resultants, but every common u-root of the fiber is
 among them, and each extra root has no common v-root, so it counts 0.
 
-The residual F(X, Y, Z) of a surface of revolution is computed as
-G(X*X + Y*Y, Z), the same polynomial, once ``implicit_to_p2`` has proved
-F = G(x^2 + y^2, z) term by term: G has far fewer terms than F. Every
-other surface takes the direct substitution.
+A surface of revolution F = G(x^2 + y^2, z) may be given by its
+profile-square equation G(w, z), whose residual G(X*X + Y*Y, Z) is the
+residual of F: G has far fewer terms than F. An equation in (x, y, z)
+takes the direct substitution.
 
 Dominance is proved by exact evaluation, never by expanding the minors.
 A minor has degree at most d_u in u and d_v in v (twice the largest
@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .errors import InternalInvariant, InvalidInput, NotSurfaceOfRevolution, ZeroDivisor
+from .errors import InternalInvariant, InvalidInput, ZeroDivisor
 from .poly import (
     MultiPoly,
     _Kronecker,
@@ -45,7 +45,6 @@ from .poly import (
     squarefree_part,
     substitute,
 )
-from .profile import implicit_to_p2
 from .tower import FieldElement, join_towers
 
 
@@ -61,7 +60,8 @@ FIBER_SAMPLES = (
 
 def verify_on_surface(s, F: MultiPoly) -> None:
     """Return only if the witness s, a ``SurfaceParam``, lies on F = 0 and
-    is dominant.
+    is dominant. F is an equation in (x, y, z), or one in (w, z) standing
+    for the surface of revolution F(x^2 + y^2, z) = 0.
 
     Raises InternalInvariant naming the residual of substituting s into F
     when it is nonzero. Otherwise the Jacobian's generic rank is computed,
@@ -79,38 +79,23 @@ def _residual(comps, F: MultiPoly) -> MultiPoly:
     """F(X, Y, Z) for the components (X, Y, Z), polynomials in (u, v) over
     one tower as ``SurfaceParam.make`` builds them.
 
-    When ``implicit_to_p2`` proves F = G(x^2 + y^2, z), as it does for every
-    surface of revolution, the residual is G(X*X + Y*Y, Z): one packed run
-    whose leaves are X, Y, Z and G's coefficients, with W = X*X + Y*Y formed
-    inside it. Any other F, such as a quadric that is not of revolution,
-    takes the direct substitution; an odd power of x or y sends it there
-    before any proof is tried.
+    An F in (w, z) is a profile-square equation G, and the residual is
+    G(X*X + Y*Y, Z): one packed run whose leaves are X, Y, Z and G's
+    coefficients, with W = X*X + Y*Y formed inside it. Any other F takes
+    the direct substitution.
     """
-    G = _rotation_form(F)
-    if G is None:
+    if F.vars != ("w", "z"):
         bindings = dict(zip(("x", "y", "z"), comps))
         return substitute(F, {v: bindings[v] for v in F.vars if v in bindings})
     X = comps[0]
-    keys = list(G.terms)
+    keys = list(F.terms)
 
     def program(k, leaves):
         x, y, z = leaves[:3]
         w = k.add(k.mul(x, x), k.mul(y, y))
         return _packed_sum(k, keys, (0, 1), [w, z], leaves[3:])
 
-    return _Kronecker(X.vars, join_towers(G.tower, X.tower)).run(list(comps) + [G.terms[k] for k in keys], program)
-
-
-def _rotation_form(F: MultiPoly):
-    """G in (w, z) with F = G(x^2 + y^2, z), proved by ``implicit_to_p2``,
-    or None when F has an odd power of x or y or the proof fails."""
-    odd = [F.vars.index(v) for v in ("x", "y") if v in F.vars]
-    if any(key[i] % 2 for key in F.terms for i in odd):
-        return None
-    try:
-        return implicit_to_p2(F)
-    except (InvalidInput, NotSurfaceOfRevolution):
-        return None
+    return _Kronecker(X.vars, join_towers(F.tower, X.tower)).run(list(comps) + [F.terms[k] for k in keys], program)
 
 
 #: The index pairs of the three 2x2 minors of the 3x2 Jacobian.
@@ -302,28 +287,3 @@ def fiber_count_first_valid(s):
         if n is not None:
             return n, sample
     return None, None
-
-
-def rational_residual(F: MultiPoly, components) -> MultiPoly:
-    """Cleared-denominator residual of F composed with a rational
-    parametrization given as (numerator, denominator) pairs; zero iff the
-    rational map satisfies F identically."""
-    names = ("x", "y", "z")
-    nums = {}
-    dens = {}
-    for name, (n, d) in zip(names, components):
-        nums[name], dens[name] = n, d
-    Fa = F.with_vars(tuple(sorted(set(F.vars) | set(names))))
-    idx = {v: i for i, v in enumerate(Fa.vars)}
-    maxe = {v: 0 for v in names}
-    for key in Fa.terms:
-        for v in names:
-            maxe[v] = max(maxe[v], key[idx[v]])
-    total = None
-    for key, c in Fa.terms.items():
-        term = MultiPoly.constant(c)
-        for v in names:
-            e = key[idx[v]]
-            term = term * nums[v] ** e * dens[v] ** (maxe[v] - e)
-        total = term if total is None else total + term
-    return total if total is not None else MultiPoly.zero()

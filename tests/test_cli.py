@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from revolutio.cli import main
 from revolutio.mesh import MAX_GRID
 from revolutio.numeric import default_real_embedding
-from revolutio.profile import surface_implicit
+from revolutio.profile import implicit_to_p2, surface_implicit
 from revolutio.verify import verify_on_surface
 
 REPORTS = Path(__file__).resolve().parents[1] / "perfbench" / "reports"
@@ -285,10 +285,14 @@ def _count_calls(monkeypatch, fn):
 )
 def test_each_witness_verified_once(capsys, monkeypatch, argv, implicit_calls, verify_calls):
     implicit = _count_calls(monkeypatch, surface_implicit)
+    rotation = _count_calls(monkeypatch, implicit_to_p2)
     verified = _count_calls(monkeypatch, verify_on_surface)
     code, _ = run_cli(capsys, *argv)
     assert code == 0
     assert (len(implicit), len(verified)) == (implicit_calls, verify_calls)
+    # only analyze --implicit derives G(w, z) from F, once; verification
+    # takes the G that analyze holds
+    assert len(rotation) == (argv[:2] == ("analyze", "--implicit"))
 
 
 @pytest.mark.parametrize(
@@ -426,6 +430,24 @@ class TestMeshCmd:
         )
         assert code == 2  # the sphere report has no real witness to sample
 
+    @pytest.mark.parametrize(
+        "text, witness, message",
+        [
+            *[(text, w, "the report is not a JSON object")
+              for text in ("[]", "3", '"x"') for w in ("real", "complex", "quadric")],
+            ('{"real_verdict": [1]}', "real", "carries no real witness"),
+            ('{"real_verdict": "x"}', "real", "carries no real witness"),
+        ],
+    )
+    def test_report_that_is_not_an_object_is_user_error(self, capsys, tmp_path, text, witness, message):
+        rpath = tmp_path / "report.json"
+        rpath.write_text(text)
+        code, doc = run_cli(
+            capsys, "mesh", "--report", str(rpath), "--witness", witness,
+            "--out", str(tmp_path / "x.obj"),
+        )
+        assert code == 2 and doc["error"]["code"] == "INVALID_INPUT"
+        assert message in doc["error"]["message"]
 
     def test_vertex_beyond_float_range_is_user_error(self, capsys, tmp_path):
         # 100^200 has no float; the parent raised OverflowError out of main()

@@ -24,13 +24,12 @@ from revolutio import (
     squarefree_part,
     sturm_real_root_count,
     substitute,
-    surface_implicit,
     tower_sqrt,
     tubular_base,
     tubular_lift,
     verify_on_surface,
 )
-from revolutio.verify import rational_residual
+from revolutio.profile import p2_implicit
 
 t = UniPoly.variable("t")
 u = MultiPoly.variable("u", ("u", "v"))
@@ -227,8 +226,9 @@ class TestLift:
         assert lifted.components == ((w + 1) * u, (w + 1) * v, w * w)
         assert lifted.provenance == ("lift by a = t + 1, b = t^2",)
         assert lifted.properness == "unknown"
-        d = decompose_paa(t * (t + 1) ** 2, t ** 2)
-        verify_on_surface(lifted, surface_implicit(d))
+        x, b = t * (t + 1) ** 2, t ** 2
+        d = decompose_paa(x, b)
+        verify_on_surface(lifted, p2_implicit(x, b))
         flagged = tubular_lift((u, v, w), t + 1, t ** 2, provenance=("p",), properness="proper")
         assert flagged.components == lifted.components
         assert (flagged.provenance, flagged.properness) == (("p",), "proper")
@@ -267,16 +267,18 @@ class TestClosedFormula:
             sor_complex_param(d)
 
     def test_verified_against_implicitization(self):
-        d = decompose_paa((t ** 2 + 1) ** 2 * (t - 2), t + 5)
+        x, b = (t ** 2 + 1) ** 2 * (t - 2), t + 5
+        d = decompose_paa(x, b)
         s = sor_complex_param(d)
-        verify_on_surface(s, surface_implicit(d))
+        verify_on_surface(s, p2_implicit(x, b))
 
     def test_reducible_alpha_extension(self):
         # p = (t^2+2)(t^2+3): square-free, no rational roots; alpha generates
         # a reducible quotient and the whole pipeline must still verify
-        d = decompose_paa(t ** 4 + 5 * t ** 2 + 6, t)
+        x, b = t ** 4 + 5 * t ** 2 + 6, t
+        d = decompose_paa(x, b)
         s = sor_complex_param(d)
-        verify_on_surface(s, surface_implicit(d))
+        verify_on_surface(s, p2_implicit(x, b))
 
 
 class TestCylinderRoute:
@@ -302,10 +304,10 @@ class TestCylinderRoute:
 
     def test_nonsquare_constant_and_irrational_shift(self):
         # p = 2, a = t^2 - 3: needs sqrt(2) and a root of t^2 - 3
-        x, y, z = xyz()
-        d = decompose_paa(2 * (t ** 2 - 3) ** 2, t)
+        x, b = 2 * (t ** 2 - 3) ** 2, t
+        d = decompose_paa(x, b)
         s = cylinder_case_param(d)
-        verify_on_surface(s, surface_implicit(d))
+        verify_on_surface(s, p2_implicit(x, b))
 
 
 class TestTowerSqrt:
@@ -350,9 +352,17 @@ class TestRotateCurve:
         assert n3 == tv and d3 == one
 
     def test_cone_residual(self):
+        # the cone is homogeneous of degree 2, so den^2 F(xn/den, yn/den, zn)
+        # is F(xn, yn, den*zn)
         x, y, z = xyz()
-        r = rotate_curve(t, UniPoly.zero("t"), t)
-        assert rational_residual(x ** 2 + y ** 2 - z ** 2, r).is_zero()
+        F = x ** 2 + y ** 2 - z ** 2
+        (xn, den), (yn, _), (zn, one) = rotate_curve(t, UniPoly.zero("t"), t)
+        assert one == 1
+        assert substitute(F, {"x": xn, "y": yn, "z": den * zn}).is_zero()
+        # -t (1 - s^2) with one term's sign flipped is -t (1 + s^2): off the cone
+        key = max(yn.terms)
+        bad = MultiPoly(yn.vars, {**yn.terms, key: -yn.terms[key]}, yn.tower)
+        assert not substitute(F, {"x": xn, "y": bad, "z": den * zn}).is_zero()
 
     def test_axis_flagged_degenerate(self):
         rotate_curve(UniPoly.zero("t"), UniPoly.zero("t"), t)

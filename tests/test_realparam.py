@@ -27,6 +27,7 @@ from revolutio import (
     verify_on_surface,
 )
 from revolutio.numeric import default_real_embedding
+from revolutio.profile import p2_implicit
 from revolutio.realparam import (
     _rational_quadratic_factors,
     _smallest_disc_quadratic_factor,
@@ -122,10 +123,11 @@ class TestDelta1:
         verify_on_surface(verdict.witness, (x ** 2 + y ** 2) ** 2 - z)
 
     def test_general_linear_p(self):
-        d = decomp((3 * t - 2) * (t ** 2 + 1) ** 2, 2 * t + 7)
+        x, b = (3 * t - 2) * (t ** 2 + 1) ** 2, 2 * t + 7
+        d = decomp(x, b)
         verdict = real_param_delta1(d)
         assert verdict.status == "real-proper"
-        verify_on_surface(verdict.witness, surface_implicit(d))
+        verify_on_surface(verdict.witness, surface_implicit(p2_implicit(x, b)))
 
 
 class TestDelta2:
@@ -169,10 +171,11 @@ class TestDelta2:
         assert verdict.status == "empty-real-locus"
 
     def test_lifted_general(self):
-        d = decomp((t ** 2 + 3) * (t ** 2 + 1) ** 2, t - 4)
+        x, b = (t ** 2 + 3) * (t ** 2 + 1) ** 2, t - 4
+        d = decomp(x, b)
         verdict = real_param_delta2(d)
         assert verdict.status == "real-proper"
-        verify_on_surface(verdict.witness, surface_implicit(d))
+        verify_on_surface(verdict.witness, surface_implicit(p2_implicit(x, b)))
         # sqrt(3) generator carries a real embedding
         default_real_embedding(verdict.witness.tower)
 
@@ -242,10 +245,11 @@ class TestDelta0:
 
     def test_two_conjugate_pairs(self):
         # a = (t^2+1)(t^2+4): no real roots, two rational quadratic factors
-        d = decomp(((t ** 2 + 1) * (t ** 2 + 4)) ** 2, t)
+        x, b = ((t ** 2 + 1) * (t ** 2 + 4)) ** 2, t
+        d = decomp(x, b)
         verdict = real_param_delta0(d)
         assert verdict.status == "real-proper"
-        verify_on_surface(verdict.witness, surface_implicit(d))
+        verify_on_surface(verdict.witness, surface_implicit(p2_implicit(x, b)))
 
     def test_unresolved_when_no_rational_quadratic_factor(self):
         # t^4 + 1 factors only through sqrt(2)
@@ -254,10 +258,11 @@ class TestDelta0:
         assert verdict.status == "unresolved"
 
     def test_irrational_real_root_extension(self):
-        d = decomp((t ** 2 - 2) ** 2, t)
+        x, b = (t ** 2 - 2) ** 2, t
+        d = decomp(x, b)
         verdict = real_param_delta0(d)
         assert verdict.status == "real-proper"
-        verify_on_surface(verdict.witness, surface_implicit(d))
+        verify_on_surface(verdict.witness, surface_implicit(p2_implicit(x, b)))
         default_real_embedding(verdict.witness.tower)
 
 

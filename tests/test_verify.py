@@ -28,7 +28,7 @@ from revolutio import (
 )
 from revolutio import verify
 from revolutio.realparam import two_sheet_components
-from revolutio.verify import FIBER_SAMPLES, _residual, _rotation_form, fiber_count_first_valid
+from revolutio.verify import FIBER_SAMPLES, _residual, fiber_count_first_valid
 
 u = MultiPoly.variable("u", ("u", "v"))
 v = MultiPoly.variable("v", ("u", "v"))
@@ -85,51 +85,54 @@ class TestOnSurface:
 
 
 def _profile_surface(x, b):
-    """(F, complex witness) of the surface with profile square [x(t), b(t)]."""
+    """(G, F, complex witness) of the surface with profile square [x(t), b(t)]:
+    its profile-square equation G(w, z) and F = G(x^2 + y^2, z)."""
     from revolutio import decompose_paa, sor_complex_param, surface_implicit
+    from revolutio.profile import p2_implicit
 
-    d = decompose_paa(x, b)
-    return surface_implicit(d), sor_complex_param(d)
+    G = p2_implicit(x, b)
+    return G, surface_implicit(G), sor_complex_param(decompose_paa(x, b))
 
 
 class TestResidualRoute:
-    """The residual through F = G(x^2 + y^2, z), and the direct substitution."""
+    """The residual through G(w, z) with F = G(x^2 + y^2, z), and the direct
+    substitution into F."""
 
     def test_perturbed_witness_residual_is_the_direct_substitution(self):
         t = UniPoly.variable("t")
-        F, w = _profile_surface((t ** 2 + 1) * (t ** 2 - 2) * (t - 3) ** 2, t ** 3 + t)
-        assert _rotation_form(F) is not None
+        G, F, w = _profile_surface((t ** 2 + 1) * (t ** 2 - 2) * (t - 3) ** 2, t ** 3 + t)
         X, Y, Z = w.components
         g = w.tower.gen(w.tower.steps[0].name)
         # the first two lie on F (it is symmetric in x and y), the rest do not
         cases = [(X, Y, Z), (Y, X, Z), (X + u * v, Y, Z), (X, Y - g * v, Z), (X, Y, Z + 1)]
         for n, comps in enumerate(cases):
             direct = substitute(F, dict(zip(("x", "y", "z"), comps)))
-            assert _residual(comps, F) == direct
+            assert _residual(comps, G) == direct
             assert direct.is_zero() == (n < 2)
-            if n < 2:
-                verify_on_surface(make(comps), F)
-            else:
-                with pytest.raises(InternalInvariant, match="residual"):
-                    verify_on_surface(make(comps), F)
+            for equation in (G, F):
+                if n < 2:
+                    verify_on_surface(make(comps), equation)
+                else:
+                    with pytest.raises(InternalInvariant, match="residual"):
+                        verify_on_surface(make(comps), equation)
 
     @pytest.mark.parametrize("which", [0, 1, 2])
     def test_one_changed_coefficient_of_a_homogeneous_witness_is_refused(self, which):
         # x^2 + y^2 = z^30: every component of the lifted witness is
         # homogeneous in (u, v), so its residual runs in the graded layout
         t = UniPoly.variable("t")
-        F, w = _profile_surface(t ** 30, t)
+        G, F, w = _profile_surface(t ** 30, t)
         comps = w.components
         assert all(len({sum(k) for k in c.terms}) == 1 for c in comps)
-        verify_on_surface(w, F)
+        verify_on_surface(w, G)
         rng = random.Random(30 + which)
         c = comps[which]
         key = rng.choice(sorted(c.terms))
         changed = MultiPoly(c.vars, {**c.terms, key: c.terms[key] + rng.choice((-1, 1))}, c.tower)
         bad = comps[:which] + (changed,) + comps[which + 1:]
-        assert _residual(bad, F) == substitute(F, dict(zip(("x", "y", "z"), bad)))
+        assert _residual(bad, G) == substitute(F, dict(zip(("x", "y", "z"), bad)))
         with pytest.raises(InternalInvariant, match="residual"):
-            verify_on_surface(make(bad), F)
+            verify_on_surface(make(bad), G)
 
     @pytest.mark.parametrize(
         "text, witness",
@@ -142,7 +145,6 @@ class TestResidualRoute:
     )
     def test_surfaces_not_of_revolution_take_the_direct_route(self, text, witness):
         F = parse_poly(text, allowed_vars=("x", "y", "z"))
-        assert _rotation_form(F) is None
         s = witness(F)
         verify_on_surface(s, F)
         X, Y, Z = s.components

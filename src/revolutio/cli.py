@@ -201,6 +201,8 @@ def cmd_mesh(args) -> int:
             raise InvalidInput(f"cannot read report: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InvalidInput(f"report is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise InvalidInput("report nests too deeply to decode") from exc
         if not isinstance(doc, dict):
             raise InvalidInput("the report is not a JSON object")
         if args.witness == "complex":

@@ -28,7 +28,9 @@ coefficients, so the result keeps a name whose terms cancel and is a
 UniPoly exactly when the text has one name. A first pass over the same
 tokens, with every leaf the empty dict, checks the syntax, so every
 ParseError comes before any arithmetic and before the at-most-four-variables
-refusal.
+refusal. That pass also counts nesting, each open '(' and each unary '-'
+one level, and refuses text nested deeper than ``MAX_NESTING`` levels, so
+deep nesting is a ParseError, not a RecursionError.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ from .poly import MultiPoly, _sorted_vars
 from .tower import QQ
 
 ALLOWED_VARIABLES = ("s", "t", "u", "v", "w", "x", "y", "z")
+
+#: most levels of '(' and unary '-' one text may nest; each level costs the
+#: descent up to five frames, so this stays far inside the default
+#: recursion limit
+MAX_NESTING = 100
 
 # INT comes first, so a NAME never starts with an ASCII digit; _tokenize
 # refuses one that starts with any other digit
@@ -78,6 +85,7 @@ class _Parser:
         self.k = 0
         self.names = names
         self.unit = (0,) * len(names or ())
+        self.depth = 0
 
     def peek(self) -> tuple:
         return self.tokens[self.k]
@@ -86,6 +94,11 @@ class _Parser:
         tok = self.tokens[self.k]
         self.k += 1
         return tok
+
+    def nest(self, pos: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
 
     def at(self, ops: str) -> bool:
         kind, text, _ = self.peek()
@@ -130,8 +143,10 @@ class _Parser:
 
     def factor(self) -> dict:
         if self.at("-"):
-            self.advance()
-            return {k: -c for k, c in self.factor().items()}
+            self.nest(self.advance()[2])
+            value = {k: -c for k, c in self.factor().items()}
+            self.depth -= 1
+            return value
         return self.power()
 
     def power(self) -> dict:
@@ -167,10 +182,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {text!r}", pos)
             return {} if self.names is None else {tuple(int(v == text) for v in self.names): 1}
         if kind == "OP" and text == "(":
+            self.nest(pos)
             value = self.expr()
             if not self.at(")"):
                 raise ParseError("expected ')'", self.peek()[2])
             self.advance()
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
 

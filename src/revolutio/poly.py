@@ -72,11 +72,10 @@ the coefficients.
 ``squarefree_decompose`` runs Yun's algorithm on the primitive integer
 multiple of its input, with primitive-PRS gcds and exact divisions in Z[t].
 
-Every real-root and signature decision (Sturm counts, rational roots, root
-isolation and refinement in ``numeric``, quadric signatures) runs on one
-integer core: ``_sturm_chain``, which ends at gcd(p, p') and so tests
-square-freeness too, ``_hsign``, a sign at a homogeneous point with
-``b = 0`` for +-infinity, and ``_sign_changes``.
+Every real-root decision (Sturm counts, rational roots, root isolation and
+refinement in ``numeric``) runs on one integer core: ``_sturm_chain``, which
+ends at gcd(p, p') and so tests square-freeness too, ``_hsign``, a sign at a
+homogeneous point with ``b = 0`` for +-infinity, and ``_sign_changes``.
 """
 
 from __future__ import annotations
@@ -927,21 +926,21 @@ def _packed_sum(k: _Kronecker, keys: list, pos: Sequence[int], images: list, coe
 
 def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Quotient q with q*g == f, exactly; raises NotDivisible (with the
-    remainder attached) otherwise."""
+    remainder attached) otherwise. Inverts g's leading coefficient once."""
     if g.is_zero():
         raise InvalidInput("division by zero polynomial")
     vars_ = tuple(sorted(set(f.vars) | set(g.vars)))
     t = join_towers(f.tower, g.tower)
     r, gg = f.with_vars(vars_, t), g.with_vars(vars_, t)
     lt_g = max(gg.terms)
-    c_g = gg.terms[lt_g]
+    inv_lc = gg.terms[lt_g].inverse()
     q = MultiPoly.zero(vars_, t)
     while not r.is_zero():
         lt_r = max(r.terms)
         diff = tuple(a - b for a, b in zip(lt_r, lt_g))
         if any(d < 0 for d in diff):
             raise NotDivisible(r)
-        c = r.terms[lt_r] / c_g
+        c = r.terms[lt_r] * inv_lc
         mono = MultiPoly._canonical(vars_, {diff: c}, t)
         q = q + mono
         r = r - mono * gg

@@ -1,11 +1,12 @@
 """Exact classification of real quadrics and polynomiality verdicts.
 
-The class is read off the ranks and absolute signatures of the 4x4
-homogeneous matrix and its quadratic-part 3x3 block, both computed
-exactly from the characteristic polynomial of the matrix scaled to
-integers (Faddeev-LeVerrier over Z): ranks from its trailing zeros,
-signatures from its sign changes by Descartes' rule (legitimate because
-symmetric matrices have real spectra). Witness construction is
+One Lagrange reduction of the symmetric 4x4 matrix of F over Q, in
+(x, y, z, h) with h the homogenizing coordinate, completes F's squares.
+By Sylvester's law of inertia its pivot signs and remainder give the
+ranks and signatures of the matrix and of its quadratic-part 3x3 block,
+from which the class is read. For a diagonal quadratic part the same
+squares are the witness's data: each pivot is a square's coefficient and
+its multiplier of row h the centring shift. Witness construction is
 deliberately limited to diagonal quadratic parts, which covers every
 canonical representative at zero radical cost; verdicts need no witness
 and work for any quadric. A verdict is the pair (over C, over R) of the
@@ -15,11 +16,10 @@ table below; ``quadric_report`` adds the class and an unverified witness.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .complexparam import SurfaceParam, cone_components, tower_sqrt
-from .errors import InternalInvariant, InvalidInput, NotPolynomial, Unsupported
-from .poly import MultiPoly, _sign_changes
+from .errors import InvalidInput, NotPolynomial, Unsupported
+from .poly import MultiPoly
 from .realparam import hyperboloid_components, sphere_witness
 from .tower import QQ
 
@@ -53,83 +53,68 @@ VERDICTS = {
 }
 
 
-def _coefficient_data(F: MultiPoly):
+def _matrix(F: MultiPoly) -> list:
+    """The symmetric 4x4 matrix of F over Q in (x, y, z, h), h the
+    homogenizing coordinate."""
     if F.total_degree != 2:
         raise InvalidInput("a quadric has total degree exactly 2")
     bad = [v for v in F.vars if v not in XYZ and F.uses(v)]
     if bad:
         raise InvalidInput(f"unexpected variables {bad}")
-    Fa = F.with_vars(XYZ)
-    quad = {v: Fraction(0) for v in XYZ}
-    lin = {v: Fraction(0) for v in XYZ}
-    cross = {}
-    const = Fraction(0)
-    for key, c in Fa.terms.items():
-        if not c.is_rational():
+    a = [[Fraction(0)] * 4 for _ in range(4)]
+    for key, coeff in F.with_vars(XYZ).terms.items():
+        if not coeff.is_rational():
             raise InvalidInput("quadric classification expects rational coefficients")
-        q = c.as_rational()
-        support = [(v, e) for v, e in zip(XYZ, key) if e]
-        total = sum(e for _, e in support)
-        if total == 0:
-            const = q
-        elif total == 1:
-            lin[support[0][0]] = q
-        elif len(support) == 1:
-            quad[support[0][0]] = q
-        else:
-            cross[(support[0][0], support[1][0])] = q
-    return quad, lin, cross, const
+        # the monomial's two coordinates, h standing in for a missing one
+        i, j = ([k for k, e in enumerate(key) for _ in range(e)] + [3, 3])[:2]
+        a[i][j] = a[j][i] = coeff.as_rational() / (1 if i == j else 2)
+    return a
 
 
-def quadric_matrices(F: MultiPoly):
-    """The symmetric 4x4 matrix of F and its 3x3 quadratic block, exact."""
-    quad, lin, cross, const = _coefficient_data(F)
-    idx = {v: i for i, v in enumerate(XYZ)}
-    a4 = [[Fraction(0)] * 4 for _ in range(4)]
-    for v in XYZ:
-        a4[idx[v]][idx[v]] = quad[v]
-        a4[idx[v]][3] = a4[3][idx[v]] = lin[v] / 2
-    for (v, w), q in cross.items():
-        a4[idx[v]][idx[w]] = a4[idx[w]][idx[v]] = q / 2
-    a4[3][3] = const
-    a3 = [row[:3] for row in a4[:3]]
-    return a4, a3
+def _reduce(a: list) -> tuple:
+    """Lagrange's reduction of the symmetric 4x4 ``a``, in place, pivoting
+    only inside the x, y, z block: ``(pivots, b, c)``, one ``(row, pivot,
+    pivot's multiplier of row h)`` per completed square, and the remainder
+    ``2h(b.x) + c h^2`` left once the block is zero, ``b`` keyed by the
+    unpivoted rows. When every diagonal entry left is zero but some a_kj is
+    not, x_k -> x_k + x_j makes a_kk = 2 a_kj. Only nonzero rows and
+    entries are touched."""
+    live, pivots = [0, 1, 2], []
+    while True:
+        k = next((i for i in live if a[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in live for j in live if a[i][j]), None)
+            if pair is None:
+                return pivots, {j: a[j][3] for j in live}, a[3][3]
+            k, j = pair
+            for i in live + [3]:
+                a[k][i] += a[j][i]
+            for i in live + [3]:
+                a[i][k] += a[i][j]
+        p = a[k][k]
+        live.remove(k)
+        rows = [i for i in live + [3] if a[i][k]]
+        for i in rows:
+            f = a[i][k] / p
+            for j in rows:
+                a[i][j] -= f * a[k][j]
+        pivots.append((k, p, a[3][k] / p))
 
 
-def _charpoly(a) -> list:
-    """Coefficients [1, c1, ..., cn] of det(tI - A) for an integer matrix A,
-    by Faddeev-LeVerrier; the divisions are exact, as every c_k is an
-    integer."""
-    n = len(a)
-    m = [[0] * n for _ in range(n)]
-    coeffs = [1]
-    for k in range(1, n + 1):
-        for i in range(n):
-            m[i][i] += coeffs[-1]
-        m = [[sum(a[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
-        coeffs.append(-sum(m[i][i] for i in range(n)) // k)
-    return coeffs
+def _inertia(pivots, b, c) -> tuple:
+    """(positive, negative) counts of the quadratic part's signature, then
+    of the whole matrix's, by Sylvester's law of inertia: the pivot signs,
+    then the remainder's, one of each when b != 0, else the sign of c."""
+    p3 = sum(1 for _, p, _ in pivots if p > 0)
+    n3 = len(pivots) - p3
+    if any(b.values()):
+        return p3, n3, p3 + 1, n3 + 1
+    return p3, n3, p3 + (c > 0), n3 + (c < 0)
 
 
-def _eigen_sign_counts(a) -> tuple:
-    """(positive, negative, zero) eigenvalue counts of a symmetric rational
-    matrix, by Descartes' rule, exact on a real-rooted polynomial, on the
-    characteristic polynomial of the integer matrix ``den * a``: a positive
-    scale keeps every eigenvalue's sign."""
-    den = lcm(*(q.denominator for row in a for q in row))
-    coeffs = _charpoly([[q.numerator * (den // q.denominator) for q in row] for row in a])
-    zero = len(coeffs) - 1 - max(k for k, c in enumerate(coeffs) if c)
-    pos = _sign_changes(coeffs)
-    neg = _sign_changes(-c if k % 2 else c for k, c in enumerate(coeffs))
-    return pos, neg, zero
-
-
-def classify_quadric(F: MultiPoly) -> str:
-    """One of the class labels above, from exact rank/signature data."""
-    a4, a3 = quadric_matrices(F)
-    p4, n4, z4 = _eigen_sign_counts(a4)
-    p3, n3, z3 = _eigen_sign_counts(a3)
-    rank4, rank3 = 4 - z4, 3 - z3
+def _classify(pivots, b, c) -> str:
+    p3, n3, p4, n4 = _inertia(pivots, b, c)
+    rank4, rank3 = p4 + n4, p3 + n3
     if n3 > p3 or (n3 == p3 and n4 > p4):
         p3, n3, p4, n4 = n3, p3, n4, p4
     if rank4 <= 2:
@@ -150,6 +135,12 @@ def classify_quadric(F: MultiPoly) -> str:
     return P_CYLINDER
 
 
+def classify_quadric(F: MultiPoly) -> str:
+    """One of the class labels above, from the signature of one Lagrange
+    reduction."""
+    return _classify(*_reduce(_matrix(F)))
+
+
 def quadric_verdict(quadric_class: str) -> tuple:
     """(polynomial over C, polynomial over R) per class: the nine-row table
     plus empty."""
@@ -158,32 +149,32 @@ def quadric_verdict(quadric_class: str) -> tuple:
     return VERDICTS[quadric_class]
 
 
-def quadric_param(F: MultiPoly, quadric_class: str | None = None) -> SurfaceParam:
+def quadric_param(F: MultiPoly) -> SurfaceParam:
     """Witness parametrization for a quadric with diagonal quadratic part.
 
-    Completing squares plus per-variable square-root scalings reduce to a
+    The Lagrange reduction that classifies F completes its squares: each
+    pivot is a square's coefficient and its multiplier of row h the shift
+    that centres it. Per-variable square-root scalings then reduce to a
     catalog representative, and the result is mapped back. The caller
     verifies it (see verify.py).
     """
-    cls = quadric_class or classify_quadric(F)
+    pivots, b, c = _reduce(_matrix(F))
+    cls = _classify(pivots, b, c)
     over_c, _ = quadric_verdict(cls)
     if not over_c:
         raise NotPolynomial(f"refused: {cls} admits no polynomial parametrization")
-    quad, lin, cross, const = _coefficient_data(F)
-    if any(q != 0 for q in cross.values()):
+    if any(sum(map(bool, key)) > 1 for key in F.terms):
         raise Unsupported("cross terms present: only diagonal quadratic parts are parametrized")
-    shifts = {v: Fraction(0) for v in XYZ}
-    d_const = const
-    lin2 = dict(lin)
-    for v in XYZ:
-        if quad[v] != 0 and lin[v] != 0:
-            shifts[v] = lin[v] / (2 * quad[v])
-            d_const -= lin[v] * lin[v] / (4 * quad[v])
-            lin2[v] = Fraction(0)
+    quad = dict.fromkeys(XYZ, Fraction(0))
+    shifts, lin = dict(quad), dict(quad)
+    for k, p, m in pivots:
+        quad[XYZ[k]], shifts[XYZ[k]] = p, m
+    for j, half in b.items():
+        lin[XYZ[j]] = 2 * half
     if cls in (E_PARABOLOID, H_PARABOLOID, P_CYLINDER):
-        comps = _solved_linear_witness(quad, lin2, d_const)
+        comps = _solved_linear_witness(quad, lin, c)
     else:
-        comps = _central_witness(quad, d_const, cls)
+        comps = _central_witness(quad, c, cls)
     comps = {v: comps[v] - shifts[v] for v in XYZ}
     return SurfaceParam.make(
         [comps["x"], comps["y"], comps["z"]],
@@ -236,23 +227,13 @@ def _central_witness(quad, d_const, cls):
     neg = [v for v in XYZ if q[v] < 0]
     tower = QQ
     if cls == CONE:
-        if d != 0 or len(pos) != 2 or len(neg) != 1:
-            raise InternalInvariant("cone normalization mismatch")
         canonical = dict(zip((pos[0], pos[1], neg[0]), cone_components()))
     elif cls == ELLIPSOID:
-        lam = -d
-        if len(pos) != 3 or lam <= 0:
-            raise InternalInvariant("ellipsoid normalization mismatch")
         s = sphere_witness()
-        root, tower = tower_sqrt(s.tower, lam)
+        root, tower = tower_sqrt(s.tower, -d)
         canonical = dict(zip(XYZ, (root * c for c in s.components)))
     else:
-        mu = -d
-        if len(pos) != 2 or len(neg) != 1 or mu == 0:
-            raise InternalInvariant("hyperboloid normalization mismatch")
-        if cls != (HYP1 if mu > 0 else HYP2):
-            raise InternalInvariant("classified class disagrees with normalization")
-        comps = hyperboloid_components(tower, mu)
+        comps = hyperboloid_components(tower, -d)
         tower = comps[0].tower
         canonical = dict(zip((pos[0], pos[1], neg[0]), comps))
     comps = {}
@@ -270,7 +251,7 @@ def quadric_report(F: MultiPoly) -> tuple:
     witness = None
     if over_c:
         try:
-            witness = quadric_param(F, cls)
+            witness = quadric_param(F)
         except Unsupported:
             pass
     return cls, over_c, over_r, witness

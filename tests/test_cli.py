@@ -356,7 +356,7 @@ class TestQuadricCmd:
         from revolutio import SurfaceParam, quadrics
 
         u, _ = _uv()
-        monkeypatch.setattr(quadrics, "quadric_param", lambda F, cls=None: SurfaceParam.make([u, 0, u ** 2]))
+        monkeypatch.setattr(quadrics, "quadric_param", lambda F: SurfaceParam.make([u, 0, u ** 2]))
         code, doc = run_cli(capsys, "quadric", "--implicit", "x^2+y^2-z")
         assert code == 4
         assert doc == {
@@ -747,6 +747,32 @@ def test_mesh_huge_exponent_key_within_budget(tmp_path):
     assert time.perf_counter() - start < budget
     assert proc.returncode == 2 and json.loads(proc.stdout)["error"]["code"] == "INVALID_INPUT"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--implicit", "(" * 199 + "x^2+y^2-z" + ")" * 199),
+        ("analyze", "--implicit", " " + "-" * 990 + "x^2+y^2-z"),
+        ("quadric", "--implicit", "(" * 300 + "x^2+y^2-z" + ")" * 300),
+        ("mesh", "--param", "u", "v", "(" * 300 + "u" + ")" * 300, "--out", "{tmp}/x.obj"),
+        ("p2", "decompose", "--x", "(" * 300 + "t" + ")" * 300, "--z", "t"),
+        ("mesh", "--report", "{deep}", "--out", "{tmp}/x.obj"),
+    ],
+    ids=["analyze_parentheses", "analyze_unary_minus", "quadric", "mesh_param", "p2_decompose", "mesh_report"],
+)
+def test_deep_nesting_is_user_error(tmp_path, argv):
+    # each once ended in a RecursionError traceback (exit 1, no JSON)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    args = [a.format(tmp=tmp_path, deep=deep) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "revolutio", *args], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert json.loads(proc.stdout)["error"]["code"] == "INVALID_INPUT"
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.obj").exists()
 
 
 def _exit_contract(argv: list) -> None:

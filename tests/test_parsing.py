@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revolutio import InvalidInput, MultiPoly, UniPoly, parse_poly
-from revolutio.parsing import ALLOWED_VARIABLES, ParseError
+from revolutio.parsing import ALLOWED_VARIABLES, MAX_NESTING, ParseError
 
 X = MultiPoly.variable("x", ("x", "y", "z"))
 Y = MultiPoly.variable("y", ("x", "y", "z"))
@@ -161,6 +161,24 @@ def test_which_fault_wins(text, message):
     with pytest.raises(ParseError) as exc:
         parse_poly(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "open_, close",
+    [("(", ")"), ("-", ""), ("-(", ")")],
+    ids=["parentheses", "unary_minus", "both"],
+)
+def test_nesting_budget(open_, close):
+    # each '(' and each unary '-' is one level; the level past the budget
+    # is refused at its own position, before any arithmetic
+    per = len(open_)
+    levels = MAX_NESTING // per
+    assert parse_poly(open_ * levels + "x" + close * levels) == (-1) ** (levels * open_.count("-")) * parse_poly("x")
+    deeper = open_ * (levels + 1) + "x" + close * (levels + 1)
+    with pytest.raises(ParseError) as exc:
+        parse_poly(deeper)
+    assert exc.value.position == MAX_NESTING
+    assert str(exc.value) == f"nesting deeper than {MAX_NESTING} levels (at position {MAX_NESTING})"
 
 
 def test_vars_keep_cancelled_names():

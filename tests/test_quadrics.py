@@ -63,6 +63,21 @@ class TestClassification:
         assert classify_quadric(2 * Z ** 2 - X ** 2 - Y ** 2 - 5) == "hyperboloid-two-sheets"
         assert classify_quadric(-(X ** 2) - Y ** 2 - Z ** 2 + 1) == "ellipsoid"
 
+    @pytest.mark.parametrize(
+        "F, label",
+        [
+            # every diagonal entry zero, or zero once a square is completed:
+            # the reduction substitutes x_k -> x_k + x_j
+            (X * Y - Z, "hyperbolic-paraboloid"),
+            (X * Z - Y ** 2, "cone"),
+            (Y ** 2 - X * Z + 1, "hyperboloid-two-sheets"),
+            (X * Y + 1, "hyperbolic-cylinder"),
+            (X * Y + Y * Z + Z * X - 1, "hyperboloid-two-sheets"),
+        ],
+    )
+    def test_zero_diagonals(self, F, label):
+        assert classify_quadric(F) == label
+
     def test_degree_enforced(self):
         with pytest.raises(InvalidInput):
             classify_quadric(X ** 3 - Y)
@@ -78,9 +93,10 @@ class TestEigenSignCounts:
     def test_against_sympy(self):
         # random symmetric rational 3x3 and 4x4 matrices, half of them
         # singular (P^T D P with zeros in D), against the signs of sympy's
-        # exact real roots of the characteristic polynomial
+        # exact real roots of the characteristic polynomial; a 3x3 matrix
+        # is the quadratic block of a 4x4 one with a zero row and column h
         sympy = pytest.importorskip("sympy")
-        from revolutio.quadrics import _eigen_sign_counts
+        from revolutio.quadrics import _inertia, _reduce
 
         rng = random.Random(4411)
         lam = sympy.Symbol("lam")
@@ -103,7 +119,10 @@ class TestEigenSignCounts:
             assert all(s or e.is_zero for s, e in zip(signs, eig))
             want = (signs.count(1), signs.count(-1), signs.count(0))
             singular += want[2] > 0
-            assert _eigen_sign_counts(a) == want
+            a4 = [[Fraction(a[i][j]) if i < n and j < n else Fraction(0) for j in range(4)] for i in range(4)]
+            p3, n3, p4, n4 = _inertia(*_reduce(a4))
+            pos, neg = (p3, n3) if n == 3 else (p4, n4)
+            assert (pos, neg, n - pos - neg) == want
         assert singular > 10
 
 
